@@ -726,7 +726,7 @@ class SwiftRuntime:
             decision = self.mode_controller.resolve(
                 requested,
                 job_run.dag.edge_size(edge),
-                cache_utilization=self._cache_utilization(),
+                cache_utilization=self._cache_utilization,
                 setup_latency=self.cluster.network.connection_setup_time(),
             )
             self._edge_mode_decisions[dkey] = decision
@@ -1290,7 +1290,9 @@ class SwiftRuntime:
             if scheme not in (ShuffleScheme.LOCAL, ShuffleScheme.REMOTE):
                 continue
             key = f"{edge.src}->{edge.dst}"
-            # Data lands on the Y machines the producer gang spanned.
+            # Data lands on the first Y schedulable machines (alive ones
+            # when none is schedulable), not on the machines the producer
+            # gang actually ran on.
             m = dag.stage(edge.src).task_count
             n = dag.stage(edge.dst).task_count
             y = self._effective_machines(m, n)
@@ -1300,8 +1302,8 @@ class SwiftRuntime:
             consumers_per_machine = max(
                 1, math.ceil(dag.stage(edge.dst).task_count / max(1, len(machines)))
             )
-            # Replicate each primary's share onto the least-loaded other
-            # Cache Workers; a lost primary then fails over to a replica
+            # Replicate each primary's share onto other Cache Workers, round
+            # robin and load-aware; a lost primary then fails over to a replica
             # instead of re-running the producer.
             groups = pick_replica_machines(
                 machines, candidates, self.config.shuffle.replication_factor

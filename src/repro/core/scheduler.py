@@ -13,7 +13,7 @@ that fits entirely (gang semantics: all-or-nothing per unit).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from heapq import heapify, heappop, nsmallest
+from heapq import heapify, heappop, heappush, nsmallest
 from typing import Callable, Optional
 
 from ..sim.cluster import Cluster, Executor, ExecutorState, Machine
@@ -277,12 +277,23 @@ def pick_replica_machines(
 
     Each primary machine becomes a replica *group* of up to
     ``replication_factor`` distinct machines holding the same shuffle
-    entry.  Replicas are drawn from ``candidates`` preferring machines
-    outside the primary set, then by lowest Cache Worker memory use
-    (machine id as the deterministic tiebreak), with a round-robin
-    assignment count so one idle machine does not absorb every group's
-    replica.  Groups degrade gracefully: with fewer than two candidate
-    machines the group is just its primary (v1 behaviour).
+    entry, primary first.  Groups fill in primary order; each replica slot
+    takes the machine from ``candidates`` (those with a Cache Worker, and
+    not already in the group) that comes first by, in turn:
+
+    1. fewest replicas assigned so far in this call (round robin, so one
+       idle machine does not absorb every group's replica);
+    2. outside the primary set;
+    3. fewest resident Cache Worker bytes;
+    4. lowest machine id (the deterministic tiebreak).
+
+    ``candidates`` must be distinct machines.  One heap over the P pool
+    machines, built once, serves every slot: a slot pops past its own
+    group's members, and the chosen machine goes back with its count
+    raised.  Placing R replicas costs O(P + R log P), and each Cache
+    Worker's resident bytes are read once.  Groups degrade gracefully:
+    with fewer than two candidate machines the group is just its primary
+    (v1 behaviour).
     """
     groups = [[p] for p in primaries]
     if replication_factor <= 1:
@@ -291,25 +302,33 @@ def pick_replica_machines(
     if len(pool) < 2:
         return groups
     primary_ids = {p.machine_id for p in primaries}
-    assigned = {m.machine_id: 0 for m in pool}
+    # Machine ids make every key unique and no resident bytes change during
+    # the call, so the heap yields exactly the order a fresh min() over the
+    # pool would.
+    heap: list[tuple[int, bool, float, int, Machine]] = [
+        (
+            0,
+            m.machine_id in primary_ids,
+            m.cache_worker.memory_used,  # type: ignore[union-attr]
+            m.machine_id,
+            m,
+        )
+        for m in pool
+    ]
+    heapify(heap)
     for group in groups:
         in_group = {group[0].machine_id}
-        while len(group) < replication_factor:
-            best = min(
-                (m for m in pool if m.machine_id not in in_group),
-                key=lambda m: (
-                    assigned[m.machine_id],
-                    m.machine_id in primary_ids,
-                    m.cache_worker.memory_used,  # type: ignore[union-attr]
-                    m.machine_id,
-                ),
-                default=None,
-            )
-            if best is None:
-                break
-            group.append(best)
-            in_group.add(best.machine_id)
-            assigned[best.machine_id] += 1
+        held = []
+        while len(group) < replication_factor and heap:
+            count, is_primary, used, machine_id, machine = heappop(heap)
+            if machine_id in in_group:
+                held.append((count, is_primary, used, machine_id, machine))
+                continue
+            group.append(machine)
+            in_group.add(machine_id)
+            held.append((count + 1, is_primary, used, machine_id, machine))
+        for entry in held:
+            heappush(heap, entry)
     return groups
 
 

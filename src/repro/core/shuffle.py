@@ -22,6 +22,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 from ..sim.config import ShuffleConfig, SimConfig
 from ..sim.disk import DiskModel
@@ -107,15 +108,18 @@ class ShuffleModeController:
         self,
         requested: ShuffleScheme,
         edge_size: int,
-        cache_utilization: float = 0.0,
+        cache_utilization: float | Callable[[], float] = 0.0,
         setup_latency: float = 0.0,
     ) -> ModeDecision:
         """Resolve one edge from the static rule plus live observations.
 
         ``cache_utilization`` is the used fraction of the Cache Workers
-        that would hold this edge; ``setup_latency`` the currently observed
-        per-connection setup time.  Explicitly requested (non-ADAPTIVE)
-        schemes are never overridden.
+        that would hold this edge, or a zero-argument callable returning
+        it; the callable is invoked at most once, and only for a
+        borderline Local/Remote edge, the one case that reads it.
+        ``setup_latency`` is the currently observed per-connection setup
+        time.  Explicitly requested (non-ADAPTIVE) schemes are never
+        overridden.
         """
         static = resolve_scheme(requested, edge_size, self.config)
         if not self.config.mode_switching or requested is not ShuffleScheme.ADAPTIVE:
@@ -123,11 +127,13 @@ class ShuffleModeController:
         margin = self.config.switch_margin
         if (
             static in (ShuffleScheme.LOCAL, ShuffleScheme.REMOTE)
-            and cache_utilization >= self.config.pressure_demote_utilization
             and edge_size <= self.config.direct_threshold * (1.0 + margin)
         ):
-            self.switches += 1
-            return ModeDecision(ShuffleScheme.DIRECT, static, "cache-pressure")
+            if callable(cache_utilization):
+                cache_utilization = cache_utilization()
+            if cache_utilization >= self.config.pressure_demote_utilization:
+                self.switches += 1
+                return ModeDecision(ShuffleScheme.DIRECT, static, "cache-pressure")
         if (
             static is ShuffleScheme.DIRECT
             and setup_latency >= self.config.setup_promote_latency

@@ -287,6 +287,53 @@ def test_mode_controller_calm_observations_match_static_rule(config):
         assert not decision.switched
 
 
+class CountingProbe:
+    """A Cache Worker utilization probe that counts its invocations."""
+
+    def __init__(self, utilization: float) -> None:
+        self.utilization = utilization
+        self.calls = 0
+
+    def __call__(self) -> float:
+        self.calls += 1
+        return self.utilization
+
+
+@pytest.mark.parametrize(
+    "requested, size, mode_switching",
+    [
+        (ShuffleScheme.REMOTE, 12_000, True),     # explicitly requested scheme
+        (ShuffleScheme.ADAPTIVE, 12_000, False),  # switching disabled
+        (ShuffleScheme.ADAPTIVE, 8_000, True),    # static DIRECT
+        (ShuffleScheme.ADAPTIVE, 20_000, True),   # above the demotion margin
+    ],
+)
+def test_mode_controller_skips_cache_probe_off_the_borderline(
+    config, requested, size, mode_switching
+):
+    config.shuffle.mode_switching = mode_switching
+    probe = CountingProbe(1.0)
+    decision = ShuffleModeController(config.shuffle).resolve(
+        requested, size, cache_utilization=probe
+    )
+    assert probe.calls == 0
+    assert decision.reason != "cache-pressure"
+
+
+@pytest.mark.parametrize("local_threshold", [90_000, 11_000])  # 12k: REMOTE, LOCAL
+@pytest.mark.parametrize("utilization, demoted", [(1.0, True), (0.0, False)])
+def test_mode_controller_probes_cache_once_for_borderline_edges(
+    config, local_threshold, utilization, demoted
+):
+    config.shuffle.local_threshold = local_threshold
+    probe = CountingProbe(utilization)
+    decision = ShuffleModeController(config.shuffle).resolve(
+        ShuffleScheme.ADAPTIVE, 12_000, cache_utilization=probe
+    )
+    assert probe.calls == 1
+    assert decision.switched is demoted
+
+
 # ----------------------------------------------------------------------
 # Push-based partition merging
 # ----------------------------------------------------------------------
