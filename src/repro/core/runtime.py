@@ -15,8 +15,13 @@ by its producers' completion plus a flush latency, and its ``data_arrive``
 (for the IdleRatio metric) is its producers' first output.  Barrier inputs —
 and *all* cross-unit inputs — become available only when the producer stage
 completes.  Task finish times are computed analytically per stage and
-realised as simulator events that self-reschedule if recovery pushes a
-finish time back, which keeps failure handling simple and exact.
+recorded in a runtime-local *finish ledger*, a heap replayed in exact
+(finish time, schedule order) order whenever runtime state is observed:
+one drain event per computed stage batch instead of one kernel event per
+task.  Recovery re-pushes an entry (with its own drain event) when it
+re-runs a task or pushes a finish back, and an entry popped before its
+task's current finish time chases it, which keeps failure handling simple
+and exact.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ from typing import Callable, Optional
 from ..audit.ledger import ResourceLedger
 from ..obs.records import Category
 from ..obs.tracer import NULL_TRACER, Tracer
-from ..sim.cluster import Cluster, Executor, ExecutorState
+from ..sim.cluster import Cluster, Executor, ExecutorState, MachineState
 from ..sim.config import SimConfig
 from ..sim.engine import Simulator
 from ..sim.failures import FailureKind, FailurePlan, FailureSpec
@@ -127,7 +132,7 @@ class StageRun:
         self.finish_estimate = 0.0
         self.first_output = math.inf
         self.earliest_read_done = math.inf
-        #: Time of the latest drain event scheduled for this stage (fast path).
+        #: Time of the latest drain event scheduled for this stage.
         self.drain_scheduled_at = -math.inf
 
     @property
@@ -241,7 +246,6 @@ class SwiftRuntime:
         failure_plan: Optional[FailurePlan] = None,
         reference_duration: "float | dict[str, float]" = 100.0,
         shadow: Optional[ShadowController] = None,
-        fast_path: bool = True,
         tracer: Optional[Tracer] = None,
         audit: bool = False,
         audit_strict: bool = True,
@@ -295,17 +299,13 @@ class SwiftRuntime:
         #: (start, end) executor-busy intervals for utilization series.
         self.busy_intervals: list[tuple[float, float]] = []
         self._request_units: dict[int, UnitRun] = {}
-        #: Event-kernel fast path: when no failure is planned, task finish
-        #: times are immutable once computed, so per-task finish events are
-        #: replaced by a runtime-local "finish ledger" that is replayed in
-        #: exact event order (clock rewound per entry) whenever state must be
-        #: observed — one drain event per computed stage batch instead of one
-        #: event per task.  Recovery needs per-task events, so any failure
-        #: plan falls back to the per-task-event path.  ``fast_path=False``
-        #: forces that path without failures: the determinism tests use it
-        #: as the reference the ledger must match exactly.
-        self._fast_path = bool(fast_path) and len(self.failure_plan) == 0
-        self.scheduler.fast_ops = self._fast_path
+        #: Finish ledger: ``(time, schedule seq, instance)`` heap of deferred
+        #: task finishes, replayed in exact event order (clock rewound per
+        #: entry) whenever state must be observed — on every drain event and
+        #: on entry to every handler that reads runtime state.  Recovery
+        #: re-pushes moved finishes; ``tests/per_task_runtime.py`` realises
+        #: each finish as its own kernel event instead, and the determinism
+        #: tests require the two to agree exactly.
         self._finish_ledger: list[tuple[float, int, TaskInstance]] = []
         self._ledger_seq = 0
         self._flushing = False
@@ -339,9 +339,6 @@ class SwiftRuntime:
             cluster.network.ledger = self.ledger
             for machine in cluster.machines:
                 machine.cache_worker.ledger = self.ledger  # type: ignore[union-attr]
-        if not policy.gang:
-            # Wave execution is only meaningful for single-stage units.
-            pass
 
     # ------------------------------------------------------------------
     # Public API
@@ -387,8 +384,8 @@ class SwiftRuntime:
     def run(self, until: Optional[float] = None) -> list[JobResult]:
         """Run the simulation to completion and return per-job results."""
         self.sim.run(until=until)
-        # Fast path: finalize any ledger entries due by the stop time (the
-        # legacy path realised them as simulator events during the run).
+        # Finalize ledger entries due by the stop time whose drain event
+        # lies beyond it.
         self._flush_finishes()
         if self.ledger is not None:
             # Drained-state assertions only make sense once every submitted
@@ -418,8 +415,8 @@ class SwiftRuntime:
     def _on_job_submitted(self, job: Job, attempt: int) -> None:
         # Catch up strictly-earlier deferred finishes so this submission sees
         # the same cluster state it would under per-task events.  Same-time
-        # finishes stay deferred: their legacy events carry larger sequence
-        # numbers than this submission's, so they ran after it.
+        # finishes stay deferred: as per-task events they would carry larger
+        # sequence numbers than this submission's, so they run after it.
         self._flush_finishes(strict=True)
         graphlets = self.policy.partitioner.partition(job.dag)
         if not self.policy.gang:
@@ -586,44 +583,31 @@ class SwiftRuntime:
         dispatch_from = self.shadow.next_available(self.sim.now)
         self.shadow.record_completion(self.sim.now)
         times = self.admin.dispatch_times(dispatch_from, len(batch))
-        rng = self.sim.rng
-        metrics = job_run.metrics
-        if self._fast_path:
-            self._dispatch_batch_fast(job_run, batch, grant.executors, times, rng)
-            if times:
-                # dispatch_times is strictly increasing, so only the first
-                # arrival can move the job's start time.
-                first = times[0]
-                if metrics.start_time == 0.0 or first < metrics.start_time:
-                    metrics.start_time = first
-        else:
-            for inst, executor, arrive in zip(batch, grant.executors, times):
-                executor.current_task = inst
-                executor.start()
-                inst.executor = executor
-                inst.state = TaskState.DISPATCHED
-                inst.plan_arrive = arrive
-                inst.launch = self._launch_overhead(rng)
-                inst.stage_run.n_dispatched += 1
-                self.admin.plan_cached(job_run.job.job_id, inst.stage_run.name)
-                if metrics.start_time == 0.0 or arrive < metrics.start_time:
-                    metrics.start_time = arrive
+        self._dispatch_batch(job_run, batch, grant.executors, times)
+        if times:
+            # dispatch_times is strictly increasing, so only the first
+            # arrival can move the job's start time.
+            metrics = job_run.metrics
+            first = times[0]
+            if metrics.start_time == 0.0 or first < metrics.start_time:
+                metrics.start_time = first
         self._try_compute_stages(unit)
 
-    def _dispatch_batch_fast(
+    def _dispatch_batch(
         self,
         job_run: JobRun,
         batch: list["TaskInstance"],
         executors: list[Executor],
         times: list[float],
-        rng,
     ) -> None:
         """Per-task dispatch loop with the executor state machine inlined.
 
         Executors arrive ASSIGNED from the scheduler, so ASSIGNED->RUNNING
-        never touches idle counters; the rng draw sequence matches
-        ``_launch_overhead`` exactly (prelaunched draws nothing).
+        never touches idle counters.  A cold-start launch draws one
+        uniform jitter per task from the simulator rng; a prelaunched one
+        draws nothing.
         """
+        rng = self.sim.rng
         cfg = self.config.executor
         prelaunched = self.policy.launch == LaunchModel.PRELAUNCHED
         fixed_launch = cfg.prelaunched_overhead
@@ -656,13 +640,6 @@ class SwiftRuntime:
             else:
                 last_sr = sr
                 plan_cached(job_id, sr.name)
-
-    def _launch_overhead(self, rng) -> float:
-        cfg = self.config.executor
-        if self.policy.launch == LaunchModel.PRELAUNCHED:
-            return cfg.prelaunched_overhead
-        jitter = cfg.coldstart_jitter
-        return max(0.0, cfg.coldstart_mean + rng.uniform(-jitter, jitter))
 
     def _try_compute_stages(self, unit: UnitRun) -> None:
         """Prepare and compute every stage of the unit whose inputs are known."""
@@ -904,66 +881,16 @@ class SwiftRuntime:
         sr.computed = sr.n_computed == len(sr.instances)
 
     def _compute_ready_instances(self, sr: StageRun) -> None:
-        """Compute finish times for dispatched-but-uncomputed instances."""
-        rng = self.sim.rng
+        """Compute finish times for dispatched-but-uncomputed instances.
+
+        One rng draw per instance, in instance order.  Stage aggregates are
+        carried in locals and written back once, and ledger entries are
+        appended in bulk with a single heapify and one drain event for the
+        batch, instead of one ``_schedule_finish`` call per instance.
+        """
         work = self._work_seconds(sr)
         flush = self.config.pipeline_flush_latency
-        computed_before = sr.n_computed
-        if self._fast_path:
-            self._compute_ready_instances_fast(sr, rng, work, flush)
-        else:
-            for inst in sr.instances:
-                if inst.state != TaskState.DISPATCHED or inst.finish_time != math.inf:
-                    continue
-                inst.proc = work * (1.0 + rng.uniform(0.0, 0.06))
-                inst.read = sr.scan_read + sr.read_cost
-                inst.write = sr.write_cost
-                ready = inst.plan_arrive + inst.launch
-                inst.start = max(ready, sr.barrier_avail)
-                finish = inst.start + inst.read + inst.proc + inst.write
-                if sr.pipeline_floor > 0:
-                    finish = max(finish, sr.pipeline_floor + flush)
-                    inst.start = max(inst.start, sr.pipeline_first_input)
-                inst.finish_time = finish
-                if not sr.has_inputs:
-                    inst.data_arrive = ready
-                else:
-                    arrivals = [ready]
-                    if sr.barrier_avail > 0:
-                        arrivals.append(sr.barrier_avail)
-                    if sr.pipeline_first_input > 0:
-                        arrivals.append(sr.pipeline_first_input)
-                    inst.data_arrive = max(arrivals)
-                sr.n_computed += 1
-                sr.finish_estimate = max(sr.finish_estimate, inst.finish_time)
-                sr.earliest_read_done = min(
-                    sr.earliest_read_done, inst.start + inst.read
-                )
-                self._schedule_finish(inst)
-        if self._fast_path and sr.n_computed > computed_before:
-            self._schedule_drain(sr)
-        if sr.n_computed == len(sr.instances):
-            sr.computed = True
-            if sr.stage.is_blocking or not self.policy.pipelined_execution:
-                sr.first_output = sr.finish_estimate
-            else:  # streaming stage: first output follows the earliest start
-                starts = [i.start for i in sr.instances if i.start != math.inf]
-                base = min(starts) if starts else self.sim.now
-                sr.first_output = max(base, sr.pipeline_first_input) + flush
-            # Unblock same-unit successors now that estimates exist.
-            self._try_compute_stages(sr.job_run.units[sr.unit_id])
-
-    def _compute_ready_instances_fast(
-        self, sr: StageRun, rng, work: float, flush: float
-    ) -> None:
-        """Hot-loop variant of the per-instance timing computation.
-
-        Identical arithmetic and rng draw order to the legacy loop; stage
-        aggregates are carried in locals and written back once, and ledger
-        entries are appended in bulk with a single heapify instead of one
-        ``_schedule_finish`` call (and heap push) per instance.
-        """
-        uniform = rng.uniform
+        uniform = self.sim.rng.uniform
         read = sr.scan_read + sr.read_cost
         write = sr.write_cost
         barrier = sr.barrier_avail
@@ -1021,22 +948,33 @@ class SwiftRuntime:
         self._ledger_seq = seq
         if appended:
             heapq.heapify(ledger)
+            self._schedule_drain(sr)
+        if n_computed == len(sr.instances):
+            sr.computed = True
+            if sr.stage.is_blocking or not self.policy.pipelined_execution:
+                sr.first_output = sr.finish_estimate
+            else:  # streaming stage: first output follows the earliest start
+                starts = [i.start for i in sr.instances if i.start != inf]
+                base = min(starts) if starts else self.sim.now
+                sr.first_output = max(base, p_first) + flush
+            # Unblock same-unit successors now that estimates exist.
+            self._try_compute_stages(sr.job_run.units[sr.unit_id])
 
     def _schedule_finish(self, inst: TaskInstance) -> None:
+        """Record one re-run or moved finish in the ledger.
+
+        The entry's key is when a per-task finish event would fire (never
+        before ``sim.now``), and it gets its own drain event there.  An
+        instance whose entry is still queued keeps it: the flush chases a
+        finish that moved later.
+        """
         if inst.event_scheduled:
             return
         inst.event_scheduled = True
-        if self._fast_path:
-            # No simulator event per task: record the finish in the ledger;
-            # it is realised (in exact event order) by the next flush.
-            self._ledger_seq += 1
-            heapq.heappush(
-                self._finish_ledger, (inst.finish_time, self._ledger_seq, inst)
-            )
-            return
-        self.sim.schedule_at(
-            max(inst.finish_time, self.sim.now), self._on_task_finish, inst
-        )
+        at = max(inst.finish_time, self.sim.now)
+        self._ledger_seq += 1
+        heapq.heappush(self._finish_ledger, (at, self._ledger_seq, inst))
+        self.sim.schedule_at(max(at, self.event_now()), self._on_task_finish)
 
     def _schedule_drain(self, sr: StageRun) -> None:
         """One simulator event per computed batch, at the batch's last finish.
@@ -1049,18 +987,22 @@ class SwiftRuntime:
         if at <= sr.drain_scheduled_at:
             return
         sr.drain_scheduled_at = at
-        self.sim.schedule_at(max(at, self.event_now()), self._flush_finishes)
+        self.sim.schedule_at(max(at, self.event_now()), self._on_task_finish)
+
+    def _on_task_finish(self) -> None:
+        """Drain event: realise every ledger finish due by now."""
+        self._flush_finishes()
 
     def _flush_finishes(self, strict: bool = False) -> None:
         """Realise all deferred task finishes due by ``sim.now``.
 
-        Entries are replayed in exactly the order the legacy per-task events
-        would have fired — (finish time, schedule sequence) — with the
-        simulated clock rewound to each entry's finish time, so every
-        downstream effect (metrics, stage completion, scheduler grants, rng
-        draws, event-log records) is byte-identical to the per-task path.
-        ``strict`` excludes entries at exactly ``sim.now`` (used by handlers
-        whose legacy event ordered before same-time finish events).
+        Entries are replayed in exactly the order per-task finish events
+        would fire — (ledger key, schedule sequence) — with the simulated
+        clock rewound to each entry's key, so every downstream effect
+        (metrics, stage completion, scheduler grants, rng draws, event-log
+        records) is byte-identical to realising each finish as its own
+        kernel event.  ``strict`` excludes entries at exactly ``sim.now``
+        (used by handlers whose event orders before same-time finishes).
         """
         if self._flushing:
             return
@@ -1081,6 +1023,7 @@ class SwiftRuntime:
         cluster = self.cluster
         idle = ExecutorState.IDLE
         revoked = ExecutorState.REVOKED
+        healthy = MachineState.HEALTHY
         dispatched = TaskState.DISPATCHED
         finished = TaskState.FINISHED
         dead = TaskState.DEAD
@@ -1096,6 +1039,9 @@ class SwiftRuntime:
                 if finish > target or (strict and finish >= target):
                     break
                 _, _, inst = heappop(ledger)
+                # The key is only the clock, the time a per-task event would
+                # fire: a re-run may have moved the task's own finish.
+                sim._now = finish
                 inst.event_scheduled = False
                 sr = inst.stage_run
                 job_run = sr.job_run
@@ -1105,8 +1051,8 @@ class SwiftRuntime:
                     # Suspended by a crash; recovery will reschedule.
                     continue
                 if inst.finish_time > finish + _EPS:
-                    # Finish moved after scheduling; chase it (defensive —
-                    # cannot happen while the fast path is active).
+                    # Recovery pushed the finish back after this entry was
+                    # queued; chase it.
                     self._schedule_finish(inst)
                     continue
                 if inst.state is not dispatched:
@@ -1117,11 +1063,8 @@ class SwiftRuntime:
                     stage_name = sr.name
                     tasks_append = job_run.metrics.tasks.append
                     n_instances = len(sr.instances)
-                sim._now = finish
                 inst.state = finished
-                # _finalize_instance, inlined with the executor release
-                # unrolled (fast-path invariant: machines stay healthy, so
-                # IDLE always returns the slot to the cluster's free pool).
+                task_finish = inst.finish_time
                 plan_arrive = inst.plan_arrive
                 data_arrive = inst.data_arrive
                 tasks_append(
@@ -1131,21 +1074,23 @@ class SwiftRuntime:
                         inst.index,
                         inst.attempt,
                         plan_arrive,
-                        data_arrive if data_arrive < finish else finish,
-                        finish,
+                        data_arrive if data_arrive < task_finish else task_finish,
+                        task_finish,
                         inst.launch,
                         inst.read,
                         inst.proc,
                         inst.write,
                     )
                 )
-                busy_append((plan_arrive, finish))
+                busy_append((plan_arrive, task_finish))
                 if trace_on:
                     trace_task(
                         stage_name, job_id, inst.index, inst.attempt,
-                        plan_arrive, data_arrive, finish,
+                        plan_arrive, data_arrive, task_finish,
                         inst.launch, inst.read, inst.proc, inst.write,
                     )
+                # Executor.release(), unrolled: only a healthy machine's idle
+                # slot returns to the cluster's free pool.
                 executor = inst.executor
                 if executor is not None:
                     executor.current_task = None
@@ -1154,7 +1099,8 @@ class SwiftRuntime:
                         machine = executor.machine
                         machine.idle_count += 1
                         machine._free_stack.append(executor)
-                        cluster._free_count += 1
+                        if machine.state is healthy:
+                            cluster._free_count += 1
                     inst.executor = None
                 sr.n_finalized += 1
                 if sr.n_finalized == n_instances and not sr.completed:
@@ -1172,57 +1118,6 @@ class SwiftRuntime:
     # ------------------------------------------------------------------
     # Completion
     # ------------------------------------------------------------------
-    def _on_task_finish(self, inst: TaskInstance) -> None:
-        inst.event_scheduled = False
-        job_run = inst.stage_run.job_run
-        if job_run.aborted or job_run.failed or inst.state == TaskState.DEAD:
-            return
-        if inst.finish_time == math.inf:
-            # Suspended by a machine crash; recovery will reschedule.
-            return
-        if inst.finish_time > self.sim.now + _EPS:
-            # Recovery moved the finish; chase it.
-            self._schedule_finish(inst)
-            return
-        if inst.state != TaskState.DISPATCHED:
-            return
-        inst.state = TaskState.FINISHED
-        self._finalize_instance(inst)
-        sr = inst.stage_run
-        sr.n_finalized += 1
-        if sr.n_finalized == len(sr.instances) and not sr.completed:
-            self._on_stage_completed(sr)
-        self._pump_scheduler()
-
-    def _finalize_instance(self, inst: TaskInstance) -> None:
-        sr = inst.stage_run
-        metrics = sr.job_run.metrics
-        timing = TaskTiming(
-            job_id=sr.job_run.job.job_id,
-            stage=sr.name,
-            index=inst.index,
-            attempt=inst.attempt,
-            plan_arrive=inst.plan_arrive,
-            data_arrive=min(inst.data_arrive, inst.finish_time),
-            finish=inst.finish_time,
-            launch_time=inst.launch,
-            shuffle_read_time=inst.read,
-            processing_time=inst.proc,
-            shuffle_write_time=inst.write,
-        )
-        metrics.tasks.append(timing)
-        self.busy_intervals.append((inst.plan_arrive, inst.finish_time))
-        if self.tracer.enabled:
-            self.tracer.task_span(
-                sr.name, sr.job_run.job.job_id, inst.index, inst.attempt,
-                inst.plan_arrive, inst.data_arrive, inst.finish_time,
-                inst.launch, inst.read, inst.proc, inst.write,
-            )
-        if inst.executor is not None:
-            inst.executor.release()
-            inst.executor = None
-
-
     def _on_stage_completed(self, sr: StageRun) -> None:
         sr.completed = True
         sr.finish_estimate = self.sim.now
@@ -1412,6 +1307,9 @@ class SwiftRuntime:
     # Failure handling
     # ------------------------------------------------------------------
     def _on_failure(self, spec: FailureSpec, job_id: str) -> None:
+        # Every failure-side handler first catches up the ledger, like
+        # _on_job_submitted: it must see the state per-task events would.
+        self._flush_finishes(strict=True)
         job_run = self.job_runs.get(job_id)
         if job_run is None or job_run.done or job_run.aborted or job_run.failed:
             return
@@ -1563,6 +1461,7 @@ class SwiftRuntime:
     ) -> None:
         """Admin-side quarantine (Section IV-A): the machine goes read-only,
         running tasks drain, and ``duration`` seconds later it recovers."""
+        self._flush_finishes(strict=True)
         if not machine.alive:
             return
         started = self.admin.quarantine_machine(machine.machine_id)
@@ -1583,6 +1482,7 @@ class SwiftRuntime:
 
     def _recover_machine(self, machine, job_id: str) -> None:
         """End a quarantine episode: the machine accepts tasks again."""
+        self._flush_finishes(strict=True)
         if not machine.alive:
             return
         recovered = self.admin.record_machine_recovered(machine.machine_id)
@@ -1619,6 +1519,7 @@ class SwiftRuntime:
         unrecoverable does the producer re-generate and re-write the data
         (the OUTPUT_FAILURE path of Section IV-B, applied per lost entry).
         """
+        self._flush_finishes(strict=True)
         worker: Optional[CacheWorker] = machine.cache_worker
         if worker is None:
             return
@@ -1693,6 +1594,7 @@ class SwiftRuntime:
                 self._recover_task(victim)
 
     def _fail_job(self, job_run: JobRun, reason: str = "") -> None:
+        self._flush_finishes(strict=True)
         if job_run.done or job_run.failed:
             return
         job_run.failed = True
@@ -1768,6 +1670,7 @@ class SwiftRuntime:
         self._pump_scheduler()
 
     def _restart_job(self, job_run: JobRun) -> None:
+        self._flush_finishes(strict=True)
         if job_run.done or job_run.aborted or job_run.failed:
             return
         job_run.aborted = True
@@ -1784,6 +1687,7 @@ class SwiftRuntime:
 
     def _recover_task(self, inst: TaskInstance) -> None:
         """Fine-grained recovery (Section IV-B) for one failed task."""
+        self._flush_finishes(strict=True)
         sr = inst.stage_run
         job_run = sr.job_run
         if job_run.done or job_run.aborted or job_run.failed:
@@ -1960,7 +1864,8 @@ class SwiftRuntime:
 
         Walks the whole downstream cone in topological order, lifting each
         computed stage's instance finish times to respect the new barrier
-        availability / pipeline floors.  Finish events self-reschedule.
+        availability / pipeline floors.  Queued ledger entries chase the
+        moved finishes.
         """
         job_run = sr.job_run
         dag = job_run.dag

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush, nsmallest
-from typing import Callable, Optional
+from typing import Optional
 
 from ..sim.cluster import Cluster, Executor, ExecutorState, Machine
 
@@ -61,10 +61,6 @@ class ResourceScheduler:
         self._queue: list[ReqItem] = []
         self._next_id = 0
         self.grants_made = 0
-        #: Set by the runtime's no-failure fast path: every machine stays
-        #: healthy, so executor assignment can update states and idle
-        #: counters in bulk instead of per-executor ``assign`` calls.
-        self.fast_ops = False
         #: Head-of-line gang size we last failed to satisfy; while the free
         #: pool stays below it (and the queue is unchanged) scheduling is a
         #: guaranteed no-op, so ``schedule`` returns immediately.
@@ -177,27 +173,23 @@ class ResourceScheduler:
             executors = self._pick_executors(item, take)
             if executors is None:
                 continue
-            if self.fast_ops:
-                # Bulk state update; identical end state to per-executor
-                # assign() when no machine is quarantined (fast-path
-                # invariant: no failures, every machine accepts tasks).
-                assigned = ExecutorState.ASSIGNED
-                for executor in executors:
-                    executor.state = assigned
-                    executor.current_task = item
-                    machine = executor.machine
-                    machine.idle_count -= 1
-                    stack = machine._free_stack
-                    # Picks consume each stack top-first, so this is almost
-                    # always a pop from the end.
-                    if stack[-1] is executor:
-                        stack.pop()
-                    else:
-                        stack.remove(executor)
-                self.cluster._free_count -= len(executors)
-            else:
-                for executor in executors:
-                    executor.assign(item)
+            # Executor.assign(), unrolled in bulk: picks come only from
+            # schedulable (healthy) machines, so every slot leaves the
+            # cluster's free pool.
+            assigned = ExecutorState.ASSIGNED
+            for executor in executors:
+                executor.state = assigned
+                executor.current_task = item
+                machine = executor.machine
+                machine.idle_count -= 1
+                stack = machine._free_stack
+                # Picks consume each stack top-first, so this is almost
+                # always a pop from the end.
+                if stack[-1] is executor:
+                    stack.pop()
+                else:
+                    stack.remove(executor)
+            self.cluster._free_count -= len(executors)
             item.remaining -= len(executors)
             if item.remaining == 0:
                 item.granted = True
@@ -332,9 +324,7 @@ def pick_replica_machines(
     return groups
 
 
-def pick_locality_machines(
-    cluster: Cluster, n_tasks: int, rng_choice: Callable[[list[Machine]], Machine] | None = None
-) -> tuple[int, ...]:
+def pick_locality_machines(cluster: Cluster, n_tasks: int) -> tuple[int, ...]:
     """Simple locality preference: the least-loaded machines that could host
     the scan tasks (data placement is uniform in the simulator, so locality
     reduces to load spreading)."""

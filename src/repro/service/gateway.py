@@ -267,7 +267,7 @@ class JobGateway:
     # Arrival + admission
     # ------------------------------------------------------------------
     def _on_arrival(self, entry: JobEntry) -> None:
-        # Observe exact cluster state: catch up deferred fast-path finishes
+        # Observe exact cluster state: catch up deferred ledger finishes
         # strictly before this arrival (mirrors _on_job_submitted).
         self.runtime._flush_finishes(strict=True)
         now = self.runtime.event_now()

@@ -1,13 +1,14 @@
 """Determinism guarantees of this reproduction.
 
-Two invariants the performance work must never break:
+Invariants the performance work must never break:
 
 * The parallel cell harness returns byte-identical experiment rows for
   any worker count (``--jobs N`` is a wall-clock knob, not a semantic
   one).
-* The runtime's finish-ledger fast path produces JobMetrics identical to
-  the one-event-per-task path (``SwiftRuntime(fast_path=False)``), for
-  every policy and with or without injected failures.
+* The runtime's finish ledger produces JobMetrics, busy intervals, admin
+  stats and shuffle-recovery logs identical to the one-event-per-task
+  oracle in ``tests/per_task_runtime.py``, for every policy, failure-free
+  and under every failure kind.
 * The array-backed event kernel behaves exactly like the object-heap
   oracle in ``tests/legacy_kernel.py`` under random interleavings.
 * Tracing observes without steering: a run with a RecordingTracer
@@ -21,15 +22,17 @@ import random
 
 import pytest
 
-from repro.baselines import bubble_policy, jetscope_policy, restart_policy
+from repro.baselines import bubble_policy, jetscope_policy, restart_policy, spark_policy
 from repro.core.policies import swift_policy
 from repro.core.runtime import SwiftRuntime
 from repro.obs import RecordingTracer
 from repro.experiments import figures
 from repro.experiments.parallel import clear_memory_cache, set_default_jobs
 from repro.sim.cluster import Cluster
-from repro.sim.failures import sample_trace_failures
+from repro.sim.failures import FailureKind, sample_trace_failures
 from repro.workloads import traces
+
+from per_task_runtime import PerTaskRuntime
 
 
 @pytest.fixture(autouse=True)
@@ -69,45 +72,80 @@ def _failure_plan(jobs):
     )
 
 
-def run_jobs(policy, jobs, failure_plan, fast_path, tracer=None):
-    """``harness.run_jobs`` with the runtime's completion path pinned."""
-    runtime = SwiftRuntime(
-        Cluster.build(100, 32), policy, failure_plan=failure_plan,
-        fast_path=fast_path, tracer=tracer,
+def run_jobs(policy, jobs, failure_plan, ledger=True, tracer=None, reference=100.0):
+    """``harness.run_jobs`` on the finish ledger or the per-task oracle."""
+    runtime_cls = SwiftRuntime if ledger else PerTaskRuntime
+    runtime = runtime_cls(
+        Cluster.build(100, 32), policy, failure_plan=failure_plan, tracer=tracer,
+        reference_duration=reference,
     )
     runtime.submit_all(list(jobs))
     return runtime.run(), runtime
 
 
-@pytest.mark.parametrize("make_policy", [swift_policy, jetscope_policy, bubble_policy])
-@pytest.mark.parametrize("with_failures", [False, True])
-def test_fast_path_matches_legacy_kernel(make_policy, with_failures):
-    """The finish-ledger fast path is an optimization, not a model change:
-    JobMetrics (timestamps, phase times, attempts) must match the
-    per-task-event path exactly."""
-    jobs = traces.generate_trace(
-        traces.TraceConfig(n_jobs=8, mean_interarrival=0.2)
-    )
-    plan = _failure_plan(jobs) if with_failures else None
-    fast_results, fast_rt = run_jobs(
-        make_policy(), jobs, failure_plan=plan, fast_path=True
-    )
-    legacy_results, legacy_rt = run_jobs(
-        make_policy(), jobs, failure_plan=plan, fast_path=False
-    )
-    assert len(fast_results) == len(legacy_results) == len(jobs)
-    for fast, legacy in zip(fast_results, legacy_results):
-        assert fast.job_id == legacy.job_id
-        assert fast.completed == legacy.completed
-        assert fast.metrics == legacy.metrics
-    assert fast_rt.busy_intervals == legacy_rt.busy_intervals
-    assert fast_rt.admin.stats.__dict__ == legacy_rt.admin.stats.__dict__
+#: Machine-level failures hit one of the first few machines, where the
+#: least-loaded-first scheduler places most work.
+_MACHINE_KINDS = (
+    FailureKind.MACHINE_CRASH,
+    FailureKind.MACHINE_QUARANTINE,
+    FailureKind.CACHE_WORKER_LOSS,
+)
+
+
+def _kind_plan(jobs, kind, seed):
+    """Half the jobs get one ``kind`` failure at a trace-sampled time."""
+    rng = random.Random(f"{kind.value}:{seed}")
+    plan = sample_trace_failures([j.job_id for j in jobs], 0.5, rng, kinds=(kind,))
+    for spec in plan.specs:
+        if kind in _MACHINE_KINDS:
+            spec.machine_id = rng.randrange(8)
+        if kind is FailureKind.MACHINE_QUARANTINE:
+            spec.duration = rng.choice((None, 2.0, 20.0))
+    return plan
+
+
+@pytest.mark.parametrize("kind", [None, *FailureKind], ids=lambda k: k.name if k else "none")
+@pytest.mark.parametrize(
+    "make_policy", [swift_policy, jetscope_policy, bubble_policy, restart_policy, spark_policy]
+)
+def test_ledger_matches_per_task_oracle(make_policy, kind):
+    """The finish ledger is an optimization, not a model change: JobMetrics
+    (timestamps, phase times, attempts, recovery counters), busy intervals,
+    admin stats and the shuffle-recovery log must match the per-task-event
+    oracle exactly, failure-free and under every failure kind."""
+    seeds = (0,) if kind is None else (0, 1, 2)
+    for seed in seeds:
+        jobs = traces.generate_trace(
+            traces.TraceConfig(n_jobs=8, mean_interarrival=0.2, seed=7 + seed)
+        )
+        plan, reference = None, 100.0
+        if kind is not None:
+            plan = _kind_plan(jobs, kind, seed)
+            # Fig. 15 method: failures strike at a fraction of each job's
+            # own failure-free latency, so they land while it runs.
+            baseline, _ = run_jobs(make_policy(), jobs, None)
+            reference = {r.job_id: r.latency for r in baseline}
+        ledger_results, ledger_rt = run_jobs(
+            make_policy(), jobs, plan, ledger=True, reference=reference
+        )
+        oracle_results, oracle_rt = run_jobs(
+            make_policy(), jobs, plan, ledger=False, reference=reference
+        )
+        assert len(ledger_results) == len(oracle_results) == len(jobs)
+        for ledger, oracle in zip(ledger_results, oracle_results):
+            assert ledger.job_id == oracle.job_id
+            assert (ledger.completed, ledger.failed) == (oracle.completed, oracle.failed)
+            assert ledger.reason == oracle.reason
+            assert ledger.metrics == oracle.metrics, (seed, ledger.job_id)
+        assert ledger_rt.busy_intervals == oracle_rt.busy_intervals
+        assert ledger_rt.admin.stats.__dict__ == oracle_rt.admin.stats.__dict__
+        assert ledger_rt.shuffle_recovery_log == oracle_rt.shuffle_recovery_log
 
 
 @pytest.mark.parametrize("make_policy", [swift_policy, restart_policy])
 @pytest.mark.parametrize("with_failures", [False, True])
-@pytest.mark.parametrize("fast_path", [True, False])
-def test_tracing_does_not_perturb_simulation(make_policy, with_failures, fast_path):
+@pytest.mark.parametrize("ledger", [True, False])
+def test_tracing_does_not_perturb_simulation(make_policy, with_failures, ledger):
     """Attaching a RecordingTracer is pure observation: results, busy
     intervals, and admin stats stay byte-identical, and the task-attempt
     spans reproduce the runtime's private busy_intervals list (the record
@@ -117,12 +155,11 @@ def test_tracing_does_not_perturb_simulation(make_policy, with_failures, fast_pa
     )
     plan = _failure_plan(jobs) if with_failures else None
     plain_results, plain_rt = run_jobs(
-        make_policy(), jobs, failure_plan=plan, fast_path=fast_path
+        make_policy(), jobs, failure_plan=plan, ledger=ledger
     )
     tracer = RecordingTracer()
     traced_results, traced_rt = run_jobs(
-        make_policy(), jobs, failure_plan=plan, fast_path=fast_path,
-        tracer=tracer,
+        make_policy(), jobs, failure_plan=plan, ledger=ledger, tracer=tracer,
     )
     assert len(plain_results) == len(traced_results)
     for plain, traced in zip(plain_results, traced_results):

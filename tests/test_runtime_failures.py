@@ -247,6 +247,52 @@ def test_noop_recovery_counters():
     assert m.resends == 0
 
 
+@pytest.mark.parametrize("recovers", [False, True])
+def test_quarantine_mid_flight_keeps_free_slot_counter_exact(recovers):
+    """Tasks finishing on a quarantined machine return their slot to the
+    machine, not to the cluster's free pool; strict audit reconciles the
+    counter at every job checkpoint (it raises AuditError otherwise)."""
+    dag = chain_dag("mqa", tasks=8, n_stages=2)
+    reference = baseline_time(dag)
+    spec = FailureSpec(kind=FailureKind.MACHINE_QUARANTINE, machine_id=0,
+                       at_fraction=0.2, duration=reference * 0.8 if recovers else None)
+    runtime = SwiftRuntime(
+        Cluster.build(4, 8), swift_policy(),
+        failure_plan=FailurePlan([spec]), reference_duration=reference,
+        audit=True, audit_strict=True,
+    )
+    busy_at_quarantine = []
+    quarantine = runtime._quarantine_machine
+
+    def probe(machine, *args):
+        quarantine(machine, *args)
+        busy_at_quarantine.append(machine.busy_count())
+
+    runtime._quarantine_machine = probe
+    result = runtime.execute(as_job(dag))
+    assert result.completed
+    assert busy_at_quarantine[0] > 0, "no task was in flight on the machine"
+    healthy_machines = 4 if recovers else 3
+    assert runtime.cluster.free_executor_count() == healthy_machines * 8
+
+
+@pytest.mark.parametrize("kind", [
+    FailureKind.TASK_CRASH, FailureKind.PROCESS_RESTART, FailureKind.MACHINE_CRASH,
+    FailureKind.MACHINE_QUARANTINE, FailureKind.CACHE_WORKER_LOSS,
+], ids=lambda kind: kind.name)
+def test_failure_runs_finish_tasks_on_the_ledger(kind):
+    """Failure plans use the finish ledger too: a run realises its task
+    finishes in a few drain events, not one kernel event per attempt."""
+    dag = chain_dag("ledger", blocking_stages=(1, 2), tasks=16, n_stages=3)
+    spec = FailureSpec(kind=kind, stage="S2", machine_id=0, at_fraction=0.5,
+                       duration=5.0 if kind is FailureKind.MACHINE_QUARANTINE else None)
+    result, _, runtime = run_with_failures(dag, [spec])
+    assert result.completed
+    assert result.metrics.failures == 1
+    tasks = result.metrics.tasks
+    assert runtime.sim.events_processed < len(tasks) / 2
+
+
 def test_process_restart_relaunches_executor_and_recovers():
     from repro.sim.cluster import ExecutorState
 
