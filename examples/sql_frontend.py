@@ -5,8 +5,8 @@ Shows both halves of the front end:
 
 * the *planning* path — SQL text -> AST -> logical plan -> Swift job DAG ->
   graphlet partitioning -> simulated execution at cloud scale; and
-* the *answer* path — the same query executed row-by-row over a generated
-  mini TPC-H database, so you can see actual results.
+* the *answer* path — the same query executed on the columnar engine over
+  a generated mini TPC-H database, so you can see actual results.
 """
 
 from repro import Cluster, Job, SwiftRuntime, swift_policy
@@ -50,7 +50,7 @@ def main() -> None:
           f"{len(result.metrics.tasks)} tasks")
     print(f"  shuffle schemes: {result.metrics.shuffle_schemes}")
 
-    print("\n=== Row-level answers on a mini TPC-H database ===")
+    print("\n=== Answers on a mini TPC-H database ===")
     database = generate_database()
     rows = run_query(FIG1_QUERY, database)
     print(f"  {len(rows)} (nation, year) groups; top 5 by profit:")

@@ -22,9 +22,9 @@ Sub-packages:
 * :mod:`repro.sim` — discrete-event cluster simulator (the substrate).
 * :mod:`repro.core` — the paper's contribution: graphlet partitioning,
   fine-grained scheduling, adaptive in-network shuffle, failure recovery.
-* :mod:`repro.sql` — the SQL-like front end (Fig. 1) plus two answer
-  engines: a row-level executor and a vectorized columnar engine behind
-  an adaptive dispatcher (:func:`repro.api.run_sql`).
+* :mod:`repro.sql` — the SQL-like front end (Fig. 1) plus a vectorized
+  columnar answer engine (:func:`repro.api.run_sql`) and the row-level
+  reference executor it is checked against.
 * :mod:`repro.chaos` — deterministic chaos engine: seeded multi-failure
   campaigns, invariant checking, recovery watchdogs, and seed shrinking.
 * :mod:`repro.service` — the multi-tenant job-submission gateway behind
@@ -54,7 +54,6 @@ from .api import (
     TenantSpec,
     TraceConfig,
     run_sql,
-    sql_engine_for,
 )
 from .core import (
     Edge,
@@ -136,7 +135,6 @@ __all__ = [
     "TraceRecord",
     "Tracer",
     "run_sql",
-    "sql_engine_for",
     "swift_policy",
     "__version__",
 ]

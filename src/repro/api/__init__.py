@@ -48,7 +48,7 @@ from ..sim.failures import FailureKind, FailurePlan, FailureSpec
 from .config import RuntimeConfig
 from .service import Service, ServiceConfig, ServiceResult, SubmitHandle
 from .simulation import Simulation, SimulationResult, TraceConfig, Runtime
-from .sql import QueryOutcome, run_sql, sql_engine_for
+from .sql import QueryOutcome, run_sql
 
 __all__ = [
     "AdmissionPolicy",
@@ -96,6 +96,5 @@ __all__ = [
     "TraceRecord",
     "Tracer",
     "run_sql",
-    "sql_engine_for",
     "swift_policy",
 ]

@@ -1,9 +1,8 @@
-"""SQL facade: engine-dispatched query execution with typed outcomes.
+"""SQL facade: query execution with typed outcomes.
 
 Thin, fully-typed wrapper over :mod:`repro.sql.dispatch`: one call runs a
-query on the columnar engine when every operator is supported and on the
-row executor otherwise, and reports which engine ran in the returned
-:class:`~repro.sql.dispatch.QueryOutcome`.
+query on the columnar engine (or, with ``engine="row"``, on the row
+reference executor) and returns a :class:`~repro.sql.dispatch.QueryOutcome`.
 """
 
 from __future__ import annotations
@@ -13,7 +12,7 @@ from typing import Any, Optional
 from ..obs.metrics import MetricsRegistry
 from ..obs.tracer import Tracer
 from ..sql.catalog import Catalog
-from ..sql.dispatch import QueryOutcome, engine_for, execute_sql
+from ..sql.dispatch import QueryOutcome, execute_sql
 
 Row = dict[str, Any]
 Database = dict[str, list[Row]]
@@ -23,7 +22,7 @@ def run_sql(
     sql: str,
     database: Database,
     *,
-    engine: str = "auto",
+    engine: str = "columnar",
     catalog: Optional[Catalog] = None,
     batch_size: Optional[int] = None,
     tracer: Optional[Tracer] = None,
@@ -31,11 +30,10 @@ def run_sql(
 ) -> QueryOutcome:
     """Run ``sql`` over ``database`` on the selected engine.
 
-    ``engine`` is ``"auto"`` (default: columnar when the whole plan is
-    supported, row otherwise), ``"row"``, or ``"columnar"``.  The outcome
-    carries the result rows plus the engine that actually ran and why.
-    ``batch_size=None`` (default) lets the columnar engine scan whole
-    tables in single batches; pass a size to bound peak memory.
+    ``engine`` is ``"columnar"`` (default) or ``"row"``, the reference
+    executor.  The outcome carries the result rows plus the engine that
+    ran them.  ``batch_size=None`` (default) lets the columnar engine scan
+    whole tables in single batches; pass a size to bound peak memory.
     """
     outcome: QueryOutcome = execute_sql(
         sql, database, catalog, engine=engine, batch_size=batch_size,
@@ -44,12 +42,4 @@ def run_sql(
     return outcome
 
 
-def sql_engine_for(
-    sql: str, database: Database, catalog: Optional[Catalog] = None
-) -> tuple[str, str]:
-    """``(engine, reason)`` that ``engine="auto"`` would pick for ``sql``."""
-    chosen: tuple[str, str] = engine_for(sql, database, catalog)
-    return chosen
-
-
-__all__ = ["Database", "QueryOutcome", "Row", "run_sql", "sql_engine_for"]
+__all__ = ["Database", "QueryOutcome", "Row", "run_sql"]

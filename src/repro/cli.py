@@ -211,7 +211,7 @@ def _cmd_sql(args: argparse.Namespace) -> int:
             engine=args.engine, batch_size=args.batch_size,
         )
         print(f"\n=== results ({len(outcome.rows)} rows, first 10) "
-              f"[engine={outcome.engine}: {outcome.reason}] ===")
+              f"[engine={outcome.engine}] ===")
         for row in outcome.rows[:10]:
             print(f"  {row}")
     return 0
@@ -473,10 +473,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_sql.add_argument("--machines", type=int, default=100)
     p_sql.add_argument("--execute", action="store_true",
                        help="also execute the query on a mini database")
-    p_sql.add_argument("--engine", choices=("auto", "row", "columnar"),
-                       default="auto",
-                       help="execution engine for --execute (auto picks "
-                            "columnar when the whole plan is supported)")
+    p_sql.add_argument("--engine", choices=("row", "columnar"),
+                       default="columnar",
+                       help="execution engine for --execute (row is the "
+                            "reference executor)")
     p_sql.add_argument("--batch-size", type=int, default=None, metavar="N",
                        help="columnar batch size (default: auto — whole-table "
                             "batches capped at 2**20 rows)")

@@ -1,9 +1,10 @@
 """The Swift SQL-like front end (Fig. 1).
 
 Pipeline: SQL text -> :func:`parse` -> :func:`plan_statement` (logical plan)
--> :class:`PhysicalPlanner` / :func:`compile_sql` (Swift job DAG).  A
-row-level :class:`QueryExecutor` over :func:`generate_database` data lets
-examples check query *answers*, not just schedules.
+-> :class:`PhysicalPlanner` / :func:`compile_sql` (Swift job DAG).  The
+columnar engine (:func:`run_query`, :class:`ColumnarExecutor`) over
+:func:`generate_database` data lets examples check query *answers*, not
+just schedules; the row-level :class:`QueryExecutor` is its reference.
 """
 
 from .ast import (
@@ -27,14 +28,12 @@ from .columnar import (
     DEFAULT_BATCH_SIZE,
     ColumnarExecutor,
     ColumnBatch,
-    UnsupportedFeature,
     compile_kernel,
 )
 from .datagen import generate_database
 from .dispatch import (
     ENGINES,
     QueryOutcome,
-    engine_for,
     execute_plan,
     execute_sql,
     run_query,
@@ -110,10 +109,8 @@ __all__ = [
     "Token",
     "TokenKind",
     "UnaryOp",
-    "UnsupportedFeature",
     "compile_kernel",
     "compile_sql",
-    "engine_for",
     "eval_expr",
     "execute_plan",
     "execute_sql",

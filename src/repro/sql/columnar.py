@@ -15,6 +15,9 @@ operators are array programs:
 * **join** — equi-keys pooled into a shared code space (dictionary merge
   for strings, ``np.unique`` for numerics), build side sorted once, probe
   via ``np.searchsorted``, candidate pairs expanded with ``np.repeat``;
+  a condition without an equi-key takes every pair as a candidate (a
+  vectorized nested loop); either way a residual kernel pass applies the
+  rest of the condition;
 * **sort** — successive stable ``np.argsort`` passes, least-significant
   key first, with a null-flag pass replicating the row engine's
   ``_sort_key`` ordering.
@@ -27,9 +30,9 @@ columns, NaN sort/group keys, DISTINCT aggregates) drops to an exact
 Python fallback for that operator.  Differential tests assert identical
 output on every TPC-H query and the conformance corpus.
 
-Plans the engine cannot run raise :class:`UnsupportedFeature` at compile
-time; the dispatcher (:mod:`repro.sql.dispatch`) catches it and falls back
-to the row executor.
+The engine runs every plan the planner emits; the dispatcher
+(:mod:`repro.sql.dispatch`) runs it by default and keeps the row executor
+only as the explicit reference.
 """
 
 from __future__ import annotations
@@ -80,7 +83,6 @@ __all__ = [
     "ColumnarExecutor",
     "DEFAULT_BATCH_SIZE",
     "Kernel",
-    "UnsupportedFeature",
     "compile_kernel",
     "compile_plan",
     "walk_ops",
@@ -100,10 +102,6 @@ _INT64_MIN = np.iinfo(np.int64).min
 
 #: Join keys pooled through float64 stay exact only below 2**53.
 _FLOAT_EXACT_INT = 2 ** 53
-
-
-class UnsupportedFeature(ExecutionError):
-    """Plan shape the columnar engine cannot run (dispatch falls back)."""
 
 
 class _PythonFallback(Exception):
@@ -175,7 +173,7 @@ class _ScanOp(_Op):
         self,
         node: LogicalScan,
         database: Database,
-        catalog: Optional[Catalog],
+        catalog: Catalog,
         batch_size: Optional[int],
     ) -> None:
         super().__init__()
@@ -193,17 +191,8 @@ class _ScanOp(_Op):
             base = list(rows.names)
         elif len(rows):
             base = list(rows[0].keys())
-        elif catalog is not None:
-            try:
-                base = catalog.resolve_table(node.table).column_names()
-            except KeyError:
-                raise UnsupportedFeature(
-                    f"empty table {node.table!r} has no static schema"
-                ) from None
         else:
-            raise UnsupportedFeature(
-                f"empty table {node.table!r} has no static schema"
-            )
+            base = catalog.resolve_table(node.table).column_names()
         self.base_names = base
         aliases = []
         if self.binding:
@@ -712,16 +701,11 @@ class _JoinOp(_Op):
         self, left: _Op, right: _Op, node: LogicalJoin, batch_size: Optional[int]
     ) -> None:
         super().__init__()
-        if node.kind not in ("inner", "left"):
-            raise UnsupportedFeature(f"unsupported join kind {node.kind!r}")
-        keys = _extract_equi_keys(node.condition)
-        if not keys:
-            raise UnsupportedFeature("join without equi-key condition")
         self.left = left
         self.right = right
         self.join_kind = node.kind
         self.batch_size = batch_size
-        self.keys = keys
+        self.keys = _extract_equi_keys(node.condition)
         self.detail = str(node.condition)
         left_present = set(left.schema)
         self.right_names = set(right.schema)
@@ -751,21 +735,13 @@ class _JoinOp(_Op):
         left = concat_batches(self.left.schema, list(self.left.batches()))
         right = concat_batches(self.right.schema, list(self.right.batches()))
         began = perf_counter()
-        # Orient each key pair against the first left row's values, exactly
-        # like the row engine's probe of ``left_rows[0]``.
-        oriented = []
-        for a, b in self.keys:
-            column = self._key_column(a, left)
-            first = column.value_at(0) if left.length else None
-            oriented.append((a, b) if first is not None else (b, a))
-        left_vecs = [self._key_column(l, left) for l, _ in oriented]
-        right_vecs = [self._key_column(r, right) for _, r in oriented]
-        try:
-            cand_left, cand_right = self._match_vectorized(
-                left, right, left_vecs, right_vecs
-            )
-        except _PythonFallback:
-            cand_left, cand_right = self._match_python(left_vecs, right_vecs)
+        if self.keys:
+            cand_left, cand_right = self._match_keys(left, right)
+        else:
+            # No equi-key: every pair is a candidate, in the row engine's
+            # left-major nested-loop order.
+            cand_left = np.repeat(np.arange(left.length, dtype=np.int64), right.length)
+            cand_right = np.tile(np.arange(right.length, dtype=np.int64), left.length)
         # Residual check over candidate pairs, mirroring the row engine's
         # per-candidate eval_expr (skipped for pure equi-conditions).
         if cand_left.size and not self.pure_equi:
@@ -818,6 +794,24 @@ class _JoinOp(_Op):
             batch = ColumnBatch(self.schema, columns, len(li))
             self.seconds += perf_counter() - began
             yield self._emit(batch)
+
+    def _match_keys(
+        self, left: ColumnBatch, right: ColumnBatch
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Candidate pairs whose equi-keys match."""
+        # Orient each key pair against the first left row's values, exactly
+        # like the row engine's probe of ``left_rows[0]``.
+        oriented = []
+        for a, b in self.keys:
+            column = self._key_column(a, left)
+            first = column.value_at(0) if left.length else None
+            oriented.append((a, b) if first is not None else (b, a))
+        left_vecs = [self._key_column(l, left) for l, _ in oriented]
+        right_vecs = [self._key_column(r, right) for _, r in oriented]
+        try:
+            return self._match_vectorized(left, right, left_vecs, right_vecs)
+        except _PythonFallback:
+            return self._match_python(left_vecs, right_vecs)
 
     def _match_vectorized(
         self,
@@ -1043,7 +1037,7 @@ class _LimitOp(_UnaryOpBase):
 def compile_plan(
     node: LogicalNode,
     database: Database,
-    catalog: Optional[Catalog] = None,
+    catalog: Catalog,
     batch_size: Optional[int] = None,
 ) -> _Op:
     """Lower a logical plan to a tree of columnar operators.
@@ -1051,9 +1045,8 @@ def compile_plan(
     ``batch_size=None`` (the default) lets each scan pick its own batch —
     the whole table, capped at ``2**20`` lanes — which is the fastest
     shape for array kernels; pass an explicit size to bound peak memory.
-
-    Raises :class:`UnsupportedFeature` for shapes only the row engine
-    handles; any other :class:`ExecutionError` is a genuine query error.
+    ``catalog`` must be the one the plan was resolved in: an empty
+    row-layout table takes its column names from it.
     """
     if isinstance(node, LogicalScan):
         return _ScanOp(node, database, catalog, batch_size)
@@ -1096,7 +1089,7 @@ class ColumnarExecutor:
     def __init__(
         self,
         database: Database,
-        catalog: Optional[Catalog] = None,
+        catalog: Catalog,
         batch_size: Optional[int] = None,
         tracer=None,
         metrics=None,
@@ -1108,7 +1101,7 @@ class ColumnarExecutor:
         self.metrics = metrics
 
     def compile(self, plan: LogicalNode) -> _Op:
-        """Lower ``plan``; raises :class:`UnsupportedFeature` on fallback."""
+        """Lower ``plan`` to a tree of columnar operators."""
         return compile_plan(plan, self.database, self.catalog, self.batch_size)
 
     def run(self, root: _Op) -> list[Row]:

@@ -1,11 +1,10 @@
-"""Engine dispatch: route each query to the columnar or row executor.
+"""Engine dispatch: run a query on the columnar engine or the row reference.
 
-The dispatcher compiles the logical plan for the columnar engine first;
-if every operator is supported the query runs vectorized, otherwise it
-falls back to the row executor (``engine="auto"``, the default).  Callers
-can force either engine with ``engine="row"`` / ``engine="columnar"`` —
-forcing columnar on an unsupported plan raises
-:class:`~repro.sql.columnar.UnsupportedFeature`.
+``engine="columnar"`` (the default) compiles the logical plan into the
+vectorized operators of :mod:`repro.sql.columnar`, which run every plan
+the planner emits.  ``engine="row"`` runs the row-at-a-time reference
+executor (:mod:`repro.sql.executor`) that the differential tests and the
+benchmark's result check compare against.
 """
 
 from __future__ import annotations
@@ -15,111 +14,68 @@ from time import perf_counter
 from typing import Optional
 
 from .catalog import DEFAULT_CATALOG, Catalog
-from .columnar import (
-    ColumnarExecutor,
-    UnsupportedFeature,
-)
+from .columnar import ColumnarExecutor
 from .executor import Database, QueryExecutor, Row
 from .logical import LogicalNode, plan_statement
 from .parser import parse
 
 #: Accepted values for the ``engine`` parameter.
-ENGINES = ("auto", "row", "columnar")
+ENGINES = ("row", "columnar")
 
 
 @dataclass
 class QueryOutcome:
-    """One executed query: its rows plus how and where it ran."""
+    """One executed query: its rows plus the engine that ran it."""
 
     rows: list[Row] = field(default_factory=list)
-    #: Engine that actually ran the query: ``"row"`` or ``"columnar"``.
-    engine: str = "row"
-    #: Engine the caller asked for (``"auto"`` when dispatched).
-    requested: str = "auto"
-    #: Why the dispatcher picked ``engine``.
-    reason: str = ""
+    #: Engine that ran the query: ``"columnar"`` or ``"row"``.
+    engine: str = "columnar"
     elapsed_s: float = 0.0
-
-
-def choose_engine(
-    plan: LogicalNode,
-    database: Database,
-    catalog: Optional[Catalog] = None,
-    batch_size: Optional[int] = None,
-) -> tuple[str, str]:
-    """``(engine, reason)`` the dispatcher would pick for ``plan``."""
-    try:
-        ColumnarExecutor(database, catalog, batch_size).compile(plan)
-    except UnsupportedFeature as exc:
-        return "row", f"columnar fallback: {exc}"
-    return "columnar", "all operators supported"
-
-
-def engine_for(
-    sql: str, database: Database, catalog: Optional[Catalog] = None
-) -> tuple[str, str]:
-    """``(engine, reason)`` auto-dispatch would pick for ``sql``."""
-    active = catalog or DEFAULT_CATALOG
-    plan = plan_statement(parse(sql), active)
-    return choose_engine(plan, database, active)
 
 
 def execute_plan(
     plan: LogicalNode,
     database: Database,
     catalog: Optional[Catalog] = None,
-    engine: str = "auto",
+    engine: str = "columnar",
     batch_size: Optional[int] = None,
     tracer=None,
     metrics=None,
 ) -> QueryOutcome:
-    """Run a logical plan on the selected (or auto-picked) engine."""
+    """Run a logical plan on ``engine``."""
     if engine not in ENGINES:
         raise ValueError(f"engine must be one of {ENGINES}, got {engine!r}")
     active_catalog = catalog or DEFAULT_CATALOG
-    chosen, reason, compiled = engine, "", None
-    if engine in ("auto", "columnar"):
+    if engine == "columnar":
         executor = ColumnarExecutor(
             database, active_catalog, batch_size, tracer=tracer, metrics=metrics
         )
-        try:
-            compiled = executor.compile(plan)
-            chosen, reason = "columnar", "all operators supported"
-        except UnsupportedFeature as exc:
-            if engine == "columnar":
-                raise
-            chosen, reason = "row", f"columnar fallback: {exc}"
-    else:
-        chosen, reason = "row", "row engine requested"
-    started = perf_counter()
-    if compiled is not None:
+        compiled = executor.compile(plan)
+        started = perf_counter()
         rows = executor.run(compiled)
     else:
+        started = perf_counter()
         rows = QueryExecutor(database, active_catalog).execute(plan)
     elapsed = perf_counter() - started
     if metrics is not None:
         metrics.counter("sql_queries").inc()
-        metrics.counter(f"sql_engine_{chosen}").inc()
+        metrics.counter(f"sql_engine_{engine}").inc()
         metrics.histogram("sql_query_s").observe(elapsed)
     if tracer is not None and tracer.enabled:
         tracer.instant(
             "sql", "dispatch", 0.0,
-            engine=chosen, requested=engine, reason=reason,
-            rows=len(rows), elapsed_s=round(elapsed, 6),
+            engine=engine, rows=len(rows), elapsed_s=round(elapsed, 6),
         )
-        if chosen == "row":
+        if engine == "row":
             tracer.span("sql", "row.execute", 0.0, elapsed, rows=len(rows))
-    return QueryOutcome(
-        rows=rows, engine=chosen, requested=engine,
-        reason=reason, elapsed_s=elapsed,
-    )
+    return QueryOutcome(rows=rows, engine=engine, elapsed_s=elapsed)
 
 
 def execute_sql(
     sql: str,
     database: Database,
     catalog: Optional[Catalog] = None,
-    engine: str = "auto",
+    engine: str = "columnar",
     batch_size: Optional[int] = None,
     tracer=None,
     metrics=None,
@@ -137,16 +93,12 @@ def run_query(
     sql: str,
     database: Database,
     catalog: Optional[Catalog] = None,
-    engine: str = "auto",
+    engine: str = "columnar",
     batch_size: Optional[int] = None,
     tracer=None,
     metrics=None,
 ) -> list[Row]:
-    """Parse, plan, and execute ``sql`` over ``database``.
-
-    Drop-in replacement for the row-only
-    :func:`repro.sql.executor.run_query`, with engine dispatch.
-    """
+    """Parse, plan, and execute ``sql`` over ``database``; just the rows."""
     return execute_sql(
         sql, database, catalog, engine=engine, batch_size=batch_size,
         tracer=tracer, metrics=metrics,

@@ -1,7 +1,8 @@
-"""Row-level executor for logical plans.
+"""Row-level reference executor for logical plans.
 
-This is a reference executor for correctness and examples, not performance:
-rows are dictionaries keyed by both bare and binding-qualified column names
+This is the reference the columnar engine is checked against, not a
+product path (``engine="row"`` in :mod:`repro.sql.dispatch`): rows are
+dictionaries keyed by both bare and binding-qualified column names
 (``l_suppkey`` and ``l.l_suppkey``), joins hash on equi-keys extracted from
 the condition, and aggregates accumulate per group key.
 """
@@ -23,6 +24,7 @@ from .ast import (
     Star,
     UnaryOp,
 )
+from .catalog import Catalog
 from .logical import (
     LogicalAggregate,
     LogicalFilter,
@@ -323,35 +325,27 @@ def _qualified_names(names: Iterable[str], binding: Optional[str]) -> list[str]:
     return list(out)
 
 
-def plan_schema(node: LogicalNode, database: Database, catalog=None) -> Optional[list[str]]:
-    """Best-effort static column names of ``node``'s output rows.
+def plan_schema(node: LogicalNode, database: Database, catalog: Catalog) -> list[str]:
+    """Static column names of ``node``'s output rows.
 
-    Returns ``None`` when the shape cannot be determined without running
-    the plan (an empty base table absent from ``catalog``, or a node whose
-    output depends on the data).  Both engines use this to NULL-fill the
-    right side of unmatched LEFT JOIN rows when the right input is empty.
+    An empty base table takes its names from ``catalog``, the catalog the
+    plan was resolved in.  The row engine uses this to NULL-fill the right
+    side of unmatched LEFT JOIN rows when the right input is empty.
     """
     if isinstance(node, LogicalScan):
         rows = database.get(node.table)
         if rows:
             return _qualified_names(rows[0].keys(), node.binding)
-        if catalog is not None:
-            try:
-                names = catalog.resolve_table(node.table).column_names()
-            except KeyError:
-                return None
-            return _qualified_names(names, node.binding)
-        return None
+        names = catalog.resolve_table(node.table).column_names()
+        return _qualified_names(names, node.binding)
     if isinstance(node, LogicalSubquery):
         inner = plan_schema(node.child, database, catalog)
-        return None if inner is None else _qualified_names(inner, node.binding)
+        return _qualified_names(inner, node.binding)
     if isinstance(node, (LogicalFilter, LogicalSort, LogicalLimit)):
         return plan_schema(node.child, database, catalog)
     if isinstance(node, LogicalJoin):
         left = plan_schema(node.left, database, catalog)
         right = plan_schema(node.right, database, catalog)
-        if left is None or right is None:
-            return None
         present = set(left)
         return left + [name for name in right if name not in present]
     if isinstance(node, (LogicalAggregate, LogicalProject)):
@@ -359,19 +353,17 @@ def plan_schema(node: LogicalNode, database: Database, catalog=None) -> Optional
         for item in node.items:
             if isinstance(item.expr, Star):
                 child = plan_schema(node.child, database, catalog)
-                if child is None:
-                    return None
                 names_out.update(dict.fromkeys(child))
             else:
                 names_out[item.output_name] = None
         return list(names_out)
-    return None
+    raise PlanError(f"cannot execute {node!r}")
 
 
 class QueryExecutor:
     """Executes logical plans over an in-memory database."""
 
-    def __init__(self, database: Database, catalog=None) -> None:
+    def __init__(self, database: Database, catalog: Catalog) -> None:
         self.database = database
         self.catalog = catalog
 
@@ -417,7 +409,7 @@ class QueryExecutor:
                     names.update(dict.fromkeys(row))
             else:
                 names.update(dict.fromkeys(
-                    plan_schema(node.right, self.database, self.catalog) or ()
+                    plan_schema(node.right, self.database, self.catalog)
                 ))
             null_right = dict.fromkeys(names)
         out: list[Row] = []
@@ -540,14 +532,3 @@ def _sort_key(value: object) -> tuple:
     if value is None:
         return (0, "", "")
     return (1, type(value).__name__, value)
-
-
-def run_query(sql: str, database: Database, catalog=None) -> list[Row]:
-    """Parse, plan, and execute ``sql`` over ``database``."""
-    from .catalog import DEFAULT_CATALOG
-    from .logical import plan_statement
-    from .parser import parse
-
-    statement = parse(sql)
-    plan = plan_statement(statement, catalog or DEFAULT_CATALOG)
-    return QueryExecutor(database, catalog or DEFAULT_CATALOG).execute(plan)

@@ -108,6 +108,10 @@ def plan_statement(
         raise PlanError("SELECT without FROM is not supported")
     node = _plan_source(statement.from_table, catalog)
     for join in statement.joins:
+        if join.kind == "right":
+            raise PlanError(
+                "RIGHT JOIN is not supported; swap the tables and use LEFT JOIN"
+            )
         right = _plan_source(join.table, catalog)
         node = LogicalJoin(left=node, right=right, condition=join.condition,
                            kind=join.kind)

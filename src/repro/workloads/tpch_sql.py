@@ -154,11 +154,11 @@ def query_sql(query: int) -> str:
     return TPCH_SQL[query]
 
 
-def run_tpch_query(query: int, database, engine: str = "auto", **kwargs):
-    """Execute TPC-H ``query`` over ``database`` via the engine dispatcher.
+def run_tpch_query(query: int, database, engine: str = "columnar", **kwargs):
+    """Execute TPC-H ``query`` over ``database``.
 
-    ``engine`` is ``"auto"`` (columnar when supported), ``"row"``, or
-    ``"columnar"``; extra keyword arguments (``batch_size``, ``tracer``,
+    ``engine`` is ``"columnar"`` (default) or ``"row"``, the reference
+    executor; extra keyword arguments (``batch_size``, ``tracer``,
     ``metrics``) pass through to :func:`repro.sql.dispatch.run_query`.
     """
     from ..sql.dispatch import run_query

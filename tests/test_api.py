@@ -181,21 +181,10 @@ def test_run_sql_facade_reports_engine():
                       catalog=catalog)
     assert outcome.rows == [{"total": 6}]
     assert outcome.engine == "columnar"
-    assert outcome.requested == "auto"
     forced = run_sql("select sum(x) as total from t", database,
                      catalog=catalog, engine="row")
     assert forced.rows == outcome.rows
     assert forced.engine == "row"
-
-
-def test_sql_engine_for_facade():
-    from repro.api import sql_engine_for
-
-    database, catalog = _sql_fixture()
-    engine, reason = sql_engine_for("select x from t", database,
-                                    catalog=catalog)
-    assert engine == "columnar"
-    assert reason
 
 
 def test_run_sql_threads_observability():

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.cli import _experiment_registry, build_parser, main
+from repro.sql import PlanError
 
 
 def test_list_command(capsys):
@@ -63,6 +64,23 @@ def test_sql_command_reports_chosen_engine(capsys):
     ]) == 0
     out = capsys.readouterr().out
     assert "engine=columnar" in out
+
+
+def test_sql_command_rejects_right_join():
+    # RIGHT JOIN is a planning error on either engine, never inner-join rows.
+    query = ("select * from tpch_region r right join tpch_nation n "
+             "on n.n_regionkey = r.r_regionkey and r.r_regionkey < 2")
+    for engine in ("row", "columnar"):
+        with pytest.raises(PlanError, match="RIGHT JOIN"):
+            main(["sql", "--query", query, "--scale", "1", "--machines", "4",
+                  "--execute", "--engine", engine])
+
+
+def test_sql_command_engine_choices():
+    parser = build_parser()
+    assert parser.parse_args(["sql"]).engine == "columnar"
+    with pytest.raises(SystemExit):
+        parser.parse_args(["sql", "--engine", "auto"])
 
 
 def test_replay_command(capsys):

@@ -1,4 +1,4 @@
-"""Tests for the columnar SQL engine and the row/columnar dispatcher.
+"""Tests for the columnar SQL engine and the engine dispatcher.
 
 The correctness contract is differential: on every TPC-H query and on
 assorted plan shapes, the columnar engine must return *exactly* the rows
@@ -15,9 +15,7 @@ from repro.sql import (
     FIG1_QUERY,
     ColumnarExecutor,
     QueryExecutor,
-    UnsupportedFeature,
     compile_kernel,
-    engine_for,
     execute_sql,
     generate_database,
     parse,
@@ -71,8 +69,8 @@ def test_batch_size_never_changes_results(batch_size, db):
 
 
 def test_auto_mode_run_query_matches_row_engine(db):
-    # The package-level run_query routes through the dispatcher; in auto
-    # mode it must still return exactly what the row engine returns.
+    # The package-level run_query routes through the dispatcher; on its
+    # default engine it must return exactly what the row engine returns.
     for query in runnable_queries():
         expected = _row_engine(TPCH_SQL[query], db)
         assert run_query(TPCH_SQL[query], db) == expected
@@ -90,48 +88,35 @@ def test_run_tpch_query_engine_selection(db):
 # ----------------------------------------------------------------------
 
 def test_dispatcher_picks_columnar_for_supported_plans(db):
-    engine, reason = engine_for(TPCH_SQL[1], db)
-    assert engine == "columnar"
-    assert "supported" in reason
+    outcome = execute_sql(TPCH_SQL[1], db)
+    assert outcome.engine == "columnar"
 
 
 def test_dispatcher_outcome_reports_engine(db):
     outcome = execute_sql(TPCH_SQL[6], db)
     assert outcome.engine == "columnar"
-    assert outcome.requested == "auto"
     assert outcome.elapsed_s >= 0.0
     forced = execute_sql(TPCH_SQL[6], db, engine="row")
     assert forced.engine == "row"
     assert forced.rows == outcome.rows
 
 
-def test_dispatcher_falls_back_on_unsupported_plan(db):
-    # A non-equi join has no hash-join path in the columnar engine.
+def test_dispatcher_runs_non_equi_join_columnar(db):
+    # A join without an equi-key runs as a vectorized nested loop.
     sql = """
         select count(*) as n
         from tpch_nation a join tpch_nation b on a.n_nationkey < b.n_nationkey
     """
-    engine, reason = engine_for(sql, db)
-    assert engine == "row"
-    assert "fallback" in reason
     outcome = execute_sql(sql, db)
-    assert outcome.engine == "row"
-    assert "fallback" in outcome.reason
+    assert outcome.engine == "columnar"
+    assert outcome.rows == [{"n": 300}]
     assert outcome.rows == _row_engine(sql, db)
 
 
-def test_forced_columnar_raises_on_unsupported_plan(db):
-    sql = """
-        select count(*) as n
-        from tpch_nation a join tpch_nation b on a.n_nationkey < b.n_nationkey
-    """
-    with pytest.raises(UnsupportedFeature):
-        execute_sql(sql, db, engine="columnar")
-
-
 def test_unknown_engine_rejected(db):
-    with pytest.raises(ValueError):
-        execute_sql("select 1 as x from tpch_nation", db, engine="gpu")
+    for engine in ("gpu", "auto"):
+        with pytest.raises(ValueError):
+            execute_sql("select 1 as x from tpch_nation", db, engine=engine)
 
 
 # ----------------------------------------------------------------------

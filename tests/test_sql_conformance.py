@@ -1,9 +1,9 @@
 """SQL conformance corpus, parameterized over both execution engines.
 
 Every case runs through :func:`repro.sql.dispatch.execute_sql` with
-``engine`` forced to ``row`` and ``columnar`` (plus ``auto``) and asserts
-identical results, pinning down the semantic corners where vectorized
-rewrites classically diverge from row-at-a-time interpreters: NULL
+``engine`` set to ``row`` and to ``columnar`` and asserts identical
+results, pinning down the semantic corners where vectorized rewrites
+classically diverge from row-at-a-time interpreters: NULL
 comparison and arithmetic, LIKE with ``_``/``%`` wildcards and glob
 metacharacters in the data, CASE, IN lists, aggregates over empty input,
 and duplicate group keys.
@@ -15,17 +15,19 @@ import json
 
 import pytest
 
+from repro.api import run_sql
 from repro.sql import (
     Catalog,
+    PlanError,
     TableSchema,
-    UnsupportedFeature,
     execute_sql,
+    generate_database,
     like_to_glob,
     sql_like,
 )
 from repro.sql.catalog import _cols
 
-ENGINES = ("row", "columnar", "auto")
+ENGINES = ("row", "columnar")
 
 
 def _catalog() -> Catalog:
@@ -138,6 +140,11 @@ CORPUS = [
     ("left_join_unmatched",
      "select i.id, o.owner from items i left join owners o on i.id = o.oid "
      "order by i.id", True),
+    ("non_equi_join",
+     "select i.id, o.owner from items i join owners o on i.id < o.oid", True),
+    ("left_non_equi_join",
+     "select i.id, o.owner from items i left join owners o "
+     "on i.qty > o.oid or o.owner like i.grp || '%'", True),
     ("distinct_rows",
      "select distinct grp, price from items", False),
     ("string_concat",
@@ -170,13 +177,10 @@ def test_engines_agree(case_id, sql, ordered, setup):
     database, catalog = setup
     row = execute_sql(sql, database, catalog, engine="row").rows
     columnar = execute_sql(sql, database, catalog, engine="columnar").rows
-    auto = execute_sql(sql, database, catalog, engine="auto").rows
     if ordered:
         assert columnar == row
-        assert auto == row
     else:
         assert _canon(columnar) == _canon(row)
-        assert _canon(auto) == _canon(row)
 
 
 def test_left_join_fills_missing_right_columns(setup):
@@ -319,6 +323,8 @@ EMPTY_CORPUS = [
      "order by i.id"),
     ("empty_sort_limit",
      "select id, price from items order by price desc, id limit 3"),
+    ("empty_non_equi_right_input",
+     "select * from owners o left join items i on o.oid < i.id"),
 ]
 
 
@@ -331,9 +337,8 @@ def test_empty_table_both_layouts(case_id, sql, layout, numpy_setup):
              else catalog.resolve_table("items").empty_table())
     database = {"items": items, "owners": _database()["owners"]}
     expected = execute_sql(sql, database, catalog, engine="row").rows
-    for engine in ("columnar", "auto"):
-        got = execute_sql(sql, database, catalog, engine=engine).rows
-        assert got == expected
+    got = execute_sql(sql, database, catalog, engine="columnar").rows
+    assert got == expected
 
 
 #: All-null columns (typed ``object`` by inference — no valid value to
@@ -362,12 +367,19 @@ def test_all_null_column_matches_row_engine(case_id, sql, numpy_setup):
     assert _json_rows(columnar) == _json_rows(row)
 
 
-def test_forced_columnar_unsupported_is_loud(setup):
+def test_non_equi_self_join_runs_columnar(setup):
     database, catalog = setup
     sql = "select a.id from items a join items b on a.id < b.id"
-    with pytest.raises(UnsupportedFeature):
-        execute_sql(sql, database, catalog, engine="columnar")
-    # Auto silently falls back and still answers.
-    outcome = execute_sql(sql, database, catalog, engine="auto")
-    assert outcome.engine == "row"
+    outcome = execute_sql(sql, database, catalog, engine="columnar")
+    assert outcome.engine == "columnar"
+    assert len(outcome.rows) == 15
     assert outcome.rows == execute_sql(sql, database, catalog, engine="row").rows
+
+
+def test_right_join_is_a_plan_error_on_both_engines():
+    database = generate_database()
+    sql = ("select * from tpch_region r right join tpch_nation n "
+           "on n.n_regionkey = r.r_regionkey and r.r_regionkey < 2")
+    for engine in ENGINES:
+        with pytest.raises(PlanError, match="use LEFT JOIN"):
+            run_sql(sql, database, engine=engine)
