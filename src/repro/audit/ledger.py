@@ -351,10 +351,10 @@ class ResourceLedger:
     def reconcile_executors(self, cluster: "Cluster", checkpoint: str) -> None:
         """O(1) free-slot counter vs a recount over the executor pool.
 
-        Scheduler grants and finish-ledger releases mutate idle counters
-        inline (bypassing the executor state machine), on healthy and
-        quarantined machines alike, so this catches any unrolled
-        transition that forgot its counter half.
+        Scheduler grants mutate idle counters inline (bypassing the
+        executor state machine), on healthy and quarantined machines
+        alike, so this catches any unrolled transition that forgot its
+        counter half.
         """
         from ..sim.cluster import ExecutorState
 

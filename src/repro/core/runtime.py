@@ -14,20 +14,17 @@ connected by pipeline edges stream: a consumer's completion is bounded below
 by its producers' completion plus a flush latency, and its ``data_arrive``
 (for the IdleRatio metric) is its producers' first output.  Barrier inputs —
 and *all* cross-unit inputs — become available only when the producer stage
-completes.  Task finish times are computed analytically per stage and
-recorded in a runtime-local *finish ledger*, a heap replayed in exact
-(finish time, schedule order) order whenever runtime state is observed:
-one drain event per computed stage batch instead of one kernel event per
-task.  Recovery re-pushes an entry (with its own drain event) when it
-re-runs a task or pushes a finish back, and an entry popped before its
-task's current finish time chases it, which keeps failure handling simple
-and exact.
+completes.  Task finish times are computed analytically per stage, and
+each finish is one kernel event: stage completion, the next gang grant and
+recovery all start from it, as they start from an executor's finish report
+in the paper (Sections II-B and IV).  Recovery schedules a new event when
+it re-runs a task, and an event that fires before its task's current
+finish time (recovery pushed the finish back) chases it.
 """
 
 from __future__ import annotations
 
 import enum
-import heapq
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -35,7 +32,7 @@ from typing import Callable, Optional
 from ..audit.ledger import ResourceLedger
 from ..obs.records import Category
 from ..obs.tracer import NULL_TRACER, Tracer
-from ..sim.cluster import Cluster, Executor, ExecutorState, MachineState
+from ..sim.cluster import Cluster, Executor, ExecutorState
 from ..sim.config import SimConfig
 from ..sim.engine import Simulator
 from ..sim.failures import FailureKind, FailurePlan, FailureSpec
@@ -132,8 +129,6 @@ class StageRun:
         self.finish_estimate = 0.0
         self.first_output = math.inf
         self.earliest_read_done = math.inf
-        #: Time of the latest drain event scheduled for this stage.
-        self.drain_scheduled_at = -math.inf
 
     @property
     def name(self) -> str:
@@ -299,27 +294,14 @@ class SwiftRuntime:
         #: (start, end) executor-busy intervals for utilization series.
         self.busy_intervals: list[tuple[float, float]] = []
         self._request_units: dict[int, UnitRun] = {}
-        #: Finish ledger: ``(time, schedule seq, instance)`` heap of deferred
-        #: task finishes, replayed in exact event order (clock rewound per
-        #: entry) whenever state must be observed — on every drain event and
-        #: on entry to every handler that reads runtime state.  Recovery
-        #: re-pushes moved finishes; ``tests/per_task_runtime.py`` realises
-        #: each finish as its own kernel event instead, and the determinism
-        #: tests require the two to agree exactly.
-        self._finish_ledger: list[tuple[float, int, TaskInstance]] = []
-        self._ledger_seq = 0
-        self._flushing = False
-        self._outer_now: Optional[float] = None
         #: Set once ``run()`` returns with the event queue empty; late
         #: submissions then raise :class:`RuntimeDrainedError` instead of
         #: queueing events that would never execute.
         self._drained = False
         #: Completion hook for the service gateway: called with each
         #: :class:`JobResult` right after it is appended to ``results``
-        #: (both successful and failed terminations).  Hook bodies must use
-        #: :meth:`event_now` when scheduling follow-up events — completion
-        #: can be observed during a finish-ledger flush, while the clock is
-        #: transiently rewound.
+        #: (both successful and failed terminations).  ``sim.now`` is the
+        #: completion time, so hooks may schedule follow-up events from it.
         self.on_job_done: Optional[Callable[[JobResult], None]] = None
         for machine in cluster.machines:
             if machine.cache_worker is None:
@@ -360,19 +342,6 @@ class SwiftRuntime:
             [(job.submit_time - now, self._on_job_submitted, (job, 0)) for job in jobs]
         )
 
-    def event_now(self) -> float:
-        """Earliest time a new simulator event may safely be scheduled.
-
-        During a finish-ledger flush the kernel clock is transiently rewound
-        to replay deferred finishes in order; scheduling at ``sim.now`` then
-        would create past-time events and drag the engine clock backwards.
-        Hooks that schedule work (``on_job_done`` dispatchers) must use this
-        instead of ``sim.now``.
-        """
-        if self._flushing and self._outer_now is not None:
-            return self._outer_now
-        return self.sim.now
-
     def _check_not_drained(self) -> None:
         if self._drained:
             raise RuntimeDrainedError(
@@ -384,9 +353,6 @@ class SwiftRuntime:
     def run(self, until: Optional[float] = None) -> list[JobResult]:
         """Run the simulation to completion and return per-job results."""
         self.sim.run(until=until)
-        # Finalize ledger entries due by the stop time whose drain event
-        # lies beyond it.
-        self._flush_finishes()
         if self.ledger is not None:
             # Drained-state assertions only make sense once every submitted
             # job has terminated (``until`` may stop mid-flight).
@@ -413,11 +379,6 @@ class SwiftRuntime:
     # Job lifecycle
     # ------------------------------------------------------------------
     def _on_job_submitted(self, job: Job, attempt: int) -> None:
-        # Catch up strictly-earlier deferred finishes so this submission sees
-        # the same cluster state it would under per-task events.  Same-time
-        # finishes stay deferred: as per-task events they would carry larger
-        # sequence numbers than this submission's, so they run after it.
-        self._flush_finishes(strict=True)
         graphlets = self.policy.partitioner.partition(job.dag)
         if not self.policy.gang:
             for graphlet in graphlets.graphlets:
@@ -884,9 +845,10 @@ class SwiftRuntime:
         """Compute finish times for dispatched-but-uncomputed instances.
 
         One rng draw per instance, in instance order.  Stage aggregates are
-        carried in locals and written back once, and ledger entries are
-        appended in bulk with a single heapify and one drain event for the
-        batch, instead of one ``_schedule_finish`` call per instance.
+        carried in locals and written back once.  Each instance's finish
+        event is scheduled inline, in instance order; ``schedule_batch`` is
+        not used because it takes delays, and ``now + (finish - now)`` need
+        not round back to ``finish``.
         """
         work = self._work_seconds(sr)
         flush = self.config.pipeline_flush_latency
@@ -900,11 +862,11 @@ class SwiftRuntime:
         finish_est = sr.finish_estimate
         earliest = sr.earliest_read_done
         n_computed = sr.n_computed
-        ledger = self._finish_ledger
-        seq = self._ledger_seq
+        now = self.sim.now
+        schedule_at = self.sim.schedule_at
+        on_finish = self._on_task_finish
         dispatched = TaskState.DISPATCHED
         inf = math.inf
-        appended = False
         for inst in sr.instances:
             if inst.state is not dispatched or inst.finish_time != inf:
                 continue
@@ -939,16 +901,10 @@ class SwiftRuntime:
             if read_done < earliest:
                 earliest = read_done
             inst.event_scheduled = True
-            seq += 1
-            ledger.append((finish, seq, inst))
-            appended = True
+            schedule_at(finish if finish > now else now, on_finish, inst)
         sr.n_computed = n_computed
         sr.finish_estimate = finish_est
         sr.earliest_read_done = earliest
-        self._ledger_seq = seq
-        if appended:
-            heapq.heapify(ledger)
-            self._schedule_drain(sr)
         if n_computed == len(sr.instances):
             sr.computed = True
             if sr.stage.is_blocking or not self.policy.pipelined_execution:
@@ -961,159 +917,82 @@ class SwiftRuntime:
             self._try_compute_stages(sr.job_run.units[sr.unit_id])
 
     def _schedule_finish(self, inst: TaskInstance) -> None:
-        """Record one re-run or moved finish in the ledger.
+        """Schedule the finish event of a re-run or moved task.
 
-        The entry's key is when a per-task finish event would fire (never
-        before ``sim.now``), and it gets its own drain event there.  An
-        instance whose entry is still queued keeps it: the flush chases a
+        The event fires at the task's finish time, never before ``sim.now``.
+        An instance whose event is still queued keeps it: the event chases a
         finish that moved later.
         """
         if inst.event_scheduled:
             return
         inst.event_scheduled = True
-        at = max(inst.finish_time, self.sim.now)
-        self._ledger_seq += 1
-        heapq.heappush(self._finish_ledger, (at, self._ledger_seq, inst))
-        self.sim.schedule_at(max(at, self.event_now()), self._on_task_finish)
+        self.sim.schedule_at(
+            max(inst.finish_time, self.sim.now), self._on_task_finish, inst
+        )
 
-    def _schedule_drain(self, sr: StageRun) -> None:
-        """One simulator event per computed batch, at the batch's last finish.
+    def _on_task_finish(self, inst: TaskInstance) -> None:
+        """An executor's finish report for ``inst``: finalize the task,
+        complete its stage, and hand the freed executor to the scheduler."""
+        inst.event_scheduled = False
+        sr = inst.stage_run
+        job_run = sr.job_run
+        if job_run.aborted or job_run.failed or inst.state is TaskState.DEAD:
+            return
+        if inst.finish_time == math.inf:
+            # Suspended by a machine crash; recovery will reschedule.
+            return
+        if inst.finish_time > self.sim.now + _EPS:
+            # Recovery pushed the finish back after this event was queued;
+            # chase it.
+            self._schedule_finish(inst)
+            return
+        if inst.state is not TaskState.DISPATCHED:
+            return
+        inst.state = TaskState.FINISHED
+        self._flush_finishes(inst)
+        sr.n_finalized += 1
+        if sr.n_finalized == len(sr.instances) and not sr.completed:
+            self._on_stage_completed(sr)
+        # A pump with an empty request queue cannot grant anything.
+        if self.scheduler._queue:
+            self._pump_scheduler()
 
-        The drain guarantees every ledger entry of the batch is flushed no
-        later than its stage's completion time; between drains, any handler
-        that observes runtime state flushes on entry.
+    def _flush_finishes(self, inst: TaskInstance) -> None:
+        """Record a finished task: its ``TaskTiming``, busy interval and task
+        span, then release its executor.
+
+        The name is kept for ``bench/spans.py``, which patches
+        ``SwiftRuntime._flush_finishes`` by name to time this layer as
+        ``core.runtime.flush_finishes``.
         """
-        at = sr.finish_estimate
-        if at <= sr.drain_scheduled_at:
-            return
-        sr.drain_scheduled_at = at
-        self.sim.schedule_at(max(at, self.event_now()), self._on_task_finish)
-
-    def _on_task_finish(self) -> None:
-        """Drain event: realise every ledger finish due by now."""
-        self._flush_finishes()
-
-    def _flush_finishes(self, strict: bool = False) -> None:
-        """Realise all deferred task finishes due by ``sim.now``.
-
-        Entries are replayed in exactly the order per-task finish events
-        would fire — (ledger key, schedule sequence) — with the simulated
-        clock rewound to each entry's key, so every downstream effect
-        (metrics, stage completion, scheduler grants, rng draws, event-log
-        records) is byte-identical to realising each finish as its own
-        kernel event.  ``strict`` excludes entries at exactly ``sim.now``
-        (used by handlers whose event orders before same-time finishes).
-        """
-        if self._flushing:
-            return
-        ledger = self._finish_ledger
-        if not ledger:
-            return
-        sim = self.sim
-        scheduler = self.scheduler
-        target = sim.now
-        self._flushing = True
-        outer = sim.now
-        self._outer_now = outer
-        heappop = heapq.heappop
-        busy_append = self.busy_intervals.append
-        make_timing = TaskTiming
-        trace_on = self.tracer.enabled
-        trace_task = self.tracer.task_span
-        cluster = self.cluster
-        idle = ExecutorState.IDLE
-        revoked = ExecutorState.REVOKED
-        healthy = MachineState.HEALTHY
-        dispatched = TaskState.DISPATCHED
-        finished = TaskState.FINISHED
-        dead = TaskState.DEAD
-        inf = math.inf
-        # Per-stage constants (job id, stage name, instance count, metrics
-        # list) are cached across consecutive entries of the same stage —
-        # ledger order interleaves stages rarely, so this usually hits.
-        cached_sr = None
-        job_id = stage_name = tasks_append = n_instances = None
-        try:
-            while ledger:
-                finish = ledger[0][0]
-                if finish > target or (strict and finish >= target):
-                    break
-                _, _, inst = heappop(ledger)
-                # The key is only the clock, the time a per-task event would
-                # fire: a re-run may have moved the task's own finish.
-                sim._now = finish
-                inst.event_scheduled = False
-                sr = inst.stage_run
-                job_run = sr.job_run
-                if job_run.aborted or job_run.failed or inst.state is dead:
-                    continue
-                if inst.finish_time == inf:
-                    # Suspended by a crash; recovery will reschedule.
-                    continue
-                if inst.finish_time > finish + _EPS:
-                    # Recovery pushed the finish back after this entry was
-                    # queued; chase it.
-                    self._schedule_finish(inst)
-                    continue
-                if inst.state is not dispatched:
-                    continue
-                if sr is not cached_sr:
-                    cached_sr = sr
-                    job_id = job_run.job.job_id
-                    stage_name = sr.name
-                    tasks_append = job_run.metrics.tasks.append
-                    n_instances = len(sr.instances)
-                inst.state = finished
-                task_finish = inst.finish_time
-                plan_arrive = inst.plan_arrive
-                data_arrive = inst.data_arrive
-                tasks_append(
-                    make_timing(
-                        job_id,
-                        stage_name,
-                        inst.index,
-                        inst.attempt,
-                        plan_arrive,
-                        data_arrive if data_arrive < task_finish else task_finish,
-                        task_finish,
-                        inst.launch,
-                        inst.read,
-                        inst.proc,
-                        inst.write,
-                    )
-                )
-                busy_append((plan_arrive, task_finish))
-                if trace_on:
-                    trace_task(
-                        stage_name, job_id, inst.index, inst.attempt,
-                        plan_arrive, data_arrive, task_finish,
-                        inst.launch, inst.read, inst.proc, inst.write,
-                    )
-                # Executor.release(), unrolled: only a healthy machine's idle
-                # slot returns to the cluster's free pool.
-                executor = inst.executor
-                if executor is not None:
-                    executor.current_task = None
-                    if executor.state is not revoked:
-                        executor.state = idle
-                        machine = executor.machine
-                        machine.idle_count += 1
-                        machine._free_stack.append(executor)
-                        if machine.state is healthy:
-                            cluster._free_count += 1
-                    inst.executor = None
-                sr.n_finalized += 1
-                if sr.n_finalized == n_instances and not sr.completed:
-                    self._on_stage_completed(sr)
-                # A pump with an empty request queue cannot grant anything;
-                # skipping it here is observationally identical.  (_queue is
-                # re-read each pass: schedule() rebinds it when pruning.)
-                if scheduler._queue:
-                    self._pump_scheduler()
-        finally:
-            sim._now = outer
-            self._outer_now = None
-            self._flushing = False
+        sr = inst.stage_run
+        job_id = sr.job_run.job.job_id
+        finish = inst.finish_time
+        sr.job_run.metrics.tasks.append(
+            TaskTiming(
+                job_id=job_id,
+                stage=sr.name,
+                index=inst.index,
+                attempt=inst.attempt,
+                plan_arrive=inst.plan_arrive,
+                data_arrive=min(inst.data_arrive, finish),
+                finish=finish,
+                launch_time=inst.launch,
+                shuffle_read_time=inst.read,
+                processing_time=inst.proc,
+                shuffle_write_time=inst.write,
+            )
+        )
+        self.busy_intervals.append((inst.plan_arrive, finish))
+        if self.tracer.enabled:
+            self.tracer.task_span(
+                sr.name, job_id, inst.index, inst.attempt,
+                inst.plan_arrive, inst.data_arrive, finish,
+                inst.launch, inst.read, inst.proc, inst.write,
+            )
+        if inst.executor is not None:
+            inst.executor.release()
+            inst.executor = None
 
     # ------------------------------------------------------------------
     # Completion
@@ -1307,9 +1186,6 @@ class SwiftRuntime:
     # Failure handling
     # ------------------------------------------------------------------
     def _on_failure(self, spec: FailureSpec, job_id: str) -> None:
-        # Every failure-side handler first catches up the ledger, like
-        # _on_job_submitted: it must see the state per-task events would.
-        self._flush_finishes(strict=True)
         job_run = self.job_runs.get(job_id)
         if job_run is None or job_run.done or job_run.aborted or job_run.failed:
             return
@@ -1461,7 +1337,6 @@ class SwiftRuntime:
     ) -> None:
         """Admin-side quarantine (Section IV-A): the machine goes read-only,
         running tasks drain, and ``duration`` seconds later it recovers."""
-        self._flush_finishes(strict=True)
         if not machine.alive:
             return
         started = self.admin.quarantine_machine(machine.machine_id)
@@ -1482,7 +1357,6 @@ class SwiftRuntime:
 
     def _recover_machine(self, machine, job_id: str) -> None:
         """End a quarantine episode: the machine accepts tasks again."""
-        self._flush_finishes(strict=True)
         if not machine.alive:
             return
         recovered = self.admin.record_machine_recovered(machine.machine_id)
@@ -1519,7 +1393,6 @@ class SwiftRuntime:
         unrecoverable does the producer re-generate and re-write the data
         (the OUTPUT_FAILURE path of Section IV-B, applied per lost entry).
         """
-        self._flush_finishes(strict=True)
         worker: Optional[CacheWorker] = machine.cache_worker
         if worker is None:
             return
@@ -1594,7 +1467,6 @@ class SwiftRuntime:
                 self._recover_task(victim)
 
     def _fail_job(self, job_run: JobRun, reason: str = "") -> None:
-        self._flush_finishes(strict=True)
         if job_run.done or job_run.failed:
             return
         job_run.failed = True
@@ -1670,7 +1542,6 @@ class SwiftRuntime:
         self._pump_scheduler()
 
     def _restart_job(self, job_run: JobRun) -> None:
-        self._flush_finishes(strict=True)
         if job_run.done or job_run.aborted or job_run.failed:
             return
         job_run.aborted = True
@@ -1687,7 +1558,6 @@ class SwiftRuntime:
 
     def _recover_task(self, inst: TaskInstance) -> None:
         """Fine-grained recovery (Section IV-B) for one failed task."""
-        self._flush_finishes(strict=True)
         sr = inst.stage_run
         job_run = sr.job_run
         if job_run.done or job_run.aborted or job_run.failed:
@@ -1864,7 +1734,7 @@ class SwiftRuntime:
 
         Walks the whole downstream cone in topological order, lifting each
         computed stage's instance finish times to respect the new barrier
-        availability / pipeline floors.  Queued ledger entries chase the
+        availability / pipeline floors.  Queued finish events chase the
         moved finishes.
         """
         job_run = sr.job_run

@@ -13,7 +13,7 @@ comparison instead of a Python ``__lt__``.  ``slot`` indexes
 struct-of-arrays storage (a seq validity array keyed into a callback+args
 table); cancellation is a bitmask over slots, and slots are recycled
 through a free stack.  ``schedule_batch`` amortises heap maintenance for
-bulk producers (trace replay, the runtime's finish ledger).  The original
+bulk producers (trace arrivals and job submissions).  The original
 object-heap kernel lives on in ``tests/legacy_kernel.py`` as a
 differential oracle: the kernel tests run on both, and
 ``tests/test_determinism.py`` drives random interleavings through both in
@@ -203,7 +203,7 @@ class Simulator:
 
         No handles are returned — batched events cannot be cancelled
         individually, which is exactly the contract bulk producers (trace
-        arrivals, finish ledgers) want.  Heap maintenance is amortised: for
+        arrivals, job submissions) want.  Heap maintenance is amortised: for
         large batches the entries are appended and the heap rebuilt once
         (O(n + k)) instead of k pushes (O(k log n)).
         """

@@ -5,10 +5,15 @@ Invariants the performance work must never break:
 * The parallel cell harness returns byte-identical experiment rows for
   any worker count (``--jobs N`` is a wall-clock knob, not a semantic
   one).
-* The runtime's finish ledger produces JobMetrics, busy intervals, admin
-  stats and shuffle-recovery logs identical to the one-event-per-task
-  oracle in ``tests/per_task_runtime.py``, for every policy, failure-free
-  and under every failure kind.
+* The runtime's simulated outcomes (JobMetrics, busy intervals, admin
+  stats and shuffle-recovery logs) hash to the fingerprints pinned in
+  ``tests/data/runtime_fingerprints.json``, for every policy, failure-free
+  and under every failure kind.  They were recorded by the earlier
+  finish-ledger runtime, which matched a one-event-per-task oracle
+  exactly.  Regenerate them only with a change meant to move simulated
+  outcomes, and say which cases moved and why::
+
+      PYTHONPATH=src python tests/test_determinism.py
 * The array-backed event kernel behaves exactly like the object-heap
   oracle in ``tests/legacy_kernel.py`` under random interleavings.
 * Tracing observes without steering: a run with a RecordingTracer
@@ -18,7 +23,10 @@ Invariants the performance work must never break:
 
 from __future__ import annotations
 
+import hashlib
+import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -32,7 +40,7 @@ from repro.sim.cluster import Cluster
 from repro.sim.failures import FailureKind, sample_trace_failures
 from repro.workloads import traces
 
-from per_task_runtime import PerTaskRuntime
+FINGERPRINTS = Path(__file__).parent / "data" / "runtime_fingerprints.json"
 
 
 @pytest.fixture(autouse=True)
@@ -72,10 +80,9 @@ def _failure_plan(jobs):
     )
 
 
-def run_jobs(policy, jobs, failure_plan, ledger=True, tracer=None, reference=100.0):
-    """``harness.run_jobs`` on the finish ledger or the per-task oracle."""
-    runtime_cls = SwiftRuntime if ledger else PerTaskRuntime
-    runtime = runtime_cls(
+def run_jobs(policy, jobs, failure_plan, tracer=None, reference=100.0):
+    """``harness.run_jobs`` on a 100 x 32 cluster."""
+    runtime = SwiftRuntime(
         Cluster.build(100, 32), policy, failure_plan=failure_plan, tracer=tracer,
         reference_duration=reference,
     )
@@ -91,6 +98,10 @@ _MACHINE_KINDS = (
     FailureKind.CACHE_WORKER_LOSS,
 )
 
+_POLICIES = (swift_policy, jetscope_policy, bubble_policy, restart_policy, spark_policy)
+_KINDS = (None, *FailureKind)
+_SEEDS = (0, 1, 2)
+
 
 def _kind_plan(jobs, kind, seed):
     """Half the jobs get one ``kind`` failure at a trace-sampled time."""
@@ -104,48 +115,63 @@ def _kind_plan(jobs, kind, seed):
     return plan
 
 
-@pytest.mark.parametrize("kind", [None, *FailureKind], ids=lambda k: k.name if k else "none")
-@pytest.mark.parametrize(
-    "make_policy", [swift_policy, jetscope_policy, bubble_policy, restart_policy, spark_policy]
-)
-def test_ledger_matches_per_task_oracle(make_policy, kind):
-    """The finish ledger is an optimization, not a model change: JobMetrics
-    (timestamps, phase times, attempts, recovery counters), busy intervals,
-    admin stats and the shuffle-recovery log must match the per-task-event
-    oracle exactly, failure-free and under every failure kind."""
-    seeds = (0,) if kind is None else (0, 1, 2)
-    for seed in seeds:
-        jobs = traces.generate_trace(
-            traces.TraceConfig(n_jobs=8, mean_interarrival=0.2, seed=7 + seed)
-        )
-        plan, reference = None, 100.0
-        if kind is not None:
-            plan = _kind_plan(jobs, kind, seed)
-            # Fig. 15 method: failures strike at a fraction of each job's
-            # own failure-free latency, so they land while it runs.
-            baseline, _ = run_jobs(make_policy(), jobs, None)
-            reference = {r.job_id: r.latency for r in baseline}
-        ledger_results, ledger_rt = run_jobs(
-            make_policy(), jobs, plan, ledger=True, reference=reference
-        )
-        oracle_results, oracle_rt = run_jobs(
-            make_policy(), jobs, plan, ledger=False, reference=reference
-        )
-        assert len(ledger_results) == len(oracle_results) == len(jobs)
-        for ledger, oracle in zip(ledger_results, oracle_results):
-            assert ledger.job_id == oracle.job_id
-            assert (ledger.completed, ledger.failed) == (oracle.completed, oracle.failed)
-            assert ledger.reason == oracle.reason
-            assert ledger.metrics == oracle.metrics, (seed, ledger.job_id)
-        assert ledger_rt.busy_intervals == oracle_rt.busy_intervals
-        assert ledger_rt.admin.stats.__dict__ == oracle_rt.admin.stats.__dict__
-        assert ledger_rt.shuffle_recovery_log == oracle_rt.shuffle_recovery_log
+def _case_id(make_policy, kind) -> str:
+    return f"{make_policy.__name__}-{kind.name if kind else 'none'}"
+
+
+def runtime_fingerprint(make_policy, kind, seed) -> str:
+    """sha256 of everything a run observably produces: per-job results
+    (completed/failed/reason and the full ``JobMetrics`` repr, task timings
+    included), busy intervals, admin stats and the shuffle-recovery log."""
+    jobs = traces.generate_trace(
+        traces.TraceConfig(n_jobs=8, mean_interarrival=0.2, seed=7 + seed)
+    )
+    plan, reference = None, 100.0
+    if kind is not None:
+        plan = _kind_plan(jobs, kind, seed)
+        # Fig. 15 method: failures strike at a fraction of each job's
+        # own failure-free latency, so they land while it runs.
+        baseline, _ = run_jobs(make_policy(), jobs, None)
+        reference = {r.job_id: r.latency for r in baseline}
+    results, runtime = run_jobs(make_policy(), jobs, plan, reference=reference)
+    assert len(results) == len(jobs)
+    digest = hashlib.sha256()
+    for result in results:
+        digest.update(repr((
+            result.job_id, result.completed, result.failed, result.reason,
+            result.metrics,
+        )).encode())
+    digest.update(repr(runtime.busy_intervals).encode())
+    digest.update(repr(runtime.admin.stats.__dict__).encode())
+    digest.update(repr(runtime.shuffle_recovery_log).encode())
+    return digest.hexdigest()
+
+
+def _all_fingerprints() -> dict[str, str]:
+    return {
+        f"{_case_id(make_policy, kind)}-{seed}": runtime_fingerprint(make_policy, kind, seed)
+        for make_policy in _POLICIES
+        for kind in _KINDS
+        for seed in _SEEDS
+    }
+
+
+@pytest.mark.parametrize("kind", _KINDS, ids=lambda k: k.name if k else "none")
+@pytest.mark.parametrize("make_policy", _POLICIES)
+def test_runtime_matches_parent_fingerprints(make_policy, kind):
+    """Simulated outcomes are pinned: JobMetrics (timestamps, phase times,
+    attempts, recovery counters), busy intervals, admin stats and the
+    shuffle-recovery log hash to the pinned fingerprints, failure-free and
+    under every failure kind (see the module docstring)."""
+    expected = json.loads(FINGERPRINTS.read_text())
+    for seed in _SEEDS:
+        key = f"{_case_id(make_policy, kind)}-{seed}"
+        assert runtime_fingerprint(make_policy, kind, seed) == expected[key], key
 
 
 @pytest.mark.parametrize("make_policy", [swift_policy, restart_policy])
 @pytest.mark.parametrize("with_failures", [False, True])
-@pytest.mark.parametrize("ledger", [True, False])
-def test_tracing_does_not_perturb_simulation(make_policy, with_failures, ledger):
+def test_tracing_does_not_perturb_simulation(make_policy, with_failures):
     """Attaching a RecordingTracer is pure observation: results, busy
     intervals, and admin stats stay byte-identical, and the task-attempt
     spans reproduce the runtime's private busy_intervals list (the record
@@ -154,12 +180,10 @@ def test_tracing_does_not_perturb_simulation(make_policy, with_failures, ledger)
         traces.TraceConfig(n_jobs=6, mean_interarrival=0.2)
     )
     plan = _failure_plan(jobs) if with_failures else None
-    plain_results, plain_rt = run_jobs(
-        make_policy(), jobs, failure_plan=plan, ledger=ledger
-    )
+    plain_results, plain_rt = run_jobs(make_policy(), jobs, failure_plan=plan)
     tracer = RecordingTracer()
     traced_results, traced_rt = run_jobs(
-        make_policy(), jobs, failure_plan=plan, ledger=ledger, tracer=tracer,
+        make_policy(), jobs, failure_plan=plan, tracer=tracer,
     )
     assert len(plain_results) == len(traced_results)
     for plain, traced in zip(plain_results, traced_results):
@@ -264,3 +288,12 @@ def test_kernels_agree_on_random_interleavings(ops):
     assert sims[0].events_processed == sims[1].events_processed
     assert sims[0].peek_time() == sims[1].peek_time()
     assert sims[0].peak_pending == sims[1].peak_pending
+
+
+if __name__ == "__main__":  # pragma: no cover - fixture regeneration
+    FINGERPRINTS.parent.mkdir(exist_ok=True)
+    FINGERPRINTS.write_text(
+        json.dumps(_all_fingerprints(), indent=1, sort_keys=True) + "\n",
+        encoding="utf-8",
+    )
+    print(f"wrote {FINGERPRINTS}")

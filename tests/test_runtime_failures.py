@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.baselines import restart_policy
+from repro.baselines import restart_policy, spark_policy
 from repro.core.policies import swift_policy
 from repro.core.runtime import SwiftRuntime
 from repro.sim.cluster import Cluster, MachineState
@@ -276,21 +276,25 @@ def test_quarantine_mid_flight_keeps_free_slot_counter_exact(recovers):
     assert runtime.cluster.free_executor_count() == healthy_machines * 8
 
 
-@pytest.mark.parametrize("kind", [
-    FailureKind.TASK_CRASH, FailureKind.PROCESS_RESTART, FailureKind.MACHINE_CRASH,
-    FailureKind.MACHINE_QUARANTINE, FailureKind.CACHE_WORKER_LOSS,
-], ids=lambda kind: kind.name)
-def test_failure_runs_finish_tasks_on_the_ledger(kind):
-    """Failure plans use the finish ledger too: a run realises its task
-    finishes in a few drain events, not one kernel event per attempt."""
-    dag = chain_dag("ledger", blocking_stages=(1, 2), tasks=16, n_stages=3)
-    spec = FailureSpec(kind=kind, stage="S2", machine_id=0, at_fraction=0.5,
-                       duration=5.0 if kind is FailureKind.MACHINE_QUARANTINE else None)
-    result, _, runtime = run_with_failures(dag, [spec])
+@pytest.mark.xfail(strict=True, reason=(
+    "known bug: a re-run whose new finish is earlier than its still-queued "
+    "finish event is realised at the old event's time"
+))
+def test_rerun_finishing_earlier_completes_at_its_own_finish():
+    """A cold-started task that crashes while still launching re-runs on a
+    warm executor and finishes well before its first attempt would have.
+    The job must complete when that re-run finishes, not when the first
+    attempt's finish event fires."""
+    dag = chain_dag("early", tasks=1, n_stages=1)
+    spec = FailureSpec(kind=FailureKind.TASK_CRASH, stage="S1", task_index=0,
+                       at_fraction=0.01)
+    result, _, _ = run_with_failures(dag, [spec], policy=spark_policy(),
+                                     machines=1, executors=4, reference=10.0)
     assert result.completed
-    assert result.metrics.failures == 1
-    tasks = result.metrics.tasks
-    assert runtime.sim.events_processed < len(tasks) / 2
+    assert result.metrics.task_reruns == 1
+    (timing,) = result.metrics.tasks
+    assert timing.attempt == 1
+    assert result.metrics.finish_time == pytest.approx(timing.finish)
 
 
 def test_process_restart_relaunches_executor_and_recovers():
