@@ -11,6 +11,7 @@ from repro.baselines import bubble_policy, jetscope_policy
 from repro.core import normalized_cdf, swift_policy, utilization_series
 from repro.experiments import makespan, mean_latency, run_jobs
 from repro.experiments.plots import sparkline
+from repro.obs import RecordingTracer
 from repro.workloads import TraceConfig, generate_trace
 
 N_JOBS = 250
@@ -25,11 +26,14 @@ def main() -> None:
     spans: dict[str, float] = {}
     series: dict[str, list[int]] = {}
     for policy in (swift_policy(), bubble_policy(), jetscope_policy()):
-        results, runtime = run_jobs(policy, jobs)
+        tracer = RecordingTracer()
+        results, _ = run_jobs(policy, jobs, tracer=tracer)
         spans[policy.name] = makespan(results)
         latencies[policy.name] = {r.job_id: r.metrics.latency for r in results}
         horizon = spans[policy.name]
-        samples = utilization_series(runtime.busy_intervals, step=horizon / 120, horizon=horizon)
+        samples = utilization_series(
+            tracer.task_intervals(), step=horizon / 120, horizon=horizon
+        )
         series[policy.name] = [s.running_executors for s in samples]
         print(f"{policy.name:<10} makespan={spans[policy.name]:7.1f}s  "
               f"mean latency={mean_latency(results):6.1f}s")

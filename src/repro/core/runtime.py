@@ -39,7 +39,6 @@ from ..sim.failures import FailureKind, FailurePlan, FailureSpec
 from .admin import SwiftAdmin
 from .cache_worker import CacheWorker
 from .dag import Edge, EdgeMode, Job, JobDAG
-from .events import EventKind, EventLog
 from .failure import detection_delay, plan_recovery
 from .graphlet import GraphletGraph
 from .metrics import JobMetrics, TaskTiming
@@ -211,10 +210,6 @@ class JobRun:
             for name in graphlet.stage_names:
                 self.stage_runs[name] = StageRun(self, name, graphlet.graphlet_id)
 
-    def unit_of_stage(self, stage_name: str) -> UnitRun:
-        """The unit run containing ``stage_name``."""
-        return self.units[self.stage_runs[stage_name].unit_id]
-
 
 class SchedulingImpossibleError(RuntimeError):
     """A gang request can never be satisfied on this cluster."""
@@ -244,7 +239,6 @@ class SwiftRuntime:
         tracer: Optional[Tracer] = None,
         audit: bool = False,
         audit_strict: bool = True,
-        ledger: Optional[ResourceLedger] = None,
     ) -> None:
         self.cluster = cluster
         self.policy = policy
@@ -278,8 +272,6 @@ class SwiftRuntime:
         self.reference_duration = reference_duration
         self.job_runs: dict[str, JobRun] = {}
         self.results: list[JobResult] = []
-        #: Audit trail of controller-level events (bounded for long replays).
-        self.events = EventLog(capacity=200_000)
         #: Extra data-availability delay per (job_id, edge key) caused by
         #: Cache Worker LRU spills on the producer side.
         self._edge_extra_delay: dict[tuple[str, str], float] = {}
@@ -291,8 +283,6 @@ class SwiftRuntime:
         self._edge_cw_machines: dict[tuple[str, str], list[list[int]]] = {}
         #: All machines with Cache Worker state per job (for fast release).
         self._job_cw_machines: dict[str, set[int]] = {}
-        #: (start, end) executor-busy intervals for utilization series.
-        self.busy_intervals: list[tuple[float, float]] = []
         self._request_units: dict[int, UnitRun] = {}
         #: Set once ``run()`` returns with the event queue empty; late
         #: submissions then raise :class:`RuntimeDrainedError` instead of
@@ -309,12 +299,11 @@ class SwiftRuntime:
                     machine.machine_id, self.config.cache_worker, cluster.disk
                 )
             machine.cache_worker.tracer = self.tracer
-        #: Resource-accounting ledger (:mod:`repro.audit`); ``None`` keeps
-        #: every hook site on a single ``is not None`` check.  Pass a
-        #: pre-built ``ledger`` to share one across runtimes (chaos does),
-        #: or ``audit=True`` to build a fresh one.
-        self.ledger: Optional[ResourceLedger] = ledger
-        if self.ledger is None and audit:
+        #: Resource-accounting ledger (:mod:`repro.audit`), built when
+        #: ``audit=True``; ``None`` keeps every hook site on a single
+        #: ``is not None`` check.
+        self.ledger: Optional[ResourceLedger] = None
+        if audit:
             self.ledger = ResourceLedger(strict=audit_strict, tracer=self.tracer)
         if self.ledger is not None:
             self.ledger.bind_clock(lambda: self.sim.now)
@@ -388,12 +377,6 @@ class SwiftRuntime:
                     )
         # Partitioning and job admission cost controller time.
         self.admin.admit_ops(self.sim.now, len(job.dag) + 1)
-        self.events.record(
-            self.sim.now,
-            EventKind.JOB_RESTARTED if attempt else EventKind.JOB_SUBMITTED,
-            job.job_id,
-            f"{len(graphlets)} graphlets",
-        )
         if self.tracer.enabled:
             self.tracer.instant(
                 Category.JOB,
@@ -488,10 +471,6 @@ class SwiftRuntime:
             unit.request = item
             unit.state = UnitState.REQUESTED
             self._request_units[item.request_id] = unit
-            self.events.record(
-                self.sim.now, EventKind.UNIT_REQUESTED, job_run.job.job_id,
-                f"unit {unit.graphlet_id} ({n} executors)",
-            )
             if self.tracer.enabled:
                 self.tracer.instant(
                     Category.UNIT, "unit.requested", self.sim.now,
@@ -519,10 +498,6 @@ class SwiftRuntime:
                 executor.release()
             return
         unit.state = UnitState.GRANTED
-        self.events.record(
-            self.sim.now, EventKind.UNIT_GRANTED, job_run.job.job_id,
-            f"unit {unit.graphlet_id} ({len(grant.executors)} executors)",
-        )
         if self.tracer.enabled:
             self.tracer.instant(
                 Category.UNIT, "unit.granted", self.sim.now,
@@ -958,8 +933,8 @@ class SwiftRuntime:
             self._pump_scheduler()
 
     def _flush_finishes(self, inst: TaskInstance) -> None:
-        """Record a finished task: its ``TaskTiming``, busy interval and task
-        span, then release its executor.
+        """Record a finished task: its ``TaskTiming`` and task span, then
+        release its executor.
 
         The name is kept for ``bench/spans.py``, which patches
         ``SwiftRuntime._flush_finishes`` by name to time this layer as
@@ -983,7 +958,6 @@ class SwiftRuntime:
                 shuffle_write_time=inst.write,
             )
         )
-        self.busy_intervals.append((inst.plan_arrive, finish))
         if self.tracer.enabled:
             self.tracer.task_span(
                 sr.name, job_id, inst.index, inst.attempt,
@@ -1003,9 +977,6 @@ class SwiftRuntime:
         job_run = sr.job_run
         self.admin.admit_ops(self.sim.now, 1)
         self.admin.record_status_report()
-        self.events.record(
-            self.sim.now, EventKind.STAGE_COMPLETED, job_run.job.job_id, sr.name
-        )
         if self.tracer.enabled:
             start = min(
                 (inst.plan_arrive for inst in sr.instances),
@@ -1040,10 +1011,6 @@ class SwiftRuntime:
         unit = job_run.units[sr.unit_id]
         if unit.state != UnitState.DONE and unit.all_completed():
             unit.state = UnitState.DONE
-            self.events.record(
-                self.sim.now, EventKind.UNIT_COMPLETED, job_run.job.job_id,
-                f"unit {unit.graphlet_id}",
-            )
             if self.tracer.enabled:
                 self.tracer.instant(
                     Category.UNIT, "unit.completed", self.sim.now,
@@ -1152,9 +1119,6 @@ class SwiftRuntime:
     def _on_job_completed(self, job_run: JobRun) -> None:
         job_run.done = True
         job_run.metrics.finish_time = self.sim.now
-        self.events.record(
-            self.sim.now, EventKind.JOB_COMPLETED, job_run.job.job_id
-        )
         if self.tracer.enabled:
             metrics = job_run.metrics
             self.tracer.span(
@@ -1192,10 +1156,6 @@ class SwiftRuntime:
         delay = detection_delay(spec.kind, self.config.admin, self.cluster.n_machines)
         detect_t = self.sim.now + delay
         job_run.metrics.failures += 1
-        self.events.record(
-            self.sim.now, EventKind.FAILURE_INJECTED, job_id,
-            f"{spec.kind.value} stage={spec.stage or '-'}",
-        )
         if self.tracer.enabled:
             # Detection by missed heartbeats for crashes, by the executor's
             # own re-registration for process restarts (Section IV-A).
@@ -1288,15 +1248,16 @@ class SwiftRuntime:
             if instance.state == TaskState.DISPATCHED:
                 instance.finish_time = math.inf
         if instance.executor is not None:
-            flagged = self.admin.record_task_failure(
-                instance.executor.machine.machine_id, self.sim.now
-            )
-            if flagged:
-                instance.executor.machine.mark_read_only()
-                self.events.record(
-                    self.sim.now, EventKind.MACHINE_QUARANTINED, job_id,
-                    f"machine {instance.executor.machine.machine_id}",
-                )
+            machine = instance.executor.machine
+            if self.admin.record_task_failure(machine.machine_id, self.sim.now):
+                # The health monitor flagged the machine (Section IV-A).
+                machine.mark_read_only()
+                if self.tracer.enabled:
+                    self.tracer.instant(
+                        Category.FAILURE, "machine.quarantined", self.sim.now,
+                        job_id, scope=f"machine{machine.machine_id}",
+                        duration=None,
+                    )
         if self.policy.recovery == FailureRecovery.JOB_RESTART:
             self.sim.schedule_at(detect_t, self._restart_job, job_run)
         else:
@@ -1341,17 +1302,12 @@ class SwiftRuntime:
             return
         started = self.admin.quarantine_machine(machine.machine_id)
         machine.mark_read_only()
-        if started:
-            self.events.record(
-                self.sim.now, EventKind.MACHINE_QUARANTINED, job_id,
-                f"machine {machine.machine_id}",
+        if started and self.tracer.enabled:
+            self.tracer.instant(
+                Category.FAILURE, "machine.quarantined", self.sim.now,
+                job_id, scope=f"machine{machine.machine_id}",
+                duration=duration,
             )
-            if self.tracer.enabled:
-                self.tracer.instant(
-                    Category.FAILURE, "machine.quarantined", self.sim.now,
-                    job_id, scope=f"machine{machine.machine_id}",
-                    duration=duration,
-                )
         if duration is not None:
             self.sim.schedule(duration, self._recover_machine, machine, job_id)
 
@@ -1361,16 +1317,11 @@ class SwiftRuntime:
             return
         recovered = self.admin.record_machine_recovered(machine.machine_id)
         machine.mark_healthy()
-        if recovered:
-            self.events.record(
-                self.sim.now, EventKind.MACHINE_RECOVERED, job_id,
-                f"machine {machine.machine_id}",
+        if recovered and self.tracer.enabled:
+            self.tracer.instant(
+                Category.RECOVERY, "machine.recovered", self.sim.now,
+                job_id, scope=f"machine{machine.machine_id}",
             )
-            if self.tracer.enabled:
-                self.tracer.instant(
-                    Category.RECOVERY, "machine.recovered", self.sim.now,
-                    job_id, scope=f"machine{machine.machine_id}",
-                )
         # Returned capacity may satisfy queued gang requests.
         self._pump_scheduler()
 
@@ -1397,10 +1348,6 @@ class SwiftRuntime:
         if worker is None:
             return
         lost = worker.drop_all(now=self.sim.now, reason="cache_worker_loss")
-        self.events.record(
-            self.sim.now, EventKind.CACHE_WORKER_LOST, job_id,
-            f"machine {machine.machine_id} ({len(lost)} entries)",
-        )
         if self.tracer.enabled:
             self.tracer.instant(
                 Category.FAILURE, "cache_worker.lost", self.sim.now, job_id,
@@ -1470,9 +1417,6 @@ class SwiftRuntime:
         if job_run.done or job_run.failed:
             return
         job_run.failed = True
-        self.events.record(
-            self.sim.now, EventKind.JOB_FAILED, job_run.job.job_id, reason
-        )
         if self.tracer.enabled:
             self.tracer.instant(
                 Category.JOB, "job.failed", self.sim.now, job_run.job.job_id,
@@ -1520,20 +1464,18 @@ class SwiftRuntime:
                 self.cluster.network.release_connections(sr.registered_connections)
                 sr.registered_connections = 0
             for inst in sr.instances:
-                if inst.state == TaskState.DISPATCHED:
-                    self.busy_intervals.append((inst.plan_arrive, self.sim.now))
-                    if trace_on:
-                        self.tracer.span(
-                            Category.TASK,
-                            f"{sr.name}[{inst.index}].aborted",
-                            inst.plan_arrive,
-                            self.sim.now - inst.plan_arrive,
-                            job_run.job.job_id,
-                            scope=sr.name,
-                            finish=self.sim.now,
-                            attempt=inst.attempt,
-                            aborted=True,
-                        )
+                if trace_on and inst.state == TaskState.DISPATCHED:
+                    self.tracer.span(
+                        Category.TASK,
+                        f"{sr.name}[{inst.index}].aborted",
+                        inst.plan_arrive,
+                        self.sim.now - inst.plan_arrive,
+                        job_run.job.job_id,
+                        scope=sr.name,
+                        finish=self.sim.now,
+                        attempt=inst.attempt,
+                        aborted=True,
+                    )
                 if inst.executor is not None:
                     inst.executor.release()
                     inst.executor = None
@@ -1589,10 +1531,6 @@ class SwiftRuntime:
         )
         if decision.noop:
             metrics.noop_recoveries += 1
-            self.events.record(
-                self.sim.now, EventKind.TASK_RECOVERED, job_run.job.job_id,
-                f"{sr.name}[{inst.index}] noop ({decision.case.value})",
-            )
             if self.tracer.enabled:
                 self.tracer.instant(
                     Category.RECOVERY, "recovery.noop", self.sim.now,
@@ -1620,10 +1558,6 @@ class SwiftRuntime:
         if new_finish is None:
             # Retry budget exhausted; the job has been failed.
             return
-        self.events.record(
-            self.sim.now, EventKind.TASK_RECOVERED, job_run.job.job_id,
-            f"{sr.name}[{inst.index}] rerun ({decision.case.value})",
-        )
         if self.tracer.enabled:
             self.tracer.instant(
                 Category.RECOVERY, "recovery.rerun", self.sim.now,

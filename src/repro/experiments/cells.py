@@ -134,9 +134,9 @@ def trace_replay_cell(
     """Full trace replay under one system: makespan, per-job latencies,
     and the executor busy intervals that feed Fig. 10's time series.
 
-    The busy intervals come from the run's trace records (task-attempt
-    spans) rather than from private runtime state; the determinism tests
-    pin the two representations equal.
+    The busy intervals are the run's task-attempt spans
+    (``RecordingTracer.task_intervals()``), the runtime's only record of
+    them; the determinism tests pin them in the runtime fingerprints.
     """
     jobs = traces.generate_trace(
         traces.TraceConfig(n_jobs=n_jobs, mean_interarrival=mean_interarrival)

@@ -99,9 +99,10 @@ def run_jobs(
 ) -> tuple[list[JobResult], SwiftRuntime]:
     """Execute ``jobs`` under ``policy`` on a fresh cluster.
 
-    Returns the per-job results and the runtime (for utilization series,
-    admin stats, and other cross-job introspection).  ``tracer`` threads an
-    observability hook through the run (see :mod:`repro.obs`).
+    Returns the per-job results and the runtime (for admin stats and other
+    cross-job introspection).  ``tracer`` threads an observability hook
+    through the run (see :mod:`repro.obs`); utilization series come from a
+    :class:`~repro.obs.RecordingTracer`'s ``task_intervals()``.
     """
     cluster = build_cluster(n_machines, executors_per_machine, config)
     runtime = SwiftRuntime(

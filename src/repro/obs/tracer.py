@@ -337,10 +337,10 @@ class RecordingTracer(Tracer):
     def task_intervals(self) -> list[tuple[float, float]]:
         """(start, end) busy intervals of every task-attempt span.
 
-        This is the record-level replacement for the runtime's private
-        ``busy_intervals`` list; figure scripts consume this instead.  The
-        exact ``finish`` arg (when present) avoids the ``ts + dur``
-        floating-point round-off.
+        Aborted attempts are included, ending at their abort time.  This is
+        the runtime's only record of executor busy time; utilization series
+        (Fig. 10) are built from it.  The exact ``finish`` arg (when
+        present) avoids the ``ts + dur`` floating-point round-off.
         """
         return [
             (r.ts, float(r.args["finish"]) if "finish" in r.args else r.end)

@@ -50,11 +50,6 @@ class Executor:
         #: detect restarts from the self-report (Section IV-A).
         self.pid = executor_id + 10_000
 
-    @property
-    def is_free(self) -> bool:
-        """True when idle on a machine that accepts tasks."""
-        return self.state == ExecutorState.IDLE and self.machine.accepts_tasks
-
     def _transition(self, new_state: ExecutorState) -> None:
         """Move to ``new_state``, keeping the machine's idle bookkeeping
         (count and free stack) exact."""

@@ -5,20 +5,23 @@ Invariants the performance work must never break:
 * The parallel cell harness returns byte-identical experiment rows for
   any worker count (``--jobs N`` is a wall-clock knob, not a semantic
   one).
-* The runtime's simulated outcomes (JobMetrics, busy intervals, admin
-  stats and shuffle-recovery logs) hash to the fingerprints pinned in
-  ``tests/data/runtime_fingerprints.json``, for every policy, failure-free
-  and under every failure kind.  They were recorded by the earlier
-  finish-ledger runtime, which matched a one-event-per-task oracle
-  exactly.  Regenerate them only with a change meant to move simulated
-  outcomes, and say which cases moved and why::
+* The runtime's simulated outcomes (JobMetrics, executor busy intervals,
+  admin stats and shuffle-recovery logs) hash to the fingerprints pinned
+  in ``tests/data/runtime_fingerprints.json``, for every policy,
+  failure-free and under every failure kind.  The busy intervals are the
+  traced task-attempt spans (``RecordingTracer.task_intervals()``), which
+  reproduce byte for byte the runtime-side list the fingerprints were
+  first recorded from.  They were recorded by the earlier finish-ledger
+  runtime, which matched a one-event-per-task oracle exactly.  Regenerate
+  them only with a change meant to move simulated outcomes, and say which
+  cases moved and why::
 
       PYTHONPATH=src python tests/test_determinism.py
 * The array-backed event kernel behaves exactly like the object-heap
   oracle in ``tests/legacy_kernel.py`` under random interleavings.
 * Tracing observes without steering: a run with a RecordingTracer
-  attached produces byte-identical results to an untraced run, and the
-  tracer's task spans reproduce the runtime's busy intervals exactly.
+  attached produces byte-identical results and admin stats to an
+  untraced run, and every finished task's timing has its task span.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -122,7 +126,8 @@ def _case_id(make_policy, kind) -> str:
 def runtime_fingerprint(make_policy, kind, seed) -> str:
     """sha256 of everything a run observably produces: per-job results
     (completed/failed/reason and the full ``JobMetrics`` repr, task timings
-    included), busy intervals, admin stats and the shuffle-recovery log."""
+    included), traced busy intervals, admin stats and the shuffle-recovery
+    log."""
     jobs = traces.generate_trace(
         traces.TraceConfig(n_jobs=8, mean_interarrival=0.2, seed=7 + seed)
     )
@@ -133,15 +138,19 @@ def runtime_fingerprint(make_policy, kind, seed) -> str:
         # own failure-free latency, so they land while it runs.
         baseline, _ = run_jobs(make_policy(), jobs, None)
         reference = {r.job_id: r.latency for r in baseline}
-    results, runtime = run_jobs(make_policy(), jobs, plan, reference=reference)
+    tracer = RecordingTracer()
+    results, runtime = run_jobs(
+        make_policy(), jobs, plan, tracer=tracer, reference=reference
+    )
     assert len(results) == len(jobs)
+    assert tracer.dropped == 0
     digest = hashlib.sha256()
     for result in results:
         digest.update(repr((
             result.job_id, result.completed, result.failed, result.reason,
             result.metrics,
         )).encode())
-    digest.update(repr(runtime.busy_intervals).encode())
+    digest.update(repr(tracer.task_intervals()).encode())
     digest.update(repr(runtime.admin.stats.__dict__).encode())
     digest.update(repr(runtime.shuffle_recovery_log).encode())
     return digest.hexdigest()
@@ -172,10 +181,10 @@ def test_runtime_matches_parent_fingerprints(make_policy, kind):
 @pytest.mark.parametrize("make_policy", [swift_policy, restart_policy])
 @pytest.mark.parametrize("with_failures", [False, True])
 def test_tracing_does_not_perturb_simulation(make_policy, with_failures):
-    """Attaching a RecordingTracer is pure observation: results, busy
-    intervals, and admin stats stay byte-identical, and the task-attempt
-    spans reproduce the runtime's private busy_intervals list (the record
-    stream the figure scripts now consume)."""
+    """Attaching a RecordingTracer is pure observation: results and admin
+    stats stay byte-identical, and every finished task's (plan_arrive,
+    finish) appears among the task-attempt spans the figure scripts
+    consume (aborted attempts add spans of their own)."""
     jobs = traces.generate_trace(
         traces.TraceConfig(n_jobs=6, mean_interarrival=0.2)
     )
@@ -190,9 +199,13 @@ def test_tracing_does_not_perturb_simulation(make_policy, with_failures):
         assert plain.job_id == traced.job_id
         assert plain.completed == traced.completed
         assert plain.metrics == traced.metrics
-    assert plain_rt.busy_intervals == traced_rt.busy_intervals
     assert plain_rt.admin.stats.__dict__ == traced_rt.admin.stats.__dict__
-    assert tracer.task_intervals() == traced_rt.busy_intervals
+    finished = Counter(
+        (t.plan_arrive, t.finish)
+        for result in traced_results
+        for t in result.metrics.tasks
+    )
+    assert finished and not finished - Counter(tracer.task_intervals())
 
 
 # ----------------------------------------------------------------------

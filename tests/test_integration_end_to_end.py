@@ -5,7 +5,8 @@ from __future__ import annotations
 
 from repro import Cluster, Job, SwiftRuntime, swift_policy
 from repro.baselines import bubble_policy, jetscope_policy, spark_policy
-from repro.core import EventKind, partition_job
+from repro.core import partition_job
+from repro.obs import Category, RecordingTracer
 from repro.sql import FIG1_QUERY, compile_sql
 from repro.workloads import generate_trace, tpch, terasort, TraceConfig
 
@@ -15,15 +16,17 @@ def test_sql_to_simulation_pipeline():
     dag = compile_sql(FIG1_QUERY, scale_factor=200, job_id="e2e_q9")
     graph = partition_job(dag)
     assert len(graph) >= 4
-    runtime = SwiftRuntime(Cluster.build(50, 32), swift_policy())
+    tracer = RecordingTracer()
+    runtime = SwiftRuntime(Cluster.build(50, 32), swift_policy(), tracer=tracer)
     result = runtime.execute(Job(dag=dag))
     assert result.completed
     # Every stage produced at least one finalized task.
     stages_seen = {t.stage for t in result.metrics.tasks}
     assert stages_seen == set(dag.stages)
-    # The event log tells the same story.
-    grants = runtime.events.of_kind(EventKind.UNIT_GRANTED)
+    # The trace tells the same story.
+    grants = [r for r in tracer.records if r.name == "unit.granted"]
     assert len(grants) == len(graph)
+    assert {r.name for r in tracer.of_category(Category.STAGE)} == set(dag.stages)
 
 
 def test_all_four_systems_run_the_same_q3():
@@ -62,10 +65,12 @@ def test_determinism_across_full_replay():
 
 def test_terasort_graphlet_schedule_order():
     """The reduce graphlet is granted only after the map stage completes."""
-    runtime = SwiftRuntime(Cluster.build(20, 16), swift_policy())
+    tracer = RecordingTracer()
+    runtime = SwiftRuntime(Cluster.build(20, 16), swift_policy(), tracer=tracer)
     result = runtime.execute(terasort.terasort_job(64, 64))
     assert result.completed
-    grants = runtime.events.of_kind(EventKind.UNIT_GRANTED)
-    map_done = runtime.events.first(EventKind.STAGE_COMPLETED)
+    grants = [r for r in tracer.records if r.name == "unit.granted"]
+    map_stage = tracer.of_category(Category.STAGE)[0].name
+    map_done = max(t.finish for t in result.metrics.tasks if t.stage == map_stage)
     assert len(grants) == 2
-    assert grants[1].time >= map_done.time
+    assert grants[1].ts >= map_done

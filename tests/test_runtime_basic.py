@@ -6,6 +6,7 @@ from __future__ import annotations
 from repro.core.dag import JobDAG
 from repro.core.policies import swift_policy
 from repro.core.runtime import SwiftRuntime
+from repro.obs import RecordingTracer
 from repro.sim.cluster import Cluster, ExecutorState
 
 from conftest import as_job, chain_dag, diamond_dag, make_stage
@@ -120,9 +121,13 @@ def test_sink_output_counts_as_write():
 
 
 def test_busy_intervals_cover_tasks():
-    result, runtime = run_job(chain_dag())
-    assert len(runtime.busy_intervals) == len(result.metrics.tasks)
-    for start, end in runtime.busy_intervals:
+    tracer = RecordingTracer()
+    runtime = SwiftRuntime(Cluster.build(4, 8), swift_policy(), tracer=tracer)
+    result = runtime.execute(as_job(chain_dag()))
+    intervals = tracer.task_intervals()
+    assert len(intervals) == len(result.metrics.tasks)
+    assert intervals == [(t.plan_arrive, t.finish) for t in result.metrics.tasks]
+    for start, end in intervals:
         assert end > start
 
 

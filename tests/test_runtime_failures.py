@@ -7,6 +7,7 @@ import pytest
 from repro.baselines import restart_policy, spark_policy
 from repro.core.policies import swift_policy
 from repro.core.runtime import SwiftRuntime
+from repro.obs import Category, RecordingTracer
 from repro.sim.cluster import Cluster, MachineState
 from repro.sim.failures import FailureKind, FailurePlan, FailureSpec
 
@@ -14,7 +15,7 @@ from conftest import as_job, chain_dag
 
 
 def run_with_failures(dag, specs, policy=None, machines=4, executors=8,
-                      reference=None):
+                      reference=None, tracer=None):
     if reference is None:
         baseline_runtime = SwiftRuntime(
             Cluster.build(machines, executors), policy or swift_policy()
@@ -25,6 +26,7 @@ def run_with_failures(dag, specs, policy=None, machines=4, executors=8,
         policy or swift_policy(),
         failure_plan=FailurePlan(list(specs)),
         reference_duration=reference,
+        tracer=tracer,
     )
     result = runtime.execute(as_job(dag))
     return result, reference, runtime
@@ -127,9 +129,19 @@ def test_repeated_failures_quarantine_machine():
                     at_fraction=0.1 + 0.02 * i)
         for i in range(8)
     ]
-    result, _, runtime = run_with_failures(dag, specs, machines=1, executors=16)
+    tracer = RecordingTracer()
+    result, _, runtime = run_with_failures(
+        dag, specs, machines=1, executors=16, tracer=tracer
+    )
     assert result.completed
     assert runtime.admin.stats.machines_marked_read_only >= 1
+    # The health monitor's quarantine is traced like an explicit one.
+    quarantines = [
+        r for r in tracer.of_category(Category.FAILURE)
+        if r.name == "machine.quarantined"
+    ]
+    assert len(quarantines) == runtime.admin.stats.machines_marked_read_only
+    assert all(r.scope == "machine0" and r.job_id == "q" for r in quarantines)
 
 
 def test_failure_on_finished_job_is_ignored():

@@ -1,13 +1,15 @@
 """Lint/type gates for the typed facade, run as part of the test entrypoint.
 
-Both gates are skipped when the tool is not installed (the test container
-ships without them); with the ``dev`` extra installed they enforce a clean
-``ruff check`` on the whole tree and ``mypy --strict`` on the stable
-``repro.api`` / ``repro.obs`` surfaces.
+The lint and type gates are skipped when the tool is not installed (the
+test container ships without them); with the ``dev`` extra installed they
+enforce a clean ``ruff check`` on the whole tree and ``mypy --strict`` on
+the stable ``repro.api`` / ``repro.obs`` surfaces.  The export-surface
+check always runs: every public package's ``__all__`` must resolve.
 """
 
 from __future__ import annotations
 
+import importlib
 import shutil
 import subprocess
 import sys
@@ -37,3 +39,17 @@ def test_mypy_strict_on_stable_facade():
         "src/repro/api", "src/repro/obs",
     ])
     assert proc.returncode == 0, f"mypy findings:\n{proc.stdout}{proc.stderr}"
+
+
+@pytest.mark.parametrize(
+    "module", ["repro", "repro.core", "repro.obs", "repro.api", "repro.sim"]
+)
+def test_public_exports_resolve(module):
+    """``from <module> import *`` works: every ``__all__`` name exists, once."""
+    mod = importlib.import_module(module)
+    names = list(mod.__all__)
+    assert len(names) == len(set(names)), sorted(
+        n for n in set(names) if names.count(n) > 1
+    )
+    missing = [name for name in names if not hasattr(mod, name)]
+    assert not missing, f"{module}.__all__ names missing: {missing}"
