@@ -3,16 +3,18 @@
 Commands
 --------
 ``list``
-    List the available experiment runners.
+    List the experiment keys: one per paper claim, each a report section.
 ``experiment <key> [...] [--jobs N]``
-    Run one or more experiments by key and print their tables.
-``report [--quick] [--out PATH] [--jobs N]``
-    Run everything and write the EXPERIMENTS.md document.
+    Run one or more report sections by key, print each section's table
+    and the verdict of its shape check; exit 1 if a claim fails.
+``report [--out PATH] [--jobs N]``
+    Run and check every section and write the EXPERIMENTS.md document;
+    exit 1 if any claim fails.
 ``sql [--query TEXT | --file PATH] [--scale N] [--execute] [--engine E]``
     Compile a Swift-language query to a job DAG, show the plan and the
     graphlet partitioning, simulate it, and optionally execute it on a
     generated mini TPC-H database (``--execute``; ``--engine`` picks
-    row/columnar/auto).
+    row/columnar).
 ``replay [--n-jobs N]``
     Replay a trace against Swift, Bubble Execution, and JetScope.
 ``chaos [--seed N] [--runs N] [--workload W] [--profile P] [--jobs N]``
@@ -46,35 +48,11 @@ from typing import Callable
 
 from .core import partition_job, swift_policy
 from .experiments import harness, reporting
-from .experiments import ablations, figures
-
-
-def _experiment_registry() -> dict[str, Callable[[], object]]:
-    return {
-        "fig3": lambda: figures.fig3_idle_ratio(n_jobs=100),
-        "fig8": lambda: figures.fig8_trace_characteristics(n_jobs=800),
-        "fig9a": figures.fig9a_tpch,
-        "fig9b": figures.fig9b_q9_phases,
-        "table1": figures.table1_terasort,
-        "fig10": lambda: figures.fig10_executor_timeseries(n_jobs=300),
-        "fig11": lambda: figures.fig11_latency_cdf(n_jobs=300),
-        "fig12": lambda: figures.fig12_shuffle_ablation(n_jobs=6),
-        "fig13": figures.fig13_q13_details,
-        "fig14": figures.fig14_fault_injection,
-        "fig15": lambda: figures.fig15_trace_failures(n_jobs=150),
-        "fig16": lambda: figures.fig16_scalability(n_jobs=1500),
-        "ablation-partitioning": lambda: ablations.partitioning_ablation(n_jobs=120),
-        "ablation-adaptive": lambda: figures.adaptive_shuffle_envelope(n_jobs=5),
-        "ablation-heartbeat": ablations.heartbeat_interval_ablation,
-        "ablation-cache": ablations.cache_memory_ablation,
-        "ablation-submission": ablations.submission_order_ablation,
-        "ablation-failure-rate": lambda: ablations.failure_rate_sweep(n_jobs=100),
-    }
 
 
 def _cmd_list(_: argparse.Namespace) -> int:
-    for key in _experiment_registry():
-        print(key)
+    for section in reporting._sections():
+        print(section.key)
     return 0
 
 
@@ -123,21 +101,27 @@ def _add_parallel_options(parser: argparse.ArgumentParser) -> None:
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
     _apply_parallel_options(args)
-    registry = _experiment_registry()
-    unknown = [key for key in args.keys if key not in registry]
+    sections = {section.key: section for section in reporting._sections()}
+    unknown = [key for key in args.keys if key not in sections]
     if unknown:
         print(f"unknown experiment(s): {', '.join(unknown)}", file=sys.stderr)
-        print(f"available: {', '.join(registry)}", file=sys.stderr)
+        print(f"available: {', '.join(sections)}", file=sys.stderr)
         return 2
+    status = 0
     for key in args.keys:
-        result = registry[key]()
+        section = sections[key]
+        result = section.runner()
+        failed = section.check(result)
         if args.json:
             print(result.to_json())
+            print(f"{key}: {reporting.verdict(failed)}", file=sys.stderr)
         else:
-            print(result.format_table())
+            print(reporting.render_section(section, result, failed))
             _maybe_plot(result)
         print()
-    return 0
+        if failed:
+            status = 1
+    return status
 
 
 def _maybe_plot(result) -> None:
@@ -159,14 +143,16 @@ def _maybe_plot(result) -> None:
 
 def _cmd_report(args: argparse.Namespace) -> int:
     _apply_parallel_options(args)
-    text = reporting.build_report(quick=args.quick, echo=lambda m: print(m, file=sys.stderr))
+    text, failures = reporting.build_report(echo=lambda m: print(m, file=sys.stderr))
     if args.out:
         with open(args.out, "w") as handle:
             handle.write(text)
         print(f"wrote {args.out}", file=sys.stderr)
     else:
         print(text)
-    return 0
+    for failure in failures:
+        print(f"CLAIM FAILED: {failure}", file=sys.stderr)
+    return 1 if failures else 0
 
 
 def _cmd_sql(args: argparse.Namespace) -> int:
@@ -447,7 +433,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp.set_defaults(func=_cmd_experiment)
 
     p_rep = sub.add_parser("report", help="regenerate EXPERIMENTS.md")
-    p_rep.add_argument("--quick", action="store_true", help="reduced workload sizes")
     _add_output_option(p_rep, what="a file")
     _add_parallel_options(p_rep)
     p_rep.set_defaults(func=_cmd_report)

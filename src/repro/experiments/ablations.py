@@ -108,7 +108,7 @@ def heartbeat_interval_ablation(
 
 
 def cache_memory_ablation(
-    capacities_gb: tuple[float, ...] = (0.5, 2.0, 8.0, 48.0),
+    capacities_gb: tuple[float, ...] = (0.2, 0.5, 2.0, 8.0, 48.0),
 ) -> ExperimentResult:
     """Cache Worker memory pressure: shrink the per-machine cache until the
     LRU policy must spill, and measure the job-time impact (Section III-B's

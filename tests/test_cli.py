@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
-from repro.cli import _experiment_registry, build_parser, main
+from repro.cli import build_parser, main
 from repro.sql import PlanError
 
 
@@ -19,20 +21,27 @@ def test_experiment_command_runs(capsys):
     assert main(["experiment", "fig13"]) == 0
     out = capsys.readouterr().out
     assert "M1" in out and "498" in out
+    assert "**Check:** passed." in out
+
+
+def test_experiment_exits_1_on_failed_claim(capsys, monkeypatch):
+    from repro.experiments import reporting
+
+    real = reporting._sections
+
+    def failing_sections():
+        return [dataclasses.replace(s, check=lambda result: ["broken"])
+                for s in real()]
+
+    monkeypatch.setattr(reporting, "_sections", failing_sections)
+    assert main(["experiment", "fig13"]) == 1
+    assert "**Check: FAILED** — broken." in capsys.readouterr().out
 
 
 def test_experiment_unknown_key(capsys):
     assert main(["experiment", "fig99"]) == 2
     err = capsys.readouterr().err
     assert "unknown experiment" in err
-
-
-def test_registry_covers_every_figure_and_table():
-    keys = set(_experiment_registry())
-    for figure in ("fig3", "fig8", "fig9a", "fig9b", "fig10", "fig11",
-                   "fig12", "fig13", "fig14", "fig15", "fig16", "table1"):
-        assert figure in keys
-    assert sum(1 for k in keys if k.startswith("ablation")) >= 6
 
 
 def test_sql_command(capsys):

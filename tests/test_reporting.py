@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import pytest
+
 from repro.experiments.harness import ExperimentResult
-from repro.experiments.reporting import _markdown_table, _sections
+from repro.experiments.reporting import _markdown_table, _sections, render_section
 
 
 def test_markdown_table_rendering():
@@ -22,7 +24,8 @@ def test_markdown_table_empty():
 
 
 def test_sections_cover_every_figure_and_table():
-    keys = {section.key for section in _sections(quick=True)}
+    keys = [section.key for section in _sections()]
+    assert len(keys) == len(set(keys))
     for expected in ("fig3", "fig8", "fig9a", "fig9b", "table1", "fig10",
                      "fig11", "fig12", "fig13", "fig14", "fig15", "fig16"):
         assert expected in keys
@@ -30,7 +33,37 @@ def test_sections_cover_every_figure_and_table():
 
 
 def test_sections_have_paper_claims():
-    for section in _sections(quick=True):
+    for section in _sections():
         assert section.paper_claim
         assert section.title
         assert callable(section.runner)
+        assert callable(section.check)
+
+
+#: Sections whose runner takes under about a second serially; the rest
+#: (fig8, fig10, fig11, fig15, fig16, ablation-failure-rate) are checked
+#: by ``python -m repro report``.
+_FAST_SECTIONS = (
+    "fig3", "fig9a", "fig9b", "table1", "fig12", "fig13", "fig14",
+    "ablation-partitioning", "ablation-adaptive", "ablation-heartbeat",
+    "ablation-cache", "ablation-submission", "shuffle-recovery",
+)
+
+
+@pytest.mark.parametrize("key", _FAST_SECTIONS)
+def test_fast_section_claim_holds(key):
+    [section] = [s for s in _sections() if s.key == key]
+    assert section.check(section.runner()) == []
+
+
+def test_check_reports_failed_conditions():
+    [section] = [s for s in _sections() if s.key == "shuffle-recovery"]
+    result = ExperimentResult(name="fake")
+    result.add(variant="v1", makespan_s=20.0, recovery_s=5.0, recovery_path="")
+    result.add(variant="v2", makespan_s=21.0, recovery_s=6.0, recovery_path="")
+    failed = section.check(result)
+    assert failed == ["v2 does not recover faster than v1"]
+    block = render_section(section, result, failed)
+    assert block.startswith(f"## {section.title}")
+    assert block.endswith("**Check: FAILED** — " + failed[0] + ".")
+    assert render_section(section, result, []).endswith("**Check:** passed.")
