@@ -6,7 +6,12 @@ count (congestion, retransmission rate) and per-machine Cache Worker memory
 (LRU spill).  :class:`ResourceLedger` shadows every register/release of
 those resources — plus executor-slot occupancy — independently of the
 authoritative state, and :meth:`ResourceLedger.reconcile` compares the two
-at checkpoints (stage completion, job teardown, end of run).
+at checkpoints (stage completion, job teardown, end of run).  Job
+checkpoints check only what changed since the previous checkpoint: the
+machines whose idle count or health changed and the Cache Workers whose
+hooks fired.  ``run:end``, every drained-state checkpoint and a ledger's
+first checkpoint recount the whole cluster, so a counter mutated behind
+the hooks' back is caught at the end of the run at the latest.
 
 A divergence means some code path mutated a counter without its counterpart
 (double release, leaked registration, float drift) — exactly the class of
@@ -26,7 +31,7 @@ from ..obs.tracer import Tracer
 
 if TYPE_CHECKING:  # pragma: no cover - typing-only imports avoid cycles
     from ..core.cache_worker import CacheWorker
-    from ..sim.cluster import Cluster
+    from ..sim.cluster import Cluster, Machine
     from ..sim.network import NetworkModel
 
 #: Tolerance for float comparisons of byte counts.  Shadow and authoritative
@@ -111,6 +116,16 @@ class ResourceLedger:
         self.connections_released_total = 0
         # -- cache workers ------------------------------------------------
         self._cache: dict[int, _CacheShadow] = {}
+        #: Machine ids whose Cache Worker changed since the last checkpoint.
+        self._touched_workers: set[int] = set()
+        # -- executor slots -----------------------------------------------
+        #: Each machine's share of the cluster free-slot count (its idle
+        #: executors if it accepts tasks, else 0) as of its last recount,
+        #: the running total of those shares, and the cluster they were
+        #: counted on (``None`` before the first full recount).
+        self._free_shares: dict[int, int] = {}
+        self._free_total = 0
+        self._shares_of: Optional["Cluster"] = None
         # -- shuffle replication ------------------------------------------
         #: Bytes currently held as redundant replica copies across the
         #: cluster, plus lifetime totals.  Replicas must conserve: every
@@ -199,6 +214,7 @@ class ResourceLedger:
     # Cache Worker shadow accounting
     # ------------------------------------------------------------------
     def _shadow(self, machine_id: int) -> _CacheShadow:
+        self._touched_workers.add(machine_id)
         shadow = self._cache.get(machine_id)
         if shadow is None:
             shadow = _CacheShadow()
@@ -249,10 +265,16 @@ class ResourceLedger:
         with the dead worker.
         """
         self._cache[machine_id] = _CacheShadow()
+        self._touched_workers.add(machine_id)
         if replica_bytes:
             self.replica_bytes_outstanding -= replica_bytes
             self.replica_bytes_dropped_total += replica_bytes
             self._check_replica_floor(machine_id)
+
+    def cache_reordered(self, machine_id: int) -> None:
+        """Note a Cache Worker LRU reorder: its counter was resynced in the
+        new summation order, so the next checkpoint re-checks it."""
+        self._touched_workers.add(machine_id)
 
     # ------------------------------------------------------------------
     # Shuffle-replication shadow accounting
@@ -348,68 +370,102 @@ class ResourceLedger:
                 )
                 shadow.entries = len(worker)
 
-    def reconcile_executors(self, cluster: "Cluster", checkpoint: str) -> None:
+    def reconcile_executors(
+        self,
+        cluster: "Cluster",
+        checkpoint: str,
+        machines: Optional[list[Machine]] = None,
+    ) -> None:
         """O(1) free-slot counter vs a recount over the executor pool.
 
         Scheduler grants mutate idle counters inline (bypassing the
         executor state machine), on healthy and quarantined machines
         alike, so this catches any unrolled transition that forgot its
-        counter half.
+        counter half.  Each recounted machine's idle executors are checked
+        against its idle counter, and its share of the free pool updates a
+        running total that the cluster counter must equal.
+
+        ``machines`` recounts just those machines (the ones touched since
+        the last checkpoint); the others keep their last shares.  By
+        default every machine is recounted and the total rebuilt.
         """
         from ..sim.cluster import ExecutorState
 
-        recount = sum(
-            1
-            for machine in cluster.machines
-            if machine.accepts_tasks
-            for executor in machine.executors
-            if executor.state is ExecutorState.IDLE
-        )
-        if recount != cluster.free_executor_count():
+        shares = self._free_shares
+        if machines is None:
+            machines = cluster.machines
+            shares.clear()
+            self._free_total = 0
+            self._shares_of = cluster
+        idle_state = ExecutorState.IDLE
+        diverged = []
+        for machine in machines:
+            idle = [executor.state for executor in machine.executors].count(idle_state)
+            share = idle if machine.accepts_tasks else 0
+            self._free_total += share - shares.get(machine.machine_id, 0)
+            shares[machine.machine_id] = share
+            if idle != machine.idle_count:
+                diverged.append((machine, idle))
+        if self._free_total != cluster.free_executor_count():
             self._violate(
                 "executor_slots",
                 "cluster free-slot counter diverged from the executor pool",
                 checkpoint=checkpoint,
-                expected=recount,
+                expected=self._free_total,
                 actual=cluster.free_executor_count(),
             )
-        for machine in cluster.machines:
-            idle = sum(
-                1
-                for executor in machine.executors
-                if executor.state is ExecutorState.IDLE
+        for machine, idle in diverged:
+            self._violate(
+                "executor_slots",
+                f"machine {machine.machine_id} idle counter diverged "
+                "from its executors",
+                checkpoint=checkpoint,
+                expected=idle,
+                actual=machine.idle_count,
             )
-            if idle != machine.idle_count:
-                self._violate(
-                    "executor_slots",
-                    f"machine {machine.machine_id} idle counter diverged "
-                    "from its executors",
-                    checkpoint=checkpoint,
-                    expected=idle,
-                    actual=machine.idle_count,
-                )
 
     def reconcile(
         self,
         cluster: "Cluster",
         checkpoint: str,
         expect_drained: bool = False,
+        touched_only: bool = False,
     ) -> list[AuditViolation]:
-        """Full reconciliation against one cluster's authoritative state.
+        """Reconciliation against one cluster's authoritative state.
 
         ``expect_drained`` additionally asserts the end-of-run/teardown
         state: zero open connections and no resident Cache Worker bytes
         (leaked registrations or shuffle data that outlived every job).
-        Returns the violations found by *this* checkpoint.
+
+        ``touched_only`` (job checkpoints) checks just what changed since
+        the previous checkpoint: the machines whose idle count or health
+        changed and the Cache Workers whose ledger hooks fired.  Without
+        it, with ``expect_drained``, and on the first checkpoint against a
+        cluster, every machine and Cache Worker is recounted.  Returns the
+        violations found by *this* checkpoint.
         """
         before = len(self.violations)
         self.checkpoints_run += 1
+        touched = cluster.take_touched(self)
         self.reconcile_network(cluster.network, checkpoint)
-        for machine in cluster.machines:
-            worker = machine.cache_worker
+        recount: Optional[list[Machine]] = None
+        if (
+            expect_drained
+            or not touched_only
+            or touched is None
+            or self._shares_of is not cluster
+        ):
+            workers = [m.cache_worker for m in cluster.machines]
+        else:
+            workers = [
+                m.cache_worker for m in cluster.machines_with_ids(self._touched_workers)
+            ]
+            recount = cluster.machines_with_ids(m.machine_id for m in touched)
+        self._touched_workers.clear()
+        for worker in workers:
             if worker is not None:
                 self.reconcile_cache_worker(worker, checkpoint)  # type: ignore[arg-type]
-        self.reconcile_executors(cluster, checkpoint)
+        self.reconcile_executors(cluster, checkpoint, recount)
         if expect_drained:
             if cluster.network.open_connections != 0:
                 self._violate(

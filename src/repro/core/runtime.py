@@ -929,7 +929,7 @@ class SwiftRuntime:
         if sr.n_finalized == len(sr.instances) and not sr.completed:
             self._on_stage_completed(sr)
         # A pump with an empty request queue cannot grant anything.
-        if self.scheduler._queue:
+        if self.scheduler._pending:
             self._pump_scheduler()
 
     def _flush_finishes(self, inst: TaskInstance) -> None:
@@ -1132,7 +1132,8 @@ class SwiftRuntime:
         self._release_cache_workers(job_run.job.job_id)
         if self.ledger is not None:
             self.ledger.reconcile(
-                self.cluster, f"job:{job_run.job.job_id}:completed"
+                self.cluster, f"job:{job_run.job.job_id}:completed",
+                touched_only=True,
             )
         self.results.append(
             JobResult(
@@ -1425,7 +1426,8 @@ class SwiftRuntime:
         self._release_job_resources(job_run)
         if self.ledger is not None:
             self.ledger.reconcile(
-                self.cluster, f"job:{job_run.job.job_id}:failed"
+                self.cluster, f"job:{job_run.job.job_id}:failed",
+                touched_only=True,
             )
         job_run.metrics.finish_time = self.sim.now
         self.results.append(

@@ -5,15 +5,19 @@ load are considered. ... Machine load is considered to avoid scheduling
 flock ... For tasks without locality preference, the most free machine is
 chosen.  For each graphlet received, gang scheduling is used."
 
-Requests are recorded as request items (ReqItem) in arrival order; the
-scheduler scans the queue on every resource event and grants any request
-that fits entirely (gang semantics: all-or-nothing per unit).
+Requests are recorded as request items (ReqItem) in a heap ordered by
+``(priority, enqueue_time, request_id)``; on every resource event the
+scheduler walks the heap from its head and grants each request that fits
+entirely (gang semantics: all-or-nothing per unit), stopping at the first
+gang that does not.  Executors are picked through the cluster's load index,
+so one grant reads the machines it takes, not the whole cluster.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from heapq import heapify, heappop, heappush, nsmallest
+from heapq import heapify, heappop, heappush
+from itertools import islice
 from typing import Optional
 
 from ..sim.cluster import Cluster, Executor, ExecutorState, Machine
@@ -58,7 +62,11 @@ class ResourceScheduler:
 
     def __init__(self, cluster: Cluster) -> None:
         self.cluster = cluster
-        self._queue: list[ReqItem] = []
+        #: Pending requests by id, in arrival order.
+        self._pending: dict[int, ReqItem] = {}
+        #: ``(priority, enqueue_time, request_id, item)`` for every pending
+        #: request, plus cancelled ones not yet popped (deleted lazily).
+        self._heap: list[tuple[int, float, int, ReqItem]] = []
         self._next_id = 0
         self.grants_made = 0
         #: Head-of-line gang size we last failed to satisfy; while the free
@@ -98,27 +106,38 @@ class ResourceScheduler:
             enqueue_time=now,
             gang=gang,
         )
-        self._queue.append(item)
+        self._pending[item.request_id] = item
+        heappush(self._heap, (priority, now, item.request_id, item))
         self._stalled_need = None
         return item
 
     def cancel_job(self, job_id: str) -> None:
         """Drop all of one job's queued requests."""
-        for item in self._queue:
-            if item.job_id == job_id:
-                item.cancelled = True
+        pending = self._pending
+        for item in [r for r in pending.values() if r.job_id == job_id]:
+            item.cancelled = True
+            del pending[item.request_id]
+        if len(self._heap) > 2 * len(pending) + 64:
+            # Mostly cancelled entries: rebuild rather than let them pile up.
+            self._heap = [
+                (r.priority, r.enqueue_time, r.request_id, r)
+                for r in pending.values()
+            ]
+            heapify(self._heap)
         self._stalled_need = None
 
     def pending(self) -> list[ReqItem]:
-        """Requests still waiting for executors."""
-        return [r for r in self._queue if not r.granted and not r.cancelled]
+        """Requests still waiting for executors, in arrival order."""
+        return [
+            r for r in self._pending.values() if not r.granted and not r.cancelled
+        ]
 
     # ------------------------------------------------------------------
     # Pool-pressure introspection (read-only; used by admission control)
     # ------------------------------------------------------------------
     def queued_demand(self) -> int:
         """Executor slots still needed by queued, ungranted requests."""
-        return sum(r.remaining for r in self._queue if not r.granted and not r.cancelled)
+        return sum(r.remaining for r in self.pending())
 
     def pool_pressure(self, extra_demand: int = 0) -> float:
         """Executor demand over capacity, the NOT_ENOUGH_SLOTS signal.
@@ -145,16 +164,24 @@ class ResourceScheduler:
         resource fragmentation for whole-job gangs, Section III-A).
         """
         grants: list[Grant] = []
-        if not self._queue:
+        if not self._pending:
             return grants
         free = self.cluster.free_executor_count()
         if self._stalled_need is not None and free < self._stalled_need:
             return grants
         self._stalled_need = None
-        queue = sorted(
-            self.pending(), key=lambda r: (r.priority, r.enqueue_time, r.request_id)
-        )
-        for item in queue:
+        heap = self._heap
+        pending = self._pending
+        dirty = self.cluster._dirty
+        # Entries popped but still pending (partial grants, failed picks);
+        # pushed back with their keys unchanged, so they keep their place.
+        kept: list[tuple[int, float, int, ReqItem]] = []
+        while heap:
+            item = heap[0][3]
+            if item.granted or item.cancelled:
+                heappop(heap)
+                pending.pop(item.request_id, None)
+                continue
             if free == 0:
                 self._stalled_need = 1
                 break
@@ -170,8 +197,10 @@ class ResourceScheduler:
                 take = item.remaining
             else:
                 take = min(item.remaining, free)
+            entry = heappop(heap)
             executors = self._pick_executors(item, take)
             if executors is None:
+                kept.append(entry)
                 continue
             # Executor.assign(), unrolled in bulk: picks come only from
             # schedulable (healthy) machines, so every slot leaves the
@@ -182,6 +211,7 @@ class ResourceScheduler:
                 executor.current_task = item
                 machine = executor.machine
                 machine.idle_count -= 1
+                dirty.add(machine)
                 stack = machine._free_stack
                 # Picks consume each stack top-first, so this is almost
                 # always a pop from the end.
@@ -193,23 +223,26 @@ class ResourceScheduler:
             item.remaining -= len(executors)
             if item.remaining == 0:
                 item.granted = True
+                del pending[item.request_id]
+            else:
+                kept.append(entry)
             free -= len(executors)
             self.grants_made += 1
             grants.append(Grant(request=item, executors=executors))
-        self._queue = [r for r in self._queue if not r.granted and not r.cancelled]
+        for entry in kept:
+            heappush(heap, entry)
         return grants
 
     def _pick_executors(self, item: ReqItem, needed: int) -> Optional[list[Executor]]:
         """Choose ``needed`` executors: locality first, then least-loaded."""
         chosen: list[Executor] = []
 
-        # Locality pass: take free executors on preferred machines first.
-        # Executors come off the top of each machine's free stack so the
-        # later state update pops instead of scanning.
+        # Locality pass: take free executors on preferred machines first,
+        # looked up by id.  Executors come off the top of each machine's
+        # free stack so the later state update pops instead of scanning.
         if item.locality:
-            preferred = {mid for mid in item.locality}
-            for machine in self.cluster.schedulable_machines():
-                if machine.machine_id not in preferred:
+            for machine in self.cluster.machines_with_ids(item.locality):
+                if not machine.accepts_tasks:
                     continue
                 for executor in reversed(machine._free_stack):
                     chosen.append(executor)
@@ -217,26 +250,21 @@ class ResourceScheduler:
                         return chosen
 
         # Load pass: spread the remainder across the least-loaded machines,
-        # round-robin so no single machine is flocked.  A heap over the
-        # candidate machines yields them in (load, id) order one at a time,
-        # so a small grant pays O(M + grant log M) instead of the full
-        # O(M log M) sort.
-        cand = [
-            (machine.load(), machine.machine_id, machine)
-            for machine in self.cluster.schedulable_machines()
-            if machine.idle_count > 0
-        ]
-        n_idle_machines = len(cand)
-        heapify(cand)
+        # round-robin so no single machine is flocked.  The cluster's load
+        # index yields machines in (load, id) order, every machine with an
+        # idle slot ahead of the full ones, so a grant reads O(grant)
+        # machines plus the ones re-filed since the last query.  Spread
+        # target: enough machines for one-executor-per-machine when the
+        # cluster allows it.
         chosen_ids = {id(e) for e in chosen}
         still_needed = needed - len(chosen)
-        # Spread target: same bound the eager sort used — enough machines
-        # for one-executor-per-machine when the cluster allows it.
-        target_pools = min(still_needed, n_idle_machines)
         pools: list[list[Executor]] = []
         available = 0
-        while cand and (available < still_needed or len(pools) < target_pools):
-            machine = heappop(cand)[2]
+        for machine in self.cluster.machines_by_load():
+            if available >= still_needed and len(pools) >= still_needed:
+                break
+            if machine.idle_count == 0:
+                break
             if chosen_ids:
                 pool = [
                     e for e in machine._free_stack if id(e) not in chosen_ids
@@ -330,5 +358,4 @@ def pick_locality_machines(cluster: Cluster, n_tasks: int) -> tuple[int, ...]:
     reduces to load spreading)."""
     machines = cluster.schedulable_machines()
     take = max(1, min(len(machines), -(-n_tasks // max(1, cluster.config.executors_per_machine))))
-    best = nsmallest(take, machines, key=lambda m: (m.load(), m.machine_id))
-    return tuple(m.machine_id for m in best)
+    return tuple(m.machine_id for m in islice(cluster.machines_by_load(), take))

@@ -10,7 +10,8 @@ directly to DEAD on a machine crash.
 from __future__ import annotations
 
 import enum
-from typing import Iterable, Optional
+from bisect import bisect_left, insort
+from typing import Iterable, Iterator, Optional
 
 from .config import SimConfig
 from .disk import DiskModel
@@ -127,6 +128,10 @@ class Machine:
         self.active_transfers = 0
         #: Recent task failures, used by the health monitor.
         self.recent_failures: list[float] = []
+        #: The load this machine is filed under in the cluster's load index;
+        #: ``None`` while it is not filed (not schedulable, or not indexed
+        #: yet).
+        self._filed_load: Optional[float] = None
 
     @property
     def accepts_tasks(self) -> bool:
@@ -140,8 +145,11 @@ class Machine:
 
     def _adjust_idle(self, delta: int) -> None:
         self.idle_count += delta
-        if self._cluster is not None and self.accepts_tasks:
-            self._cluster._free_count += delta
+        cluster = self._cluster
+        if cluster is not None:
+            cluster._dirty.add(self)
+            if self.accepts_tasks:
+                cluster._free_count += delta
 
     def free_executors(self) -> list[Executor]:
         """Idle executors, empty when the machine is quarantined."""
@@ -172,7 +180,7 @@ class Machine:
             self._withdraw_from_pool()
             self.state = MachineState.READ_ONLY
             if self._cluster is not None:
-                self._cluster._schedulable_cache = None
+                self._cluster._health_changed(self)
 
     def mark_healthy(self) -> None:
         """Recover a quarantined/unhealthy machine: accept tasks again and
@@ -181,7 +189,7 @@ class Machine:
             self.state = MachineState.HEALTHY
             if self._cluster is not None:
                 self._cluster._free_count += self.idle_count
-                self._cluster._schedulable_cache = None
+                self._cluster._health_changed(self)
 
     def mark_dead(self) -> None:
         """Kill the machine and revoke all of its executors."""
@@ -189,7 +197,7 @@ class Machine:
             self._withdraw_from_pool()
             self.state = MachineState.DEAD
             if self._cluster is not None:
-                self._cluster._schedulable_cache = None
+                self._cluster._health_changed(self)
             for executor in self.executors:
                 executor.revoke()
 
@@ -205,11 +213,24 @@ class Machine:
 
 
 class Cluster:
-    """A collection of machines plus the shared network and disk models."""
+    """A collection of machines plus the shared network and disk models.
+
+    The cluster keeps its schedulable machines in a *load index* ordered by
+    ``(load(), machine_id)``: one bucket per exact load value, each holding
+    its machines sorted by id.  Idle-count and health transitions only mark
+    the machine dirty (one set add); the next index query re-files the dirty
+    machines.  A grant or a locality pick therefore reads the machines it
+    takes plus the ones that changed since the last query, never the whole
+    cluster.
+    """
 
     def __init__(self, machines: list[Machine], config: SimConfig) -> None:
         if not machines:
             raise ValueError("a cluster needs at least one machine")
+        #: Position of each machine in ``machines``, by id.
+        self._index_of = {m.machine_id: i for i, m in enumerate(machines)}
+        if len(self._index_of) != len(machines):
+            raise ValueError("machine ids must be unique within a cluster")
         config.validate()
         self.machines = machines
         self.config = config
@@ -226,6 +247,17 @@ class Cluster:
         #: Cache of :meth:`schedulable_machines`, invalidated by the
         #: ``mark_*`` health transitions.  Callers must not mutate it.
         self._schedulable_cache: Optional[list[Machine]] = None
+        #: Load index: load -> ``(machine_id, machine)`` pairs sorted by id,
+        #: and the sorted loads that have a bucket.  Built on first query.
+        self._buckets: Optional[dict[float, list[tuple[int, Machine]]]] = None
+        self._loads: list[float] = []
+        #: Machines whose idle count or health changed since the index last
+        #: re-filed them.
+        self._dirty: set[Machine] = set()
+        #: Machines changed since the last :meth:`take_touched` call of
+        #: ``_touched_owner`` (``None`` until someone asks).
+        self._touched: Optional[set[Machine]] = None
+        self._touched_owner: Optional[object] = None
 
     @classmethod
     def build(
@@ -270,6 +302,112 @@ class Cluster:
                 m for m in self.machines if m.accepts_tasks
             ]
         return cached
+
+    def machines_with_ids(self, machine_ids: Iterable[int]) -> list[Machine]:
+        """The machines with the given ids, in ``machines`` order; unknown
+        ids are skipped.  A direct lookup: the cost is the number of ids,
+        not the cluster size."""
+        index_of = self._index_of
+        machines = self.machines
+        return [
+            machines[i]
+            for i in sorted({index_of[mid] for mid in machine_ids if mid in index_of})
+        ]
+
+    def machines_by_load(self) -> Iterator[Machine]:
+        """Schedulable machines in ``(load(), machine_id)`` order.
+
+        Loads are bucketed by their exact float value, so the order equals a
+        sort on that key, heterogeneous executor counts included.  Reading
+        the first k machines costs O(k) plus O(log M) per machine changed
+        since the previous query.  Machine state must not change while the
+        iterator is in use.
+        """
+        buckets = self._refile()
+        for load in self._loads:
+            for _, machine in buckets[load]:
+                yield machine
+
+    def take_touched(self, owner: object) -> Optional[set[Machine]]:
+        """Machines whose idle count or health changed since ``owner``'s
+        previous call, and start a new window.
+
+        Returns ``None`` when ``owner`` did not make the previous call (or
+        this is the first one): the changes since its last look are then
+        unknown, and it must check every machine.  One owner (an audit
+        ledger) per cluster is served exactly.
+        """
+        touched = self._touched
+        known = self._touched_owner is owner
+        self._touched_owner = owner
+        self._touched = set()
+        if touched is None or not known:
+            return None
+        touched |= self._dirty
+        return touched
+
+    def _health_changed(self, machine: Machine) -> None:
+        self._schedulable_cache = None
+        self._dirty.add(machine)
+
+    def _refile(self) -> dict[float, list[tuple[int, Machine]]]:
+        """Bring the load index up to date with the dirty machines and
+        return its buckets."""
+        buckets = self._buckets
+        if buckets is None:
+            return self._build_index()
+        dirty = self._dirty
+        if not dirty:
+            return buckets
+        loads = self._loads
+        healthy = MachineState.HEALTHY
+        for machine in dirty:
+            old = machine._filed_load
+            if machine.state is healthy:
+                # Machine.load(), inlined: the same float, bit for bit.
+                n = len(machine.executors)
+                new: Optional[float] = (n - machine.idle_count) / n if n else 1.0
+            else:
+                new = None
+            if new == old:
+                continue
+            key = machine.machine_id
+            if old is not None:
+                bucket = buckets[old]
+                del bucket[bisect_left(bucket, (key,))]
+                if not bucket:
+                    del buckets[old]
+                    del loads[bisect_left(loads, old)]
+            if new is not None:
+                bucket = buckets.get(new)  # type: ignore[assignment]
+                if bucket is None:
+                    bucket = buckets[new] = []
+                    insort(loads, new)
+                insort(bucket, (key, machine))
+            machine._filed_load = new
+        if self._touched is not None:
+            self._touched |= dirty
+        dirty.clear()
+        return buckets
+
+    def _build_index(self) -> dict[float, list[tuple[int, Machine]]]:
+        """File every schedulable machine in one pass (first query)."""
+        buckets: dict[float, list[tuple[int, Machine]]] = {}
+        for machine in self.machines:
+            if machine.accepts_tasks:
+                load = machine.load()
+                buckets.setdefault(load, []).append((machine.machine_id, machine))
+                machine._filed_load = load
+            else:
+                machine._filed_load = None
+        for bucket in buckets.values():
+            bucket.sort()
+        self._buckets = buckets
+        self._loads = sorted(buckets)
+        if self._touched is not None:
+            self._touched |= self._dirty
+        self._dirty.clear()
+        return buckets
 
     def total_executors(self) -> int:
         """Executor slots across all machines (fixed after construction)."""

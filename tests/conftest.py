@@ -1,4 +1,5 @@
-"""Shared fixtures: small clusters and canonical DAG shapes."""
+"""Shared fixtures: small clusters and canonical DAG shapes, and strict
+resource auditing for every runtime a test builds."""
 
 from __future__ import annotations
 
@@ -6,10 +7,33 @@ import pytest
 
 from repro.core.dag import Edge, Job, JobDAG, Stage
 from repro.core.operators import OperatorKind as K, ops
+from repro.core.runtime import SwiftRuntime
 from repro.sim.cluster import Cluster
 from repro.sim.config import SimConfig
 
 MB = 1e6
+
+#: Position of ``audit`` among ``SwiftRuntime.__init__``'s arguments after
+#: ``self``.
+_AUDIT_POSITION = 7
+
+
+@pytest.fixture(autouse=True)
+def strict_audit_by_default(monkeypatch):
+    """Build every ``SwiftRuntime`` made without an explicit ``audit=``
+    with ``audit=True, audit_strict=True``, so each checkpoint of every
+    test run reconciles the resource accounting and raises on the first
+    divergence.  Callers that pass ``audit`` (the ``Simulation`` and
+    ``Service`` facades, chaos campaigns) keep their own setting."""
+    build = SwiftRuntime.__init__
+
+    def init(self, *args, **kwargs):
+        if "audit" not in kwargs and len(args) <= _AUDIT_POSITION:
+            kwargs["audit"] = True
+            kwargs.setdefault("audit_strict", True)
+        build(self, *args, **kwargs)
+
+    monkeypatch.setattr(SwiftRuntime, "__init__", init)
 
 
 @pytest.fixture

@@ -191,6 +191,57 @@ def test_spilled_read_back_total_never_exceeds_spilled_bytes():
     assert worker.read("job", "spilled", now=10.0) == 0.0
 
 
+def _run_corrupted_after_first_job(corrupt) -> AuditViolation:
+    """Run a short and a long job on 16 machines under strict audit, with
+    ``corrupt(runtime)`` as an event right after the short job's checkpoint,
+    so that only the long job's checkpoint and ``run:end`` follow it.
+    Returns the violation that stopped the run."""
+    from conftest import as_job, chain_dag
+
+    runtime = SwiftRuntime(Cluster.build(16, 4), swift_policy(), audit=True, audit_strict=True)
+    runtime.submit(as_job(chain_dag("short", n_stages=1, tasks=1)))
+    runtime.submit(as_job(chain_dag("long", n_stages=3, tasks=4)))
+    order = []
+
+    def on_job_done(result):
+        order.append(result.job_id)
+        if result.job_id == "short":
+            runtime.sim.schedule(0.0, lambda: (order.append("corrupt"), corrupt(runtime)))
+
+    runtime.on_job_done = on_job_done
+    with pytest.raises(AuditError) as caught:
+        runtime.run()
+    assert order == ["short", "corrupt", "long"]
+    return caught.value.violation
+
+
+def test_untouched_idle_counter_corruption_caught_at_run_end():
+    """Job checkpoints recount only the machines touched since the previous
+    checkpoint.  A counter written behind the executor state machine's back,
+    on a machine no job uses, escapes them and is caught by the full
+    recount at ``run:end``."""
+
+    def corrupt(runtime):
+        runtime.cluster.machines[15].idle_count -= 1
+
+    violation = _run_corrupted_after_first_job(corrupt)
+    assert violation.resource == "executor_slots"
+    assert violation.checkpoint == "run:end"
+
+
+def test_untouched_cache_shadow_corruption_caught_at_run_end():
+    """The same for a Cache Worker's shadow bytes, changed without a ledger
+    hook on a worker no job writes."""
+    from repro.audit.ledger import _CacheShadow
+
+    def corrupt(runtime):
+        runtime.ledger._cache[15] = _CacheShadow(bytes_in_memory=1e6)
+
+    violation = _run_corrupted_after_first_job(corrupt)
+    assert violation.resource == "cache_memory"
+    assert violation.checkpoint == "run:end"
+
+
 def test_oversized_write_snapshots_read_share():
     worker = _worker(capacity=10 * MB)
     worker.write("job", "huge", 40 * MB, 2, now=0.0)
@@ -260,6 +311,15 @@ def test_chaos_audit_invariant_catches_seeded_leak(monkeypatch):
         return original(self, sr)
 
     monkeypatch.setattr(SwiftRuntime, "_on_stage_completed", buggy)
+    # The leak is seeded on purpose, so the failure-free baseline runs
+    # without audit: the invariant under test must see it, not a
+    # checkpoint of the baseline run.
+    build = SwiftRuntime.__init__
+
+    def unaudited(self, *args, audit=False, **kwargs):
+        build(self, *args, audit=audit, **kwargs)
+
+    monkeypatch.setattr(SwiftRuntime, "__init__", unaudited)
     engine._baselines.clear()
     result = engine.run_campaign(engine.generate(0))
     assert any(

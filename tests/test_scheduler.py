@@ -80,6 +80,19 @@ def test_non_gang_partial_grants():
     assert item.remaining == 4
 
 
+def test_partial_grant_keeps_its_queue_position():
+    """A partly granted request stays ahead of a lower-priority request
+    that arrived before it."""
+    rs = make_scheduler(1, 4)
+    rs.request("waiting", 1, n_executors=1, priority=1, now=0.0)
+    item = rs.request("spark", 2, n_executors=6, gang=False, now=1.0)
+    (grant,) = rs.schedule()
+    assert grant.request is item and item.remaining == 2
+    grant.executors[0].release()
+    (grant,) = rs.schedule()
+    assert grant.request is item and item.remaining == 1
+
+
 def test_non_gang_completes_and_leaves_queue():
     rs = make_scheduler(1, 4)
     item = rs.request("spark", 1, n_executors=3, gang=False)
