@@ -129,33 +129,30 @@ def contains_aggregate(expr: Expr) -> bool:
     return False
 
 
-def column_refs(expr: Expr) -> list[ColumnRef]:
-    """All column references inside ``expr`` (depth-first)."""
-    if isinstance(expr, ColumnRef):
-        return [expr]
-    if isinstance(expr, BinaryOp):
-        return column_refs(expr.left) + column_refs(expr.right)
-    if isinstance(expr, UnaryOp):
-        return column_refs(expr.operand)
-    if isinstance(expr, FunctionCall):
-        refs: list[ColumnRef] = []
+def add_column_names(expr: Expr, names: set[str]) -> None:
+    """Add the bare name of every column ``expr`` references to ``names``."""
+    # Exact type checks (the expression classes are final): the columnar
+    # compiler runs this over every select list, WHERE and join condition.
+    if type(expr) is ColumnRef:
+        names.add(expr.name)
+    elif type(expr) is BinaryOp:
+        add_column_names(expr.left, names)
+        add_column_names(expr.right, names)
+    elif type(expr) is FunctionCall:
         for arg in expr.args:
-            refs.extend(column_refs(arg))
-        return refs
-    if isinstance(expr, CaseExpr):
-        refs = []
+            add_column_names(arg, names)
+    elif type(expr) is UnaryOp:
+        add_column_names(expr.operand, names)
+    elif type(expr) is CaseExpr:
         for cond, value in expr.whens:
-            refs.extend(column_refs(cond))
-            refs.extend(column_refs(value))
+            add_column_names(cond, names)
+            add_column_names(value, names)
         if expr.default is not None:
-            refs.extend(column_refs(expr.default))
-        return refs
-    if isinstance(expr, InList):
-        refs = list(column_refs(expr.expr))
+            add_column_names(expr.default, names)
+    elif type(expr) is InList:
+        add_column_names(expr.expr, names)
         for value in expr.values:
-            refs.extend(column_refs(value))
-        return refs
-    return []
+            add_column_names(value, names)
 
 
 # ----------------------------------------------------------------------

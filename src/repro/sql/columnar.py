@@ -30,6 +30,27 @@ columns, NaN sort/group keys, DISTINCT aggregates) drops to an exact
 Python fallback for that operator.  Differential tests assert identical
 output on every TPC-H query and the conformance corpus.
 
+Lowering (:func:`compile_plan`) applies two rewrites, unconditionally:
+
+* **WHERE pushdown** — the predicate is split over top-level ``and``;
+  each conjunct is compiled against the join output and, by the column
+  keys its kernel resolved, filters the deepest join input that alone
+  supplies them.  A LEFT JOIN's right (NULL-supplying) side and the inside
+  of a FROM-subquery never receive one; conjuncts that cannot move stay
+  in one filter above the joins.  Filters keep row order and the join
+  emits left-major, build-ordered output, so results and their order are
+  unchanged.  (Error paths aside: a pushed conjunct also sees input rows
+  the join drops — the divergence class :mod:`repro.sql.kernels` notes.)
+* **Column pruning** — each operator passes down the column names its
+  ancestors read (select items, GROUP BY, HAVING, WHERE, join conditions,
+  ORDER BY); scans emit only those (``*`` means all, ``count(*)`` none),
+  and aggregates build their per-group representative rows from the
+  columns the select list, GROUP BY and HAVING read.
+
+Only the columnar lowering sees these rewrites: the row executor and
+``compile_sql``/``PhysicalPlanner`` (SQL -> simulated job DAG) run the
+plan :func:`~repro.sql.logical.plan_statement` built.
+
 The engine runs every plan the planner emits; the dispatcher
 (:mod:`repro.sql.dispatch`) runs it by default and keeps the row executor
 only as the explicit reference.
@@ -38,11 +59,11 @@ only as the explicit reference.
 from __future__ import annotations
 
 from time import perf_counter
-from typing import Iterator, Optional, Sequence
+from typing import AbstractSet, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .ast import BinaryOp, ColumnRef, Expr, FunctionCall, Star
+from .ast import BinaryOp, ColumnRef, Expr, FunctionCall, SelectItem, Star, add_column_names
 from .batch import (
     ColumnBatch,
     ColumnTable,
@@ -62,7 +83,7 @@ from .executor import (
     _hashable,
     _sort_key,
 )
-from .kernels import Kernel, compile_kernel
+from .kernels import Kernel, compile_kernel, resolve_column
 from .logical import (
     LogicalAggregate,
     LogicalFilter,
@@ -126,13 +147,15 @@ class _Op:
     """Base batch operator: produces batches, tracks throughput stats."""
 
     kind = "op"
+    #: What the operator works on, for stats.  Operators that would format
+    #: an expression define it as a property, so compile never pays for it.
+    detail = ""
 
     def __init__(self) -> None:
         self.schema: list[str] = []
         self.rows_out = 0
         self.batches_out = 0
         self.seconds = 0.0
-        self.detail = ""
 
     def children(self) -> list["_Op"]:
         return []
@@ -175,6 +198,7 @@ class _ScanOp(_Op):
         database: Database,
         catalog: Catalog,
         batch_size: Optional[int],
+        need: Optional[set[str]],
     ) -> None:
         super().__init__()
         rows = database.get(node.table)
@@ -193,6 +217,9 @@ class _ScanOp(_Op):
             base = list(rows[0].keys())
         else:
             base = catalog.resolve_table(node.table).column_names()
+        if need is not None:
+            # ``need`` holds bare names; a dotted base name is always kept.
+            base = [n for n in base if n in need or "." in n]
         self.base_names = base
         aliases = []
         if self.binding:
@@ -266,18 +293,28 @@ class _AliasOp(_UnaryOpBase):
 
 
 class _FilterOp(_UnaryOpBase):
+    """Keeps the rows on which every conjunct is truthy."""
+
     kind = "filter"
 
-    def __init__(self, child: _Op, predicate: Expr) -> None:
+    def __init__(self, child: _Op, conjuncts: list[tuple[Expr, Kernel]]) -> None:
         super().__init__(child)
-        self.kernel = compile_kernel(predicate, child.schema)
+        self.conjuncts = [conjunct for conjunct, _ in conjuncts]
+        self.kernels = [kernel for _, kernel in conjuncts]
         self.schema = list(child.schema)
-        self.detail = str(predicate)
+
+    @property
+    def detail(self) -> str:  # type: ignore[override]
+        return " and ".join(str(c) for c in self.conjuncts)
 
     def batches(self) -> Iterator[ColumnBatch]:
         for batch in self.child.batches():
             began = perf_counter()
-            mask = self.kernel.truth(batch)
+            mask = self.kernels[0].truth(batch)
+            for kernel in self.kernels[1:]:
+                if not mask.any():
+                    break
+                mask = mask & kernel.truth(batch)
             if mask.all():
                 out: Optional[ColumnBatch] = batch
             elif mask.any():
@@ -556,7 +593,11 @@ class _AggregateOp(_UnaryOpBase):
     kind = "aggregate"
 
     def __init__(
-        self, child: _Op, node: LogicalAggregate, batch_size: Optional[int]
+        self,
+        child: _Op,
+        node: LogicalAggregate,
+        batch_size: Optional[int],
+        reads: Optional[AbstractSet[str]],
     ) -> None:
         super().__init__(child)
         self.node = node
@@ -568,6 +609,13 @@ class _AggregateOp(_UnaryOpBase):
             _collect_aggregates(node.having, calls)
         unique = {str(c): c for c in calls}
         self.agg_keys = list(unique)
+        # Representative rows carry only the columns whose bare name the
+        # select list, GROUP BY or HAVING reads (``reads``; ``None``: all),
+        # qualified aliases included.
+        self.rep_keys = [
+            n for n in child.schema
+            if reads is None or n.rpartition(".")[2] in reads
+        ]
         self.calls = [_AggCall(c, child.schema) for c in unique.values()]
         self.group_kernels = [
             compile_kernel(g, child.schema) for g in node.group_by
@@ -576,7 +624,10 @@ class _AggregateOp(_UnaryOpBase):
             item.output_name for item in node.items
         )
         self.schema = list(names)
-        self.detail = ", ".join(str(g) for g in node.group_by)
+
+    @property
+    def detail(self) -> str:  # type: ignore[override]
+        return ", ".join(str(g) for g in self.node.group_by)
 
     def batches(self) -> Iterator[ColumnBatch]:
         # Aggregation is computed over the whole input at once: bincount's
@@ -599,11 +650,13 @@ class _AggregateOp(_UnaryOpBase):
                     gids, rep_idx = _first_seen_groups(_combine_codes(codes))
                 except _PythonFallback:
                     gids, rep_idx = _py_groups(key_vectors, n)
-                representatives = gather(table, rep_idx).to_rows()
+                representatives = self._representatives(table, rep_idx)
         else:
             gids = np.zeros(n, np.int64)
             if n:
-                representatives = gather(table, np.array([0], np.int64)).to_rows()
+                representatives = self._representatives(
+                    table, np.array([0], np.int64)
+                )
             else:
                 representatives = [{}]
         n_groups = len(representatives)
@@ -630,6 +683,11 @@ class _AggregateOp(_UnaryOpBase):
         for start in range(0, len(rows), size):
             chunk = rows[start:start + size]
             yield self._emit(ColumnBatch.from_rows(chunk, self.schema))
+
+    def _representatives(self, table: ColumnBatch, rep_idx: np.ndarray) -> list[Row]:
+        keys = self.rep_keys
+        read = ColumnBatch(keys, {k: table.columns[k] for k in keys}, table.length)
+        return gather(read, rep_idx).to_rows()
 
 
 # ----------------------------------------------------------------------
@@ -705,12 +763,17 @@ class _JoinOp(_Op):
         self.right = right
         self.join_kind = node.kind
         self.batch_size = batch_size
-        self.keys = _extract_equi_keys(node.condition)
-        self.detail = str(node.condition)
-        left_present = set(left.schema)
+        self.condition = node.condition
+        self.left_names = set(left.schema)
         self.right_names = set(right.schema)
+        # Orient each equi-pair by the input whose schema resolves its
+        # first ref, as the row engine does with a non-NULL first left row.
+        self.keys = [
+            (a, b) if resolve_column(a, self.left_names) is not None else (b, a)
+            for a, b in _extract_equi_keys(node.condition)
+        ]
         self.schema = left.schema + [
-            n for n in right.schema if n not in left_present
+            n for n in right.schema if n not in self.left_names
         ]
         self.condition_kernel = compile_kernel(node.condition, self.schema)
         # A condition that is exactly its equi-pairs needs no residual
@@ -721,15 +784,16 @@ class _JoinOp(_Op):
     def children(self) -> list[_Op]:
         return [self.left, self.right]
 
+    @property
+    def detail(self) -> str:  # type: ignore[override]
+        return str(self.condition)
+
     @staticmethod
     def _key_column(ref: ColumnRef, batch: ColumnBatch) -> ColumnVector:
-        key = f"{ref.qualifier}.{ref.name}" if ref.qualifier else ref.name
-        column = batch.columns.get(key)
-        if column is None:
-            column = batch.columns.get(ref.name)
-        if column is None:
+        key = resolve_column(ref, batch.columns)
+        if key is None:
             return ColumnVector.all_null(batch.length)
-        return column
+        return batch.columns[key]
 
     def batches(self) -> Iterator[ColumnBatch]:
         left = concat_batches(self.left.schema, list(self.left.batches()))
@@ -799,15 +863,8 @@ class _JoinOp(_Op):
         self, left: ColumnBatch, right: ColumnBatch
     ) -> tuple[np.ndarray, np.ndarray]:
         """Candidate pairs whose equi-keys match."""
-        # Orient each key pair against the first left row's values, exactly
-        # like the row engine's probe of ``left_rows[0]``.
-        oriented = []
-        for a, b in self.keys:
-            column = self._key_column(a, left)
-            first = column.value_at(0) if left.length else None
-            oriented.append((a, b) if first is not None else (b, a))
-        left_vecs = [self._key_column(l, left) for l, _ in oriented]
-        right_vecs = [self._key_column(r, right) for _, r in oriented]
+        left_vecs = [self._key_column(l, left) for l, _ in self.keys]
+        right_vecs = [self._key_column(r, right) for _, r in self.keys]
         try:
             return self._match_vectorized(left, right, left_vecs, right_vecs)
         except _PythonFallback:
@@ -940,8 +997,12 @@ class _SortOp(_UnaryOpBase):
             (compile_kernel(o.expr, child.schema), o.descending)
             for o in node.order_by
         ]
-        self.detail = ", ".join(str(o.expr) for o in node.order_by)
+        self.order_by = node.order_by
         self.batch_size = batch_size
+
+    @property
+    def detail(self) -> str:  # type: ignore[override]
+        return ", ".join(str(o.expr) for o in self.order_by)
 
     def batches(self) -> Iterator[ColumnBatch]:
         table = concat_batches(self.schema, list(self.child.batches()))
@@ -1042,37 +1103,128 @@ def compile_plan(
 ) -> _Op:
     """Lower a logical plan to a tree of columnar operators.
 
-    ``batch_size=None`` (the default) lets each scan pick its own batch —
-    the whole table, capped at ``2**20`` lanes — which is the fastest
-    shape for array kernels; pass an explicit size to bound peak memory.
-    ``catalog`` must be the one the plan was resolved in: an empty
-    row-layout table takes its column names from it.
+    Lowering applies two rewrites (see the module docstring): WHERE
+    conjuncts are pushed below joins, and scans emit only the columns
+    some ancestor reads.  ``batch_size=None`` (the default) lets each scan
+    pick its own batch — the whole table, capped at ``2**20`` lanes —
+    which is the fastest shape for array kernels; pass an explicit size
+    to bound peak memory.  ``catalog`` must be the one the plan was
+    resolved in: an empty row-layout table takes its column names from it.
     """
+    return _lower(node, database, catalog, batch_size, None)
+
+
+def _lower(
+    node: LogicalNode,
+    database: Database,
+    catalog: Catalog,
+    batch_size: Optional[int],
+    need: Optional[set[str]],
+) -> _Op:
+    """``compile_plan`` with ``need``: the column names ancestors read
+    (``None``: every column).  One set serves a whole SELECT block, so a
+    scan may keep a few names only another scan of the block needs."""
+    args = (database, catalog, batch_size)
     if isinstance(node, LogicalScan):
-        return _ScanOp(node, database, catalog, batch_size)
+        return _ScanOp(node, *args, need)
     if isinstance(node, LogicalSubquery):
-        child = compile_plan(node.child, database, catalog, batch_size)
-        return _AliasOp(child, node.binding)
+        return _AliasOp(_lower(node.child, *args, None), node.binding)
     if isinstance(node, LogicalFilter):
-        child = compile_plan(node.child, database, catalog, batch_size)
-        return _FilterOp(child, node.predicate)
+        child = _lower(node.child, *args, _plus(need, [node.predicate]))
+        return _push_filter(child, node.predicate)
     if isinstance(node, LogicalJoin):
-        left = compile_plan(node.left, database, catalog, batch_size)
-        right = compile_plan(node.right, database, catalog, batch_size)
+        need = _plus(need, [node.condition])
+        left = _lower(node.left, *args, need)
+        right = _lower(node.right, *args, need)
         return _JoinOp(left, right, node, batch_size)
     if isinstance(node, LogicalAggregate):
-        child = compile_plan(node.child, database, catalog, batch_size)
-        return _AggregateOp(child, node, batch_size)
+        extra = list(node.group_by)
+        if node.having is not None:
+            extra.append(node.having)
+        reads = _select_need(node.items, extra)
+        child = _lower(node.child, *args, None if reads is None else set(reads))
+        return _AggregateOp(child, node, batch_size, reads)
     if isinstance(node, LogicalProject):
-        child = compile_plan(node.child, database, catalog, batch_size)
+        child = _lower(node.child, *args, _select_need(node.items, []))
         return _ProjectOp(child, node)
     if isinstance(node, LogicalSort):
-        child = compile_plan(node.child, database, catalog, batch_size)
-        return _SortOp(child, node, batch_size)
+        order = [o.expr for o in node.order_by]
+        return _SortOp(_lower(node.child, *args, _plus(need, order)), node, batch_size)
     if isinstance(node, LogicalLimit):
-        child = compile_plan(node.child, database, catalog, batch_size)
-        return _LimitOp(child, node.count)
+        return _LimitOp(_lower(node.child, *args, need), node.count)
     raise PlanError(f"cannot execute {node!r}")
+
+
+def _plus(need: Optional[set[str]], exprs: Iterable[Expr]) -> Optional[set[str]]:
+    """``need``, updated in place with the bare name of every column
+    ``exprs`` read; ``None`` (every column) stays ``None``."""
+    if need is not None:
+        for expr in exprs:
+            add_column_names(expr, need)
+    return need
+
+
+def _select_need(items: list[SelectItem], exprs: list[Expr]) -> Optional[set[str]]:
+    """Columns a select list (plus GROUP BY/HAVING) reads; ``*`` reads all.
+
+    ``count(*)`` reads none, so a scan under it may emit zero columns.
+    """
+    if any(isinstance(item.expr, Star) for item in items):
+        return None
+    return _plus(set(), [item.expr for item in items] + exprs)
+
+
+def _conjuncts(predicate: Expr) -> list[Expr]:
+    """The top-level ``and`` operands of ``predicate``, left to right."""
+    if isinstance(predicate, BinaryOp) and predicate.op == "and":
+        return _conjuncts(predicate.left) + _conjuncts(predicate.right)
+    return [predicate]
+
+
+def _push_filter(child: _Op, predicate: Expr) -> _Op:
+    """WHERE over ``child``, each conjunct as deep below the joins as legal.
+
+    Each conjunct is compiled once against ``child``'s schema — in order,
+    so a bad column raises exactly as compiling the whole predicate did —
+    and the kernel's resolved column keys pick its input (see
+    :func:`_filter_target`).  Conjuncts that cannot move stay in one
+    filter on top, in their original order.  Row order is unchanged: a
+    filter keeps relative order, and the join emits left-major output in
+    ascending build order, so filtering an input first yields the same
+    sequence as filtering the joined rows.
+    """
+    pushed: dict[tuple[_JoinOp, str], list[tuple[Expr, Kernel]]] = {}
+    top: list[tuple[Expr, Kernel]] = []
+    for conjunct in _conjuncts(predicate):
+        kernel = compile_kernel(conjunct, child.schema)
+        target = _filter_target(child, set(kernel.col_keys))
+        if target is None:
+            top.append((conjunct, kernel))
+        else:
+            pushed.setdefault(target, []).append((conjunct, kernel))
+    for (join, side), conjuncts in pushed.items():
+        setattr(join, side, _FilterOp(getattr(join, side), conjuncts))
+    return _FilterOp(child, top) if top else child
+
+
+def _filter_target(op: _Op, keys: set[str]) -> Optional[tuple["_JoinOp", str]]:
+    """The deepest join input that alone supplies ``keys``, as (join, side).
+
+    Walks down the left spine of a join chain.  The right input qualifies
+    only under an INNER join (never a LEFT JOIN's NULL-supplying side);
+    the left input only when no key is also a right column, since the join
+    output takes the right copy of a shared name.  A FROM-subquery is a
+    leaf: filters go above it, never into it.  ``None``: stay above ``op``.
+    """
+    target = None
+    while isinstance(op, _JoinOp):
+        if op.join_kind == "inner" and keys <= op.right_names:
+            return op, "right"
+        if not keys <= op.left_names or keys & op.right_names:
+            break
+        target = (op, "left")
+        op = op.left
+    return target
 
 
 def walk_ops(root: _Op) -> list[_Op]:

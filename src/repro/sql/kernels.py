@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import fnmatch
 import re
-from typing import Callable, List, Optional, Sequence, Union
+from typing import Callable, Container, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -469,6 +469,20 @@ class Kernel:
         return value.to_pylist()
 
 
+def resolve_column(ref: ColumnRef, names: Container[str]) -> Optional[str]:
+    """The column key ``ref`` reads among ``names``, or ``None``.
+
+    The qualified key (``l.l_suppkey``) when present, else the bare name:
+    the columnar engine's one resolution rule.  Kernels and join keys call
+    it; WHERE pushdown places conjuncts by the keys their kernels resolved.
+    """
+    if ref.qualifier:
+        key = f"{ref.qualifier}.{ref.name}"
+        if key in names:
+            return key
+    return ref.name if ref.name in names else None
+
+
 class _Compiler:
     """Lowers one expression tree to an evaluator closure tree."""
 
@@ -482,12 +496,9 @@ class _Compiler:
             const = Const(value)
             return lambda batch: const
         if isinstance(expr, ColumnRef):
-            key = f"{expr.qualifier}.{expr.name}" if expr.qualifier else expr.name
-            if key not in self.schema:
-                if expr.name in self.schema:
-                    key = expr.name
-                else:
-                    raise ExecutionError(f"column {key!r} not found in row")
+            key = resolve_column(expr, self.schema)
+            if key is None:
+                raise ExecutionError(f"column {str(expr)!r} not found in row")
             self.col_keys[key] = None
             return lambda batch: batch.columns[key]
         if isinstance(expr, Star):

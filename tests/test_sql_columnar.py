@@ -23,7 +23,7 @@ from repro.sql import (
     run_query,
 )
 from repro.sql.ast import BinaryOp, ColumnRef, Literal
-from repro.sql.columnar import ColumnBatch
+from repro.sql.columnar import ColumnBatch, compile_plan, walk_ops
 from repro.workloads.tpch_sql import TPCH_SQL, run_tpch_query, runnable_queries
 
 
@@ -81,6 +81,30 @@ def test_run_tpch_query_engine_selection(db):
     assert run_tpch_query(6, db) == expected
     assert run_tpch_query(6, db, engine="row") == expected
     assert run_tpch_query(6, db, engine="columnar") == expected
+
+
+def _compiled_ops(query, database):
+    plan = plan_statement(parse(TPCH_SQL[query]), DEFAULT_CATALOG)
+    return walk_ops(compile_plan(plan, database, DEFAULT_CATALOG))
+
+
+def test_q3_where_conjuncts_filter_their_scans(db):
+    ops = _compiled_ops(3, db)
+    filters = [op for op in ops if op.kind == "filter"]
+    # One filter directly above each filtered scan, none above the joins.
+    assert sorted(f.child.detail for f in filters) == [
+        "customer", "lineitem", "orders",
+    ]
+    assert all(f.child.kind == "scan" for f in filters)
+    (aggregate,) = [op for op in ops if op.kind == "aggregate"]
+    assert aggregate.child.kind == "join"
+
+
+def test_q6_scan_reads_only_referenced_columns(db):
+    (scan,) = [op for op in _compiled_ops(6, db) if op.kind == "scan"]
+    assert sorted(scan.base_names) == [
+        "l_discount", "l_extendedprice", "l_quantity", "l_shipdate",
+    ]
 
 
 # ----------------------------------------------------------------------

@@ -18,14 +18,18 @@ import pytest
 from repro.api import run_sql
 from repro.sql import (
     Catalog,
+    ExecutionError,
     PlanError,
     TableSchema,
     execute_sql,
     generate_database,
     like_to_glob,
+    parse,
+    plan_statement,
     sql_like,
 )
 from repro.sql.catalog import _cols
+from repro.sql.columnar import compile_plan, walk_ops
 
 ENGINES = ("row", "columnar")
 
@@ -156,6 +160,12 @@ CORPUS = [
      "order by id", True),
     ("unary_negation",
      "select id, -price as neg from items where -price < -5 order by id", True),
+    # a.grp and b.grp share the bare name grp: each group's representative
+    # row must keep both qualified copies, not fall back to the bare one.
+    ("self_join_group_by_qualified_shared_name",
+     "select a.grp as agrp, b.grp as bgrp, count(*) as n from items a "
+     "join items b on a.qty = b.id group by a.grp, b.grp "
+     "order by agrp, bgrp", True),
 ]
 
 
@@ -383,3 +393,144 @@ def test_right_join_is_a_plan_error_on_both_engines():
     for engine in ENGINES:
         with pytest.raises(PlanError, match="use LEFT JOIN"):
             run_sql(sql, database, engine=engine)
+
+
+# ----------------------------------------------------------------------
+# Columnar lowering: equi-key orientation, WHERE pushdown legality and
+# column pruning.  Each case is differential; the structural asserts pin
+# where the lowering put each filter and which columns each scan reads.
+# ----------------------------------------------------------------------
+
+def _join_key_setup():
+    catalog = Catalog()
+    catalog.register(TableSchema(
+        "a", _cols("aid:int", "ak:int"), base_rows=3, bytes_per_row=16,
+    ))
+    catalog.register(TableSchema(
+        "b", _cols("bk:int", "bv:str"), base_rows=2, bytes_per_row=16,
+    ))
+    database = {
+        "a": [{"aid": 1, "ak": None}, {"aid": 2, "ak": 5}, {"aid": 3, "ak": 6}],
+        "b": [{"bk": 5, "bv": "x"}, {"bk": 6, "bv": "y"}],
+    }
+    return database, catalog
+
+
+@pytest.mark.parametrize("on", ["a.ak = b.bk", "b.bk = a.ak"])
+def test_equi_join_with_null_first_left_key(on):
+    # The first left row's key is NULL: orienting the key pair by that
+    # value (instead of by which input's schema has the column) once made
+    # the columnar engine return no rows.
+    database, catalog = _join_key_setup()
+    sql = f"select aid, bv from a join b on {on}"
+    for engine in ENGINES:
+        rows = execute_sql(sql, database, catalog, engine=engine).rows
+        assert rows == [{"aid": 2, "bv": "x"}, {"aid": 3, "bv": "y"}], engine
+
+
+def _lowered(sql, database, catalog):
+    """(root, filters, scans, joins) of the compiled columnar tree."""
+    root = compile_plan(plan_statement(parse(sql), catalog), database, catalog)
+    ops = walk_ops(root)
+    return (
+        root,
+        [op for op in ops if op.kind == "filter"],
+        {op.detail: op for op in ops if op.kind == "scan"},
+        [op for op in ops if op.kind == "join"],
+    )
+
+
+def _agree(sql, database, catalog):
+    row = execute_sql(sql, database, catalog, engine="row").rows
+    columnar = execute_sql(sql, database, catalog, engine="columnar").rows
+    assert columnar == row
+    return row
+
+
+def test_left_join_anti_join_filter_stays_on_top(setup):
+    database, catalog = setup
+    sql = ("select i.id from items i left join owners o on i.id = o.oid "
+           "where o.oid is null order by i.id")
+    assert [r["id"] for r in _agree(sql, database, catalog)] == [2, 4, 5, 6]
+    _, filters, _, (join,) = _lowered(sql, database, catalog)
+    # Pushed into the NULL-supplying side it would drop every owner row
+    # and turn the anti-join into "all items".
+    assert [f.child for f in filters] == [join]
+
+
+@pytest.mark.parametrize("kind", ["join", "left join"])
+def test_self_join_bare_shared_name_binds_like_the_row_engine(kind, setup):
+    database, catalog = setup
+    sql = (f"select a.id as aid, b.id as bid, qty from items a {kind} items b "
+           "on a.grp = b.grp and b.id > 5 where qty > 2 order by aid, bid")
+    rows = _agree(sql, database, catalog)
+    qty = {r["id"]: r["qty"] for r in database["items"]}
+    # The joined row takes the right input's copy of a shared bare name
+    # (the row engine merges {**left, **right}), so the conjunct reads b:
+    # an inner join pushes it into b, a LEFT JOIN keeps it on top.
+    assert rows and all(r["qty"] == qty[r["bid"]] > 2 for r in rows)
+    _, (where,), _, (join,) = _lowered(sql, database, catalog)
+    if kind == "join":
+        assert join.right is where and where.child.kind == "scan"
+    else:
+        assert where.child is join
+
+
+def test_or_spanning_both_sides_stays_on_top(setup):
+    database, catalog = setup
+    sql = ("select i.id, o.owner from items i join owners o on i.id = o.oid "
+           "where i.qty > 2 or o.owner = 'ada' order by i.id")
+    assert _agree(sql, database, catalog) == [{"id": 1, "owner": "ada"}]
+    _, filters, _, (join,) = _lowered(sql, database, catalog)
+    assert [f.child for f in filters] == [join]
+
+
+def test_conjuncts_split_between_sides_and_top(setup):
+    database, catalog = setup
+    sql = ("select i.id, o.owner from items i join owners o on i.id < o.oid "
+           "where i.qty > 1 and o.owner <> 'eve' and i.id + o.oid > 3 "
+           "order by i.id, o.owner")
+    _agree(sql, database, catalog)
+    _, filters, scans, (join,) = _lowered(sql, database, catalog)
+    assert join.left.kind == join.right.kind == "filter"
+    assert join.left.child is scans["items"]
+    assert join.right.child is scans["owners"]
+    (top,) = [f for f in filters if f.child is join]
+    assert top.detail == "((i.id + o.oid) > 3)"
+
+
+@pytest.mark.parametrize("where", ["nosuch > 1", "i.qty > 1 and nosuch = 2"])
+def test_where_naming_missing_column_raises_on_both_engines(where, setup):
+    database, catalog = setup
+    sql = ("select i.id from items i join owners o on i.id = o.oid "
+           f"where {where}")
+    for engine in ENGINES:
+        with pytest.raises(ExecutionError, match="column 'nosuch' not found"):
+            execute_sql(sql, database, catalog, engine=engine)
+
+
+def test_count_star_reads_no_column(setup):
+    database, catalog = setup
+    sql = "select count(*) as n from items"
+    assert _agree(sql, database, catalog) == [{"n": 6}]
+    _, _, scans, _ = _lowered(sql, database, catalog)
+    assert scans["items"].base_names == []
+    sql = ("select count(*) as n from items i join owners o on i.id = o.oid "
+           "where o.owner <> 'eve'")
+    assert _agree(sql, database, catalog) == [{"n": 2}]
+    _, _, scans, _ = _lowered(sql, database, catalog)
+    # Only the join key and the WHERE column are read.
+    assert scans["items"].base_names == ["id"]
+    assert scans["owners"].base_names == ["oid", "owner"]
+
+
+@pytest.mark.parametrize("star", ["*", "i.*"])
+def test_select_star_over_join_keeps_every_column(star, setup):
+    database, catalog = setup
+    sql = (f"select {star} from items i left join owners o on i.id = o.oid "
+           "where i.qty > 1")
+    rows = _agree(sql, database, catalog)
+    assert set(rows[0]) == {
+        "id", "price", "qty", "tag", "grp", "oid", "owner",
+        "i.id", "i.price", "i.qty", "i.tag", "i.grp", "o.oid", "o.owner",
+    }
