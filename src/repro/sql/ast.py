@@ -129,6 +129,35 @@ def contains_aggregate(expr: Expr) -> bool:
     return False
 
 
+def collect_aggregates(expr: Expr, out: list[FunctionCall]) -> None:
+    """Append every aggregate call in ``expr`` to ``out``, outermost only.
+
+    The calls are the tree's own nodes, in evaluation order; an aggregate's
+    arguments are not searched.
+    """
+    if isinstance(expr, FunctionCall):
+        if expr.name.lower() in AGGREGATE_FUNCTIONS:
+            out.append(expr)
+            return
+        for arg in expr.args:
+            collect_aggregates(arg, out)
+    elif isinstance(expr, BinaryOp):
+        collect_aggregates(expr.left, out)
+        collect_aggregates(expr.right, out)
+    elif isinstance(expr, UnaryOp):
+        collect_aggregates(expr.operand, out)
+    elif isinstance(expr, CaseExpr):
+        for condition, value in expr.whens:
+            collect_aggregates(condition, out)
+            collect_aggregates(value, out)
+        if expr.default is not None:
+            collect_aggregates(expr.default, out)
+    elif isinstance(expr, InList):
+        collect_aggregates(expr.expr, out)
+        for value in expr.values:
+            collect_aggregates(value, out)
+
+
 def add_column_names(expr: Expr, names: set[str]) -> None:
     """Add the bare name of every column ``expr`` references to ``names``."""
     # Exact type checks (the expression classes are final): the columnar

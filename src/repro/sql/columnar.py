@@ -11,7 +11,13 @@ operators are array programs:
 * **aggregate** — group assignment via ``np.unique``-based factorization
   remapped to first-seen order, then ``np.bincount`` (whose sequential
   accumulation matches the row engine's ``total += v`` float-for-float)
-  and ``np.minimum.at``/``np.maximum.at`` segmented reductions;
+  and ``np.minimum.at``/``np.maximum.at`` segmented reductions.  Aggregates
+  emit columns: each distinct call's per-group results form one column of
+  a post-aggregate batch, next to the representative (first-row) columns
+  gathered per group, and the select list and HAVING are kernels over
+  that batch, compiled once with every aggregate call bound as a column
+  reference.  HAVING is one truth mask and one gather, evaluated before
+  the items; zero groups evaluate nothing;
 * **join** — equi-keys pooled into a shared code space (dictionary merge
   for strings, ``np.unique`` for numerics), build side sorted once, probe
   via ``np.searchsorted``, candidate pairs expanded with ``np.repeat``;
@@ -44,8 +50,8 @@ Lowering (:func:`compile_plan`) applies two rewrites, unconditionally:
 * **Column pruning** — each operator passes down the column names its
   ancestors read (select items, GROUP BY, HAVING, WHERE, join conditions,
   ORDER BY); scans emit only those (``*`` means all, ``count(*)`` none),
-  and aggregates build their per-group representative rows from the
-  columns the select list, GROUP BY and HAVING read.
+  and aggregates gather per group only the columns the select list and
+  HAVING read outside aggregate calls.
 
 Only the columnar lowering sees these rewrites: the row executor and
 ``compile_sql``/``PhysicalPlanner`` (SQL -> simulated job DAG) run the
@@ -59,11 +65,23 @@ only as the explicit reference.
 from __future__ import annotations
 
 from time import perf_counter
-from typing import AbstractSet, Iterable, Iterator, Optional, Sequence
+from typing import Collection, Iterable, Iterator, Optional
 
 import numpy as np
 
-from .ast import BinaryOp, ColumnRef, Expr, FunctionCall, SelectItem, Star, add_column_names
+from .ast import (
+    BinaryOp,
+    CaseExpr,
+    ColumnRef,
+    Expr,
+    FunctionCall,
+    InList,
+    SelectItem,
+    Star,
+    UnaryOp,
+    add_column_names,
+    collect_aggregates,
+)
 from .batch import (
     ColumnBatch,
     ColumnTable,
@@ -77,8 +95,6 @@ from .executor import (
     Database,
     ExecutionError,
     Row,
-    _collect_aggregates,
-    _eval_with_aggregates,
     _extract_equi_keys,
     _hashable,
     _sort_key,
@@ -458,12 +474,68 @@ def _py_groups(
     return gids, np.array(reps, np.int64)
 
 
+def _group_vector(
+    kind: str,
+    data: np.ndarray,
+    empty: np.ndarray,
+    dictionary: Optional[np.ndarray] = None,
+) -> ColumnVector:
+    """Per-group results, encoded as ``ColumnVector.from_values`` would
+    encode the row engine's values: ``empty`` groups are NULL over zeroed
+    data, and a result without any value is an all-NULL ``object`` vector."""
+    if not empty.any():
+        return ColumnVector(kind, data, None, dictionary)
+    if empty.all():
+        return ColumnVector.all_null(len(empty))
+    data = np.where(empty, data.dtype.type(0), data)
+    return ColumnVector(kind, data, empty, dictionary)
+
+
+def _present_only(vec: ColumnVector) -> ColumnVector:
+    """``vec`` with a ``str`` dictionary cut down to the values its lanes hold.
+
+    Kernels run scalar functions once per dictionary entry, so an entry no
+    lane holds (a value of a row the WHERE dropped, or of a group HAVING
+    dropped) could raise where the row engine never looks.
+    """
+    if vec.kind != "str":
+        return vec
+    mask = vec.mask
+    codes = vec.data if mask is None else vec.data[~mask]
+    used, inverse = np.unique(codes, return_inverse=True)
+    if len(used) == len(vec.dictionary):
+        return vec
+    if not len(used):
+        return ColumnVector.all_null(len(vec))
+    if mask is None:
+        data = inverse.astype(np.int32)
+    else:
+        data = np.zeros(len(vec), np.int32)
+        data[~mask] = inverse
+    return ColumnVector("str", data, mask, vec.dictionary[used])
+
+
+def _take_present(
+    columns: dict[str, ColumnVector], indexes: np.ndarray
+) -> dict[str, ColumnVector]:
+    """Each column at ``indexes``, through :func:`_present_only`."""
+    return {name: _present_only(vec.take(indexes)) for name, vec in columns.items()}
+
+
+class _NoRepresentative(dict):
+    """Columns of an ungrouped aggregate over empty input: its one group has
+    no representative row, so reading a column raises as in the row engine."""
+
+    def __missing__(self, key: str) -> ColumnVector:
+        raise ExecutionError(f"column {key!r} not found in row")
+
+
 class _AggCall:
     """One aggregate call: vectorized over all groups at once."""
 
     __slots__ = ("name", "star", "distinct", "kernel")
 
-    def __init__(self, call: FunctionCall, schema: Sequence[str]) -> None:
+    def __init__(self, call: FunctionCall, schema: Collection[str]) -> None:
         self.name = call.name.lower()
         self.star = bool(call.args) and isinstance(call.args[0], Star)
         if self.star and self.name != "count":
@@ -478,20 +550,25 @@ class _AggCall:
 
     def compute(
         self, table: ColumnBatch, gids: np.ndarray, n_groups: int
-    ) -> list:
-        """Per-group results, groups in first-seen order."""
+    ) -> ColumnVector:
+        """Per-group results, groups in first-seen order.
+
+        The vector is exactly the one ``ColumnVector.from_values`` infers
+        from the row engine's per-group values (see :func:`_group_vector`).
+        """
         if self.star:
-            return np.bincount(gids, minlength=n_groups).tolist()
+            return ColumnVector("int", np.bincount(gids, minlength=n_groups))
         values = self.kernel.eval(table)  # type: ignore[union-attr]
         if self.distinct or values.kind == "object":
             return self._py_compute(values.to_pylist(), gids, n_groups)
         valid = ~values.null_mask()
         g_valid = gids[valid]
+        counts = np.bincount(g_valid, minlength=n_groups)
         name = self.name
         if name == "count":
-            return np.bincount(g_valid, minlength=n_groups).tolist()
+            return ColumnVector("int", counts)
+        empty = counts == 0
         if name in ("sum", "avg"):
-            counts = np.bincount(g_valid, minlength=n_groups)
             if values.kind == "str":
                 # The row engine counts non-null strings but adds nothing.
                 totals = np.zeros(n_groups)
@@ -503,10 +580,9 @@ class _AggCall:
                     weights=values.data[valid].astype(np.float64),
                     minlength=n_groups,
                 )
-            pairs = zip(totals.tolist(), counts.tolist())
-            if name == "sum":
-                return [t if c else None for t, c in pairs]
-            return [t / c if c else None for t, c in pairs]
+            if name == "avg":
+                totals = totals / np.where(empty, 1, counts)
+            return _group_vector("float", totals, empty)
         if name not in ("min", "max"):
             raise ExecutionError(f"unknown aggregate {self.name!r}")
         if values.kind == "bool":
@@ -515,28 +591,24 @@ class _AggCall:
         if values.kind == "float" and data.size and bool(np.isnan(data).any()):
             # `v < m` with NaN is order-dependent; replay the exact order.
             return self._py_compute(values.to_pylist(), gids, n_groups)
-        present = np.bincount(g_valid, minlength=n_groups) > 0
         reduce_at = np.minimum.at if name == "min" else np.maximum.at
         if values.kind == "str":
             sentinel = _INT64_MAX if name == "min" else np.int64(-1)
             out = np.full(n_groups, sentinel, np.int64)
             reduce_at(out, g_valid, data.astype(np.int64))
-            dictionary = values.dictionary
-            return [
-                str(dictionary[c]) if p else None
-                for c, p in zip(out.tolist(), present.tolist())
-            ]
+            codes = out.astype(np.int32)
+            return _present_only(_group_vector("str", codes, empty, values.dictionary))
         if values.kind == "int":
             sentinel_i = _INT64_MAX if name == "min" else _INT64_MIN
             out = np.full(n_groups, sentinel_i, np.int64)
         else:
             out = np.full(n_groups, np.inf if name == "min" else -np.inf)
         reduce_at(out, g_valid, data)
-        return [
-            c if p else None for c, p in zip(out.tolist(), present.tolist())
-        ]
+        return _group_vector(values.kind, out, empty)
 
-    def _py_compute(self, values: list, gids: np.ndarray, n_groups: int) -> list:
+    def _py_compute(
+        self, values: list, gids: np.ndarray, n_groups: int
+    ) -> ColumnVector:
         """Row-engine accumulator semantics, replayed in lane order."""
         counts = [0] * n_groups
         totals = [0.0] * n_groups
@@ -581,49 +653,112 @@ class _AggCall:
         else:
             raise ExecutionError(f"unknown aggregate {name!r}")
         if name == "count":
-            return counts
-        if name == "sum":
-            return [t if c else None for t, c in zip(totals, counts)]
-        if name == "avg":
-            return [t / c if c else None for t, c in zip(totals, counts)]
-        return mins if name == "min" else maxs
+            result = counts
+        elif name == "sum":
+            result = [t if c else None for t, c in zip(totals, counts)]
+        elif name == "avg":
+            result = [t / c if c else None for t, c in zip(totals, counts)]
+        else:
+            result = mins if name == "min" else maxs
+        return ColumnVector.from_values(result)
+
+
+def _bind_aggregates(expr: Expr, columns: dict[int, str]) -> Expr:
+    """``expr`` with each aggregate call in ``columns`` (keyed by the call
+    node's identity) replaced by a reference to its post-aggregate column."""
+    name = columns.get(id(expr))
+    if name is not None:
+        return ColumnRef(name)
+    if type(expr) is BinaryOp:
+        return BinaryOp(
+            expr.op,
+            _bind_aggregates(expr.left, columns),
+            _bind_aggregates(expr.right, columns),
+        )
+    if type(expr) is UnaryOp:
+        return UnaryOp(expr.op, _bind_aggregates(expr.operand, columns))
+    if type(expr) is FunctionCall:
+        args = tuple(_bind_aggregates(a, columns) for a in expr.args)
+        return FunctionCall(expr.name, args, expr.distinct)
+    if type(expr) is CaseExpr:
+        whens = tuple(
+            (_bind_aggregates(c, columns), _bind_aggregates(v, columns))
+            for c, v in expr.whens
+        )
+        default = (
+            None if expr.default is None
+            else _bind_aggregates(expr.default, columns)
+        )
+        return CaseExpr(whens, default)
+    if type(expr) is InList:
+        values = tuple(_bind_aggregates(v, columns) for v in expr.values)
+        return InList(_bind_aggregates(expr.expr, columns), values, expr.negated)
+    return expr
+
+
+def _compile_or_defer(expr: Expr, schema: Collection[str]) -> Kernel:
+    """``compile_kernel``, with a compile error raised at evaluation
+    instead: the row engine raises only for a group it evaluates."""
+    try:
+        return compile_kernel(expr, schema)
+    except ExecutionError as error:
+        message = str(error)
+
+        def fail(batch: ColumnBatch) -> ColumnVector:
+            raise ExecutionError(message)
+        return Kernel(fail, [])
 
 
 class _AggregateOp(_UnaryOpBase):
+    """GROUP BY/HAVING/select list as array programs over per-group columns.
+
+    Groups are assigned once; each distinct aggregate call becomes one
+    column of the *post-aggregate batch* next to the representative (first
+    row of the group) columns the select list and HAVING read.  Select
+    items and HAVING are compiled once, each aggregate call bound as a
+    reference to its column, and run as kernels over that batch.
+    """
+
     kind = "aggregate"
 
     def __init__(
-        self,
-        child: _Op,
-        node: LogicalAggregate,
-        batch_size: Optional[int],
-        reads: Optional[AbstractSet[str]],
+        self, child: _Op, node: LogicalAggregate, batch_size: Optional[int]
     ) -> None:
         super().__init__(child)
         self.node = node
         self.batch_size = batch_size
         calls: list[FunctionCall] = []
         for item in node.items:
-            _collect_aggregates(item.expr, calls)
+            collect_aggregates(item.expr, calls)
         if node.having is not None:
-            _collect_aggregates(node.having, calls)
-        unique = {str(c): c for c in calls}
-        self.agg_keys = list(unique)
-        # Representative rows carry only the columns whose bare name the
-        # select list, GROUP BY or HAVING reads (``reads``; ``None``: all),
-        # qualified aliases included.
+            collect_aggregates(node.having, calls)
+        # One column per distinct call, named by its text (never an
+        # identifier, so never a representative column's name).
+        column_of = {id(call): str(call) for call in calls}
+        unique = {column_of[id(call)]: call for call in calls}
+        self.agg_names = list(unique)
+        names = set(child.schema)
+        self.calls = [_AggCall(c, names) for c in unique.values()]
+        self.group_kernels = [compile_kernel(g, names) for g in node.group_by]
+        # Items and HAVING read the aggregate columns and, through each
+        # group's representative row, any child column.
+        names.update(self.agg_names)
+        self.having = None if node.having is None else _compile_or_defer(
+            _bind_aggregates(node.having, column_of), names)
+        self.items = [
+            (item.output_name, _compile_or_defer(
+                _bind_aggregates(item.expr, column_of), names))
+            for item in node.items
+        ]
+        self.schema = list(dict.fromkeys(name for name, _ in self.items))
+        kernels = [kernel for _, kernel in self.items]
+        if self.having is not None:
+            kernels.append(self.having)
+        # Representative columns: exactly the child keys those kernels read.
         self.rep_keys = [
-            n for n in child.schema
-            if reads is None or n.rpartition(".")[2] in reads
+            key for key in dict.fromkeys(k for kernel in kernels for k in kernel.col_keys)
+            if key not in unique
         ]
-        self.calls = [_AggCall(c, child.schema) for c in unique.values()]
-        self.group_kernels = [
-            compile_kernel(g, child.schema) for g in node.group_by
-        ]
-        names: dict[str, None] = dict.fromkeys(
-            item.output_name for item in node.items
-        )
-        self.schema = list(names)
 
     @property
     def detail(self) -> str:  # type: ignore[override]
@@ -635,59 +770,49 @@ class _AggregateOp(_UnaryOpBase):
         # regardless of how the child chose to batch.
         collected = list(self.child.batches())
         began = perf_counter()
-        table = concat_batches(self.child.schema, collected)
+        out = self._aggregate(concat_batches(self.child.schema, collected))
+        self.seconds += perf_counter() - began
+        if out is None:
+            return
+        n = out.length
+        size = self.batch_size if self.batch_size is not None else n
+        for start in range(0, n, size):
+            stop = min(start + size, n)
+            columns = {k: v.slice(start, stop) for k, v in out.columns.items()}
+            yield self._emit(ColumnBatch(self.schema, columns, stop - start))
+
+    def _aggregate(self, table: ColumnBatch) -> Optional[ColumnBatch]:
+        """The output batch, or ``None`` when no group survives."""
         n = table.length
-        grouped = bool(self.group_kernels)
-        representatives: list[Row]
-        if grouped:
+        if self.group_kernels:
             if n == 0:
-                gids = np.empty(0, np.int64)
-                representatives = []
-            else:
-                key_vectors = [k.eval(table) for k in self.group_kernels]
-                try:
-                    codes = [_equality_codes(v) for v in key_vectors]
-                    gids, rep_idx = _first_seen_groups(_combine_codes(codes))
-                except _PythonFallback:
-                    gids, rep_idx = _py_groups(key_vectors, n)
-                representatives = self._representatives(table, rep_idx)
+                return None
+            key_vectors = [k.eval(table) for k in self.group_kernels]
+            try:
+                codes = [_equality_codes(v) for v in key_vectors]
+                gids, rep_idx = _first_seen_groups(_combine_codes(codes))
+            except _PythonFallback:
+                gids, rep_idx = _py_groups(key_vectors, n)
         else:
             gids = np.zeros(n, np.int64)
-            if n:
-                representatives = self._representatives(
-                    table, np.array([0], np.int64)
-                )
-            else:
-                representatives = [{}]
-        n_groups = len(representatives)
-        per_call = [c.compute(table, gids, n_groups) for c in self.calls]
-        rows: list[Row] = []
-        node = self.node
-        for gid, representative in enumerate(representatives):
-            results = {
-                key: column[gid]
-                for key, column in zip(self.agg_keys, per_call)
-            }
-            if node.having is not None and not _eval_with_aggregates(
-                node.having, representative, results
-            ):
-                continue
-            out_row: Row = {}
-            for item in node.items:
-                out_row[item.output_name] = _eval_with_aggregates(
-                    item.expr, representative, results
-                )
-            rows.append(out_row)
-        self.seconds += perf_counter() - began
-        size = self.batch_size if self.batch_size is not None else max(len(rows), 1)
-        for start in range(0, len(rows), size):
-            chunk = rows[start:start + size]
-            yield self._emit(ColumnBatch.from_rows(chunk, self.schema))
-
-    def _representatives(self, table: ColumnBatch, rep_idx: np.ndarray) -> list[Row]:
-        keys = self.rep_keys
-        read = ColumnBatch(keys, {k: table.columns[k] for k in keys}, table.length)
-        return gather(read, rep_idx).to_rows()
+            rep_idx = np.zeros(min(n, 1), np.int64)
+        # An ungrouped aggregate has one group even over empty input.
+        n_groups = max(len(rep_idx), 1)
+        rep = {k: table.columns[k] for k in self.rep_keys} if n else {}
+        columns = _take_present(rep, rep_idx)
+        for name, call in zip(self.agg_names, self.calls):
+            columns[name] = call.compute(table, gids, n_groups)
+        post = ColumnBatch(list(columns), columns, n_groups)
+        if not n:
+            post.columns = _NoRepresentative(post.columns)
+        if self.having is not None:
+            keep = np.flatnonzero(self.having.truth(post))
+            if not keep.size:
+                return None
+            if keep.size < n_groups:
+                post = ColumnBatch(post.names, _take_present(post.columns, keep), keep.size)
+        out = {name: kernel.eval(post) for name, kernel in self.items}
+        return ColumnBatch(self.schema, out, post.length)
 
 
 # ----------------------------------------------------------------------
@@ -1141,9 +1266,8 @@ def _lower(
         extra = list(node.group_by)
         if node.having is not None:
             extra.append(node.having)
-        reads = _select_need(node.items, extra)
-        child = _lower(node.child, *args, None if reads is None else set(reads))
-        return _AggregateOp(child, node, batch_size, reads)
+        child = _lower(node.child, *args, _select_need(node.items, extra))
+        return _AggregateOp(child, node, batch_size)
     if isinstance(node, LogicalProject):
         child = _lower(node.child, *args, _select_need(node.items, []))
         return _ProjectOp(child, node)
@@ -1195,8 +1319,9 @@ def _push_filter(child: _Op, predicate: Expr) -> _Op:
     """
     pushed: dict[tuple[_JoinOp, str], list[tuple[Expr, Kernel]]] = {}
     top: list[tuple[Expr, Kernel]] = []
+    names = set(child.schema)
     for conjunct in _conjuncts(predicate):
-        kernel = compile_kernel(conjunct, child.schema)
+        kernel = compile_kernel(conjunct, names)
         target = _filter_target(child, set(kernel.col_keys))
         if target is None:
             top.append((conjunct, kernel))

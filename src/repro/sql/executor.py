@@ -23,6 +23,7 @@ from .ast import (
     Literal,
     Star,
     UnaryOp,
+    collect_aggregates,
 )
 from .catalog import Catalog
 from .logical import (
@@ -230,51 +231,48 @@ class _Accumulator:
         raise ExecutionError(f"unknown aggregate {self.name!r}")
 
 
-def _collect_aggregates(expr: Expr, out: list[FunctionCall]) -> None:
-    if isinstance(expr, FunctionCall):
-        if expr.name.lower() in AGGREGATE_FUNCTIONS:
-            out.append(expr)
-            return
-        for arg in expr.args:
-            _collect_aggregates(arg, out)
-    elif isinstance(expr, BinaryOp):
-        _collect_aggregates(expr.left, out)
-        _collect_aggregates(expr.right, out)
-    elif isinstance(expr, UnaryOp):
-        _collect_aggregates(expr.operand, out)
-    elif isinstance(expr, CaseExpr):
-        for condition, value in expr.whens:
-            _collect_aggregates(condition, out)
-            _collect_aggregates(value, out)
-        if expr.default is not None:
-            _collect_aggregates(expr.default, out)
-    elif isinstance(expr, InList):
-        _collect_aggregates(expr.expr, out)
-        for value in expr.values:
-            _collect_aggregates(value, out)
-
-
 def _eval_with_aggregates(
     expr: Expr, group_row: Row, results: dict[str, object]
 ) -> object:
-    """Evaluate an expression where aggregate sub-calls are pre-computed."""
-    if isinstance(expr, FunctionCall) and expr.name.lower() in AGGREGATE_FUNCTIONS:
-        return results[str(expr)]
+    """Evaluate an expression where aggregate sub-calls are pre-computed.
+
+    Walks every node :func:`eval_expr` knows, so an aggregate call binds
+    wherever an expression may appear: operators, CASE, IN lists and
+    scalar function arguments.
+    """
+    if isinstance(expr, FunctionCall):
+        name = expr.name.lower()
+        if name in AGGREGATE_FUNCTIONS:
+            return results[str(expr)]
+        fn = _SCALAR_FUNCTIONS.get(name)
+        if fn is None:
+            raise ExecutionError(f"unknown function {expr.name!r}")
+        return fn(*[_eval_with_aggregates(a, group_row, results) for a in expr.args])
     if isinstance(expr, BinaryOp):
         rewritten = BinaryOp(
             expr.op,
-            _LiteralWrap(_eval_with_aggregates(expr.left, group_row, results)),
-            _LiteralWrap(_eval_with_aggregates(expr.right, group_row, results)),
+            Literal(_eval_with_aggregates(expr.left, group_row, results)),
+            Literal(_eval_with_aggregates(expr.right, group_row, results)),
         )
         return _eval_binary(rewritten, group_row)
     if isinstance(expr, UnaryOp):
         inner = _eval_with_aggregates(expr.operand, group_row, results)
-        return -inner if expr.op == "-" else (not inner)  # type: ignore[operator]
+        return eval_expr(UnaryOp(expr.op, Literal(inner)), group_row)
+    if isinstance(expr, CaseExpr):
+        for condition, value in expr.whens:
+            if _eval_with_aggregates(condition, group_row, results):
+                return _eval_with_aggregates(value, group_row, results)
+        if expr.default is None:
+            return None
+        return _eval_with_aggregates(expr.default, group_row, results)
+    if isinstance(expr, InList):
+        needle = _eval_with_aggregates(expr.expr, group_row, results)
+        matched = any(
+            needle == _eval_with_aggregates(v, group_row, results)
+            for v in expr.values
+        )
+        return (not matched) if expr.negated else matched
     return eval_expr(expr, group_row)
-
-
-def _LiteralWrap(value: object) -> Literal:
-    return Literal(value)
 
 
 # ----------------------------------------------------------------------
@@ -455,9 +453,9 @@ class QueryExecutor:
         child_rows = list(self._run(node.child))
         calls: list[FunctionCall] = []
         for item in node.items:
-            _collect_aggregates(item.expr, calls)
+            collect_aggregates(item.expr, calls)
         if node.having is not None:
-            _collect_aggregates(node.having, calls)
+            collect_aggregates(node.having, calls)
         unique_calls = {str(c): c for c in calls}
 
         groups: dict[tuple, tuple[Row, dict[str, _Accumulator]]] = {}

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import fnmatch
 import re
-from typing import Callable, Container, List, Optional, Sequence, Union
+from typing import Callable, Collection, Container, List, Optional, Union
 
 import numpy as np
 
@@ -486,8 +486,9 @@ def resolve_column(ref: ColumnRef, names: Container[str]) -> Optional[str]:
 class _Compiler:
     """Lowers one expression tree to an evaluator closure tree."""
 
-    def __init__(self, schema: Sequence[str]) -> None:
-        self.schema = set(schema)
+    def __init__(self, schema: Collection[str]) -> None:
+        # Only read during compile, so a set is used as is, not copied.
+        self.schema = schema if isinstance(schema, (set, frozenset)) else set(schema)
         self.col_keys: dict[str, None] = {}
 
     def compile(self, expr: Expr) -> Evaluator:
@@ -633,8 +634,12 @@ class _Compiler:
         return run
 
 
-def compile_kernel(expr: Expr, schema: Sequence[str]) -> Kernel:
-    """Compile ``expr`` into a vectorized kernel over ``schema`` columns."""
+def compile_kernel(expr: Expr, schema: Collection[str]) -> Kernel:
+    """Compile ``expr`` into a vectorized kernel over ``schema`` columns.
+
+    An operator compiling several kernels over one schema passes a set,
+    built once and shared by every compile.
+    """
     compiler = _Compiler(schema)
     run = compiler.compile(expr)
     return Kernel(run, list(compiler.col_keys))

@@ -7,6 +7,10 @@ the row executor returns — same values, same order, same key sets.
 
 from __future__ import annotations
 
+import ast
+from pathlib import Path
+
+import numpy as np
 import pytest
 
 from repro.obs import MetricsRegistry, RecordingTracer
@@ -15,15 +19,17 @@ from repro.sql import (
     FIG1_QUERY,
     ColumnarExecutor,
     QueryExecutor,
+    columnar,
     compile_kernel,
     execute_sql,
+    executor,
     generate_database,
     parse,
     plan_statement,
     run_query,
 )
-from repro.sql.ast import BinaryOp, ColumnRef, Literal
-from repro.sql.columnar import ColumnBatch, compile_plan, walk_ops
+from repro.sql.ast import BinaryOp, ColumnRef, FunctionCall, Literal, Star
+from repro.sql.columnar import ColumnBatch, ColumnVector, compile_plan, walk_ops
 from repro.workloads.tpch_sql import TPCH_SQL, run_tpch_query, runnable_queries
 
 
@@ -105,6 +111,111 @@ def test_q6_scan_reads_only_referenced_columns(db):
     assert sorted(scan.base_names) == [
         "l_discount", "l_extendedprice", "l_quantity", "l_shipdate",
     ]
+
+
+# ----------------------------------------------------------------------
+# Aggregates stay columnar
+# ----------------------------------------------------------------------
+
+def test_aggregate_never_leaves_columns(db, monkeypatch):
+    # Inside the aggregate operator no row dict is built or read and the
+    # row engine's per-group evaluator is never called.
+    expected = {q: _row_engine(TPCH_SQL[q], db) for q in runnable_queries()}
+    inside: list[object] = []
+    batches = columnar._AggregateOp.batches
+
+    def guarded(self):
+        produced = batches(self)
+        while True:
+            inside.append(self)
+            try:
+                batch = next(produced)
+            except StopIteration:
+                return
+            finally:
+                inside.pop()
+            yield batch
+
+    def forbid(name, real):
+        def call(*args, **kwargs):
+            assert not inside, f"{name} called inside _AggregateOp"
+            return real(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(columnar._AggregateOp, "batches", guarded)
+    monkeypatch.setattr(ColumnBatch, "from_rows", classmethod(
+        forbid("from_rows", ColumnBatch.from_rows.__func__)))
+    monkeypatch.setattr(ColumnBatch, "to_rows", forbid("to_rows", ColumnBatch.to_rows))
+    monkeypatch.setattr(executor, "_eval_with_aggregates", forbid(
+        "_eval_with_aggregates", executor._eval_with_aggregates))
+    assert len(expected) == 10
+    for query, rows in expected.items():
+        assert _columnar_engine(TPCH_SQL[query], db) == rows, query
+
+
+def test_row_engine_imports_only_shrink():
+    # The columnar engine's imports from the row reference (ROADMAP item
+    # 6's cut list): a change may remove names from this set, never add.
+    sql_dir = Path(columnar.__file__).parent
+    imported = {}
+    for module in ("columnar.py", "kernels.py"):
+        tree = ast.parse((sql_dir / module).read_text())
+        imported[module] = {
+            alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+            and node.level == 1 and node.module == "executor"
+            for alias in node.names
+        }
+    assert imported == {
+        "columnar.py": {
+            "Database", "ExecutionError", "Row",
+            "_extract_equi_keys", "_hashable", "_sort_key",
+        },
+        "kernels.py": {
+            "ExecutionError", "_SCALAR_FUNCTIONS", "like_to_glob", "sql_like",
+        },
+    }
+
+
+_AGG_INPUTS = {
+    "int": [3, None, -1, 7, None, 2],
+    "float": [1.5, None, 0.25, None, 4.0, -2.0],
+    "str": ["b", None, "zz", "a", None, "c"],
+    "bool": [True, None, False, None, True, False],
+    "object": [1, 2.5, None, 4, None, 7],
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_AGG_INPUTS))
+@pytest.mark.parametrize("name", ["count", "sum", "avg", "min", "max"])
+@pytest.mark.parametrize("gids", [
+    [0, 0, 1, 2, 2, 2],  # group 1 holds one value
+    [0, 1, 0, 2, 1, 0],  # group 1 is all NULL for every kind
+    [0, 0, 0, 0, 0, 0],
+])
+def test_aggregate_vectors_encode_like_from_values(kind, name, gids):
+    # Each aggregate's per-group vector is exactly the one
+    # ColumnVector.from_values infers from its values: NULL lanes hold
+    # zeros, an all-NULL result is an object column, and a string result's
+    # dictionary holds only the values present in it.
+    values = ColumnVector.from_values(_AGG_INPUTS[kind])
+    table = ColumnBatch(["v"], {"v": values}, len(values))
+    groups = np.array(gids, np.int64)
+    n_groups = int(groups.max()) + 1
+    call = FunctionCall(name, (ColumnRef("v"),))
+    got = columnar._AggCall(call, ["v"]).compute(table, groups, n_groups)
+    want = ColumnVector.from_values(got.to_pylist())
+    assert got.kind == want.kind
+    assert got.data.tolist() == want.data.tolist()
+    assert (got.mask is None) == (want.mask is None)
+    if want.mask is not None:
+        assert got.mask.tolist() == want.mask.tolist()
+    if want.kind == "str":
+        assert got.dictionary.tolist() == want.dictionary.tolist()
+    star = FunctionCall("count", (Star(),))
+    counts = columnar._AggCall(star, ["v"]).compute(table, groups, n_groups)
+    assert counts.kind == "int" and counts.mask is None
 
 
 # ----------------------------------------------------------------------

@@ -534,3 +534,114 @@ def test_select_star_over_join_keeps_every_column(star, setup):
         "id", "price", "qty", "tag", "grp", "oid", "owner",
         "i.id", "i.price", "i.qty", "i.tag", "i.grp", "o.oid", "o.owner",
     }
+
+
+# ----------------------------------------------------------------------
+# Aggregates bound inside expressions, and the error paths of the
+# aggregate operator.  ``t`` has one group with a value and a NULL, and
+# one all-NULL group; ``d`` holds a string ``year()`` rejects.
+# ----------------------------------------------------------------------
+
+def _agg_setup():
+    catalog = Catalog()
+    catalog.register(TableSchema(
+        "t", _cols("g:int", "x:float", "d:str"), base_rows=3, bytes_per_row=20,
+    ))
+    database = {"t": [
+        {"g": 1, "x": 1.0, "d": "1995-01-02"},
+        {"g": 1, "x": None, "d": "n/a"},
+        {"g": 2, "x": None, "d": "1996-03-04"},
+    ]}
+    return database, catalog
+
+
+#: (case id, SQL text, expected rows on both engines, in order)
+AGGREGATE_EXPR_CORPUS = [
+    ("unary_minus_over_null_sum",
+     "select g, -sum(x) as s from t group by g",
+     [{"g": 1, "s": -1.0}, {"g": 2, "s": None}]),
+    ("having_is_null_over_aggregate",
+     "select g from t group by g having sum(x) is null",
+     [{"g": 2}]),
+    ("case_over_aggregate",
+     "select g, case when sum(x) > 0 then 1 else 0 end as pos from t group by g",
+     [{"g": 1, "pos": 1}, {"g": 2, "pos": 0}]),
+    ("in_list_over_aggregate",
+     "select g from t group by g having count(*) in (2, 5)",
+     [{"g": 1}]),
+    ("scalar_function_over_aggregate",
+     "select g, coalesce(sum(x), 0.0) as s from t group by g",
+     [{"g": 1, "s": 1.0}, {"g": 2, "s": 0.0}]),
+    ("float_plus_int_aggregates",
+     "select g, sum(x) + count(*) as s from t group by g",
+     [{"g": 1, "s": 3.0}, {"g": 2, "s": None}]),
+    # year() runs once per dictionary entry in the columnar engine: the
+    # min's dictionary must not keep 'n/a', which no group's min holds.
+    ("scalar_function_over_string_min",
+     "select g, year(min(d)) as y from t group by g",
+     [{"g": 1, "y": 1995}, {"g": 2, "y": 1996}]),
+    # ... nor may a group key's dictionary keep a value WHERE dropped.
+    ("scalar_function_over_filtered_group_key",
+     "select year(d) as y, count(*) as n from t where d <> 'n/a' group by d",
+     [{"y": 1995, "n": 1}, {"y": 1996, "n": 1}]),
+    # ... or one whose group HAVING dropped.
+    ("scalar_function_over_having_survivors",
+     "select year(d) as y from t group by d having d <> 'n/a'",
+     [{"y": 1995}, {"y": 1996}]),
+    # HAVING runs first: the all-NULL group's round(NULL) would raise.
+    ("having_drops_every_raising_group",
+     "select g, round(max(x)) as r from t group by g having count(*) > 5",
+     []),
+    ("having_drops_the_raising_group",
+     "select g, round(max(x)) as r from t group by g having count(*) > 1",
+     [{"g": 1, "r": 1.0}]),
+    ("grouped_over_zero_rows",
+     "select g, round(max(x)) as r, sum(x) as s from t where g > 10 group by g",
+     []),
+    # Nothing is evaluated on zero groups, not even a bad column name.
+    ("grouped_over_zero_rows_reading_no_such_column",
+     "select g, nosuch as bad from t where g > 10 group by g",
+     []),
+    ("ungrouped_over_zero_rows",
+     "select count(*) as n, -sum(x) as s, min(d) as lo from t where g > 10",
+     [{"n": 0, "s": None, "lo": None}]),
+]
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("case_id,sql,expected", AGGREGATE_EXPR_CORPUS,
+                         ids=[c[0] for c in AGGREGATE_EXPR_CORPUS])
+def test_aggregates_bind_inside_expressions(engine, case_id, sql, expected):
+    database, catalog = _agg_setup()
+    rows = execute_sql(sql, database, catalog, engine=engine).rows
+    assert _json_rows(rows) == _json_rows(expected)
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("sql,column", [
+    # No row, so no representative to read ``x`` from.
+    ("select x, count(*) as n from t where g > 10", "x"),
+    ("select g, nosuch as bad from t group by g", "nosuch"),
+    ("select g from t group by g having nosuch > 1", "nosuch"),
+])
+def test_aggregate_reading_a_missing_column_raises(engine, sql, column):
+    database, catalog = _agg_setup()
+    with pytest.raises(ExecutionError, match=f"column '{column}' not found in row"):
+        execute_sql(sql, database, catalog, engine=engine)
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_round_over_null_aggregate_raises_without_having(engine):
+    database, catalog = _agg_setup()
+    sql = "select g, round(max(x)) as r from t group by g"
+    with pytest.raises(TypeError):
+        execute_sql(sql, database, catalog, engine=engine)
+
+
+@pytest.mark.parametrize("case_id,sql,expected", AGGREGATE_EXPR_CORPUS,
+                         ids=[c[0] for c in AGGREGATE_EXPR_CORPUS])
+def test_aggregate_batch_size_one_matches_default(case_id, sql, expected):
+    database, catalog = _agg_setup()
+    one = execute_sql(sql, database, catalog, engine="columnar", batch_size=1)
+    default = execute_sql(sql, database, catalog, engine="columnar")
+    assert _json_rows(one.rows) == _json_rows(default.rows)

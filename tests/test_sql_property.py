@@ -91,13 +91,34 @@ _agg_lists = st.sampled_from([
     "min(i) as lo, max(i) as hi",
     "min(s) as first_s, max(f) as peak",
     "sum(i) as si, count(s) as cs",
+    # Expressions over aggregates: each call binds inside the operator.
+    "sum(f) / count(*) as ratio, -min(i) as neg",
+    "not max(f) > {c} as small, sum(i) is null as none",
+    "case when count(*) > {c} then 'many' when count(*) = 1 then 'one' "
+    "else 'few' end as size, sum(i) + count(*) as mixed",
+    "max(s) || '!' as loud, coalesce(min(f), {c}) as low",
+])
+
+#: HAVING over aggregates (and over the group key, when grouped).
+_havings = st.sampled_from([
+    "",
+    " having count(*) > {c}",
+    " having sum(f) > {c}",
+    " having min(i) is null",
+    " having max(s) like 'a%'",
+    " having count(i) in (0, 1, {c})",
+    " having not avg(f) < {c}",
 ])
 
 _limits = st.sampled_from(["", " limit 5"])
 
 
+def _json_rows(rows: list[dict]) -> list[str]:
+    return [json.dumps(r, sort_keys=True, default=str) for r in rows]
+
+
 def _canon(rows: list[dict]) -> list[str]:
-    return sorted(json.dumps(r, sort_keys=True, default=str) for r in rows)
+    return sorted(_json_rows(rows))
 
 
 def _run_both(
@@ -127,14 +148,25 @@ def test_scan_fragments_agree(rows, select, pred, c, order_pick, limit):
     _run_both(sql, rows)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(rows=_table, aggs=_agg_lists, pred=_predicates, c=st.integers(-3, 12),
-       grouped=st.booleans())
-def test_aggregate_fragments_agree(rows, aggs, pred, c, grouped):
+       grouped=st.booleans(), having=_havings,
+       null_group=st.sampled_from([None, "g1", "g2"]))
+def test_aggregate_fragments_agree(rows, aggs, pred, c, grouped, having, null_group):
+    if null_group is not None:
+        # One group whose every aggregated column is NULL.
+        rows = [
+            {**r, "i": None, "f": None, "s": None} if r["g"] == null_group else r
+            for r in rows
+        ]
     group = " group by g" if grouped else ""
     head = f"g, {aggs}" if grouped else aggs
-    sql = f"select {head} from t where {pred.format(c=c)}{group}"
-    _run_both(sql, rows)
+    sql = (f"select {head.format(c=c)} from t where {pred.format(c=c)}"
+           f"{group}{having.format(c=c)}")
+    row, columnar = _run_both(sql, rows)
+    # Exact and in order: first-seen group order is part of the contract,
+    # and JSON tells 1 from 1.0 where == does not.
+    assert _json_rows(columnar) == _json_rows(row), sql
 
 
 #: Join conditions: the equi case (NULL keys never match) plus non-equi
