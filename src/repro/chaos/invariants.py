@@ -4,7 +4,8 @@ Each check returns zero or more :class:`Violation` records; an empty list
 means the runtime survived the campaign.  The checks mirror the guarantees
 of Section IV: recovery restores exactly the lost work (no lost or
 duplicated shuffle data, no unbounded re-execution), every job reaches a
-terminal state, and useless-recovery failures are reported, not retried.
+terminal state and completes when its last task finishes, and
+useless-recovery failures are reported, not retried.
 """
 
 from __future__ import annotations
@@ -133,6 +134,20 @@ def check_result_equivalence(
                     result.job_id,
                 )
             )
+    return out
+
+
+def check_job_finish_times(results: list[JobResult]) -> list[Violation]:
+    """A completed job finishes exactly when its last task does; a finish
+    event that outlived its attempt (a re-run finishing earlier) breaks it."""
+    out = []
+    for result in results:
+        last = max((t.finish for t in result.metrics.tasks), default=None)
+        if result.completed and last is not None and result.metrics.finish_time != last:
+            out.append(Violation(
+                "job-finish-time", f"job finished at t={result.metrics.finish_time!r} "
+                f"but its last task at t={last!r}", result.job_id,
+            ))
     return out
 
 
@@ -324,6 +339,7 @@ def check_all(
     violations = []
     violations.extend(check_terminal_states(runtime, expected_jobs))
     violations.extend(check_result_equivalence(results, baseline))
+    violations.extend(check_job_finish_times(results))
     violations.extend(check_cache_accounting(runtime))
     violations.extend(check_resource_conservation(runtime))
     violations.extend(check_bounded_recovery(runtime))

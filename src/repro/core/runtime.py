@@ -17,9 +17,9 @@ and *all* cross-unit inputs — become available only when the producer stage
 completes.  Task finish times are computed analytically per stage, and
 each finish is one kernel event: stage completion, the next gang grant and
 recovery all start from it, as they start from an executor's finish report
-in the paper (Sections II-B and IV).  Recovery schedules a new event when
-it re-runs a task, and an event that fires before its task's current
-finish time (recovery pushed the finish back) chases it.
+in the paper (Sections II-B and IV).  Each task holds its one live finish
+event, which recovery cancels and reschedules; :func:`_task_times` is the
+one rule that times a task.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from ..obs.records import Category
 from ..obs.tracer import NULL_TRACER, Tracer
 from ..sim.cluster import Cluster, Executor, ExecutorState
 from ..sim.config import SimConfig
-from ..sim.engine import Simulator
+from ..sim.engine import Event, Simulator
 from ..sim.failures import FailureKind, FailurePlan, FailureSpec
 from .admin import SwiftAdmin
 from .cache_worker import CacheWorker
@@ -60,7 +60,24 @@ from .shuffle import (
     resolve_scheme,
 )
 
-_EPS = 1e-9
+
+def _task_times(
+    ready: float, barrier: float, floor: float, first_input: float,
+    flush: float, read: float, proc: float, write: float,
+) -> tuple[float, float]:
+    """``(start, finish)`` of one attempt: it starts at the later of
+    ``ready`` and its barrier inputs, then reads, processes and writes.  A
+    streamed consumer (``floor > 0``) finishes no earlier than ``floor +
+    flush``, and its start is then raised to its first streamed input."""
+    start = ready if ready > barrier else barrier
+    finish = start + read + proc + write
+    if floor > 0:
+        floor += flush
+        if finish < floor:
+            finish = floor
+        if start < first_input:
+            start = first_input
+    return start, finish
 
 
 class TaskState(enum.Enum):
@@ -90,13 +107,16 @@ class TaskInstance:
     executor: Optional[Executor] = None
     plan_arrive: float = math.inf
     data_arrive: float = math.inf
+    #: The current attempt's ``ready`` input to :func:`_task_times`.
+    ready: float = math.inf
     start: float = math.inf
     finish_time: float = math.inf
     launch: float = 0.0
     read: float = 0.0
     proc: float = 0.0
     write: float = 0.0
-    event_scheduled: bool = False
+    #: The attempt's queued finish event (``None`` once fired or cancelled).
+    finish_event: Optional[Event] = None
 
 
 class StageRun:
@@ -112,7 +132,6 @@ class StageRun:
         self.prepared = False
         self.computed = False
         self.completed = False
-        self.n_dispatched = 0
         self.n_computed = 0
         self.n_finalized = 0
         # Stage-level timing constants (filled by _prepare_stage).
@@ -266,6 +285,10 @@ class SwiftRuntime:
         #: ``bounded-shuffle-recovery`` chaos invariant audits this log.
         self.shuffle_recovery_log: list[dict] = []
         self.failure_plan = failure_plan or FailurePlan()
+        for spec in self.failure_plan.specs:
+            if (spec.validate().machine_id or 0) >= len(cluster.machines):
+                raise ValueError(f"machine_id={spec.machine_id} is past the cluster's "
+                                 f"{len(cluster.machines)} machines")
         #: Non-failure job duration used to resolve ``at_fraction`` failures;
         #: either one global value or a per-job mapping (as Fig. 15 needs,
         #: where failures strike at a fraction of each job's own runtime).
@@ -568,7 +591,6 @@ class SwiftRuntime:
                 launch = mean + uniform(-jitter, jitter)
                 inst.launch = launch if launch > 0.0 else 0.0
             sr = inst.stage_run
-            sr.n_dispatched += 1
             if sr is last_sr:
                 # Same (job, stage) key as the previous instance: a repeat
                 # lookup is by definition a cache hit, so skip the set probe.
@@ -586,11 +608,8 @@ class SwiftRuntime:
                 continue
             if not sr.prepared:
                 self._prepare_stage(sr)
-            if sr.n_dispatched == len(sr.instances):
-                self._compute_stage(sr)
-            else:
-                # Wave execution: compute the dispatched prefix now.
-                self._compute_ready_instances(sr)
+            # Under wave execution only a prefix is dispatched so far.
+            self._compute_ready_instances(sr)
 
     def _stage_inputs_known(self, sr: StageRun) -> bool:
         job_run = sr.job_run
@@ -812,10 +831,6 @@ class SwiftRuntime:
             in_bytes += dag.edge_bytes(edge) / stage.task_count
         return in_bytes / self.config.task_processing_rate
 
-    def _compute_stage(self, sr: StageRun) -> None:
-        self._compute_ready_instances(sr)
-        sr.computed = sr.n_computed == len(sr.instances)
-
     def _compute_ready_instances(self, sr: StageRun) -> None:
         """Compute finish times for dispatched-but-uncomputed instances.
 
@@ -850,33 +865,19 @@ class SwiftRuntime:
             inst.read = read
             inst.write = write
             ready = inst.plan_arrive + inst.launch
-            start = ready if ready > barrier else barrier
-            finish = start + read + proc + write
-            if p_floor > 0:
-                floor = p_floor + flush
-                if finish < floor:
-                    finish = floor
-                if start < p_first:
-                    start = p_first
+            start, finish = _task_times(ready, barrier, p_floor, p_first, flush, read, proc, write)
+            inst.ready = ready
             inst.start = start
             inst.finish_time = finish
-            if not has_inputs:
-                inst.data_arrive = ready
-            else:
-                arrive = ready
-                if barrier > 0 and barrier > arrive:
-                    arrive = barrier
-                if p_first > 0 and p_first > arrive:
-                    arrive = p_first
-                inst.data_arrive = arrive
+            # Times are non-negative, so an unset (0.0) input never wins.
+            inst.data_arrive = max(ready, barrier, p_first) if has_inputs else ready
             n_computed += 1
             if finish > finish_est:
                 finish_est = finish
             read_done = start + read
             if read_done < earliest:
                 earliest = read_done
-            inst.event_scheduled = True
-            schedule_at(finish if finish > now else now, on_finish, inst)
+            inst.finish_event = schedule_at(finish if finish > now else now, on_finish, inst)
         sr.n_computed = n_computed
         sr.finish_estimate = finish_est
         sr.earliest_read_done = earliest
@@ -892,39 +893,33 @@ class SwiftRuntime:
             self._try_compute_stages(sr.job_run.units[sr.unit_id])
 
     def _schedule_finish(self, inst: TaskInstance) -> None:
-        """Schedule the finish event of a re-run or moved task.
+        """Queue ``inst``'s finish event at its current finish time (never
+        before ``sim.now``).
 
-        The event fires at the task's finish time, never before ``sim.now``.
-        An instance whose event is still queued keeps it: the event chases a
-        finish that moved later.
+        A queued event at another time is cancelled first, so each attempt
+        has exactly one live finish event, at the time it finishes.
         """
-        if inst.event_scheduled:
-            return
-        inst.event_scheduled = True
-        self.sim.schedule_at(
-            max(inst.finish_time, self.sim.now), self._on_task_finish, inst
-        )
+        time = max(inst.finish_time, self.sim.now)
+        event = inst.finish_event
+        if event is not None:
+            if event.time == time:
+                return
+            event.cancel()
+        inst.finish_event = self.sim.schedule_at(time, self._on_task_finish, inst)
+
+    def _cancel_finish(self, inst: TaskInstance) -> None:
+        if inst.finish_event is not None:
+            inst.finish_event.cancel()
+            inst.finish_event = None
 
     def _on_task_finish(self, inst: TaskInstance) -> None:
-        """An executor's finish report for ``inst``: finalize the task,
-        complete its stage, and hand the freed executor to the scheduler."""
-        inst.event_scheduled = False
-        sr = inst.stage_run
-        job_run = sr.job_run
-        if job_run.aborted or job_run.failed or inst.state is TaskState.DEAD:
-            return
-        if inst.finish_time == math.inf:
-            # Suspended by a machine crash; recovery will reschedule.
-            return
-        if inst.finish_time > self.sim.now + _EPS:
-            # Recovery pushed the finish back after this event was queued;
-            # chase it.
-            self._schedule_finish(inst)
-            return
-        if inst.state is not TaskState.DISPATCHED:
-            return
+        """An executor's finish report for ``inst`` at its ``finish_time``:
+        finalize the task, complete its stage, and hand the freed executor
+        to the scheduler.  Every queued finish event is live."""
+        inst.finish_event = None
         inst.state = TaskState.FINISHED
         self._flush_finishes(inst)
+        sr = inst.stage_run
         sr.n_finalized += 1
         if sr.n_finalized == len(sr.instances) and not sr.completed:
             self._on_stage_completed(sr)
@@ -1217,6 +1212,7 @@ class SwiftRuntime:
                     # The in-flight attempt dies with the machine; suspend
                     # its completion until recovery re-runs it.
                     inst.finish_time = math.inf
+                    self._cancel_finish(inst)
             if self.policy.recovery == FailureRecovery.JOB_RESTART:
                 # Restart every job that lost an in-flight task, not just the
                 # one the spec targeted: a machine death is cluster-wide.
@@ -1248,6 +1244,7 @@ class SwiftRuntime:
             instance.executor = None
             if instance.state == TaskState.DISPATCHED:
                 instance.finish_time = math.inf
+                self._cancel_finish(instance)
         if instance.executor is not None:
             machine = instance.executor.machine
             if self.admin.record_task_failure(machine.machine_id, self.sim.now):
@@ -1481,6 +1478,7 @@ class SwiftRuntime:
                 if inst.executor is not None:
                     inst.executor.release()
                     inst.executor = None
+                self._cancel_finish(inst)
                 inst.state = TaskState.DEAD
         self._release_cache_workers(job_run.job.job_id)
         self._pump_scheduler()
@@ -1608,8 +1606,7 @@ class SwiftRuntime:
             )
             return None
         inst.attempt += 1
-        was_finished = inst.state == TaskState.FINISHED
-        if was_finished:
+        if inst.state == TaskState.FINISHED:
             sr.n_finalized -= 1
             sr.completed = False
         inst.state = TaskState.DISPATCHED
@@ -1631,14 +1628,10 @@ class SwiftRuntime:
             else:
                 # No free slot right now; model a short re-acquire wait.
                 relaunch += 0.5
-        start = max(not_before, sr.barrier_avail) + relaunch
-        inst.start = start
-        finish = start + inst.read + inst.proc + inst.write
-        if sr.pipeline_floor > 0:
-            # A streamed consumer still cannot finish before its producers
-            # have flushed, even on re-execution.
-            finish = max(finish, sr.pipeline_floor + self.config.pipeline_flush_latency)
-        inst.finish_time = finish
+        inst.ready = not_before + relaunch
+        inst.start, inst.finish_time = _task_times(
+            inst.ready, sr.barrier_avail, sr.pipeline_floor, sr.pipeline_first_input,
+            self.config.pipeline_flush_latency, inst.read, inst.proc, inst.write)
         sr.finish_estimate = max(sr.finish_estimate, inst.finish_time)
         self._schedule_finish(inst)
         return inst.finish_time
@@ -1666,32 +1659,25 @@ class SwiftRuntime:
         return True
 
     def _propagate_delays(self, sr: StageRun) -> None:
-        """Push updated finish estimates through downstream stages.
-
-        Walks the whole downstream cone in topological order, lifting each
-        computed stage's instance finish times to respect the new barrier
-        availability / pipeline floors.  Queued finish events chase the
-        moved finishes.
-        """
+        """Re-time the computed stages downstream of a re-run ``sr``, in
+        topological order: raise each stage's stored barrier and pipeline
+        floor to its producers' finish estimates and re-time its in-flight
+        instances from their own ``ready``.  Inputs only rise, so finishes
+        only move later, and a task whose inputs did not move keeps its
+        times and its event."""
         job_run = sr.job_run
         dag = job_run.dag
         order = dag.topo_order()
-        position = {name: i for i, name in enumerate(order)}
-        frontier = {sr.name}
-        for name in order:
-            if position[name] <= position[sr.name] and name != sr.name:
+        cone = {sr.name}
+        flush = self.config.pipeline_flush_latency
+        for name in order[order.index(sr.name) + 1:]:
+            if not any(pred in cone for pred in dag.predecessors(name)):
                 continue
-            if name != sr.name and not any(
-                pred in frontier for pred in dag.predecessors(name)
-            ):
-                continue
-            frontier.add(name)
-            if name == sr.name:
-                continue
+            cone.add(name)
             consumer = job_run.stage_runs[name]
             if not consumer.computed or consumer.completed:
                 continue
-            floor = 0.0
+            floor = consumer.pipeline_floor
             barrier = consumer.barrier_avail
             for edge in dag.in_edges(name):
                 producer = job_run.stage_runs[edge.src]
@@ -1700,18 +1686,14 @@ class SwiftRuntime:
                 else:
                     barrier = max(barrier, producer.finish_estimate)
             consumer.barrier_avail = barrier
-            flush = self.config.pipeline_flush_latency
+            consumer.pipeline_floor = floor
+            first = consumer.pipeline_first_input
             for inst in consumer.instances:
                 if inst.state != TaskState.DISPATCHED or inst.finish_time == math.inf:
                     continue
-                new_start = max(inst.start, barrier)
-                new_finish = new_start + inst.read + inst.proc + inst.write
-                if floor > 0:
-                    new_finish = max(new_finish, floor + flush)
-                if new_finish > inst.finish_time + _EPS:
-                    inst.start = new_start
-                    inst.finish_time = new_finish
-                    consumer.finish_estimate = max(
-                        consumer.finish_estimate, new_finish
-                    )
+                inst.start, finish = _task_times(
+                    inst.ready, barrier, floor, first, flush, inst.read, inst.proc, inst.write)
+                if finish > inst.finish_time:
+                    inst.finish_time = finish
+                    consumer.finish_estimate = max(consumer.finish_estimate, finish)
                     self._schedule_finish(inst)

@@ -23,7 +23,9 @@ Cancelled events use lazy deletion: :meth:`Event.cancel` only marks the
 entry, and the engine drops it when it reaches the top of the heap.  A live
 counter keeps :meth:`Simulator.pending_events` O(1), and when more than half
 of a large heap is dead the queue is compacted in one pass so replays that
-cancel many recovery events cannot bloat the heap.
+cancel many recovery events cannot bloat the heap.  The runtime cancels a
+task's finish event whenever recovery moves, suspends or abandons the
+attempt (``repro.core.runtime``), so every queued finish event is live.
 """
 
 from __future__ import annotations

@@ -70,9 +70,11 @@ class FailureSpec:
     def validate(self) -> "FailureSpec":
         """Raise a loud ``ValueError`` for a mis-specified failure.
 
-        Exactly one of ``at_time`` / ``at_fraction`` must be set.  This is
-        checked at construction, but specs are mutable — re-validate after
-        editing fields in place (``FailurePlan.add`` does so for you).
+        Exactly one of ``at_time`` / ``at_fraction`` must be set, and
+        ``machine_id`` is not negative (the runtime checks it against the
+        cluster).  This is checked at construction, but specs are mutable —
+        re-validate after editing fields in place (``FailurePlan.add`` does
+        so for you).
         """
         if self.at_time is None and self.at_fraction is None:
             raise ValueError(
@@ -91,6 +93,8 @@ class FailureSpec:
             raise ValueError("at_time must be non-negative")
         if self.duration is not None and self.duration <= 0:
             raise ValueError("duration must be positive when set")
+        if self.machine_id is not None and self.machine_id < 0:
+            raise ValueError(f"machine_id={self.machine_id} is negative")
         return self
 
     def resolve_time(self, reference_duration: float) -> float:

@@ -492,12 +492,8 @@ def _group_vector(
 
 
 def _present_only(vec: ColumnVector) -> ColumnVector:
-    """``vec`` with a ``str`` dictionary cut down to the values its lanes hold.
-
-    Kernels run scalar functions once per dictionary entry, so an entry no
-    lane holds (a value of a row the WHERE dropped, or of a group HAVING
-    dropped) could raise where the row engine never looks.
-    """
+    """``vec`` with a ``str`` dictionary cut down to the values its lanes
+    hold, so a ``min``/``max`` result encodes like ``from_values``."""
     if vec.kind != "str":
         return vec
     mask = vec.mask
@@ -513,13 +509,6 @@ def _present_only(vec: ColumnVector) -> ColumnVector:
         data = np.zeros(len(vec), np.int32)
         data[~mask] = inverse
     return ColumnVector("str", data, mask, vec.dictionary[used])
-
-
-def _take_present(
-    columns: dict[str, ColumnVector], indexes: np.ndarray
-) -> dict[str, ColumnVector]:
-    """Each column at ``indexes``, through :func:`_present_only`."""
-    return {name: _present_only(vec.take(indexes)) for name, vec in columns.items()}
 
 
 class _NoRepresentative(dict):
@@ -799,7 +788,7 @@ class _AggregateOp(_UnaryOpBase):
         # An ungrouped aggregate has one group even over empty input.
         n_groups = max(len(rep_idx), 1)
         rep = {k: table.columns[k] for k in self.rep_keys} if n else {}
-        columns = _take_present(rep, rep_idx)
+        columns = {k: vec.take(rep_idx) for k, vec in rep.items()}
         for name, call in zip(self.agg_names, self.calls):
             columns[name] = call.compute(table, gids, n_groups)
         post = ColumnBatch(list(columns), columns, n_groups)
@@ -810,7 +799,8 @@ class _AggregateOp(_UnaryOpBase):
             if not keep.size:
                 return None
             if keep.size < n_groups:
-                post = ColumnBatch(post.names, _take_present(post.columns, keep), keep.size)
+                columns = {k: vec.take(keep) for k, vec in post.columns.items()}
+                post = ColumnBatch(post.names, columns, keep.size)
         out = {name: kernel.eval(post) for name, kernel in self.items}
         return ColumnBatch(self.schema, out, post.length)
 

@@ -9,8 +9,9 @@ whole batch shares).  Evaluation is array-at-a-time:
   logic carried in the null bitmaps (a NULL operand nulls the lane);
 * ``and``/``or``/``not`` lower NULL to Python truthiness (``bool(None)`` is
   falsy) exactly like the row engine, and always produce plain booleans;
-* LIKE and the string scalar functions evaluate once per *dictionary
-  entry* and gather the per-unique result through the codes;
+* LIKE evaluates once per *dictionary entry*, and the string scalar
+  functions once per entry some valid lane holds, and each gathers the
+  per-unique result through the codes;
 * anything outside the typed fast paths — mixed-type (``object``) columns,
   string arithmetic, non-constant patterns — falls back to an elementwise
   loop over decoded values running the row engine's own scalar semantics,
@@ -395,15 +396,19 @@ def _apply_scalar_fn(
     if isinstance(first, ColumnVector) and all(isinstance(r, Const) for r in rest):
         cargs = [r.value for r in rest]  # type: ignore[union-attr]
         if first.kind == "str":
-            # Evaluate once per dictionary entry, gather through the codes.
+            # Evaluate once per dictionary entry some valid lane holds (a
+            # gathered vector keeps its source's whole dictionary, whose
+            # other entries may make ``fn`` raise), gather through the codes.
             uniques = first.dictionary.tolist()
             codes = first.data
+            valid = codes[~first.mask] if first.has_nulls() else codes
+            held = np.bincount(valid, minlength=len(uniques)).tolist()
+            applied = [fn(u, *cargs) if n else None for u, n in zip(uniques, held)]
             if first.has_nulls():
                 # The row engine passes raw None into the function (and may
                 # raise, e.g. year(NULL)); evaluate it once, only if needed.
-                uniques = uniques + [None]
-                codes = np.where(first.mask, len(uniques) - 1, codes)
-            applied = [fn(u, *cargs) for u in uniques]
+                applied.append(fn(None, *cargs))
+                codes = np.where(first.mask, len(applied) - 1, codes)
             return ColumnVector.from_values(applied).take(codes)
         if first.kind in ("int", "float") and name == "abs" and not cargs:
             if first.has_nulls():

@@ -3,6 +3,8 @@ resource auditing for every runtime a test builds."""
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.core.dag import Edge, Job, JobDAG, Stage
@@ -10,6 +12,8 @@ from repro.core.operators import OperatorKind as K, ops
 from repro.core.runtime import SwiftRuntime
 from repro.sim.cluster import Cluster
 from repro.sim.config import SimConfig
+from repro.sim.failures import FailureKind, sample_trace_failures
+from repro.workloads import traces
 
 MB = 1e6
 
@@ -123,3 +127,45 @@ def barrier_chain() -> JobDAG:
 
 def as_job(dag: JobDAG, submit_time: float = 0.0) -> Job:
     return Job(dag=dag, submit_time=submit_time)
+
+
+# ----------------------------------------------------------------------
+# The pinned-fingerprint workload: 8 trace jobs on a 100 x 32 cluster
+# ----------------------------------------------------------------------
+
+#: Machine-level failures hit one of the first few machines, where the
+#: least-loaded-first scheduler places most work.
+_MACHINE_KINDS = (
+    FailureKind.MACHINE_CRASH,
+    FailureKind.MACHINE_QUARANTINE,
+    FailureKind.CACHE_WORKER_LOSS,
+)
+
+
+def trace_jobs(seed: int) -> list[Job]:
+    """The 8-job trace each fingerprint case runs."""
+    return traces.generate_trace(
+        traces.TraceConfig(n_jobs=8, mean_interarrival=0.2, seed=7 + seed)
+    )
+
+
+def run_jobs(policy, jobs, failure_plan, tracer=None, reference=100.0):
+    """``harness.run_jobs`` on a 100 x 32 cluster."""
+    runtime = SwiftRuntime(
+        Cluster.build(100, 32), policy, failure_plan=failure_plan, tracer=tracer,
+        reference_duration=reference,
+    )
+    runtime.submit_all(list(jobs))
+    return runtime.run(), runtime
+
+
+def kind_plan(jobs, kind, seed):
+    """Half the jobs get one ``kind`` failure at a trace-sampled time."""
+    rng = random.Random(f"{kind.value}:{seed}")
+    plan = sample_trace_failures([j.job_id for j in jobs], 0.5, rng, kinds=(kind,))
+    for spec in plan.specs:
+        if kind in _MACHINE_KINDS:
+            spec.machine_id = rng.randrange(8)
+        if kind is FailureKind.MACHINE_QUARANTINE:
+            spec.duration = rng.choice((None, 2.0, 20.0))
+    return plan

@@ -207,3 +207,30 @@ def test_chaos_report_is_exported_by_the_api():
     payload = report.to_dict()
     assert payload["runs"] == 2
     assert json.dumps(payload)  # JSON-serializable end to end
+
+
+def test_job_finish_time_invariant():
+    """A completed job must finish exactly when its last task does."""
+    from dataclasses import replace
+
+    from repro.baselines import spark_policy
+    from repro.chaos.invariants import check_job_finish_times
+    from repro.core.runtime import SwiftRuntime
+    from repro.sim.cluster import Cluster
+    from repro.sim.failures import FailureKind, FailurePlan, FailureSpec
+
+    from conftest import as_job, chain_dag
+
+    # A cold-started task crashes while launching; its warm re-run
+    # finishes before the first attempt would have.
+    spec = FailureSpec(kind=FailureKind.TASK_CRASH, stage="S1", task_index=0,
+                       at_fraction=0.01)
+    runtime = SwiftRuntime(Cluster.build(1, 4), spark_policy(),
+                           failure_plan=FailurePlan([spec]), reference_duration=10.0)
+    result = runtime.execute(as_job(chain_dag("early", tasks=1, n_stages=1)))
+    assert result.metrics.task_reruns == 1
+    assert check_job_finish_times([result]) == []
+    late = replace(result, metrics=replace(
+        result.metrics, finish_time=result.metrics.finish_time + 1.0))
+    out = check_job_finish_times([late])
+    assert [v.invariant for v in out] == ["job-finish-time"]

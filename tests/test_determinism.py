@@ -11,10 +11,10 @@ Invariants the performance work must never break:
   failure-free and under every failure kind.  The busy intervals are the
   traced task-attempt spans (``RecordingTracer.task_intervals()``), which
   reproduce byte for byte the runtime-side list the fingerprints were
-  first recorded from.  They were recorded by the earlier finish-ledger
-  runtime, which matched a one-event-per-task oracle exactly.  Regenerate
-  them only with a change meant to move simulated outcomes, and say which
-  cases moved and why::
+  first recorded from.  They were last regenerated when each task got one
+  live finish event, so that a re-run finishes at its own time.
+  Regenerate them only with a change meant to move simulated outcomes,
+  and say which cases moved and why::
 
       PYTHONPATH=src python tests/test_determinism.py
 * The array-backed event kernel behaves exactly like the object-heap
@@ -36,13 +36,13 @@ import pytest
 
 from repro.baselines import bubble_policy, jetscope_policy, restart_policy, spark_policy
 from repro.core.policies import swift_policy
-from repro.core.runtime import SwiftRuntime
 from repro.obs import RecordingTracer
 from repro.experiments import figures
 from repro.experiments.parallel import clear_memory_cache, set_default_jobs
-from repro.sim.cluster import Cluster
 from repro.sim.failures import FailureKind, sample_trace_failures
 from repro.workloads import traces
+
+from conftest import kind_plan, run_jobs, trace_jobs
 
 FINGERPRINTS = Path(__file__).parent / "data" / "runtime_fingerprints.json"
 
@@ -84,39 +84,9 @@ def _failure_plan(jobs):
     )
 
 
-def run_jobs(policy, jobs, failure_plan, tracer=None, reference=100.0):
-    """``harness.run_jobs`` on a 100 x 32 cluster."""
-    runtime = SwiftRuntime(
-        Cluster.build(100, 32), policy, failure_plan=failure_plan, tracer=tracer,
-        reference_duration=reference,
-    )
-    runtime.submit_all(list(jobs))
-    return runtime.run(), runtime
-
-
-#: Machine-level failures hit one of the first few machines, where the
-#: least-loaded-first scheduler places most work.
-_MACHINE_KINDS = (
-    FailureKind.MACHINE_CRASH,
-    FailureKind.MACHINE_QUARANTINE,
-    FailureKind.CACHE_WORKER_LOSS,
-)
-
 _POLICIES = (swift_policy, jetscope_policy, bubble_policy, restart_policy, spark_policy)
 _KINDS = (None, *FailureKind)
 _SEEDS = (0, 1, 2)
-
-
-def _kind_plan(jobs, kind, seed):
-    """Half the jobs get one ``kind`` failure at a trace-sampled time."""
-    rng = random.Random(f"{kind.value}:{seed}")
-    plan = sample_trace_failures([j.job_id for j in jobs], 0.5, rng, kinds=(kind,))
-    for spec in plan.specs:
-        if kind in _MACHINE_KINDS:
-            spec.machine_id = rng.randrange(8)
-        if kind is FailureKind.MACHINE_QUARANTINE:
-            spec.duration = rng.choice((None, 2.0, 20.0))
-    return plan
 
 
 def _case_id(make_policy, kind) -> str:
@@ -128,12 +98,10 @@ def runtime_fingerprint(make_policy, kind, seed) -> str:
     (completed/failed/reason and the full ``JobMetrics`` repr, task timings
     included), traced busy intervals, admin stats and the shuffle-recovery
     log."""
-    jobs = traces.generate_trace(
-        traces.TraceConfig(n_jobs=8, mean_interarrival=0.2, seed=7 + seed)
-    )
+    jobs = trace_jobs(seed)
     plan, reference = None, 100.0
     if kind is not None:
-        plan = _kind_plan(jobs, kind, seed)
+        plan = kind_plan(jobs, kind, seed)
         # Fig. 15 method: failures strike at a fraction of each job's
         # own failure-free latency, so they land while it runs.
         baseline, _ = run_jobs(make_policy(), jobs, None)

@@ -44,7 +44,7 @@ def layered_dags(draw):
                     task_count=draw(st.integers(min_value=1, max_value=6)),
                     operators=operators,
                     output_bytes_per_task=float(draw(st.integers(0, 10))) * 1e6,
-                    work_seconds_per_task=1.0,
+                    work_seconds_per_task=draw(st.sampled_from((1.0, 0.25, 4.0))),
                 )
             )
             names.append(name)
@@ -430,6 +430,109 @@ def test_runtime_barrier_edges_never_start_before_producer(dag):
             t.data_arrive for t in result.metrics.tasks if t.stage == edge.dst
         )
         assert consumer_data >= producer_finish - 1e-6
+
+
+# ----------------------------------------------------------------------
+# One task timing rule: re-timing with unmoved inputs is exact
+# ----------------------------------------------------------------------
+
+def _timing_rule(ready, barrier, floor, first_input, flush, read, proc, write):
+    """The task timing rule, restated: a task starts once it is ready and
+    its barrier inputs are available, then reads, processes and writes
+    back to back.  A streamed consumer (``floor > 0``) finishes no earlier
+    than its producers' floor plus the flush latency, and counts as
+    started no earlier than its first streamed input; that raise comes
+    after the finish is derived."""
+    start = max(ready, barrier)
+    finish = start + read + proc + write
+    if floor > 0:
+        finish = max(finish, floor + flush)
+        start = max(start, first_input)
+    return start, finish
+
+
+def _stage_inputs(sr):
+    return (sr.barrier_avail, sr.pipeline_floor, sr.pipeline_first_input)
+
+
+def _in_flight(sr):
+    from repro.core.runtime import TaskState
+
+    return [
+        inst for inst in sr.instances
+        if inst.state is TaskState.DISPATCHED and math.isfinite(inst.finish_time)
+    ]
+
+
+def _check_timed_by_rule(inst, flush):
+    sr = inst.stage_run
+    expected = _timing_rule(
+        inst.ready, sr.barrier_avail, sr.pipeline_floor, sr.pipeline_first_input,
+        flush, inst.read, inst.proc, inst.write,
+    )
+    assert (inst.start, inst.finish_time) == expected, (sr.name, inst.index)
+
+
+def _policies():
+    from repro.baselines import (
+        bubble_policy, jetscope_policy, restart_policy, spark_policy,
+    )
+    from repro.core.policies import swift_policy
+
+    return [swift_policy, jetscope_policy, bubble_policy, restart_policy, spark_policy]
+
+
+@pytest.mark.parametrize("kind", ["task_crash", "machine_crash"])
+@pytest.mark.parametrize("make_policy", _policies(), ids=lambda p: p.__name__)
+@given(dag=layered_dags(), at=st.floats(min_value=0.05, max_value=0.9))
+@settings(max_examples=12, deadline=None)
+def test_retiming_with_unmoved_inputs_keeps_task_times(make_policy, kind, dag, at):
+    """Every in-flight task's (start, finish) is the timing rule applied to
+    its own ``ready`` and its stage's current inputs, whether it was timed
+    by its first run, a re-run or a propagated delay.  So re-timing a task
+    whose inputs did not move returns its current times exactly: a delay
+    propagation leaves every stage whose inputs it did not move untouched."""
+    from repro.core.dag import Job
+    from repro.core.runtime import SwiftRuntime
+    from repro.sim.failures import FailureKind, FailurePlan, FailureSpec
+
+    # 4 x 32: a whole-job gang (at most 90 tasks) still fits after one
+    # machine crashes.
+    reference = SwiftRuntime(Cluster.build(4, 32), make_policy()).execute(
+        Job(dag=dag)
+    ).metrics.run_time
+    spec = FailureSpec(kind=FailureKind(kind), at_fraction=at,
+                       machine_id=0 if kind == "machine_crash" else None)
+    runtime = SwiftRuntime(Cluster.build(4, 32), make_policy(),
+                           failure_plan=FailurePlan([spec]),
+                           reference_duration=reference)
+    flush = runtime.config.pipeline_flush_latency
+    finalize = runtime._flush_finishes
+    propagate = runtime._propagate_delays
+
+    def checked_finalize(inst):
+        _check_timed_by_rule(inst, flush)
+        finalize(inst)
+
+    def checked_propagate(sr):
+        stages = sr.job_run.stage_runs.values()
+        before = {
+            id(s): (_stage_inputs(s), [(i, i.start, i.finish_time) for i in _in_flight(s)])
+            for s in stages
+        }
+        propagate(sr)
+        for s in stages:
+            inputs, timed = before[id(s)]
+            if _stage_inputs(s) == inputs:
+                for inst, start, finish in timed:
+                    assert (inst.start, inst.finish_time) == (start, finish)
+            for inst in _in_flight(s):
+                _check_timed_by_rule(inst, flush)
+
+    runtime._flush_finishes = checked_finalize
+    runtime._propagate_delays = checked_propagate
+    result = runtime.execute(Job(dag=dag))
+    assert result.completed
 
 
 @given(

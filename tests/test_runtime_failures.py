@@ -11,7 +11,7 @@ from repro.obs import Category, RecordingTracer
 from repro.sim.cluster import Cluster, MachineState
 from repro.sim.failures import FailureKind, FailurePlan, FailureSpec
 
-from conftest import as_job, chain_dag
+from conftest import as_job, chain_dag, kind_plan, run_jobs, trace_jobs
 
 
 def run_with_failures(dag, specs, policy=None, machines=4, executors=8,
@@ -288,10 +288,6 @@ def test_quarantine_mid_flight_keeps_free_slot_counter_exact(recovers):
     assert runtime.cluster.free_executor_count() == healthy_machines * 8
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "known bug: a re-run whose new finish is earlier than its still-queued "
-    "finish event is realised at the old event's time"
-))
 def test_rerun_finishing_earlier_completes_at_its_own_finish():
     """A cold-started task that crashes while still launching re-runs on a
     warm executor and finishes well before its first attempt would have.
@@ -307,6 +303,45 @@ def test_rerun_finishing_earlier_completes_at_its_own_finish():
     (timing,) = result.metrics.tasks
     assert timing.attempt == 1
     assert result.metrics.finish_time == pytest.approx(timing.finish)
+
+
+@pytest.mark.parametrize("kind", list(FailureKind), ids=lambda k: k.name)
+def test_spark_tasks_finalize_exactly_at_their_finish(kind, monkeypatch):
+    """Every task is finalized at its own ``finish_time``, never later:
+    a re-run cancels its attempt's queued finish event, so no stale event
+    finalizes it.  Runs the Spark cases of the pinned fingerprints."""
+    late = []
+    flush = SwiftRuntime._flush_finishes
+
+    def checked(self, inst):
+        if inst.finish_time != self.sim.now:
+            late.append((inst.stage_run.name, inst.index, inst.attempt,
+                         inst.finish_time, self.sim.now))
+        flush(self, inst)
+
+    monkeypatch.setattr(SwiftRuntime, "_flush_finishes", checked)
+    for seed in (0, 1, 2):
+        jobs = trace_jobs(seed)
+        baseline, _ = run_jobs(spark_policy(), jobs, None)
+        reference = {r.job_id: r.latency for r in baseline}
+        results, _ = run_jobs(spark_policy(), jobs, kind_plan(jobs, kind, seed),
+                              reference=reference)
+        assert len(results) == len(jobs)
+    assert late == []
+
+
+def test_negative_failure_machine_id_is_rejected():
+    with pytest.raises(ValueError, match="machine_id=-1 is negative"):
+        FailureSpec(kind=FailureKind.MACHINE_CRASH, machine_id=-1, at_fraction=0.5)
+
+
+def test_failure_machine_id_past_the_cluster_is_rejected_before_the_run():
+    """Ids drawn for a larger cluster fail at construction, not as an
+    ``IndexError`` when the failure fires."""
+    spec = FailureSpec(kind=FailureKind.MACHINE_CRASH, machine_id=2, at_fraction=0.5)
+    with pytest.raises(ValueError, match="machine_id=2 is past the cluster's 2"):
+        SwiftRuntime(Cluster.build(2, 4), spark_policy(),
+                     failure_plan=FailurePlan([spec]))
 
 
 def test_process_restart_relaunches_executor_and_recovers():

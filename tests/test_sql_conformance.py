@@ -645,3 +645,30 @@ def test_aggregate_batch_size_one_matches_default(case_id, sql, expected):
     one = execute_sql(sql, database, catalog, engine="columnar", batch_size=1)
     default = execute_sql(sql, database, catalog, engine="columnar")
     assert _json_rows(one.rows) == _json_rows(default.rows)
+
+
+# ----------------------------------------------------------------------
+# Scalar functions run only over values some lane holds: a filtered or
+# joined ``str`` column keeps its source's whole dictionary, and ``year``
+# rejects ``'n/a'``, which only a dropped row of ``t`` holds.
+# ----------------------------------------------------------------------
+
+def test_scalar_function_skips_values_only_dropped_rows_hold():
+    database, catalog = _agg_setup()
+    sql = "select year(d) as y from t where d <> 'n/a'"
+    assert _agree(sql, database, catalog) == [{"y": 1995}, {"y": 1996}]
+
+
+def test_scalar_function_over_a_conjunct_pushed_below_a_join():
+    database, catalog = _agg_setup()
+    catalog.register(TableSchema(
+        "u", _cols("ug:int", "label:str"), base_rows=2, bytes_per_row=16,
+    ))
+    database["u"] = [{"ug": 1, "label": "one"}, {"ug": 2, "label": "two"}]
+    sql = ("select year(t.d) as y, u.label from t join u on t.g = u.ug "
+           "where t.d <> 'n/a' order by y")
+    assert _agree(sql, database, catalog) == [
+        {"y": 1995, "label": "one"}, {"y": 1996, "label": "two"},
+    ]
+    _, (where,), scans, (join,) = _lowered(sql, database, catalog)
+    assert join.left is where and where.child is scans["t"]
