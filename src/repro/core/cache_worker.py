@@ -103,7 +103,8 @@ class CacheWorker:
         mid-run); the entry map is the ground truth, so public mutators
         resync the counter from it.  The recompute is O(entries): a worker
         holds one entry per live (job, edge) pair, which is a few on small
-        runs but about 100 per resync on the Fig. 16 section's 1,200 jobs.
+        runs but many more in the slowest Fig. 16 cell, 2,500 jobs on
+        10,000 executors.
         """
         self.bytes_in_memory = sum(
             e.bytes_in_memory for e in self._entries.values()
@@ -170,6 +171,8 @@ class CacheWorker:
             self.bytes_spilled_total += n_bytes
             self.spill_events += 1
             return self.disk.spill_time(n_bytes)
+        if self.memory_free >= n_bytes:
+            return 0.0
         spill_delay = 0.0
         spilled_any = False
         for key in list(self._entries):

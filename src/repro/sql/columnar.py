@@ -18,19 +18,31 @@ operators are array programs:
   that batch, compiled once with every aggregate call bound as a column
   reference.  HAVING is one truth mask and one gather, evaluated before
   the items; zero groups evaluate nothing;
-* **join** — equi-keys pooled into a shared code space (dictionary merge
-  for strings, ``np.unique`` for numerics), build side sorted once, probe
-  via ``np.searchsorted``, candidate pairs expanded with ``np.repeat``;
-  a condition without an equi-key takes every pair as a candidate (a
-  vectorized nested loop); either way a residual kernel pass applies the
-  rest of the condition;
+* **join** — every maximal run of INNER joins with pure equi conditions
+  is one multi-way operator (:class:`_MultiJoinOp`): it runs its
+  filtered inputs, codes each edge (the equi-pairs linking two inputs)
+  once into a shared dense code space (dictionary merge for strings,
+  offsets or ``np.unique`` for numerics, a dict of ``_hashable`` values
+  for object, NaN and beyond-2**53 keys), then greedily merges the two
+  connected components whose join yields the fewest rows — counted
+  exactly as ``sum(left count * right count)`` from one ``np.bincount``
+  per side, ties by FROM position — carrying only int64 row ids per
+  input.  One ``np.lexsort`` puts the id tuples back into FROM order,
+  which is the left-deep chain's left-major, build-ascending order, and
+  each kept column is gathered once.  LEFT JOINs and residual or
+  non-equi conditions stay binary (:class:`_JoinOp`):
+  equi-keys go through the same codes and match kernel (buckets from
+  ``np.bincount``/``cumsum`` offsets and one stable argsort, pairs
+  expanded with ``np.repeat``); a condition without an equi-key takes
+  every pair as a candidate (a vectorized nested loop); a residual kernel
+  pass applies the rest of the condition;
 * **sort** — successive stable ``np.argsort`` passes, least-significant
   key first, with a null-flag pass replicating the row engine's
   ``_sort_key`` ordering.
 
 Semantics mirror the row executor exactly — NULL propagation,
 ``and``/``or`` via Python truthiness, LIKE via the shared glob
-translation, first-seen group ordering, probe-order hash joins — and any
+translation, first-seen group ordering, left-major join output — and any
 value shape the typed fast paths can't reproduce bit-for-bit (mixed-type
 columns, NaN sort/group keys, DISTINCT aggregates) drops to an exact
 Python fallback for that operator.  Differential tests assert identical
@@ -823,25 +835,31 @@ def _is_pure_equi(condition: Expr) -> bool:
 
 def _pair_codes(
     left: ColumnVector, right: ColumnVector
-) -> Optional[tuple[np.ndarray, np.ndarray]]:
-    """Pool one key pair into a shared integer code space.
+) -> Optional[tuple[np.ndarray, np.ndarray, int]]:
+    """Pool one key pair into a shared dense code space.
 
-    Equal code <=> Python-equal value (so int 1 matches float 1.0, exactly
-    like the row engine's hash buckets).  Returns ``None`` when no value
-    can possibly match (string vs. numeric); raises
-    :class:`_PythonFallback` for shapes needing exact Python hashing
-    (object columns, NaN keys, ints beyond float64's exact range).
+    Returns (left codes, right codes, size).  Equal code <=> Python-equal
+    non-NULL value (so int 1 matches float 1.0, exactly like the row
+    engine's hash buckets); a NULL lane holds a code only its own side
+    uses (``size - 2`` left, ``size - 1`` right), so it matches nothing.
+    Returns ``None`` when no value can possibly match (string vs.
+    numeric); raises :class:`_PythonFallback` for shapes needing exact
+    Python hashing (object columns, NaN keys, ints beyond float64's exact
+    range).
     """
     kl, kr = left.kind, right.kind
     if kl == "object" or kr == "object":
         raise _PythonFallback
     if kl == "str" and kr == "str":
         if left.dictionary is right.dictionary:
-            return left.data.astype(np.int64), right.data.astype(np.int64)
-        merged = np.unique(np.concatenate([left.dictionary, right.dictionary]))
-        lc = merged.searchsorted(left.dictionary).astype(np.int64)[left.data]
-        rc = merged.searchsorted(right.dictionary).astype(np.int64)[right.data]
-        return lc, rc
+            lc, rc = left.data.astype(np.int64), right.data.astype(np.int64)
+            n = len(left.dictionary)
+        else:
+            merged = np.unique(np.concatenate([left.dictionary, right.dictionary]))
+            lc = merged.searchsorted(left.dictionary).astype(np.int64)[left.data]
+            rc = merged.searchsorted(right.dictionary).astype(np.int64)[right.data]
+            n = len(merged)
+        return _null_coded(lc, left, n), _null_coded(rc, right, n + 1), n + 2
     if kl == "str" or kr == "str":
         return None
     ld, rd = left.data, right.data
@@ -862,34 +880,354 @@ def _pair_codes(
     elif kr == "bool":
         rd = rd.astype(np.int64)
     pooled = np.concatenate([ld, rd])
-    _, inv = np.unique(pooled, return_inverse=True)
-    inv = inv.astype(np.int64)
-    return inv[: len(ld)], inv[len(ld):]
+    codes = None
+    if pooled.dtype.kind == "i" and pooled.size:
+        low = int(pooled.min())
+        n = int(pooled.max()) - low + 1
+        if n < 2 * pooled.size:
+            # Integer keys whose range is under twice their count are
+            # their own codes, offset to start at 0: no np.unique sort,
+            # and every bincount over the codes stays under twice the
+            # lane count.
+            codes = pooled - low
+    if codes is None:
+        uniques, inverse = np.unique(pooled, return_inverse=True)
+        codes = inverse.astype(np.int64)
+        n = len(uniques)
+    split = len(ld)
+    return (
+        _null_coded(codes[:split], left, n),
+        _null_coded(codes[split:], right, n + 1),
+        n + 2,
+    )
+
+
+def _null_coded(codes: np.ndarray, vec: ColumnVector, null: int) -> np.ndarray:
+    """``codes`` with ``null`` on ``vec``'s NULL lanes."""
+    if vec.mask is None or not vec.mask.any():
+        return codes
+    return np.where(vec.mask, null, codes)
+
+
+def _python_pair_codes(
+    left: ColumnVector, right: ColumnVector
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """:func:`_pair_codes` by Python equality, from a dict of ``_hashable``
+    values; NaN lanes, which equal nothing, are coded like NULL ones."""
+    index: dict[object, int] = {}
+    sides = []
+    for vec in (left, right):
+        sides.append(np.array([
+            -1 if v is None or v != v else index.setdefault(_hashable(v), len(index))
+            for v in vec.to_pylist()
+        ], np.int64))
+    n = len(index)
+    sides[0][sides[0] < 0] = n
+    sides[1][sides[1] < 0] = n + 1
+    return sides[0], sides[1], n + 2
+
+
+def _key_codes(
+    left_vecs: list[ColumnVector], right_vecs: list[ColumnVector]
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """One dense code space for the equi-pairs between two inputs.
+
+    Returns per-lane codes for each side and the size of the space.  Equal
+    codes <=> every pair is Python-equal; a lane with a NULL or NaN key
+    holds a code only its own side uses, so it matches nothing.
+    """
+    pairs = []
+    for lv, rv in zip(left_vecs, right_vecs):
+        try:
+            pair = _pair_codes(lv, rv)
+        except _PythonFallback:
+            pair = _python_pair_codes(lv, rv)
+        if pair is None:
+            return np.zeros(len(lv), np.int64), np.ones(len(rv), np.int64), 2
+        pairs.append(pair)
+    if len(pairs) == 1:
+        return pairs[0]
+    return _joint_codes([p[0] for p in pairs], [p[1] for p in pairs])
+
+
+def _joint_codes(
+    left_parts: list[np.ndarray], right_parts: list[np.ndarray]
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Fold per-key codes into one dense joint code per lane.
+
+    Both sides fold through the *same* compression, so the fold runs over
+    their concatenation.  Returns (left codes, right codes, size).
+    """
+    n = len(left_parts[0])
+    codes = _combine_codes([np.concatenate(p) for p in zip(left_parts, right_parts)])
+    return codes[:n], codes[n:], int(codes.max(initial=-1)) + 1
+
+
+def _match(
+    probe: np.ndarray, build: np.ndarray, counts: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every (probe lane, build lane) pair with equal codes.
+
+    ``counts`` is ``np.bincount(build)`` over the whole code space.  Pairs
+    come probe-major, build lanes ascending within a code — the row
+    engine's hash-join order.  Buckets are located through ``cumsum``
+    offsets over ``counts`` and one stable argsort of the build codes.
+    """
+    per_probe = counts[probe]
+    total = int(per_probe.sum())
+    if not total:
+        empty = np.empty(0, np.int64)
+        return empty, empty
+    order = np.argsort(build, kind="stable")
+    starts = np.cumsum(counts) - counts
+    ends = np.cumsum(per_probe)
+    probe_idx = np.repeat(np.arange(len(probe), dtype=np.int64), per_probe)
+    offsets = np.repeat(starts[probe] - (ends - per_probe), per_probe)
+    return probe_idx, order[np.arange(total, dtype=np.int64) + offsets]
+
+
+def _input_label(op: _Op) -> str:
+    """An input's name in merge-order details: its binding or table."""
+    while isinstance(op, _FilterOp):
+        op = op.child
+    if isinstance(op, _ScanOp):
+        return op.binding or op.detail
+    return getattr(op, "binding", None) or op.kind
+
+
+class _Component:
+    """Inputs merged so far by a multi-way join, as one row-id vector per
+    input; ``ordered`` when its rows are in FROM order of their ids."""
+
+    __slots__ = ("inputs", "ids", "ordered")
+
+    def __init__(
+        self, inputs: tuple[int, ...], ids: dict[int, np.ndarray], ordered: bool
+    ) -> None:
+        self.inputs = inputs
+        self.ids = ids
+        self.ordered = ordered
+
+    def rows_of(self, index: int, values: np.ndarray) -> np.ndarray:
+        """``values``, one per row of input ``index``, at this component's
+        rows (a single input's rows are its own)."""
+        return values if len(self.inputs) == 1 else values[self.ids[index]]
+
+
+class _MultiJoinOp(_Op):
+    """A maximal run of INNER equi-joins, executed as one multi-way join.
+
+    Input 0 is what the run's first join reads on its left (a scan, a
+    FROM-subquery or a join outside the run); input *k* is join *k*'s right
+    side.  Each equi-pair links two inputs, and the pairs linking the same
+    two inputs form one *edge*.  A run:
+
+    1. runs its (filtered) inputs, so their sizes are measured;
+    2. codes each edge once, into a shared dense code space;
+    3. greedily merges the two connected components whose join yields the
+       fewest rows — exactly ``sum(left count * right count)`` over codes,
+       from one ``np.bincount`` per side — ties by FROM position;
+    4. carries only an int64 row-id vector per input;
+    5. ``np.lexsort``s the id tuples into FROM order (skipped when every
+       merge kept that order) and gathers each kept column once,
+       from the input the left-deep chain of binary joins takes it from.
+
+    The left-deep chain emits left-major output with build rows ascending
+    within a key, i.e. sorted by id tuple in FROM order, so the rows and
+    their order are exactly the row engine's.
+    """
+
+    kind = "join"
+    join_kind = "inner"
+
+    def __init__(self, first: _Op, batch_size: Optional[int]) -> None:
+        super().__init__()
+        self.batch_size = batch_size
+        self.inputs = [first]
+        self.input_names = [set(first.schema)]
+        self.schema = list(first.schema)
+        #: The input each output column comes from: the last that has it.
+        self.source = dict.fromkeys(first.schema, 0)
+        self.conditions: list[Expr] = []
+        self.edges: dict[tuple[int, int], list[tuple[str, str]]] = {}
+        #: (component, component, rows) per merge of the last run.
+        self.merges: list[tuple[tuple[int, ...], tuple[int, ...], int]] = []
+
+    def add(self, right: _Op, condition: Expr) -> bool:
+        """Join ``right`` to the run on ``condition``, a pure equi one;
+        ``False`` (and no change) when some key resolves on neither side."""
+        right_names = set(right.schema)
+        pairs = []
+        for a, b in _extract_equi_keys(condition):
+            if resolve_column(a, self.source) is None:
+                a, b = b, a
+            left_key = resolve_column(a, self.source)
+            right_key = resolve_column(b, right_names)
+            if left_key is None or right_key is None:
+                return False
+            pairs.append((self.source[left_key], left_key, right_key))
+        k = len(self.inputs)
+        for i, left_key, right_key in pairs:
+            self.edges.setdefault((i, k), []).append((left_key, right_key))
+        self.inputs.append(right)
+        self.input_names.append(right_names)
+        self.conditions.append(condition)
+        self.schema += [n for n in right.schema if n not in self.source]
+        self.source.update(dict.fromkeys(right.schema, k))
+        return True
+
+    def children(self) -> list[_Op]:
+        return list(self.inputs)
+
+    @property
+    def detail(self) -> str:  # type: ignore[override]
+        text = " and ".join(str(c) for c in self.conditions)
+        if not self.merges:
+            return text
+        labels = [_input_label(op) for op in self.inputs]
+        order = "; ".join(
+            f"{' '.join(labels[i] for i in a)} x {' '.join(labels[i] for i in b)}"
+            f" -> {rows}"
+            for a, b, rows in self.merges
+        )
+        return f"{text} | order: {order}"
+
+    def batches(self) -> Iterator[ColumnBatch]:
+        tables = [
+            concat_batches(op.schema, list(op.batches())) for op in self.inputs
+        ]
+        began = perf_counter()
+        ids = self._row_ids(tables)
+        self.seconds += perf_counter() - began
+        total = len(ids[0])
+        size = self.batch_size if self.batch_size is not None else max(total, 1)
+        for start in range(0, total, size):
+            began = perf_counter()
+            taken: dict[tuple[int, int], ColumnVector] = {}
+            columns = {}
+            for name in self.schema:
+                index = self.source[name]
+                source = tables[index].columns[name]
+                picked = taken.get((index, id(source)))
+                if picked is None:
+                    rows = ids[index][start:start + size]
+                    picked = taken[index, id(source)] = source.take(rows)
+                columns[name] = picked
+            batch = ColumnBatch(self.schema, columns, min(size, total - start))
+            self.seconds += perf_counter() - began
+            yield self._emit(batch)
+
+    def _row_ids(self, tables: list[ColumnBatch]) -> list[np.ndarray]:
+        """One row-id vector per input: the joined rows in FROM order."""
+        edges = []
+        for (i, k), pairs in self.edges.items():
+            codes_i, codes_k, size = _key_codes(
+                [tables[i].columns[a] for a, _ in pairs],
+                [tables[k].columns[b] for _, b in pairs],
+            )
+            edges.append((i, k, codes_i, codes_k, size))
+        live = [
+            _Component((i,), {i: np.arange(t.length, dtype=np.int64)}, True)
+            for i, t in enumerate(tables)
+        ]
+        self.merges = []
+        candidates: dict[tuple, tuple] = {}
+        while len(live) > 1:
+            best = None
+            for x, a in enumerate(live):
+                for b in live[x + 1:]:
+                    key = (a.inputs, b.inputs)
+                    if key not in candidates:
+                        candidates[key] = _candidate(a, b, edges)
+                    found = candidates[key]
+                    if found is None:
+                        continue
+                    rank = (found[0], sorted(a.inputs + b.inputs))
+                    if best is None or rank < best[0]:
+                        best = (rank, a, b, found)
+            _, a, b, (rows, a_codes, b_codes, a_counts, b_counts) = best
+            self.merges.append((a.inputs, b.inputs, rows))
+            if rows == 0:
+                return [np.empty(0, np.int64)] * len(tables)
+            a_first = a.inputs[-1] < b.inputs[0]
+            b_first = b.inputs[-1] < a.inputs[0]
+            if b_first or (not a_first and len(b_codes) > len(a_codes)):
+                # Probe with the component wholly first in FROM order, so
+                # the merge keeps that order; when the two interleave, build
+                # on the smaller one.
+                a, b = b, a
+                a_codes, b_codes, b_counts = b_codes, a_codes, a_counts
+            probe, build = _match(a_codes, b_codes, b_counts)
+            ids = {i: v[probe] for i, v in a.ids.items()}
+            ids.update((i, v[build]) for i, v in b.ids.items())
+            merged = _Component(
+                tuple(sorted(a.inputs + b.inputs)), ids,
+                a.ordered and b.ordered and a.inputs[-1] < b.inputs[0],
+            )
+            live = [c for c in live if c is not a and c is not b] + [merged]
+            candidates = {
+                key: found for key, found in candidates.items()
+                if a.inputs not in key and b.inputs not in key
+            }
+        (final,) = live
+        ids = [final.ids[i] for i in range(len(tables))]
+        if not final.ordered:
+            order = np.lexsort(ids[::-1])
+            ids = [v[order] for v in ids]
+        return ids
+
+
+def _candidate(a: _Component, b: _Component, edges: list[tuple]) -> Optional[tuple]:
+    """Merging ``a`` with ``b``: (rows, a codes, b codes, a counts, b counts),
+    or ``None`` when no edge links them.  Several edges (a cycle in the
+    join graph) fold into one joint code."""
+    a_parts: list[np.ndarray] = []
+    b_parts: list[np.ndarray] = []
+    size = 0
+    for i, k, codes_i, codes_k, edge_size in edges:
+        if i in a.ids and k in b.ids:
+            a_parts.append(a.rows_of(i, codes_i))
+            b_parts.append(b.rows_of(k, codes_k))
+        elif k in a.ids and i in b.ids:
+            a_parts.append(a.rows_of(k, codes_k))
+            b_parts.append(b.rows_of(i, codes_i))
+        else:
+            continue
+        size = edge_size
+    if not a_parts:
+        return None
+    if len(a_parts) == 1:
+        a_codes, b_codes = a_parts[0], b_parts[0]
+    else:
+        a_codes, b_codes, size = _joint_codes(a_parts, b_parts)
+    a_counts = np.bincount(a_codes, minlength=size)
+    b_counts = np.bincount(b_codes, minlength=size)
+    return int(a_counts @ b_counts), a_codes, b_codes, a_counts, b_counts
 
 
 class _JoinOp(_Op):
+    """A LEFT JOIN, a join with a residual or non-equi condition, or an
+    equi-join whose key resolves on neither side (which matches nothing)."""
+
     kind = "join"
 
     def __init__(
         self, left: _Op, right: _Op, node: LogicalJoin, batch_size: Optional[int]
     ) -> None:
         super().__init__()
-        self.left = left
-        self.right = right
+        self.inputs = [left, right]
         self.join_kind = node.kind
         self.batch_size = batch_size
         self.condition = node.condition
-        self.left_names = set(left.schema)
-        self.right_names = set(right.schema)
+        left_names = set(left.schema)
+        self.input_names = [left_names, set(right.schema)]
         # Orient each equi-pair by the input whose schema resolves its
         # first ref, as the row engine does with a non-NULL first left row.
         self.keys = [
-            (a, b) if resolve_column(a, self.left_names) is not None else (b, a)
+            (a, b) if resolve_column(a, left_names) is not None else (b, a)
             for a, b in _extract_equi_keys(node.condition)
         ]
-        self.schema = left.schema + [
-            n for n in right.schema if n not in self.left_names
-        ]
+        self.schema = left.schema + [n for n in right.schema if n not in left_names]
         self.condition_kernel = compile_kernel(node.condition, self.schema)
         # A condition that is exactly its equi-pairs needs no residual
         # pass: code-matched candidates satisfy it by construction (null
@@ -897,7 +1235,7 @@ class _JoinOp(_Op):
         self.pure_equi = _is_pure_equi(node.condition)
 
     def children(self) -> list[_Op]:
-        return [self.left, self.right]
+        return list(self.inputs)
 
     @property
     def detail(self) -> str:  # type: ignore[override]
@@ -911,11 +1249,19 @@ class _JoinOp(_Op):
         return batch.columns[key]
 
     def batches(self) -> Iterator[ColumnBatch]:
-        left = concat_batches(self.left.schema, list(self.left.batches()))
-        right = concat_batches(self.right.schema, list(self.right.batches()))
+        left, right = (
+            concat_batches(op.schema, list(op.batches())) for op in self.inputs
+        )
+        right_names = self.input_names[1]
         began = perf_counter()
         if self.keys:
-            cand_left, cand_right = self._match_keys(left, right)
+            left_codes, right_codes, size = _key_codes(
+                [self._key_column(l, left) for l, _ in self.keys],
+                [self._key_column(r, right) for _, r in self.keys],
+            )
+            cand_left, cand_right = _match(
+                left_codes, right_codes, np.bincount(right_codes, minlength=size)
+            )
         else:
             # No equi-key: every pair is a candidate, in the row engine's
             # left-major nested-loop order.
@@ -927,7 +1273,7 @@ class _JoinOp(_Op):
             needed = self.condition_kernel.col_keys
             columns = {}
             for name in needed:
-                if name in self.right_names:
+                if name in right_names:
                     columns[name] = right.columns[name].take(cand_right)
                 else:
                     columns[name] = left.columns[name].take(cand_left)
@@ -957,7 +1303,7 @@ class _JoinOp(_Op):
             taken: dict[tuple[str, int], ColumnVector] = {}
             columns = {}
             for name in self.schema:
-                if name in self.right_names:
+                if name in right_names:
                     source = right.columns[name]
                     cache_key = ("r", id(source))
                     picked = taken.get(cache_key)
@@ -973,111 +1319,6 @@ class _JoinOp(_Op):
             batch = ColumnBatch(self.schema, columns, len(li))
             self.seconds += perf_counter() - began
             yield self._emit(batch)
-
-    def _match_keys(
-        self, left: ColumnBatch, right: ColumnBatch
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Candidate pairs whose equi-keys match."""
-        left_vecs = [self._key_column(l, left) for l, _ in self.keys]
-        right_vecs = [self._key_column(r, right) for _, r in self.keys]
-        try:
-            return self._match_vectorized(left, right, left_vecs, right_vecs)
-        except _PythonFallback:
-            return self._match_python(left_vecs, right_vecs)
-
-    def _match_vectorized(
-        self,
-        left: ColumnBatch,
-        right: ColumnBatch,
-        left_vecs: list[ColumnVector],
-        right_vecs: list[ColumnVector],
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Candidate pairs via sorted build side + searchsorted probe."""
-        nl, nr = left.length, right.length
-        left_valid = np.ones(nl, np.bool_)
-        right_valid = np.ones(nr, np.bool_)
-        left_parts: list[np.ndarray] = []
-        right_parts: list[np.ndarray] = []
-        impossible = False
-        for lv, rv in zip(left_vecs, right_vecs):
-            pair = _pair_codes(lv, rv)
-            if pair is None:
-                impossible = True
-                break
-            left_parts.append(pair[0])
-            right_parts.append(pair[1])
-            left_valid &= ~lv.null_mask()
-            right_valid &= ~rv.null_mask()
-        empty = np.empty(0, np.int64)
-        if impossible:
-            return empty, empty
-        left_codes = _join_fold(left_parts, right_parts, take_left=True)
-        right_codes = _join_fold(left_parts, right_parts, take_left=False)
-        build_idx = np.flatnonzero(right_valid)
-        build_codes = right_codes[build_idx]
-        perm = np.argsort(build_codes, kind="stable")
-        sorted_codes = build_codes[perm]
-        # Stable sort => equal codes keep ascending original right order,
-        # reproducing the row engine's bucket insertion order.
-        build_order = build_idx[perm]
-        lo = np.searchsorted(sorted_codes, left_codes, "left")
-        hi = np.searchsorted(sorted_codes, left_codes, "right")
-        counts = np.where(left_valid, hi - lo, 0)
-        total = int(counts.sum())
-        if not total:
-            return empty, empty
-        cand_left = np.repeat(np.arange(nl, dtype=np.int64), counts)
-        starts = np.cumsum(counts) - counts
-        within = np.arange(total, dtype=np.int64) - np.repeat(starts, counts)
-        cand_right = build_order[np.repeat(lo, counts) + within]
-        return cand_left, cand_right
-
-    def _match_python(
-        self,
-        left_vecs: list[ColumnVector],
-        right_vecs: list[ColumnVector],
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Exact Python-equality hash join (row-engine bucket semantics)."""
-        left_lists = [v.to_pylist() for v in left_vecs]
-        right_lists = [v.to_pylist() for v in right_vecs]
-        nl = len(left_lists[0]) if left_lists else 0
-        nr = len(right_lists[0]) if right_lists else 0
-        buckets: dict[tuple, list[int]] = {}
-        for j in range(nr):
-            key = tuple(_hashable(lst[j]) for lst in right_lists)
-            if any(v is None for v in key):
-                continue
-            buckets.setdefault(key, []).append(j)
-        cand_left: list[int] = []
-        cand_right: list[int] = []
-        no_match: list[int] = []
-        for i in range(nl):
-            key = tuple(_hashable(lst[i]) for lst in left_lists)
-            if any(v is None for v in key):
-                continue
-            for j in buckets.get(key, no_match):
-                cand_left.append(i)
-                cand_right.append(j)
-        return (
-            np.array(cand_left, np.int64),
-            np.array(cand_right, np.int64),
-        )
-
-
-def _join_fold(
-    left_parts: list[np.ndarray], right_parts: list[np.ndarray], take_left: bool
-) -> np.ndarray:
-    """Fold multi-key pair codes into one joint code per lane.
-
-    Left and right must fold through the *same* compression, so the fold
-    runs over the concatenation and this helper slices out one side.
-    """
-    if len(left_parts) == 1:
-        return left_parts[0] if take_left else right_parts[0]
-    nl = len(left_parts[0])
-    pooled = [np.concatenate([l, r]) for l, r in zip(left_parts, right_parts)]
-    codes = _combine_codes(pooled)
-    return codes[:nl] if take_left else codes[nl:]
 
 
 def _take_padded(vec: ColumnVector, indexes: np.ndarray) -> ColumnVector:
@@ -1251,6 +1492,10 @@ def _lower(
         need = _plus(need, [node.condition])
         left = _lower(node.left, *args, need)
         right = _lower(node.right, *args, need)
+        if node.kind == "inner" and _is_pure_equi(node.condition):
+            run = left if isinstance(left, _MultiJoinOp) else _MultiJoinOp(left, batch_size)
+            if run.add(right, node.condition):
+                return run
         return _JoinOp(left, right, node, batch_size)
     if isinstance(node, LogicalAggregate):
         extra = list(node.group_by)
@@ -1303,11 +1548,11 @@ def _push_filter(child: _Op, predicate: Expr) -> _Op:
     and the kernel's resolved column keys pick its input (see
     :func:`_filter_target`).  Conjuncts that cannot move stay in one
     filter on top, in their original order.  Row order is unchanged: a
-    filter keeps relative order, and the join emits left-major output in
+    filter keeps relative order, and joins emit left-major output in
     ascending build order, so filtering an input first yields the same
     sequence as filtering the joined rows.
     """
-    pushed: dict[tuple[_JoinOp, str], list[tuple[Expr, Kernel]]] = {}
+    pushed: dict[tuple[_JoinOp | _MultiJoinOp, int], list[tuple[Expr, Kernel]]] = {}
     top: list[tuple[Expr, Kernel]] = []
     names = set(child.schema)
     for conjunct in _conjuncts(predicate):
@@ -1317,28 +1562,35 @@ def _push_filter(child: _Op, predicate: Expr) -> _Op:
             top.append((conjunct, kernel))
         else:
             pushed.setdefault(target, []).append((conjunct, kernel))
-    for (join, side), conjuncts in pushed.items():
-        setattr(join, side, _FilterOp(getattr(join, side), conjuncts))
+    for (join, index), conjuncts in pushed.items():
+        join.inputs[index] = _FilterOp(join.inputs[index], conjuncts)
     return _FilterOp(child, top) if top else child
 
 
-def _filter_target(op: _Op, keys: set[str]) -> Optional[tuple["_JoinOp", str]]:
-    """The deepest join input that alone supplies ``keys``, as (join, side).
+def _filter_target(
+    op: _Op, keys: set[str]
+) -> Optional[tuple[_JoinOp | _MultiJoinOp, int]]:
+    """The deepest join input that alone supplies ``keys``, as (join, index).
 
-    Walks down the left spine of a join chain.  The right input qualifies
-    only under an INNER join (never a LEFT JOIN's NULL-supplying side);
-    the left input only when no key is also a right column, since the join
-    output takes the right copy of a shared name.  A FROM-subquery is a
-    leaf: filters go above it, never into it.  ``None``: stay above ``op``.
+    Walks down the first-input spine of the joins, through each join's
+    later inputs from the last one back.  A later input qualifies only
+    under an INNER join (never a LEFT JOIN's NULL-supplying side); it is
+    passed only when it has none of the keys, since the join output takes
+    the later input's copy of a shared name.  Past them all, the first
+    input supplies every key and the walk goes on into it.  A
+    FROM-subquery is a leaf: filters go above it, never into it.  ``None``:
+    stay above ``op``.
     """
     target = None
-    while isinstance(op, _JoinOp):
-        if op.join_kind == "inner" and keys <= op.right_names:
-            return op, "right"
-        if not keys <= op.left_names or keys & op.right_names:
-            break
-        target = (op, "left")
-        op = op.left
+    while isinstance(op, (_JoinOp, _MultiJoinOp)):
+        for index in range(len(op.inputs) - 1, 0, -1):
+            names = op.input_names[index]
+            if op.join_kind == "inner" and keys <= names:
+                return op, index
+            if keys & names:
+                return target
+        target = (op, 0)
+        op = op.inputs[0]
     return target
 
 

@@ -106,6 +106,42 @@ def test_q3_where_conjuncts_filter_their_scans(db):
     assert aggregate.child.kind == "join"
 
 
+def _q9_join(database):
+    plan = plan_statement(parse(TPCH_SQL[9]), DEFAULT_CATALOG)
+    root = compile_plan(plan, database, DEFAULT_CATALOG)
+    (join,) = [op for op in walk_ops(root) if op.kind == "join"]
+    return root, join
+
+
+def test_q9_runs_as_one_multi_way_join_starting_from_filtered_part(db):
+    root, join = _q9_join(db)
+    labels = [columnar._input_label(op) for op in join.inputs]
+    assert labels == ["s", "l", "ps", "p", "o", "n"]
+    part = join.inputs[labels.index("p")]
+    assert part.kind == "filter" and part.child.detail == "part"
+    ColumnarExecutor(db, DEFAULT_CATALOG).run(root)
+    # Greedy by exact join size: lineitem meets the filtered part input
+    # before it meets supplier, partsupp or orders.
+    lineitem = labels.index("l")
+    first = next(m for m in join.merges if lineitem in m[0] + m[1])
+    assert sorted(first[:2]) == [(lineitem,), (labels.index("p"),)]
+    assert len(join.merges) == len(join.inputs) - 1
+
+
+def test_merge_order_is_formatted_only_when_stats_are_read(db, monkeypatch):
+    calls = []
+    label = columnar._input_label
+    monkeypatch.setattr(columnar, "_input_label", lambda op: calls.append(op) or label(op))
+    root, join = _q9_join(db)
+    assert "order:" not in join.detail
+    ColumnarExecutor(db, DEFAULT_CATALOG).run(root)
+    assert not calls
+    detail = join.stats()["detail"]
+    assert calls
+    order = detail.split(" | order: ")[1].split("; ")
+    assert len(order) == 5 and "l x p -> " in detail
+
+
 def test_q6_scan_reads_only_referenced_columns(db):
     (scan,) = [op for op in _compiled_ops(6, db) if op.kind == "scan"]
     assert sorted(scan.base_names) == [

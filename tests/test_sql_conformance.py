@@ -21,6 +21,7 @@ from repro.sql import (
     ExecutionError,
     PlanError,
     TableSchema,
+    columnar,
     execute_sql,
     generate_database,
     like_to_glob,
@@ -29,7 +30,7 @@ from repro.sql import (
     sql_like,
 )
 from repro.sql.catalog import _cols
-from repro.sql.columnar import compile_plan, walk_ops
+from repro.sql.columnar import ColumnarExecutor, compile_plan, walk_ops
 
 ENGINES = ("row", "columnar")
 
@@ -447,6 +448,107 @@ def _agree(sql, database, catalog):
     return row
 
 
+# ----------------------------------------------------------------------
+# Inner equi-join chains run as one multi-way join, in an order of their
+# own, and still emit the row engine's rows in its order.
+# ----------------------------------------------------------------------
+
+def _python_key_setup():
+    nan = float("nan")  # one object in both tables: same identity, never equal
+    big = 2 ** 53
+    catalog = Catalog()
+    catalog.register(TableSchema(
+        "pa", _cols("a_id:int", "a_f:float", "a_big:int"), base_rows=4, bytes_per_row=24,
+    ))
+    catalog.register(TableSchema(
+        "pb", _cols("b_id:int", "b_f:float", "b_obj:str"), base_rows=6, bytes_per_row=24,
+    ))
+    catalog.register(TableSchema(
+        "pc", _cols("c_id:int", "c_obj:str", "c_float:float"), base_rows=4, bytes_per_row=24,
+    ))
+    database = {
+        "pa": [
+            {"a_id": 1, "a_f": 1.5, "a_big": big + 1},
+            {"a_id": 2, "a_f": nan, "a_big": big + 2},
+            {"a_id": 3, "a_f": 2.0, "a_big": big + 2},
+            {"a_id": 4, "a_f": None, "a_big": big + 2},
+        ],
+        "pb": [
+            {"b_id": 10, "b_f": nan, "b_obj": 1},
+            {"b_id": 11, "b_f": 1.5, "b_obj": "x"},
+            {"b_id": 12, "b_f": 2.0, "b_obj": 2.0},
+            {"b_id": 13, "b_f": 1.5, "b_obj": None},
+            {"b_id": 14, "b_f": 2.0, "b_obj": "x"},
+            {"b_id": 15, "b_f": 2.0, "b_obj": 1},
+        ],
+        "pc": [
+            {"c_id": 20, "c_obj": "x", "c_float": float(big)},
+            {"c_id": 21, "c_obj": 2, "c_float": float(big + 2)},
+            {"c_id": 22, "c_obj": "x", "c_float": float(big + 2)},
+            {"c_id": 23, "c_obj": True, "c_float": float(big + 2)},
+        ],
+    }
+    return database, catalog
+
+
+def test_join_chain_keys_that_need_python_equality(monkeypatch):
+    # Every edge takes the Python code path: a NaN float key (pa-pb), a
+    # mixed-type object key (pb-pc), and ints above 2**53 against floats
+    # (pa-pc), where float64 pooling would match big + 1 with float(big).
+    database, catalog = _python_key_setup()
+    sql = ("select a_id, b_id, c_id from pa join pb on pa.a_f = pb.b_f "
+           "join pc on pc.c_obj = pb.b_obj and pc.c_float = pa.a_big")
+    calls = []
+    python_codes = columnar._python_pair_codes
+    monkeypatch.setattr(columnar, "_python_pair_codes",
+                        lambda *args: calls.append(args) or python_codes(*args))
+    assert _agree(sql, database, catalog) == [
+        {"a_id": 3, "b_id": 12, "c_id": 21},
+        {"a_id": 3, "b_id": 14, "c_id": 22},
+        {"a_id": 3, "b_id": 15, "c_id": 23},
+    ]
+    assert len(calls) == 3
+
+
+def test_join_chain_in_size_order_binds_shared_names_as_written():
+    # FROM order is mid, big, small; the pushed WHERE leaves small one row,
+    # so mid meets small first and big joins last.  ``note`` is a column of
+    # big and of small: the select list and WHERE read small's, as the
+    # left-deep chain of joins would, and rows come in FROM order
+    # (mid-major), not in the order the inputs were merged.
+    catalog = Catalog()
+    catalog.register(TableSchema(
+        "big", _cols("b_id:int", "m_ref:int", "note:str"), base_rows=6, bytes_per_row=24,
+    ))
+    catalog.register(TableSchema(
+        "mid", _cols("m_id:int", "s_ref:int"), base_rows=3, bytes_per_row=16,
+    ))
+    catalog.register(TableSchema(
+        "small", _cols("s_id:int", "note:str"), base_rows=2, bytes_per_row=16,
+    ))
+    database = {
+        "big": [{"b_id": i, "m_ref": ref, "note": "big"}
+                for i, ref in enumerate([1, 2, 1, 3, 3, 1], 1)],
+        "mid": [{"m_id": 1, "s_ref": 7}, {"m_id": 2, "s_ref": 8}, {"m_id": 3, "s_ref": 7}],
+        "small": [{"s_id": 7, "note": "keep"}, {"s_id": 8, "note": "drop"}],
+    }
+    sql = ("select b_id, m_id, note from mid join big on big.m_ref = mid.m_id "
+           "join small on small.s_id = mid.s_ref where note <> 'drop'")
+    assert _agree(sql, database, catalog) == [
+        {"b_id": 1, "m_id": 1, "note": "keep"},
+        {"b_id": 3, "m_id": 1, "note": "keep"},
+        {"b_id": 6, "m_id": 1, "note": "keep"},
+        {"b_id": 4, "m_id": 3, "note": "keep"},
+        {"b_id": 5, "m_id": 3, "note": "keep"},
+    ]
+    root, (where,), scans, (join,) = _lowered(sql, database, catalog)
+    assert join.inputs[2] is where and where.child is scans["small"]
+    ColumnarExecutor(database, catalog).run(root)
+    assert [sorted(merge[:2]) for merge in join.merges] == [
+        [(0,), (2,)], [(0, 2), (1,)],
+    ]
+
+
 def test_left_join_anti_join_filter_stays_on_top(setup):
     database, catalog = setup
     sql = ("select i.id from items i left join owners o on i.id = o.oid "
@@ -471,7 +573,7 @@ def test_self_join_bare_shared_name_binds_like_the_row_engine(kind, setup):
     assert rows and all(r["qty"] == qty[r["bid"]] > 2 for r in rows)
     _, (where,), _, (join,) = _lowered(sql, database, catalog)
     if kind == "join":
-        assert join.right is where and where.child.kind == "scan"
+        assert join.inputs[1] is where and where.child.kind == "scan"
     else:
         assert where.child is join
 
@@ -492,9 +594,9 @@ def test_conjuncts_split_between_sides_and_top(setup):
            "order by i.id, o.owner")
     _agree(sql, database, catalog)
     _, filters, scans, (join,) = _lowered(sql, database, catalog)
-    assert join.left.kind == join.right.kind == "filter"
-    assert join.left.child is scans["items"]
-    assert join.right.child is scans["owners"]
+    assert join.inputs[0].kind == join.inputs[1].kind == "filter"
+    assert join.inputs[0].child is scans["items"]
+    assert join.inputs[1].child is scans["owners"]
     (top,) = [f for f in filters if f.child is join]
     assert top.detail == "((i.id + o.oid) > 3)"
 
@@ -671,4 +773,4 @@ def test_scalar_function_over_a_conjunct_pushed_below_a_join():
         {"y": 1995, "label": "one"}, {"y": 1996, "label": "two"},
     ]
     _, (where,), scans, (join,) = _lowered(sql, database, catalog)
-    assert join.left is where and where.child is scans["t"]
+    assert join.inputs[0] is where and where.child is scans["t"]

@@ -7,7 +7,8 @@ engines.  Results are compared after canonical row sorting because not
 every generated fragment carries a total ORDER BY; join fragments are also
 compared in order, since filters keep order and both engines emit joins
 left-major in build order — which is what lets the columnar engine push
-WHERE conjuncts below a join.
+WHERE conjuncts below a join, and run a chain of inner equi-joins in an
+order of its own before sorting the rows back into FROM order.
 
 The generators deliberately avoid the documented engine divergences:
 no division or modulo (the row engine raises on a zero divisor mid-scan
@@ -242,3 +243,93 @@ def test_two_table_join_with_where_agrees_in_order(
            + (f" where {where}" if where else ""))
     row, columnar = _run_both(sql, left, right)
     assert columnar == row, sql
+
+
+# ----------------------------------------------------------------------
+# Chains of three and four inner equi-joins: the columnar engine runs each
+# chain as one multi-way join in an order of its own choosing and must
+# still emit the row engine's rows in the row engine's order.
+# ----------------------------------------------------------------------
+
+for _n in range(4):
+    CATALOG.register(TableSchema(
+        f"c{_n}",
+        _cols(f"k{_n}:int", f"j{_n}:int", f"v{_n}:float", f"s{_n}:str"),
+        base_rows=12, bytes_per_row=40,
+    ))
+
+#: Few distinct keys, so duplicates are the norm; NULL keys never match.
+_chain_row = st.fixed_dictionaries({
+    "k": st.sampled_from((None, 0, 1, 1, 2)),
+    "j": st.sampled_from((None, 0, 1)),
+    "v": st.sampled_from((None, 0.0, 1.0, 1.5)),
+    "s": st.sampled_from((None, "a", "b")),
+})
+
+#: One equi-pair's columns: int-int, int-float and string-string keys.
+_pair_columns = st.sampled_from([("k", "k"), ("j", "j"), ("k", "v"), ("s", "s")])
+
+#: Conjuncts over one table (pushed into its input) or over two (on top).
+_chain_conjuncts = st.sampled_from([
+    "v{a} > {c}",
+    "k{a} is not null",
+    "s{a} like 'a%'",
+    "j{a} <> {c}",
+    "k{a} + j{b} > {c}",
+    "v{a} < {c} or s{b} = 'b'",
+])
+
+
+@st.composite
+def _join_chains(draw):
+    """(FROM order, per-join conditions, tables) for a 3- or 4-table chain.
+
+    Join *p* links the *p*-th table in FROM order to an earlier one.  One
+    join has a second pair to the same table (an edge keyed on two
+    columns); another may have one to a third table (a cycle in the join
+    graph).
+    """
+    n = draw(st.integers(3, 4))
+    order = draw(st.permutations(range(n)))
+    tables = [draw(st.lists(_chain_row, min_size=2, max_size=8)) for _ in range(n)]
+    two_pairs = draw(st.integers(1, n - 1))
+
+    def pair(p, other):
+        mine, theirs = draw(_pair_columns)
+        if draw(st.booleans()):
+            mine, theirs = theirs, mine
+        return f"c{other}.{theirs}{other} = c{order[p]}.{mine}{order[p]}"
+
+    joins = []
+    for p in range(1, n):
+        other = order[draw(st.integers(0, p - 1))]
+        pairs = [pair(p, other)]
+        if p == two_pairs:
+            pairs.append(pair(p, other))
+        elif p > 1 and draw(st.sampled_from((False, False, True))):
+            pairs.append(pair(p, order[draw(st.integers(0, p - 1))]))
+        joins.append(" and ".join(pairs))
+    return order, joins, tables
+
+
+@settings(max_examples=300, deadline=None)
+@given(chain=_join_chains(), c=st.integers(-1, 4),
+       conjuncts=st.lists(st.tuples(_chain_conjuncts, st.integers(0, 3),
+                                    st.integers(0, 3)), max_size=2))
+def test_join_chains_agree_in_order(chain, c, conjuncts):
+    order, joins, tables = chain
+    n = len(order)
+    database = {
+        f"c{t}": [{f"{name}{t}": value for name, value in row.items()} for row in rows]
+        for t, rows in enumerate(tables)
+    }
+    where = " and ".join(
+        text.format(a=order[a % n], b=order[b % n], c=c) for text, a, b in conjuncts
+    )
+    columns = ", ".join(f"{name}{t}" for t in order for name in "kjvs")
+    sql = (f"select {columns} from c{order[0]} "
+           + " ".join(f"join c{order[p]} on {on}" for p, on in enumerate(joins, 1))
+           + (f" where {where}" if where else ""))
+    row = execute_sql(sql, database, CATALOG, engine="row").rows
+    columnar = execute_sql(sql, database, CATALOG, engine="columnar").rows
+    assert _json_rows(columnar) == _json_rows(row), sql
