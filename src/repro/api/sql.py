@@ -24,7 +24,6 @@ def run_sql(
     *,
     engine: str = "columnar",
     catalog: Optional[Catalog] = None,
-    batch_size: Optional[int] = None,
     tracer: Optional[Tracer] = None,
     metrics: Optional[MetricsRegistry] = None,
 ) -> QueryOutcome:
@@ -32,12 +31,11 @@ def run_sql(
 
     ``engine`` is ``"columnar"`` (default) or ``"row"``, the reference
     executor.  The outcome carries the result rows plus the engine that
-    ran them.  ``batch_size=None`` (default) lets the columnar engine scan
-    whole tables in single batches; pass a size to bound peak memory.
+    ran them.  The columnar engine runs each operator once over its whole
+    input.
     """
     outcome: QueryOutcome = execute_sql(
-        sql, database, catalog, engine=engine, batch_size=batch_size,
-        tracer=tracer, metrics=metrics,
+        sql, database, catalog, engine=engine, tracer=tracer, metrics=metrics,
     )
     return outcome
 

@@ -192,10 +192,7 @@ def _cmd_sql(args: argparse.Namespace) -> int:
     print(f"\nsimulated run time: {result.metrics.run_time:.2f}s "
           f"({len(result.metrics.tasks)} tasks)")
     if args.execute:
-        outcome = execute_sql(
-            query, generate_database(),
-            engine=args.engine, batch_size=args.batch_size,
-        )
+        outcome = execute_sql(query, generate_database(), engine=args.engine)
         print(f"\n=== results ({len(outcome.rows)} rows, first 10) "
               f"[engine={outcome.engine}] ===")
         for row in outcome.rows[:10]:
@@ -462,9 +459,6 @@ def build_parser() -> argparse.ArgumentParser:
                        default="columnar",
                        help="execution engine for --execute (row is the "
                             "reference executor)")
-    p_sql.add_argument("--batch-size", type=int, default=None, metavar="N",
-                       help="columnar batch size (default: auto — whole-table "
-                            "batches capped at 2**20 rows)")
     p_sql.set_defaults(func=_cmd_sql)
 
     p_chaos = sub.add_parser(

@@ -24,12 +24,7 @@ from .ast import (
 )
 from .catalog import Catalog, CatalogError, Column, DEFAULT_CATALOG, TableSchema, TPCH_TABLES
 from .batch import ColumnTable, ColumnVector
-from .columnar import (
-    DEFAULT_BATCH_SIZE,
-    ColumnarExecutor,
-    ColumnBatch,
-    compile_kernel,
-)
+from .columnar import ColumnarExecutor, ColumnBatch, compile_kernel
 from .datagen import generate_database
 from .dispatch import (
     ENGINES,
@@ -75,7 +70,6 @@ __all__ = [
     "ColumnTable",
     "ColumnVector",
     "ColumnarExecutor",
-    "DEFAULT_BATCH_SIZE",
     "DEFAULT_CATALOG",
     "ENGINES",
     "ExecutionError",

@@ -15,7 +15,7 @@ The physical layout of the columnar SQL engine:
   aliases share the *same vector object* so qualification is free.
 * :class:`ColumnTable` — a columnar-native base table.  It iterates as row
   dicts so the row engine and ``plan_schema`` work unchanged, while the
-  columnar scan slices its vectors with zero copies.
+  columnar scan reads its vectors as they are.
 
 Python rows cross the boundary only in ``from_rows``/``to_rows`` — the
 engine interior is arrays end to end.
@@ -215,50 +215,6 @@ class ColumnVector:
         mask = self.mask[indexes] if self.mask is not None else None
         return ColumnVector(self.kind, self.data[indexes], mask, self.dictionary)
 
-    def slice(self, start: int, stop: int) -> "ColumnVector":
-        """Zero-copy contiguous slice."""
-        mask = self.mask[start:stop] if self.mask is not None else None
-        return ColumnVector(self.kind, self.data[start:stop], mask, self.dictionary)
-
-    @staticmethod
-    def concat(parts: Sequence["ColumnVector"]) -> "ColumnVector":
-        """Concatenate vectors, merging dictionaries when they differ.
-
-        Heterogeneous kinds (batches whose per-chunk type inference
-        disagreed) decode and re-infer over the full value list, so the
-        result is independent of batch boundaries.
-        """
-        if len(parts) == 1:
-            return parts[0]
-        kinds = {p.kind for p in parts}
-        if len(kinds) == 1 and "object" not in kinds:
-            kind = parts[0].kind
-            mask = _concat_masks(parts)
-            if kind != "str":
-                return ColumnVector(
-                    kind, np.concatenate([p.data for p in parts]), mask
-                )
-            first = parts[0].dictionary
-            if all(p.dictionary is first for p in parts[1:]):
-                data = np.concatenate([p.data for p in parts])
-                return ColumnVector("str", data, mask, first)
-            dictionary = np.unique(np.concatenate([p.dictionary for p in parts]))
-            data = np.concatenate([
-                dictionary.searchsorted(p.dictionary).astype(np.int32)[p.data]
-                for p in parts
-            ])
-            return ColumnVector("str", data, mask, dictionary)
-        merged: list = []
-        for p in parts:
-            merged.extend(p.to_pylist())
-        return ColumnVector.from_values(merged)
-
-
-def _concat_masks(parts: Sequence[ColumnVector]) -> Optional[np.ndarray]:
-    if all(p.mask is None for p in parts):
-        return None
-    return np.concatenate([p.null_mask() for p in parts])
-
 
 # ----------------------------------------------------------------------
 # Column batches
@@ -334,37 +290,6 @@ def gather(batch: ColumnBatch, indexes: np.ndarray) -> ColumnBatch:
     return ColumnBatch(batch.names, columns, len(indexes))
 
 
-def slice_batch(batch: ColumnBatch, count: int) -> ColumnBatch:
-    """The first ``count`` rows of a batch, preserving alias sharing."""
-    taken: dict[int, ColumnVector] = {}
-    columns: dict[str, Union[ColumnVector, list]] = {}
-    for name in batch.names:
-        source = batch.columns[name]
-        picked = taken.get(id(source))
-        if picked is None:
-            picked = taken[id(source)] = source.slice(0, count)
-        columns[name] = picked
-    return ColumnBatch(batch.names, columns, count)
-
-
-def concat_batches(schema: list[str], batches: list[ColumnBatch]) -> ColumnBatch:
-    """Concatenate batches into one, preserving alias sharing."""
-    if not batches:
-        return ColumnBatch(schema, {n: ColumnVector.empty("object") for n in schema}, 0)
-    if len(batches) == 1:
-        return batches[0]
-    leaders: dict[int, str] = {}
-    columns: dict[str, Union[ColumnVector, list]] = {}
-    for name in schema:
-        lead = leaders.get(id(batches[0].columns[name]))
-        if lead is not None:
-            columns[name] = columns[lead]
-            continue
-        leaders[id(batches[0].columns[name])] = name
-        columns[name] = ColumnVector.concat([b.columns[name] for b in batches])
-    return ColumnBatch(schema, columns, sum(b.length for b in batches))
-
-
 # ----------------------------------------------------------------------
 # Columnar-native tables
 # ----------------------------------------------------------------------
@@ -374,7 +299,7 @@ class ColumnTable:
 
     Duck-types as a sequence of row dicts (``len``, iteration, indexing) so
     the row engine, ``plan_schema``, and existing callers treat it exactly
-    like ``list[Row]`` — but the columnar scan slices its vectors directly,
+    like ``list[Row]`` — but the columnar scan reads its vectors directly,
     skipping per-row transposition entirely.  Unlike a ``list``, an empty
     ColumnTable still knows its schema.
     """

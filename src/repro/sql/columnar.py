@@ -1,10 +1,12 @@
 """Vectorized columnar execution engine on numpy.
 
-Operators exchange :class:`~repro.sql.batch.ColumnBatch` objects — typed
-``np.ndarray`` columns with null bitmaps and dictionary-encoded strings
-(:mod:`repro.sql.batch`) — and scalar expressions are compiled once per
-query into array kernels (:mod:`repro.sql.kernels`).  The physical
-operators are array programs:
+Each operator runs once over its whole input: ``run()`` runs its
+children, then turns their outputs into one
+:class:`~repro.sql.batch.ColumnBatch` — typed ``np.ndarray`` columns with
+null bitmaps and dictionary-encoded strings (:mod:`repro.sql.batch`),
+possibly zero rows, column kinds kept — and times only its own work.
+Scalar expressions are compiled once per query into array kernels
+(:mod:`repro.sql.kernels`).  The physical operators are array programs:
 
 * **filter** — kernel truthiness mask, ``np.flatnonzero`` + fancy-index
   gather;
@@ -15,8 +17,8 @@ operators are array programs:
   emit columns: each distinct call's per-group results form one column of
   a post-aggregate batch, next to the representative (first-row) columns
   gathered per group, and the select list and HAVING are kernels over
-  that batch, compiled once with every aggregate call bound as a column
-  reference.  HAVING is one truth mask and one gather, evaluated before
+  that batch, compiled once, each aggregate call reading its column.
+  HAVING is one truth mask and one gather, evaluated before
   the items; zero groups evaluate nothing;
 * **join** — every maximal run of INNER joins with pure equi conditions
   is one multi-way operator (:class:`_MultiJoinOp`): it runs its
@@ -38,7 +40,9 @@ operators are array programs:
   pass applies the rest of the condition;
 * **sort** — successive stable ``np.argsort`` passes, least-significant
   key first, with a null-flag pass replicating the row engine's
-  ``_sort_key`` ordering.
+  ``_sort_key`` ordering;
+* **limit** — the first rows of its child's whole output, like the row
+  engine's ``rows[:count]``, so an error past the limit still raises.
 
 Semantics mirror the row executor exactly — NULL propagation,
 ``and``/``or`` via Python truthiness, LIKE via the shared glob
@@ -77,20 +81,17 @@ only as the explicit reference.
 from __future__ import annotations
 
 from time import perf_counter
-from typing import Collection, Iterable, Iterator, Optional
+from typing import Collection, Iterable, Optional
 
 import numpy as np
 
 from .ast import (
     BinaryOp,
-    CaseExpr,
     ColumnRef,
     Expr,
     FunctionCall,
-    InList,
     SelectItem,
     Star,
-    UnaryOp,
     add_column_names,
     collect_aggregates,
 )
@@ -98,9 +99,7 @@ from .batch import (
     ColumnBatch,
     ColumnTable,
     ColumnVector,
-    concat_batches,
     gather,
-    slice_batch,
 )
 from .catalog import Catalog
 from .executor import (
@@ -130,21 +129,11 @@ __all__ = [
     "ColumnTable",
     "ColumnVector",
     "ColumnarExecutor",
-    "DEFAULT_BATCH_SIZE",
     "Kernel",
     "compile_kernel",
     "compile_plan",
     "walk_ops",
 ]
-
-#: Rows per batch when a caller asks for a fixed size.  With array kernels
-#: the per-batch overhead is one ufunc dispatch per operator, so batches
-#: are best measured in the hundreds of thousands; ``batch_size=None``
-#: (the default everywhere) goes further and scans whole tables in one
-#: batch, capped at :data:`_AUTO_BATCH_CAP` lanes.
-DEFAULT_BATCH_SIZE = 65536
-
-_AUTO_BATCH_CAP = 1 << 20
 
 _INT64_MAX = np.iinfo(np.int64).max
 _INT64_MIN = np.iinfo(np.int64).min
@@ -155,10 +144,6 @@ _FLOAT_EXACT_INT = 2 ** 53
 
 class _PythonFallback(Exception):
     """Internal: value shape needs the exact row-semantics Python path."""
-
-
-def _auto_batch_size(n_rows: int) -> int:
-    return min(max(n_rows, 1), _AUTO_BATCH_CAP)
 
 
 def _stable_desc_argsort(keys: np.ndarray) -> np.ndarray:
@@ -172,7 +157,7 @@ def _stable_desc_argsort(keys: np.ndarray) -> np.ndarray:
 # ----------------------------------------------------------------------
 
 class _Op:
-    """Base batch operator: produces batches, tracks throughput stats."""
+    """Base operator: runs once over its whole input, tracks throughput stats."""
 
     kind = "op"
     #: What the operator works on, for stats.  Operators that would format
@@ -182,26 +167,33 @@ class _Op:
     def __init__(self) -> None:
         self.schema: list[str] = []
         self.rows_out = 0
-        self.batches_out = 0
         self.seconds = 0.0
 
     def children(self) -> list["_Op"]:
         return []
 
-    def batches(self) -> Iterator[ColumnBatch]:
-        raise NotImplementedError
+    def run(self) -> ColumnBatch:
+        """Run the children, then this operator over their outputs.
 
-    def _emit(self, batch: ColumnBatch) -> ColumnBatch:
-        self.rows_out += batch.length
-        self.batches_out += 1
-        return batch
+        Only this operator's own work is timed into ``seconds``.  The
+        output may have zero rows; its columns keep their kinds.
+        """
+        inputs = [child.run() for child in self.children()]
+        began = perf_counter()
+        out = self.apply(*inputs)
+        self.seconds += perf_counter() - began
+        self.rows_out += out.length
+        return out
+
+    def apply(self, *inputs: ColumnBatch) -> ColumnBatch:
+        """This operator's work over its children's outputs."""
+        raise NotImplementedError
 
     def stats(self) -> dict[str, object]:
         """Per-operator throughput summary for metrics/tracing."""
         rate = self.rows_out / self.seconds if self.seconds > 0 else 0.0
         return {
             "rows": self.rows_out,
-            "batches": self.batches_out,
             "seconds": round(self.seconds, 6),
             "rows_per_s": round(rate, 1),
             "detail": self.detail,
@@ -225,7 +217,6 @@ class _ScanOp(_Op):
         node: LogicalScan,
         database: Database,
         catalog: Catalog,
-        batch_size: Optional[int],
         need: Optional[set[str]],
     ) -> None:
         super().__init__()
@@ -235,9 +226,6 @@ class _ScanOp(_Op):
         self.rows = rows
         self.columnar = isinstance(rows, ColumnTable)
         self.binding = node.binding
-        self.batch_size = (
-            batch_size if batch_size is not None else _auto_batch_size(len(rows))
-        )
         self.detail = node.table
         if self.columnar:
             base = list(rows.names)
@@ -257,30 +245,20 @@ class _ScanOp(_Op):
             ]
         self.schema = base + aliases
 
-    def batches(self) -> Iterator[ColumnBatch]:
-        rows, size, binding = self.rows, self.batch_size, self.binding
-        total = len(rows)
-        for start in range(0, total, size):
-            began = perf_counter()
-            stop = min(start + size, total)
-            if self.columnar:
-                columns = {
-                    n: rows.columns[n].slice(start, stop)
-                    for n in self.base_names
-                }
-            else:
-                chunk = rows[start:stop]
-                columns = {
-                    n: ColumnVector.from_values([row[n] for row in chunk])
-                    for n in self.base_names
-                }
-            if binding:
-                for n in self.base_names:
-                    if "." not in n:
-                        columns[f"{binding}.{n}"] = columns[n]
-            batch = ColumnBatch(self.schema, columns, stop - start)
-            self.seconds += perf_counter() - began
-            yield self._emit(batch)
+    def apply(self) -> ColumnBatch:
+        rows, binding = self.rows, self.binding
+        if self.columnar:
+            columns = {n: rows.columns[n] for n in self.base_names}
+        else:
+            columns = {
+                n: ColumnVector.from_values([row[n] for row in rows])
+                for n in self.base_names
+            }
+        if binding:
+            for n in self.base_names:
+                if "." not in n:
+                    columns[f"{binding}.{n}"] = columns[n]
+        return ColumnBatch(self.schema, columns, len(rows))
 
 
 class _AliasOp(_UnaryOpBase):
@@ -305,19 +283,13 @@ class _AliasOp(_UnaryOpBase):
             self.alias_names = []
             self.schema = list(child.schema)
 
-    def batches(self) -> Iterator[ColumnBatch]:
-        binding = self.binding
-        for batch in self.child.batches():
-            if not binding:
-                yield self._emit(batch)
-                continue
-            began = perf_counter()
-            columns = dict(batch.columns)
-            for n in self.alias_names:
-                columns[f"{binding}.{n}"] = columns[n]
-            out = ColumnBatch(self.schema, columns, batch.length)
-            self.seconds += perf_counter() - began
-            yield self._emit(out)
+    def apply(self, batch: ColumnBatch) -> ColumnBatch:
+        if not self.binding:
+            return batch
+        columns = dict(batch.columns)
+        for n in self.alias_names:
+            columns[f"{self.binding}.{n}"] = columns[n]
+        return ColumnBatch(self.schema, columns, batch.length)
 
 
 class _FilterOp(_UnaryOpBase):
@@ -335,23 +307,13 @@ class _FilterOp(_UnaryOpBase):
     def detail(self) -> str:  # type: ignore[override]
         return " and ".join(str(c) for c in self.conjuncts)
 
-    def batches(self) -> Iterator[ColumnBatch]:
-        for batch in self.child.batches():
-            began = perf_counter()
-            mask = self.kernels[0].truth(batch)
-            for kernel in self.kernels[1:]:
-                if not mask.any():
-                    break
-                mask = mask & kernel.truth(batch)
-            if mask.all():
-                out: Optional[ColumnBatch] = batch
-            elif mask.any():
-                out = gather(batch, np.flatnonzero(mask))
-            else:
-                out = None
-            self.seconds += perf_counter() - began
-            if out is not None:
-                yield self._emit(out)
+    def apply(self, batch: ColumnBatch) -> ColumnBatch:
+        mask = self.kernels[0].truth(batch)
+        for kernel in self.kernels[1:]:
+            if not mask.any():
+                break
+            mask = mask & kernel.truth(batch)
+        return batch if mask.all() else gather(batch, np.flatnonzero(mask))
 
 
 class _ProjectOp(_UnaryOpBase):
@@ -380,44 +342,36 @@ class _ProjectOp(_UnaryOpBase):
                     )
                     names[name] = None
         self.schema = list(names)
-        self.seen: Optional[set] = set() if node.distinct else None
 
-    def batches(self) -> Iterator[ColumnBatch]:
-        for batch in self.child.batches():
-            began = perf_counter()
-            if self.passthrough:
-                out = batch
-            else:
-                columns: dict[str, ColumnVector] = {}
-                for name, kernel in self.kernels:
-                    if kernel is None:
-                        for n in self.child.schema:
-                            columns[n] = batch.columns[n]
-                    else:
-                        columns[name] = kernel.eval(batch)  # type: ignore[index]
-                out = ColumnBatch(self.schema, columns, batch.length)
-            if self.seen is not None:
-                out = self._dedup(out)
-            self.seconds += perf_counter() - began
-            if out is not None and out.length:
-                yield self._emit(out)
+    def apply(self, batch: ColumnBatch) -> ColumnBatch:
+        if self.passthrough:
+            out = batch
+        else:
+            columns: dict[str, ColumnVector] = {}
+            for name, kernel in self.kernels:
+                if kernel is None:
+                    for n in self.child.schema:
+                        columns[n] = batch.columns[n]
+                else:
+                    columns[name] = kernel.eval(batch)  # type: ignore[index]
+            out = ColumnBatch(self.schema, columns, batch.length)
+        return _dedup(out) if self.distinct else out
 
-    def _dedup(self, batch: ColumnBatch) -> Optional[ColumnBatch]:
-        names = batch.names
-        cols = [batch.columns[n].to_pylist() for n in names]
-        seen = self.seen
-        assert seen is not None
-        keep: list[int] = []
-        for i, values in enumerate(zip(*cols)):
-            key = tuple(sorted((n, _hashable(v)) for n, v in zip(names, values)))
-            if key not in seen:
-                seen.add(key)
-                keep.append(i)
-        if len(keep) == batch.length:
-            return batch
-        if not keep:
-            return None
-        return gather(batch, np.array(keep, np.int64))
+
+def _dedup(batch: ColumnBatch) -> ColumnBatch:
+    """The first occurrence of each distinct row, in order."""
+    names = batch.names
+    cols = [batch.columns[n].to_pylist() for n in names]
+    seen: set = set()
+    keep: list[int] = []
+    for i, values in enumerate(zip(*cols)):
+        key = tuple(sorted((n, _hashable(v)) for n, v in zip(names, values)))
+        if key not in seen:
+            seen.add(key)
+            keep.append(i)
+    if len(keep) == batch.length:
+        return batch
+    return gather(batch, np.array(keep, np.int64))
 
 
 # ----------------------------------------------------------------------
@@ -664,44 +618,13 @@ class _AggCall:
         return ColumnVector.from_values(result)
 
 
-def _bind_aggregates(expr: Expr, columns: dict[int, str]) -> Expr:
-    """``expr`` with each aggregate call in ``columns`` (keyed by the call
-    node's identity) replaced by a reference to its post-aggregate column."""
-    name = columns.get(id(expr))
-    if name is not None:
-        return ColumnRef(name)
-    if type(expr) is BinaryOp:
-        return BinaryOp(
-            expr.op,
-            _bind_aggregates(expr.left, columns),
-            _bind_aggregates(expr.right, columns),
-        )
-    if type(expr) is UnaryOp:
-        return UnaryOp(expr.op, _bind_aggregates(expr.operand, columns))
-    if type(expr) is FunctionCall:
-        args = tuple(_bind_aggregates(a, columns) for a in expr.args)
-        return FunctionCall(expr.name, args, expr.distinct)
-    if type(expr) is CaseExpr:
-        whens = tuple(
-            (_bind_aggregates(c, columns), _bind_aggregates(v, columns))
-            for c, v in expr.whens
-        )
-        default = (
-            None if expr.default is None
-            else _bind_aggregates(expr.default, columns)
-        )
-        return CaseExpr(whens, default)
-    if type(expr) is InList:
-        values = tuple(_bind_aggregates(v, columns) for v in expr.values)
-        return InList(_bind_aggregates(expr.expr, columns), values, expr.negated)
-    return expr
-
-
-def _compile_or_defer(expr: Expr, schema: Collection[str]) -> Kernel:
+def _compile_or_defer(
+    expr: Expr, schema: Collection[str], aggregates: dict[int, str]
+) -> Kernel:
     """``compile_kernel``, with a compile error raised at evaluation
     instead: the row engine raises only for a group it evaluates."""
     try:
-        return compile_kernel(expr, schema)
+        return compile_kernel(expr, schema, aggregates)
     except ExecutionError as error:
         message = str(error)
 
@@ -716,18 +639,15 @@ class _AggregateOp(_UnaryOpBase):
     Groups are assigned once; each distinct aggregate call becomes one
     column of the *post-aggregate batch* next to the representative (first
     row of the group) columns the select list and HAVING read.  Select
-    items and HAVING are compiled once, each aggregate call bound as a
-    reference to its column, and run as kernels over that batch.
+    items and HAVING are compiled once, each aggregate call reading its
+    column, and run as kernels over that batch.
     """
 
     kind = "aggregate"
 
-    def __init__(
-        self, child: _Op, node: LogicalAggregate, batch_size: Optional[int]
-    ) -> None:
+    def __init__(self, child: _Op, node: LogicalAggregate) -> None:
         super().__init__(child)
         self.node = node
-        self.batch_size = batch_size
         calls: list[FunctionCall] = []
         for item in node.items:
             collect_aggregates(item.expr, calls)
@@ -741,14 +661,12 @@ class _AggregateOp(_UnaryOpBase):
         names = set(child.schema)
         self.calls = [_AggCall(c, names) for c in unique.values()]
         self.group_kernels = [compile_kernel(g, names) for g in node.group_by]
-        # Items and HAVING read the aggregate columns and, through each
-        # group's representative row, any child column.
-        names.update(self.agg_names)
+        # Items and HAVING read each aggregate call from its column and,
+        # through each group's representative row, any child column.
         self.having = None if node.having is None else _compile_or_defer(
-            _bind_aggregates(node.having, column_of), names)
+            node.having, names, column_of)
         self.items = [
-            (item.output_name, _compile_or_defer(
-                _bind_aggregates(item.expr, column_of), names))
+            (item.output_name, _compile_or_defer(item.expr, names, column_of))
             for item in node.items
         ]
         self.schema = list(dict.fromkeys(name for name, _ in self.items))
@@ -765,40 +683,24 @@ class _AggregateOp(_UnaryOpBase):
     def detail(self) -> str:  # type: ignore[override]
         return ", ".join(str(g) for g in self.node.group_by)
 
-    def batches(self) -> Iterator[ColumnBatch]:
-        # Aggregation is computed over the whole input at once: bincount's
-        # sequential accumulation then matches the row engine's row order
-        # regardless of how the child chose to batch.
-        collected = list(self.child.batches())
-        began = perf_counter()
-        out = self._aggregate(concat_batches(self.child.schema, collected))
-        self.seconds += perf_counter() - began
-        if out is None:
-            return
-        n = out.length
-        size = self.batch_size if self.batch_size is not None else n
-        for start in range(0, n, size):
-            stop = min(start + size, n)
-            columns = {k: v.slice(start, stop) for k, v in out.columns.items()}
-            yield self._emit(ColumnBatch(self.schema, columns, stop - start))
-
-    def _aggregate(self, table: ColumnBatch) -> Optional[ColumnBatch]:
-        """The output batch, or ``None`` when no group survives."""
+    def apply(self, table: ColumnBatch) -> ColumnBatch:
+        # The whole input at once: bincount's sequential accumulation
+        # matches the row engine's row order.  Kernels over zero groups
+        # evaluate nothing.
         n = table.length
         if self.group_kernels:
-            if n == 0:
-                return None
             key_vectors = [k.eval(table) for k in self.group_kernels]
             try:
                 codes = [_equality_codes(v) for v in key_vectors]
                 gids, rep_idx = _first_seen_groups(_combine_codes(codes))
             except _PythonFallback:
                 gids, rep_idx = _py_groups(key_vectors, n)
+            n_groups = len(rep_idx)
         else:
+            # An ungrouped aggregate has one group even over empty input.
             gids = np.zeros(n, np.int64)
             rep_idx = np.zeros(min(n, 1), np.int64)
-        # An ungrouped aggregate has one group even over empty input.
-        n_groups = max(len(rep_idx), 1)
+            n_groups = 1
         rep = {k: table.columns[k] for k in self.rep_keys} if n else {}
         columns = {k: vec.take(rep_idx) for k, vec in rep.items()}
         for name, call in zip(self.agg_names, self.calls):
@@ -808,11 +710,8 @@ class _AggregateOp(_UnaryOpBase):
             post.columns = _NoRepresentative(post.columns)
         if self.having is not None:
             keep = np.flatnonzero(self.having.truth(post))
-            if not keep.size:
-                return None
             if keep.size < n_groups:
-                columns = {k: vec.take(keep) for k, vec in post.columns.items()}
-                post = ColumnBatch(post.names, columns, keep.size)
+                post = gather(post, keep)
         out = {name: kernel.eval(post) for name, kernel in self.items}
         return ColumnBatch(self.schema, out, post.length)
 
@@ -1040,9 +939,8 @@ class _MultiJoinOp(_Op):
     kind = "join"
     join_kind = "inner"
 
-    def __init__(self, first: _Op, batch_size: Optional[int]) -> None:
+    def __init__(self, first: _Op) -> None:
         super().__init__()
-        self.batch_size = batch_size
         self.inputs = [first]
         self.input_names = [set(first.schema)]
         self.schema = list(first.schema)
@@ -1092,32 +990,20 @@ class _MultiJoinOp(_Op):
         )
         return f"{text} | order: {order}"
 
-    def batches(self) -> Iterator[ColumnBatch]:
-        tables = [
-            concat_batches(op.schema, list(op.batches())) for op in self.inputs
-        ]
-        began = perf_counter()
+    def apply(self, *tables: ColumnBatch) -> ColumnBatch:
         ids = self._row_ids(tables)
-        self.seconds += perf_counter() - began
-        total = len(ids[0])
-        size = self.batch_size if self.batch_size is not None else max(total, 1)
-        for start in range(0, total, size):
-            began = perf_counter()
-            taken: dict[tuple[int, int], ColumnVector] = {}
-            columns = {}
-            for name in self.schema:
-                index = self.source[name]
-                source = tables[index].columns[name]
-                picked = taken.get((index, id(source)))
-                if picked is None:
-                    rows = ids[index][start:start + size]
-                    picked = taken[index, id(source)] = source.take(rows)
-                columns[name] = picked
-            batch = ColumnBatch(self.schema, columns, min(size, total - start))
-            self.seconds += perf_counter() - began
-            yield self._emit(batch)
+        taken: dict[tuple[int, int], ColumnVector] = {}
+        columns = {}
+        for name in self.schema:
+            index = self.source[name]
+            source = tables[index].columns[name]
+            picked = taken.get((index, id(source)))
+            if picked is None:
+                picked = taken[index, id(source)] = source.take(ids[index])
+            columns[name] = picked
+        return ColumnBatch(self.schema, columns, len(ids[0]))
 
-    def _row_ids(self, tables: list[ColumnBatch]) -> list[np.ndarray]:
+    def _row_ids(self, tables: tuple[ColumnBatch, ...]) -> list[np.ndarray]:
         """One row-id vector per input: the joined rows in FROM order."""
         edges = []
         for (i, k), pairs in self.edges.items():
@@ -1211,13 +1097,10 @@ class _JoinOp(_Op):
 
     kind = "join"
 
-    def __init__(
-        self, left: _Op, right: _Op, node: LogicalJoin, batch_size: Optional[int]
-    ) -> None:
+    def __init__(self, left: _Op, right: _Op, node: LogicalJoin) -> None:
         super().__init__()
         self.inputs = [left, right]
         self.join_kind = node.kind
-        self.batch_size = batch_size
         self.condition = node.condition
         left_names = set(left.schema)
         self.input_names = [left_names, set(right.schema)]
@@ -1248,12 +1131,8 @@ class _JoinOp(_Op):
             return ColumnVector.all_null(batch.length)
         return batch.columns[key]
 
-    def batches(self) -> Iterator[ColumnBatch]:
-        left, right = (
-            concat_batches(op.schema, list(op.batches())) for op in self.inputs
-        )
+    def apply(self, left: ColumnBatch, right: ColumnBatch) -> ColumnBatch:
         right_names = self.input_names[1]
-        began = perf_counter()
         if self.keys:
             left_codes, right_codes, size = _key_codes(
                 [self._key_column(l, left) for l, _ in self.keys],
@@ -1293,32 +1172,23 @@ class _JoinOp(_Op):
                 order = np.argsort(all_left, kind="stable")
                 cand_left = all_left[order]
                 cand_right = all_right[order]
-        self.seconds += perf_counter() - began
-        total = int(cand_left.size)
-        size = self.batch_size if self.batch_size is not None else max(total, 1)
-        for start in range(0, total, size):
-            began = perf_counter()
-            li = cand_left[start:start + size]
-            ri = cand_right[start:start + size]
-            taken: dict[tuple[str, int], ColumnVector] = {}
-            columns = {}
-            for name in self.schema:
-                if name in right_names:
-                    source = right.columns[name]
-                    cache_key = ("r", id(source))
-                    picked = taken.get(cache_key)
-                    if picked is None:
-                        picked = taken[cache_key] = _take_padded(source, ri)
-                else:
-                    source = left.columns[name]
-                    cache_key = ("l", id(source))
-                    picked = taken.get(cache_key)
-                    if picked is None:
-                        picked = taken[cache_key] = source.take(li)
-                columns[name] = picked
-            batch = ColumnBatch(self.schema, columns, len(li))
-            self.seconds += perf_counter() - began
-            yield self._emit(batch)
+        taken: dict[tuple[str, int], ColumnVector] = {}
+        columns = {}
+        for name in self.schema:
+            if name in right_names:
+                source = right.columns[name]
+                cache_key = ("r", id(source))
+                picked = taken.get(cache_key)
+                if picked is None:
+                    picked = taken[cache_key] = _take_padded(source, cand_right)
+            else:
+                source = left.columns[name]
+                cache_key = ("l", id(source))
+                picked = taken.get(cache_key)
+                if picked is None:
+                    picked = taken[cache_key] = source.take(cand_left)
+            columns[name] = picked
+        return ColumnBatch(self.schema, columns, len(cand_left))
 
 
 def _take_padded(vec: ColumnVector, indexes: np.ndarray) -> ColumnVector:
@@ -1344,9 +1214,7 @@ def _take_padded(vec: ColumnVector, indexes: np.ndarray) -> ColumnVector:
 class _SortOp(_UnaryOpBase):
     kind = "sort"
 
-    def __init__(
-        self, child: _Op, node: LogicalSort, batch_size: Optional[int]
-    ) -> None:
+    def __init__(self, child: _Op, node: LogicalSort) -> None:
         super().__init__(child)
         self.schema = list(child.schema)
         self.order = [
@@ -1354,30 +1222,18 @@ class _SortOp(_UnaryOpBase):
             for o in node.order_by
         ]
         self.order_by = node.order_by
-        self.batch_size = batch_size
 
     @property
     def detail(self) -> str:  # type: ignore[override]
         return ", ".join(str(o.expr) for o in self.order_by)
 
-    def batches(self) -> Iterator[ColumnBatch]:
-        table = concat_batches(self.schema, list(self.child.batches()))
-        began = perf_counter()
-        n = table.length
-        indexes = np.arange(n, dtype=np.int64)
+    def apply(self, table: ColumnBatch) -> ColumnBatch:
+        indexes = np.arange(table.length, dtype=np.int64)
         # Successive stable sorts, least-significant key first — identical
         # to the row engine's reversed() loop over order_by.
         for kernel, descending in reversed(self.order):
-            if n == 0:
-                break
             indexes = _sort_pass(indexes, kernel.eval(table), descending)
-        self.seconds += perf_counter() - began
-        size = self.batch_size if self.batch_size is not None else max(n, 1)
-        for start in range(0, n, size):
-            began = perf_counter()
-            batch = gather(table, indexes[start:start + size])
-            self.seconds += perf_counter() - began
-            yield self._emit(batch)
+        return gather(table, indexes)
 
 
 def _sort_pass(
@@ -1432,55 +1288,39 @@ class _LimitOp(_UnaryOpBase):
         self.schema = list(child.schema)
         self.detail = str(count)
 
-    def batches(self) -> Iterator[ColumnBatch]:
-        remaining = self.count
-        if remaining <= 0:
-            return
-        for batch in self.child.batches():
-            if batch.length <= remaining:
-                remaining -= batch.length
-                yield self._emit(batch)
-                if remaining == 0:
-                    return
-            else:
-                yield self._emit(slice_batch(batch, remaining))
-                return
+    def apply(self, batch: ColumnBatch) -> ColumnBatch:
+        # The row engine's ``rows[:count]``, after the child ran in full.
+        stop = len(range(batch.length)[:self.count])
+        return batch if stop == batch.length else gather(batch, np.arange(stop))
 
 
 # ----------------------------------------------------------------------
 # Plan compilation and execution
 # ----------------------------------------------------------------------
 
-def compile_plan(
-    node: LogicalNode,
-    database: Database,
-    catalog: Catalog,
-    batch_size: Optional[int] = None,
-) -> _Op:
+def compile_plan(node: LogicalNode, database: Database, catalog: Catalog) -> _Op:
     """Lower a logical plan to a tree of columnar operators.
 
     Lowering applies two rewrites (see the module docstring): WHERE
     conjuncts are pushed below joins, and scans emit only the columns
-    some ancestor reads.  ``batch_size=None`` (the default) lets each scan
-    pick its own batch — the whole table, capped at ``2**20`` lanes —
-    which is the fastest shape for array kernels; pass an explicit size
-    to bound peak memory.  ``catalog`` must be the one the plan was
-    resolved in: an empty row-layout table takes its column names from it.
+    some ancestor reads.  Each operator runs once over its whole input
+    (``root.run()`` returns one batch).  ``catalog`` must be the one the
+    plan was resolved in: an empty row-layout table takes its column
+    names from it.
     """
-    return _lower(node, database, catalog, batch_size, None)
+    return _lower(node, database, catalog, None)
 
 
 def _lower(
     node: LogicalNode,
     database: Database,
     catalog: Catalog,
-    batch_size: Optional[int],
     need: Optional[set[str]],
 ) -> _Op:
     """``compile_plan`` with ``need``: the column names ancestors read
     (``None``: every column).  One set serves a whole SELECT block, so a
     scan may keep a few names only another scan of the block needs."""
-    args = (database, catalog, batch_size)
+    args = (database, catalog)
     if isinstance(node, LogicalScan):
         return _ScanOp(node, *args, need)
     if isinstance(node, LogicalSubquery):
@@ -1493,22 +1333,22 @@ def _lower(
         left = _lower(node.left, *args, need)
         right = _lower(node.right, *args, need)
         if node.kind == "inner" and _is_pure_equi(node.condition):
-            run = left if isinstance(left, _MultiJoinOp) else _MultiJoinOp(left, batch_size)
+            run = left if isinstance(left, _MultiJoinOp) else _MultiJoinOp(left)
             if run.add(right, node.condition):
                 return run
-        return _JoinOp(left, right, node, batch_size)
+        return _JoinOp(left, right, node)
     if isinstance(node, LogicalAggregate):
         extra = list(node.group_by)
         if node.having is not None:
             extra.append(node.having)
         child = _lower(node.child, *args, _select_need(node.items, extra))
-        return _AggregateOp(child, node, batch_size)
+        return _AggregateOp(child, node)
     if isinstance(node, LogicalProject):
         child = _lower(node.child, *args, _select_need(node.items, []))
         return _ProjectOp(child, node)
     if isinstance(node, LogicalSort):
         order = [o.expr for o in node.order_by]
-        return _SortOp(_lower(node.child, *args, _plus(need, order)), node, batch_size)
+        return _SortOp(_lower(node.child, *args, _plus(need, order)), node)
     if isinstance(node, LogicalLimit):
         return _LimitOp(_lower(node.child, *args, need), node.count)
     raise PlanError(f"cannot execute {node!r}")
@@ -1603,32 +1443,24 @@ def walk_ops(root: _Op) -> list[_Op]:
 
 
 class ColumnarExecutor:
-    """Executes logical plans batch-at-a-time over an in-memory database."""
+    """Executes logical plans, each operator once over its whole input."""
 
     def __init__(
-        self,
-        database: Database,
-        catalog: Catalog,
-        batch_size: Optional[int] = None,
-        tracer=None,
-        metrics=None,
+        self, database: Database, catalog: Catalog, tracer=None, metrics=None
     ) -> None:
         self.database = database
         self.catalog = catalog
-        self.batch_size = batch_size
         self.tracer = tracer
         self.metrics = metrics
 
     def compile(self, plan: LogicalNode) -> _Op:
         """Lower ``plan`` to a tree of columnar operators."""
-        return compile_plan(plan, self.database, self.catalog, self.batch_size)
+        return compile_plan(plan, self.database, self.catalog)
 
     def run(self, root: _Op) -> list[Row]:
         """Drive a compiled operator tree and materialise the result rows."""
         started = perf_counter()
-        rows: list[Row] = []
-        for batch in root.batches():
-            rows.extend(batch.to_rows())
+        rows = root.run().to_rows()
         elapsed = perf_counter() - started
         self._report(root, elapsed, len(rows))
         return rows
@@ -1645,7 +1477,6 @@ class ColumnarExecutor:
             for op in ops:
                 prefix = f"sql_columnar_{op.kind}"
                 self.metrics.counter(f"{prefix}_rows").inc(op.rows_out)
-                self.metrics.counter(f"{prefix}_batches").inc(op.batches_out)
         if self.tracer is not None and self.tracer.enabled:
             for index, op in enumerate(ops):
                 self.tracer.span(

@@ -38,7 +38,6 @@ def execute_plan(
     database: Database,
     catalog: Optional[Catalog] = None,
     engine: str = "columnar",
-    batch_size: Optional[int] = None,
     tracer=None,
     metrics=None,
 ) -> QueryOutcome:
@@ -48,7 +47,7 @@ def execute_plan(
     active_catalog = catalog or DEFAULT_CATALOG
     if engine == "columnar":
         executor = ColumnarExecutor(
-            database, active_catalog, batch_size, tracer=tracer, metrics=metrics
+            database, active_catalog, tracer=tracer, metrics=metrics
         )
         compiled = executor.compile(plan)
         started = perf_counter()
@@ -76,7 +75,6 @@ def execute_sql(
     database: Database,
     catalog: Optional[Catalog] = None,
     engine: str = "columnar",
-    batch_size: Optional[int] = None,
     tracer=None,
     metrics=None,
 ) -> QueryOutcome:
@@ -84,8 +82,7 @@ def execute_sql(
     active = catalog or DEFAULT_CATALOG
     plan = plan_statement(parse(sql), active)
     return execute_plan(
-        plan, database, active, engine=engine, batch_size=batch_size,
-        tracer=tracer, metrics=metrics,
+        plan, database, active, engine=engine, tracer=tracer, metrics=metrics,
     )
 
 
@@ -94,12 +91,10 @@ def run_query(
     database: Database,
     catalog: Optional[Catalog] = None,
     engine: str = "columnar",
-    batch_size: Optional[int] = None,
     tracer=None,
     metrics=None,
 ) -> list[Row]:
     """Parse, plan, and execute ``sql`` over ``database``; just the rows."""
     return execute_sql(
-        sql, database, catalog, engine=engine, batch_size=batch_size,
-        tracer=tracer, metrics=metrics,
+        sql, database, catalog, engine=engine, tracer=tracer, metrics=metrics,
     ).rows

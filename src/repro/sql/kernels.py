@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import fnmatch
 import re
-from typing import Callable, Collection, Container, List, Optional, Union
+from typing import Callable, Collection, Container, List, Mapping, Optional, Union
 
 import numpy as np
 
@@ -491,9 +491,12 @@ def resolve_column(ref: ColumnRef, names: Container[str]) -> Optional[str]:
 class _Compiler:
     """Lowers one expression tree to an evaluator closure tree."""
 
-    def __init__(self, schema: Collection[str]) -> None:
+    def __init__(
+        self, schema: Collection[str], aggregates: Optional[Mapping[int, str]]
+    ) -> None:
         # Only read during compile, so a set is used as is, not copied.
         self.schema = schema if isinstance(schema, (set, frozenset)) else set(schema)
+        self.aggregates = aggregates or {}
         self.col_keys: dict[str, None] = {}
 
     def compile(self, expr: Expr) -> Evaluator:
@@ -593,9 +596,13 @@ class _Compiler:
     def _compile_call(self, expr: FunctionCall) -> Evaluator:
         name = expr.name.lower()
         if name in AGGREGATE_FUNCTIONS:
-            raise ExecutionError(
-                f"aggregate {name}() outside an aggregation context"
-            )
+            key = self.aggregates.get(id(expr))
+            if key is None:
+                raise ExecutionError(
+                    f"aggregate {name}() outside an aggregation context"
+                )
+            self.col_keys[key] = None
+            return lambda batch: batch.columns[key]
         fn = _SCALAR_FUNCTIONS.get(name)
         if fn is None:
             raise ExecutionError(f"unknown function {expr.name!r}")
@@ -639,12 +646,19 @@ class _Compiler:
         return run
 
 
-def compile_kernel(expr: Expr, schema: Collection[str]) -> Kernel:
+def compile_kernel(
+    expr: Expr,
+    schema: Collection[str],
+    aggregates: Optional[Mapping[int, str]] = None,
+) -> Kernel:
     """Compile ``expr`` into a vectorized kernel over ``schema`` columns.
 
     An operator compiling several kernels over one schema passes a set,
-    built once and shared by every compile.
+    built once and shared by every compile.  ``aggregates`` maps an
+    aggregate call node (by identity) to the column holding its per-group
+    results; the kernel reads that column for the call.  Any other
+    aggregate call raises.
     """
-    compiler = _Compiler(schema)
+    compiler = _Compiler(schema, aggregates)
     run = compiler.compile(expr)
     return Kernel(run, list(compiler.col_keys))

@@ -158,8 +158,8 @@ def run_tpch_query(query: int, database, engine: str = "columnar", **kwargs):
     """Execute TPC-H ``query`` over ``database``.
 
     ``engine`` is ``"columnar"`` (default) or ``"row"``, the reference
-    executor; extra keyword arguments (``batch_size``, ``tracer``,
-    ``metrics``) pass through to :func:`repro.sql.dispatch.run_query`.
+    executor; extra keyword arguments (``tracer``, ``metrics``,
+    ``catalog``) pass through to :func:`repro.sql.dispatch.run_query`.
     """
     from ..sql.dispatch import run_query
 

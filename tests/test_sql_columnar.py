@@ -43,9 +43,9 @@ def _row_engine(sql, database):
     return QueryExecutor(database, DEFAULT_CATALOG).execute(plan)
 
 
-def _columnar_engine(sql, database, batch_size=4096):
+def _columnar_engine(sql, database):
     plan = plan_statement(parse(sql), DEFAULT_CATALOG)
-    executor = ColumnarExecutor(database, DEFAULT_CATALOG, batch_size=batch_size)
+    executor = ColumnarExecutor(database, DEFAULT_CATALOG)
     return executor.execute(plan)
 
 
@@ -63,15 +63,6 @@ def test_fig1_query_matches_row_engine(db):
     expected = _row_engine(FIG1_QUERY, db)
     assert expected  # the Fig. 1 query produces rows on the mini database
     assert _columnar_engine(FIG1_QUERY, db) == expected
-
-
-@pytest.mark.parametrize("batch_size", [1, 7, 100, 4096])
-def test_batch_size_never_changes_results(batch_size, db):
-    # Batch boundaries are an implementation detail: results must be
-    # byte-identical whether a table spans one batch or hundreds.
-    for query in (1, 3, 13):
-        expected = _row_engine(TPCH_SQL[query], db)
-        assert _columnar_engine(TPCH_SQL[query], db, batch_size) == expected
 
 
 def test_auto_mode_run_query_matches_row_engine(db):
@@ -158,19 +149,14 @@ def test_aggregate_never_leaves_columns(db, monkeypatch):
     # row engine's per-group evaluator is never called.
     expected = {q: _row_engine(TPCH_SQL[q], db) for q in runnable_queries()}
     inside: list[object] = []
-    batches = columnar._AggregateOp.batches
+    apply = columnar._AggregateOp.apply
 
-    def guarded(self):
-        produced = batches(self)
-        while True:
-            inside.append(self)
-            try:
-                batch = next(produced)
-            except StopIteration:
-                return
-            finally:
-                inside.pop()
-            yield batch
+    def guarded(self, table):
+        inside.append(self)
+        try:
+            return apply(self, table)
+        finally:
+            inside.pop()
 
     def forbid(name, real):
         def call(*args, **kwargs):
@@ -178,7 +164,7 @@ def test_aggregate_never_leaves_columns(db, monkeypatch):
             return real(*args, **kwargs)
         return call
 
-    monkeypatch.setattr(columnar._AggregateOp, "batches", guarded)
+    monkeypatch.setattr(columnar._AggregateOp, "apply", guarded)
     monkeypatch.setattr(ColumnBatch, "from_rows", classmethod(
         forbid("from_rows", ColumnBatch.from_rows.__func__)))
     monkeypatch.setattr(ColumnBatch, "to_rows", forbid("to_rows", ColumnBatch.to_rows))
@@ -305,7 +291,7 @@ def test_columnar_run_emits_metrics_and_spans(db):
     assert counters["sql_queries"] == 1
     assert counters["sql_engine_columnar"] == 1
     assert counters["sql_columnar_scan_rows"] == len(db["lineitem"])
-    assert counters["sql_columnar_aggregate_batches"] >= 1
+    assert counters["sql_columnar_aggregate_rows"] == len(outcome.rows)
     categories = {record.cat for record in tracer.records}
     assert "sql" in categories
     names = {record.name for record in tracer.records}

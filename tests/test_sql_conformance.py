@@ -18,6 +18,7 @@ import pytest
 from repro.api import run_sql
 from repro.sql import (
     Catalog,
+    ColumnTable,
     ExecutionError,
     PlanError,
     TableSchema,
@@ -347,6 +348,45 @@ def test_empty_table_both_layouts(case_id, sql, layout, numpy_setup):
     items = ([] if layout == "rows"
              else catalog.resolve_table("items").empty_table())
     database = {"items": items, "owners": _database()["owners"]}
+    expected = execute_sql(sql, database, catalog, engine="row").rows
+    got = execute_sql(sql, database, catalog, engine="columnar").rows
+    assert got == expected
+
+
+#: The EMPTY_CORPUS queries over a non-empty ``items`` that a WHERE no row
+#: satisfies empties first, so each operator gets a zero-row batch with
+#: typed columns rather than an empty table.
+FILTERED_EMPTY_CORPUS = [
+    ("empty_filter_project",
+     "select id, price * 2 as dbl from items where qty > 1 and id < 0 "
+     "order by id"),
+    ("empty_global_aggregate",
+     "select count(*) as n, sum(price) as total, avg(qty) as mean from items "
+     "where id < 0"),
+    ("empty_group_by",
+     "select grp, count(*) as n from items where id < 0 group by grp "
+     "order by grp"),
+    ("empty_join_left_input",
+     "select i.id, o.owner from items i join owners o on i.id = o.oid "
+     "where i.id < 0 order by i.id"),
+    ("empty_sort_limit",
+     "select id, price from items where id < 0 order by price desc, id "
+     "limit 3"),
+    ("empty_non_equi_right_input",
+     "select * from owners o left join (select * from items where id < 0) i "
+     "on o.oid < i.id"),
+]
+
+
+@pytest.mark.parametrize("case_id,sql", FILTERED_EMPTY_CORPUS,
+                         ids=[c[0] for c in FILTERED_EMPTY_CORPUS])
+@pytest.mark.parametrize("layout", ("rows", "columnar"))
+def test_filtered_to_empty_both_layouts(case_id, sql, layout, numpy_setup):
+    assert [c[0] for c in FILTERED_EMPTY_CORPUS] == [c[0] for c in EMPTY_CORPUS]
+    _, catalog = numpy_setup
+    database = _database()
+    if layout == "columnar":
+        database["items"] = ColumnTable.from_rows(database["items"])
     expected = execute_sql(sql, database, catalog, engine="row").rows
     got = execute_sql(sql, database, catalog, engine="columnar").rows
     assert got == expected
@@ -740,13 +780,20 @@ def test_round_over_null_aggregate_raises_without_having(engine):
         execute_sql(sql, database, catalog, engine=engine)
 
 
-@pytest.mark.parametrize("case_id,sql,expected", AGGREGATE_EXPR_CORPUS,
-                         ids=[c[0] for c in AGGREGATE_EXPR_CORPUS])
-def test_aggregate_batch_size_one_matches_default(case_id, sql, expected):
-    database, catalog = _agg_setup()
-    one = execute_sql(sql, database, catalog, engine="columnar", batch_size=1)
-    default = execute_sql(sql, database, catalog, engine="columnar")
-    assert _json_rows(one.rows) == _json_rows(default.rows)
+# ----------------------------------------------------------------------
+# LIMIT takes its rows after the child ran in full, like the row engine's
+# ``rows[:count]``: an error on a row past the limit still raises.
+# ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("count", (0, 1))
+def test_limit_still_evaluates_rows_past_it(engine, count):
+    catalog = Catalog()
+    catalog.register(TableSchema("t", _cols("a:int"), base_rows=2, bytes_per_row=8))
+    database = {"t": [{"a": 1}, {"a": "x"}]}
+    sql = f"select a + 1 as b from t limit {count}"
+    with pytest.raises(TypeError):
+        execute_sql(sql, database, catalog, engine=engine)
 
 
 # ----------------------------------------------------------------------
