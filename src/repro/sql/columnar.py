@@ -10,8 +10,9 @@ Scalar expressions are compiled once per query into array kernels
 
 * **filter** — kernel truthiness mask, ``np.flatnonzero`` + fancy-index
   gather;
-* **aggregate** — group assignment via ``np.unique``-based factorization
-  remapped to first-seen order, then ``np.bincount`` (whose sequential
+* **aggregate** — groups from the key columns' equality codes, numbered
+  in first-seen order (a DISTINCT aggregate first keeps the first lane of
+  each group and value), then ``np.bincount`` (whose sequential
   accumulation matches the row engine's ``total += v`` float-for-float)
   and ``np.minimum.at``/``np.maximum.at`` segmented reductions.  Aggregates
   emit columns: each distinct call's per-group results form one column of
@@ -23,9 +24,7 @@ Scalar expressions are compiled once per query into array kernels
 * **join** — every maximal run of INNER joins with pure equi conditions
   is one multi-way operator (:class:`_MultiJoinOp`): it runs its
   filtered inputs, codes each edge (the equi-pairs linking two inputs)
-  once into a shared dense code space (dictionary merge for strings,
-  offsets or ``np.unique`` for numerics, a dict of ``_hashable`` values
-  for object, NaN and beyond-2**53 keys), then greedily merges the two
+  once into a shared dense code space, then greedily merges the two
   connected components whose join yields the fewest rows — counted
   exactly as ``sum(left count * right count)`` from one ``np.bincount``
   per side, ties by FROM position — carrying only int64 row ids per
@@ -46,11 +45,15 @@ Scalar expressions are compiled once per query into array kernels
 
 Semantics mirror the row executor exactly — NULL propagation,
 ``and``/``or`` via Python truthiness, LIKE via the shared glob
-translation, first-seen group ordering, left-major join output — and any
-value shape the typed fast paths can't reproduce bit-for-bit (mixed-type
-columns, NaN sort/group keys, DISTINCT aggregates) drops to an exact
-Python fallback for that operator.  Differential tests assert identical
-output on every TPC-H query and the conformance corpus.
+translation, first-seen group ordering, left-major join output.  GROUP
+BY, DISTINCT, DISTINCT aggregates and join keys decide equality through
+one coder, :func:`_value_codes`: every NULL is one key and every NaN
+another (as join keys neither matches anything), ``1``, ``1.0`` and
+``True`` are equal, and a string equals no number.  Sorts and
+aggregates numpy cannot reproduce bit for bit (``object`` columns,
+``bool`` or NaN ``min``/``max``, NaN sort keys) replay the row engine's
+Python loop in lane order.  Differential tests assert identical output
+on every TPC-H query and the conformance corpus.
 
 Lowering (:func:`compile_plan`) applies two rewrites, unconditionally:
 
@@ -80,6 +83,7 @@ only as the explicit reference.
 
 from __future__ import annotations
 
+from itertools import accumulate
 from time import perf_counter
 from typing import Collection, Iterable, Optional
 
@@ -107,7 +111,6 @@ from .executor import (
     ExecutionError,
     Row,
     _extract_equi_keys,
-    _hashable,
     _sort_key,
 )
 from .kernels import Kernel, compile_kernel, resolve_column
@@ -138,12 +141,8 @@ __all__ = [
 _INT64_MAX = np.iinfo(np.int64).max
 _INT64_MIN = np.iinfo(np.int64).min
 
-#: Join keys pooled through float64 stay exact only below 2**53.
+#: Ints pooled through float64 stay exact only up to 2**53.
 _FLOAT_EXACT_INT = 2 ** 53
-
-
-class _PythonFallback(Exception):
-    """Internal: value shape needs the exact row-semantics Python path."""
 
 
 def _stable_desc_argsort(keys: np.ndarray) -> np.ndarray:
@@ -355,49 +354,119 @@ class _ProjectOp(_UnaryOpBase):
                 else:
                     columns[name] = kernel.eval(batch)  # type: ignore[index]
             out = ColumnBatch(self.schema, columns, batch.length)
-        return _dedup(out) if self.distinct else out
+        return _distinct(out) if self.distinct else out
 
 
-def _dedup(batch: ColumnBatch) -> ColumnBatch:
+def _distinct(batch: ColumnBatch) -> ColumnBatch:
     """The first occurrence of each distinct row, in order."""
-    names = batch.names
-    cols = [batch.columns[n].to_pylist() for n in names]
-    seen: set = set()
-    keep: list[int] = []
-    for i, values in enumerate(zip(*cols)):
-        key = tuple(sorted((n, _hashable(v)) for n, v in zip(names, values)))
-        if key not in seen:
-            seen.add(key)
-            keep.append(i)
-    if len(keep) == batch.length:
-        return batch
-    return gather(batch, np.array(keep, np.int64))
+    vectors = {id(batch.columns[n]): batch.columns[n] for n in batch.names}
+    codes = [_value_codes([vec])[0][0] for vec in vectors.values()]
+    _, first = _first_seen_groups(
+        _combine_codes(codes or [np.zeros(batch.length, np.int64)])
+    )
+    return batch if len(first) == batch.length else gather(batch, first)
+
+
+# ----------------------------------------------------------------------
+# Equality codes
+# ----------------------------------------------------------------------
+
+#: The codes every NULL lane and every NaN lane get; values take codes
+#: from 2 up.
+_NULL, _NAN = 0, 1
+
+
+def _value_codes(vectors: list[ColumnVector]) -> tuple[list[np.ndarray], int]:
+    """Equality codes for the lanes of ``vectors``, in one shared space.
+
+    Two lanes get the same int64 code exactly when their values are equal
+    under the engine's one equality rule: every NULL lane gets ``_NULL``
+    and every NaN lane ``_NAN``; ``1``, ``1.0`` and ``True`` are equal; a
+    string never equals a number.  Returns one code array per vector and
+    the size of the space (every code is below it).
+
+    Strings take dictionary codes and numbers offsets or ``np.unique``
+    (pooled in float64 only while that is exact).  ``object`` columns,
+    strings meeting numbers and ints beyond 2**53 meeting floats take a
+    dict of the values themselves.
+    """
+    kinds = {vec.kind for vec in vectors}
+    inexact = "float" in kinds and any(
+        vec.kind == "int" and _beyond_float(vec) for vec in vectors
+    )
+    if kinds == {"str"}:
+        codes, size = _string_codes(vectors)
+    elif kinds <= {"int", "bool", "float"} and not inexact:
+        codes, size = _number_codes(vectors)
+    else:
+        return _object_codes(vectors)
+    for vec, part in zip(vectors, codes):
+        if vec.mask is not None:
+            part[vec.mask] = _NULL
+    return codes, size
+
+
+def _beyond_float(vec: ColumnVector) -> bool:
+    """True when a valid lane of int ``vec`` is beyond float64's exact range."""
+    valid = vec.data if vec.mask is None else vec.data[~vec.mask]
+    return bool(valid.size) and (
+        int(valid.max()) > _FLOAT_EXACT_INT or int(valid.min()) < -_FLOAT_EXACT_INT
+    )
+
+
+def _string_codes(vectors: list[ColumnVector]) -> tuple[list[np.ndarray], int]:
+    """:func:`_value_codes` for ``str`` vectors, merging their dictionaries."""
+    first = vectors[0].dictionary
+    if all(vec.dictionary is first for vec in vectors):
+        return [np.add(vec.data, 2, dtype=np.int64) for vec in vectors], len(first) + 2
+    merged = np.unique(np.concatenate([vec.dictionary for vec in vectors]))
+    return [
+        (merged.searchsorted(vec.dictionary) + 2)[vec.data] for vec in vectors
+    ], len(merged) + 2
+
+
+def _number_codes(vectors: list[ColumnVector]) -> tuple[list[np.ndarray], int]:
+    """:func:`_value_codes` for int, bool and float vectors."""
+    dtype = np.float64 if any(vec.kind == "float" for vec in vectors) else np.int64
+    datas = [vec.data.astype(dtype, copy=False) for vec in vectors]
+    pooled = datas[0] if len(datas) == 1 else np.concatenate(datas)
+    codes = None
+    if dtype is np.int64 and pooled.size:
+        low = int(pooled.min())
+        n = int(pooled.max()) - low + 1
+        if n < 2 * pooled.size and low - 2 >= _INT64_MIN:
+            # Integer keys whose range is under twice their count are
+            # their own codes, offset to start at 2 (``low - 2`` must fit
+            # int64): no np.unique sort, and every bincount over the codes
+            # stays under twice the lane count.
+            codes = pooled - (low - 2)
+    if codes is None:
+        uniques, inverse = np.unique(pooled, return_inverse=True)
+        codes = np.add(inverse, 2, dtype=np.int64)
+        n = len(uniques)
+    if dtype is np.float64:
+        codes[np.isnan(pooled)] = _NAN
+    stops = accumulate(len(data) for data in datas)
+    return [codes[stop - len(data):stop] for data, stop in zip(datas, stops)], n + 2
+
+
+def _object_codes(vectors: list[ColumnVector]) -> tuple[list[np.ndarray], int]:
+    """:func:`_value_codes` by Python equality, from a dict of the values."""
+    index: dict[object, int] = {}
+    codes = []
+    for vec in vectors:
+        codes.append(np.array([
+            _NULL if v is None
+            else _NAN if isinstance(v, float) and v != v
+            else index.setdefault(tuple(v) if isinstance(v, list) else v, len(index) + 2)
+            for v in vec.to_pylist()
+        ], np.int64))
+    return codes, len(index) + 2
 
 
 # ----------------------------------------------------------------------
 # Aggregation
 # ----------------------------------------------------------------------
-
-def _equality_codes(vec: ColumnVector) -> np.ndarray:
-    """Int codes where equal code <=> Python-equal value; NULL lanes -> 0.
-
-    Raises :class:`_PythonFallback` for shapes numpy equality cannot
-    reproduce (mixed-type columns; NaN keys, which hash by identity in the
-    row engine's group dict).
-    """
-    if vec.kind == "object":
-        raise _PythonFallback
-    mask = vec.null_mask()
-    if vec.kind == "str":
-        return np.where(mask, 0, vec.data.astype(np.int64) + 1)
-    data = vec.data
-    if vec.kind == "float":
-        valid = data[~mask]
-        if valid.size and bool(np.isnan(valid).any()):
-            raise _PythonFallback
-    _, inv = np.unique(data, return_inverse=True)
-    return np.where(mask, 0, inv.astype(np.int64) + 1)
-
 
 def _combine_codes(parts: list[np.ndarray]) -> np.ndarray:
     """Fold per-column codes into one joint code per lane."""
@@ -420,24 +489,6 @@ def _first_seen_groups(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     rank = np.empty(len(uniques), np.int64)
     rank[order] = np.arange(len(uniques))
     return rank[inv.astype(np.int64)], first[order]
-
-
-def _py_groups(
-    key_vectors: list[ColumnVector], n: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Exact row-engine group assignment (Python dict hashing/equality)."""
-    lists = [v.to_pylist() for v in key_vectors]
-    group_ids: dict[tuple, int] = {}
-    gids = np.empty(n, np.int64)
-    reps: list[int] = []
-    for i in range(n):
-        key = tuple(_hashable(lst[i]) for lst in lists)
-        gid = group_ids.get(key)
-        if gid is None:
-            gid = group_ids[key] = len(reps)
-            reps.append(i)
-        gids[i] = gid
-    return gids, np.array(reps, np.int64)
 
 
 def _group_vector(
@@ -514,7 +565,13 @@ class _AggCall:
         if self.star:
             return ColumnVector("int", np.bincount(gids, minlength=n_groups))
         values = self.kernel.eval(table)  # type: ignore[union-attr]
-        if self.distinct or values.kind == "object":
+        if self.distinct:
+            # Only the first lane of each (group, value) pair counts.
+            (codes,), _ = _value_codes([values])
+            _, first = _first_seen_groups(_combine_codes([gids, codes]))
+            first = first[codes[first] != _NULL]
+            values, gids = values.take(first), gids[first]
+        if values.kind == "object":
             return self._py_compute(values.to_pylist(), gids, n_groups)
         valid = ~values.null_mask()
         g_valid = gids[valid]
@@ -571,23 +628,7 @@ class _AggCall:
         maxs: list = [None] * n_groups
         name = self.name
         pairs = zip(gids.tolist(), values)
-        if self.distinct:
-            seen: list[set] = [set() for _ in range(n_groups)]
-            for g, v in pairs:
-                if v is None:
-                    continue
-                bucket = seen[g]
-                if v in bucket:
-                    continue
-                bucket.add(v)
-                counts[g] += 1
-                if isinstance(v, (int, float)):
-                    totals[g] += v
-                if mins[g] is None or v < mins[g]:
-                    mins[g] = v
-                if maxs[g] is None or v > maxs[g]:
-                    maxs[g] = v
-        elif name in ("sum", "avg"):
+        if name in ("sum", "avg"):
             for g, v in pairs:
                 if v is not None:
                     counts[g] += 1
@@ -689,12 +730,8 @@ class _AggregateOp(_UnaryOpBase):
         # evaluate nothing.
         n = table.length
         if self.group_kernels:
-            key_vectors = [k.eval(table) for k in self.group_kernels]
-            try:
-                codes = [_equality_codes(v) for v in key_vectors]
-                gids, rep_idx = _first_seen_groups(_combine_codes(codes))
-            except _PythonFallback:
-                gids, rep_idx = _py_groups(key_vectors, n)
+            codes = [_value_codes([k.eval(table)])[0][0] for k in self.group_kernels]
+            gids, rep_idx = _first_seen_groups(_combine_codes(codes))
             n_groups = len(rep_idx)
         else:
             # An ungrouped aggregate has one group even over empty input.
@@ -732,121 +769,29 @@ def _is_pure_equi(condition: Expr) -> bool:
     return False
 
 
-def _pair_codes(
-    left: ColumnVector, right: ColumnVector
-) -> Optional[tuple[np.ndarray, np.ndarray, int]]:
-    """Pool one key pair into a shared dense code space.
-
-    Returns (left codes, right codes, size).  Equal code <=> Python-equal
-    non-NULL value (so int 1 matches float 1.0, exactly like the row
-    engine's hash buckets); a NULL lane holds a code only its own side
-    uses (``size - 2`` left, ``size - 1`` right), so it matches nothing.
-    Returns ``None`` when no value can possibly match (string vs.
-    numeric); raises :class:`_PythonFallback` for shapes needing exact
-    Python hashing (object columns, NaN keys, ints beyond float64's exact
-    range).
-    """
-    kl, kr = left.kind, right.kind
-    if kl == "object" or kr == "object":
-        raise _PythonFallback
-    if kl == "str" and kr == "str":
-        if left.dictionary is right.dictionary:
-            lc, rc = left.data.astype(np.int64), right.data.astype(np.int64)
-            n = len(left.dictionary)
-        else:
-            merged = np.unique(np.concatenate([left.dictionary, right.dictionary]))
-            lc = merged.searchsorted(left.dictionary).astype(np.int64)[left.data]
-            rc = merged.searchsorted(right.dictionary).astype(np.int64)[right.data]
-            n = len(merged)
-        return _null_coded(lc, left, n), _null_coded(rc, right, n + 1), n + 2
-    if kl == "str" or kr == "str":
-        return None
-    ld, rd = left.data, right.data
-    if "float" in (kl, kr):
-        for vec, side in ((left, ld), (right, rd)):
-            valid = side[~vec.null_mask()]
-            if not valid.size:
-                continue
-            if vec.kind == "float":
-                if bool(np.isnan(valid).any()):
-                    raise _PythonFallback
-            elif int(np.abs(valid).max()) > _FLOAT_EXACT_INT:
-                raise _PythonFallback
-        ld = ld.astype(np.float64)
-        rd = rd.astype(np.float64)
-    elif kl == "bool":
-        ld = ld.astype(np.int64)
-    elif kr == "bool":
-        rd = rd.astype(np.int64)
-    pooled = np.concatenate([ld, rd])
-    codes = None
-    if pooled.dtype.kind == "i" and pooled.size:
-        low = int(pooled.min())
-        n = int(pooled.max()) - low + 1
-        if n < 2 * pooled.size:
-            # Integer keys whose range is under twice their count are
-            # their own codes, offset to start at 0: no np.unique sort,
-            # and every bincount over the codes stays under twice the
-            # lane count.
-            codes = pooled - low
-    if codes is None:
-        uniques, inverse = np.unique(pooled, return_inverse=True)
-        codes = inverse.astype(np.int64)
-        n = len(uniques)
-    split = len(ld)
-    return (
-        _null_coded(codes[:split], left, n),
-        _null_coded(codes[split:], right, n + 1),
-        n + 2,
-    )
-
-
-def _null_coded(codes: np.ndarray, vec: ColumnVector, null: int) -> np.ndarray:
-    """``codes`` with ``null`` on ``vec``'s NULL lanes."""
-    if vec.mask is None or not vec.mask.any():
-        return codes
-    return np.where(vec.mask, null, codes)
-
-
-def _python_pair_codes(
-    left: ColumnVector, right: ColumnVector
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """:func:`_pair_codes` by Python equality, from a dict of ``_hashable``
-    values; NaN lanes, which equal nothing, are coded like NULL ones."""
-    index: dict[object, int] = {}
-    sides = []
-    for vec in (left, right):
-        sides.append(np.array([
-            -1 if v is None or v != v else index.setdefault(_hashable(v), len(index))
-            for v in vec.to_pylist()
-        ], np.int64))
-    n = len(index)
-    sides[0][sides[0] < 0] = n
-    sides[1][sides[1] < 0] = n + 1
-    return sides[0], sides[1], n + 2
-
-
 def _key_codes(
     left_vecs: list[ColumnVector], right_vecs: list[ColumnVector]
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """One dense code space for the equi-pairs between two inputs.
 
     Returns per-lane codes for each side and the size of the space.  Equal
-    codes <=> every pair is Python-equal; a lane with a NULL or NaN key
-    holds a code only its own side uses, so it matches nothing.
+    codes <=> every pair is equal; a lane with a NULL or NaN key holds a
+    code only its own side uses, so it matches nothing.
     """
-    pairs = []
-    for lv, rv in zip(left_vecs, right_vecs):
-        try:
-            pair = _pair_codes(lv, rv)
-        except _PythonFallback:
-            pair = _python_pair_codes(lv, rv)
-        if pair is None:
-            return np.zeros(len(lv), np.int64), np.ones(len(rv), np.int64), 2
-        pairs.append(pair)
-    if len(pairs) == 1:
-        return pairs[0]
-    return _joint_codes([p[0] for p in pairs], [p[1] for p in pairs])
+    left_parts, right_parts = [], []
+    for left, right in zip(left_vecs, right_vecs):
+        (left_codes, right_codes), size = _value_codes([left, right])
+        # NULL and NaN keys equal nothing: the left side keeps both on
+        # ``_NULL``, the right side on ``_NAN``.
+        if left.kind in ("float", "object"):
+            left_codes[left_codes == _NAN] = _NULL
+        if right.mask is not None or right.kind == "object":
+            right_codes[right_codes == _NULL] = _NAN
+        left_parts.append(left_codes)
+        right_parts.append(right_codes)
+    if len(left_parts) == 1:
+        return left_parts[0], right_parts[0], size
+    return _joint_codes(left_parts, right_parts)
 
 
 def _joint_codes(

@@ -205,15 +205,16 @@ class _Accumulator:
         if value is None:
             return
         if self.seen is not None:
-            if value in self.seen:
+            key = _hashable(value)
+            if key in self.seen:
                 return
-            self.seen.add(value)
+            self.seen.add(key)
         self.count += 1
         if isinstance(value, (int, float)):
             self.total += value
-        if self.min is None or value < self.min:  # type: ignore[operator]
+        if self.name == "min" and (self.min is None or value < self.min):  # type: ignore[operator]
             self.min = value
-        if self.max is None or value > self.max:  # type: ignore[operator]
+        if self.name == "max" and (self.max is None or value > self.max):  # type: ignore[operator]
             self.max = value
 
     def result(self) -> object:
@@ -521,7 +522,15 @@ class QueryExecutor:
         return rows
 
 
+#: The one group and DISTINCT key of every NaN.
+_NAN_KEY = object()
+
+
 def _hashable(value: object) -> object:
+    """``value`` as a group or DISTINCT key: every NaN is one key (a dict
+    would key NaNs, which equal nothing, by object identity)."""
+    if isinstance(value, float) and value != value:
+        return _NAN_KEY
     return tuple(value) if isinstance(value, list) else value
 
 

@@ -192,7 +192,7 @@ def test_row_engine_imports_only_shrink():
     assert imported == {
         "columnar.py": {
             "Database", "ExecutionError", "Row",
-            "_extract_equi_keys", "_hashable", "_sort_key",
+            "_extract_equi_keys", "_sort_key",
         },
         "kernels.py": {
             "ExecutionError", "_SCALAR_FUNCTIONS", "like_to_glob", "sql_like",

@@ -22,7 +22,6 @@ from repro.sql import (
     ExecutionError,
     PlanError,
     TableSchema,
-    columnar,
     execute_sql,
     generate_database,
     like_to_glob,
@@ -531,23 +530,97 @@ def _python_key_setup():
     return database, catalog
 
 
-def test_join_chain_keys_that_need_python_equality(monkeypatch):
-    # Every edge takes the Python code path: a NaN float key (pa-pb), a
-    # mixed-type object key (pb-pc), and ints above 2**53 against floats
-    # (pa-pc), where float64 pooling would match big + 1 with float(big).
+def test_join_chain_keys_that_need_python_equality():
+    # Each edge has a key shape plain numpy equality gets wrong: a NaN
+    # float key (pa-pb), which must match nothing, a mixed-type object key
+    # (pb-pc), and ints above 2**53 against floats (pa-pc), where float64
+    # pooling would match big + 1 with float(big).
     database, catalog = _python_key_setup()
     sql = ("select a_id, b_id, c_id from pa join pb on pa.a_f = pb.b_f "
            "join pc on pc.c_obj = pb.b_obj and pc.c_float = pa.a_big")
-    calls = []
-    python_codes = columnar._python_pair_codes
-    monkeypatch.setattr(columnar, "_python_pair_codes",
-                        lambda *args: calls.append(args) or python_codes(*args))
     assert _agree(sql, database, catalog) == [
         {"a_id": 3, "b_id": 12, "c_id": 21},
         {"a_id": 3, "b_id": 14, "c_id": 22},
         {"a_id": 3, "b_id": 15, "c_id": 23},
     ]
-    assert len(calls) == 3
+
+
+#: GROUP BY, DISTINCT and COUNT(DISTINCT) over the key shapes no typed code
+#: path takes: a NaN float (``a_f``), mixed types (``b_obj``, ``c_obj``:
+#: ``1``, ``1.0`` and ``True`` are one value, a string never equals a
+#: number) and ints above 2**53 (``a_big``).
+KEY_SHAPE_CORPUS = [
+    ("nan_group_by", "select a_f, count(*) as n from pa group by a_f"),
+    ("nan_distinct", "select distinct a_f from pa"),
+    ("nan_count_distinct",
+     "select count(distinct a_f) as n, sum(distinct a_f) as s from pa"),
+    ("mixed_group_by", "select b_obj, count(*) as n from pb group by b_obj"),
+    ("mixed_distinct", "select distinct b_obj from pb"),
+    ("mixed_count_distinct", "select count(distinct b_obj) as n from pb"),
+    ("mixed_bool_group_by", "select c_obj, count(*) as n from pc group by c_obj"),
+    ("mixed_count_distinct_per_nan_group",
+     "select b_f, count(distinct b_obj) as n from pb group by b_f"),
+    ("big_int_group_by", "select a_big, count(*) as n from pa group by a_big"),
+    ("big_int_distinct", "select distinct a_big, a_f from pa"),
+    ("big_int_count_distinct",
+     "select count(distinct a_big) as n, sum(distinct a_big) as s from pa"),
+]
+
+
+def _in_layout(database, layout):
+    if layout == "columnar":
+        return {name: ColumnTable.from_rows(rows) for name, rows in database.items()}
+    return database
+
+
+@pytest.mark.parametrize("case_id,sql", KEY_SHAPE_CORPUS,
+                         ids=[c[0] for c in KEY_SHAPE_CORPUS])
+@pytest.mark.parametrize("layout", ("rows", "columnar"))
+def test_key_shapes_both_layouts(case_id, sql, layout):
+    database, catalog = _python_key_setup()
+    database = _in_layout(database, layout)
+    row = execute_sql(sql, database, catalog, engine="row").rows
+    columnar = execute_sql(sql, database, catalog, engine="columnar").rows
+    assert _json_rows(columnar) == _json_rows(row)
+
+
+_NAN = float("nan")
+
+#: Every NaN is one group key and one DISTINCT value, whether the NaNs are
+#: one float object (``metrics`` shares one) or fresh ones.
+NAN_KEY_CASES = [
+    ("select m_val, count(*) as n from metrics group by m_val",
+     [{"m_val": 2.5, "n": 1}, {"m_val": _NAN, "n": 2}, {"m_val": None, "n": 1},
+      {"m_val": -1.0, "n": 1}, {"m_val": 9.0, "n": 1}]),
+    ("select distinct m_val from metrics",
+     [{"m_val": v} for v in (2.5, _NAN, None, -1.0, 9.0)]),
+    ("select count(distinct m_val) as n from metrics", [{"n": 4}]),
+]
+
+
+@pytest.mark.parametrize("sql,expected", NAN_KEY_CASES,
+                         ids=("group_by", "distinct", "count_distinct"))
+@pytest.mark.parametrize("nan", ("shared", "fresh"))
+@pytest.mark.parametrize("layout", ("rows", "columnar"))
+def test_nan_is_one_key_in_both_layouts(sql, expected, nan, layout):
+    database, catalog = _numpy_database(), _numpy_catalog()
+    if nan == "fresh":
+        database["metrics"] = [
+            {**r, "m_val": float("nan")} if r["m_val"] != r["m_val"] else r
+            for r in database["metrics"]
+        ]
+    database = _in_layout(database, layout)
+    for engine in ENGINES:
+        rows = execute_sql(sql, database, catalog, engine=engine).rows
+        assert _json_rows(rows) == _json_rows(expected), engine
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_count_over_mixed_types_compares_nothing(engine):
+    # Only min and max compare values; 1 and "x" have no order.
+    database, catalog = _python_key_setup()
+    sql = "select count(b_obj) as n, count(distinct b_obj) as d from pb"
+    assert execute_sql(sql, database, catalog, engine=engine).rows == [{"n": 5, "d": 3}]
 
 
 def test_join_chain_in_size_order_binds_shared_names_as_written():

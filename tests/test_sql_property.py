@@ -10,11 +10,12 @@ left-major in build order — which is what lets the columnar engine push
 WHERE conjuncts below a join, and run a chain of inner equi-joins in an
 order of its own before sorting the rows back into FROM order.
 
-The generators deliberately avoid the documented engine divergences:
-no division or modulo (the row engine raises on a zero divisor mid-scan
-where numpy masks the lane) and no NaN values (NaN group keys force the
-columnar engine down its Python fallback anyway, which the conformance
-corpus covers directly).
+The fragment generators deliberately avoid the documented engine
+divergences: no division or modulo (the row engine raises on a zero
+divisor mid-scan where numpy masks the lane).  Their columns hold no NaN,
+mixed types or ints beyond 2**53; those key shapes get their own property
+(:func:`test_grouping_keys_agree`), which runs GROUP BY, DISTINCT and
+DISTINCT aggregates over a key column that mixes all of them with NULLs.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import json
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sql import Catalog, TableSchema, execute_sql
+from repro.sql import Catalog, ColumnTable, TableSchema, execute_sql
 from repro.sql.catalog import _cols
 
 CATALOG = Catalog()
@@ -332,4 +333,66 @@ def test_join_chains_agree_in_order(chain, c, conjuncts):
            + (f" where {where}" if where else ""))
     row = execute_sql(sql, database, CATALOG, engine="row").rows
     columnar = execute_sql(sql, database, CATALOG, engine="columnar").rows
+    assert _json_rows(columnar) == _json_rows(row), sql
+
+
+# ----------------------------------------------------------------------
+# Grouping keys: one equality rule for GROUP BY, DISTINCT and DISTINCT
+# aggregates.  Every NULL is one key and every NaN another, shared float
+# object or not; 1, 1.0 and True are one key; a string equals no number;
+# ints near 2**53 stay exact.
+# ----------------------------------------------------------------------
+
+CATALOG.register(TableSchema(
+    "keys", _cols("k:float", "g:str"), base_rows=20, bytes_per_row=16,
+))
+
+_SHARED_NAN = float("nan")
+_BIG = 2 ** 53
+
+_numeric_keys = st.one_of(
+    st.none(),
+    st.just(_SHARED_NAN),
+    st.builds(float, st.just("nan")),
+    st.sampled_from((1, 1.0, True, 0, -0.0, False, 2.5)),
+    st.integers(_BIG - 2, _BIG + 2),
+    st.sampled_from((float(_BIG), float(_BIG + 2))),
+)
+_mixed_keys = st.one_of(_numeric_keys, st.sampled_from(("a", "1", "b")))
+
+
+def _key_rows(keys):
+    return st.lists(
+        st.fixed_dictionaries({"k": keys, "g": st.sampled_from(_GROUPS)}),
+        max_size=20,
+    )
+
+
+_KEY_QUERIES = [
+    "select k, count(*) as n from keys group by k",
+    "select distinct k from keys",
+    "select count(distinct k) as n from keys",
+    "select g, count(distinct k) as n, count(k) as c from keys group by g",
+    "select distinct g, k from keys",
+]
+#: DISTINCT sums and averages, over key columns of numbers only.
+_NUMERIC_KEY_QUERIES = [
+    "select sum(distinct k) as s, avg(distinct k) as a from keys",
+    "select g, sum(distinct k) as s from keys group by g",
+]
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), numeric=st.booleans(),
+       layout=st.sampled_from(["rows", "columnar"]))
+def test_grouping_keys_agree(data, numeric, layout):
+    rows = data.draw(_key_rows(_numeric_keys if numeric else _mixed_keys))
+    queries = _KEY_QUERIES + (_NUMERIC_KEY_QUERIES if numeric else [])
+    sql = data.draw(st.sampled_from(queries))
+    table = ColumnTable.from_rows(rows, ["k", "g"]) if layout == "columnar" else rows
+    database = {"keys": table}
+    row = execute_sql(sql, database, CATALOG, engine="row").rows
+    columnar = execute_sql(sql, database, CATALOG, engine="columnar").rows
+    # In order: groups and DISTINCT rows come first-seen, and JSON tells
+    # 1 from 1.0 from true and shows NaN, which == would not match.
     assert _json_rows(columnar) == _json_rows(row), sql
