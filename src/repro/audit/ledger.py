@@ -14,8 +14,8 @@ first checkpoint recount the whole cluster, so a counter mutated behind
 the hooks' back is caught at the end of the run at the latest.
 
 A divergence means some code path mutated a counter without its counterpart
-(double release, leaked registration, float drift) — exactly the class of
-bug that silently skews every benchmark.  In **strict** mode (tests, chaos)
+(double release, leaked registration, a mutation that skipped its hook) —
+exactly the class of bug that silently skews every benchmark.  In **strict** mode (tests, chaos)
 the first violation raises :class:`AuditError`; in **production** mode each
 violation is recorded, emitted as a ``repro.obs`` instant record under
 ``Category.AUDIT``, and counted on the ``audit_violations`` counter.
@@ -33,12 +33,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing-only imports avoid cycles
     from ..core.cache_worker import CacheWorker
     from ..sim.cluster import Cluster, Machine
     from ..sim.network import NetworkModel
-
-#: Tolerance for float comparisons of byte counts.  Shadow and authoritative
-#: sides apply the same arithmetic, so any honest divergence is exact; the
-#: epsilon only absorbs representation noise of very large byte values.
-_BYTES_EPS = 1e-3
-
 
 @dataclass(frozen=True)
 class AuditViolation:
@@ -84,8 +78,8 @@ class AuditError(AssertionError):
 class _CacheShadow:
     """Shadow bookkeeping for one machine's Cache Worker."""
 
-    bytes_in_memory: float = 0.0
-    bytes_on_disk: float = 0.0
+    bytes_in_memory: int = 0
+    bytes_on_disk: int = 0
     #: Live entry count (register on first write, release on drop).
     entries: int = 0
 
@@ -95,7 +89,7 @@ class ResourceLedger:
 
     The ledger is observational: recording never mutates simulation state,
     and a runtime wired without one behaves identically.  All hooks are
-    cheap (integer/float adds) so audit mode stays usable for benchmarks.
+    cheap (integer adds) so audit mode stays usable for benchmarks.
     """
 
     def __init__(
@@ -131,10 +125,10 @@ class ResourceLedger:
         #: cluster, plus lifetime totals.  Replicas must conserve: every
         #: replica byte written is eventually released, dropped with its
         #: worker, or lost with the job.
-        self.replica_bytes_outstanding = 0.0
-        self.replica_bytes_written_total = 0.0
-        self.replica_bytes_released_total = 0.0
-        self.replica_bytes_dropped_total = 0.0
+        self.replica_bytes_outstanding = 0
+        self.replica_bytes_written_total = 0
+        self.replica_bytes_released_total = 0
+        self.replica_bytes_dropped_total = 0
         # -- reconciliation bookkeeping -----------------------------------
         self.checkpoints_run = 0
 
@@ -222,7 +216,7 @@ class ResourceLedger:
         return shadow
 
     def cache_written(
-        self, machine_id: int, mem_bytes: float, disk_bytes: float, new_entry: bool
+        self, machine_id: int, mem_bytes: int, disk_bytes: int, new_entry: bool
     ) -> None:
         """Shadow one Cache Worker write (memory and/or disk bytes)."""
         shadow = self._shadow(machine_id)
@@ -231,14 +225,14 @@ class ResourceLedger:
         if new_entry:
             shadow.entries += 1
 
-    def cache_spilled(self, machine_id: int, n_bytes: float) -> None:
+    def cache_spilled(self, machine_id: int, n_bytes: int) -> None:
         """Shadow an LRU spill: bytes move from memory to disk."""
         shadow = self._shadow(machine_id)
         shadow.bytes_in_memory -= n_bytes
         shadow.bytes_on_disk += n_bytes
 
     def cache_released(
-        self, machine_id: int, mem_bytes: float, disk_bytes: float
+        self, machine_id: int, mem_bytes: int, disk_bytes: int
     ) -> None:
         """Shadow one entry release (consume-to-zero, job teardown)."""
         shadow = self._shadow(machine_id)
@@ -256,7 +250,7 @@ class ResourceLedger:
             shadow.entries = 0
 
     def cache_dropped_all(
-        self, machine_id: int, replica_bytes: float = 0.0
+        self, machine_id: int, replica_bytes: int = 0
     ) -> None:
         """Shadow a Cache Worker process death: all state is lost at once.
 
@@ -271,35 +265,30 @@ class ResourceLedger:
             self.replica_bytes_dropped_total += replica_bytes
             self._check_replica_floor(machine_id)
 
-    def cache_reordered(self, machine_id: int) -> None:
-        """Note a Cache Worker LRU reorder: its counter was resynced in the
-        new summation order, so the next checkpoint re-checks it."""
-        self._touched_workers.add(machine_id)
-
     # ------------------------------------------------------------------
     # Shuffle-replication shadow accounting
     # ------------------------------------------------------------------
-    def cache_replica_written(self, machine_id: int, n_bytes: float) -> None:
+    def cache_replica_written(self, machine_id: int, n_bytes: int) -> None:
         """Shadow one redundant replica write (beyond the primary copy)."""
         self.replica_bytes_outstanding += n_bytes
         self.replica_bytes_written_total += n_bytes
 
-    def cache_replica_released(self, machine_id: int, n_bytes: float) -> None:
+    def cache_replica_released(self, machine_id: int, n_bytes: int) -> None:
         """Shadow one replica entry release (consume or job teardown)."""
         self.replica_bytes_outstanding -= n_bytes
         self.replica_bytes_released_total += n_bytes
         self._check_replica_floor(machine_id)
 
     def _check_replica_floor(self, machine_id: int) -> None:
-        if self.replica_bytes_outstanding < -_BYTES_EPS:
+        if self.replica_bytes_outstanding < 0:
             self._violate(
                 "replica_bytes",
                 f"machine {machine_id} released/dropped more replica bytes "
                 "than were ever written",
-                expected=0.0,
+                expected=0,
                 actual=self.replica_bytes_outstanding,
             )
-            self.replica_bytes_outstanding = 0.0
+            self.replica_bytes_outstanding = 0
 
     # ------------------------------------------------------------------
     # Reconciliation
@@ -325,15 +314,15 @@ class ResourceLedger:
         """Three-way check of one Cache Worker's memory accounting.
 
         The running counter, the entry map, and the shadow ledger must all
-        agree; the entry map is the ground truth (it is what spill and
-        release decisions walk).
+        agree exactly (every byte count is an ``int``); the entry map is the
+        ground truth (it is what spill and release decisions walk).
         """
         machine_id = worker.machine_id
         entry_sum = sum(e.bytes_in_memory for e in worker.iter_entries())
-        if abs(worker.bytes_in_memory - entry_sum) > _BYTES_EPS:
+        if worker.bytes_in_memory != entry_sum:
             self._violate(
                 "cache_memory",
-                f"machine {machine_id} bytes_in_memory counter drifted from "
+                f"machine {machine_id} bytes_in_memory counter diverged from "
                 "the entry map",
                 checkpoint=checkpoint,
                 expected=entry_sum,
@@ -344,12 +333,12 @@ class ResourceLedger:
                 "cache_memory",
                 f"machine {machine_id} bytes_in_memory is negative",
                 checkpoint=checkpoint,
-                expected=0.0,
+                expected=0,
                 actual=worker.bytes_in_memory,
             )
         shadow = self._cache.get(machine_id)
         if shadow is not None:
-            if abs(shadow.bytes_in_memory - entry_sum) > _BYTES_EPS:
+            if shadow.bytes_in_memory != entry_sum:
                 self._violate(
                     "cache_memory",
                     f"machine {machine_id} ledger memory shadow diverged "
@@ -475,28 +464,28 @@ class ResourceLedger:
                     expected=0,
                     actual=cluster.network.open_connections,
                 )
-            if self.replica_bytes_outstanding > _BYTES_EPS:
+            if self.replica_bytes_outstanding != 0:
                 self._violate(
                     "replica_bytes",
                     "replica bytes still outstanding after all jobs "
                     f"terminated ({self.replica_bytes_written_total:g} "
                     "written over the run)",
                     checkpoint=checkpoint,
-                    expected=0.0,
+                    expected=0,
                     actual=self.replica_bytes_outstanding,
                 )
             for machine in cluster.machines:
                 worker = machine.cache_worker
                 if worker is None:
                     continue
-                if len(worker) > 0 or worker.bytes_in_memory > _BYTES_EPS:  # type: ignore[arg-type]
+                if len(worker) > 0 or worker.bytes_in_memory != 0:  # type: ignore[arg-type]
                     self._violate(
                         "cache_memory",
                         f"machine {machine.machine_id} still holds "
                         f"{len(worker)} cache entries after all jobs "  # type: ignore[arg-type]
                         "terminated",
                         checkpoint=checkpoint,
-                        expected=0.0,
+                        expected=0,
                         actual=worker.bytes_in_memory,  # type: ignore[union-attr]
                     )
         return self.violations[before:]

@@ -43,7 +43,10 @@ class Perturbations:
         """Return a perturbed copy of ``config`` (the input is untouched)."""
         out = config.copy()
         out.network.nic_bandwidth *= self.network_factor
-        out.cache_worker.memory_capacity *= self.cache_factor
+        # Capacity stays a whole number of bytes.
+        out.cache_worker.memory_capacity = int(
+            out.cache_worker.memory_capacity * self.cache_factor
+        )
         return out
 
     def key(self) -> tuple[float, float]:

@@ -159,12 +159,12 @@ def check_cache_accounting(runtime: SwiftRuntime) -> list[Violation]:
         worker = machine.cache_worker
         if worker is None:
             continue
-        if len(worker) > 0 or worker.bytes_in_memory > 1e-6:
+        if len(worker) > 0 or worker.bytes_in_memory != 0:
             out.append(
                 Violation(
                     "cache-accounting",
                     f"cache worker on machine {machine.machine_id} leaked "
-                    f"{len(worker)} entries / {worker.bytes_in_memory:.0f} "
+                    f"{len(worker)} entries / {worker.bytes_in_memory} "
                     "bytes after all jobs terminated",
                 )
             )

@@ -5,10 +5,20 @@ Shuffle write shuffle data into it; data is deleted "to release memory after
 they have been consumed by all successor tasks".  Under memory shortage
 (< 1% of the time in production) the LRU policy swaps old data to disk in
 large chunks (Section III-B, "Memory Management of the Cache Worker").
+
+Every byte quantity is an exact ``int``: the runtime rounds each stored
+share up to a whole byte before it calls :meth:`CacheWorker.write`, which
+rejects anything else.  Integer sums do not depend on summation order, so
+``bytes_in_memory`` is a running total updated in O(1) by each write,
+spill, release and drop, and it equals the sum over the entry map exactly
+(the audit ledger checks that with ``==``).  A per-job index of entry keys
+lets :meth:`CacheWorker.release_job` touch only that job's entries, so
+write (when it fits), read, consume and release never walk the whole map.
 """
 
 from __future__ import annotations
 
+import math
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator, Optional
@@ -27,24 +37,27 @@ class CacheEntry:
     """Bytes held for one (job, edge) pair on one machine."""
 
     key: tuple[str, str]
-    bytes_in_memory: float
-    bytes_on_disk: float = 0.0
+    bytes_in_memory: int
+    bytes_on_disk: int = 0
     #: Remaining consumer tasks that must read before release.
     pending_consumers: int = 0
     last_touch: float = 0.0
     #: Per-consumer read-back share, snapshotted at spill time from the
     #: consumer count *then* — so late readers pay the same share as early
-    #: ones even after ``consume()`` has shrunk ``pending_consumers``.
+    #: ones even after ``consume()`` has shrunk ``pending_consumers``.  It
+    #: only prices a read and is never summed into a counter, so it stays a
+    #: fraction of the spilled bytes.
     spill_read_share: float = 0.0
-    #: Spilled bytes already charged to readers; once every spilled byte
-    #: has been read back (promoted), further reads are free.
-    bytes_read_back: float = 0.0
+    #: Spilled bytes already charged to readers, each charge rounded up to
+    #: a whole byte; once every spilled byte has been read back (promoted),
+    #: further reads are free.
+    bytes_read_back: int = 0
     #: True for redundant copies written by shuffle replication; replica
     #: bytes are accounted separately on the audit ledger.
     replica: bool = False
 
     @property
-    def total_bytes(self) -> float:
+    def total_bytes(self) -> int:
         """Bytes held for this entry across memory and disk."""
         return self.bytes_in_memory + self.bytes_on_disk
 
@@ -61,9 +74,13 @@ class CacheWorker:
         self.machine_id = machine_id
         self.config = config
         self.disk = disk
+        #: Live entries in LRU order (least recently used first).
         self._entries: "OrderedDict[tuple[str, str], CacheEntry]" = OrderedDict()
-        self.bytes_in_memory = 0.0
-        self.bytes_spilled_total = 0.0
+        #: Each job's entry keys, in insertion order.
+        self._job_keys: dict[str, dict[tuple[str, str], None]] = {}
+        #: Bytes of shuffle data resident in memory (the sum over entries).
+        self.bytes_in_memory = 0
+        self.bytes_spilled_total = 0
         self.spill_events = 0
         #: Optional resource-accounting ledger (:mod:`repro.audit`).
         self.ledger: Optional["ResourceLedger"] = None
@@ -75,12 +92,7 @@ class CacheWorker:
     # Introspection
     # ------------------------------------------------------------------
     @property
-    def memory_used(self) -> float:
-        """Bytes of shuffle data currently resident in memory."""
-        return self.bytes_in_memory
-
-    @property
-    def memory_free(self) -> float:
+    def memory_free(self) -> int:
         """Remaining in-memory capacity in bytes."""
         return self.config.memory_capacity - self.bytes_in_memory
 
@@ -95,21 +107,6 @@ class CacheWorker:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def _resync_memory(self) -> None:
-        """Recompute the memory counter from the entry map.
-
-        Incremental ``+=``/``-=`` updates drift (float addition is not
-        associative, and repeated subtraction can go slightly negative
-        mid-run); the entry map is the ground truth, so public mutators
-        resync the counter from it.  The recompute is O(entries): a worker
-        holds one entry per live (job, edge) pair, which is a few on small
-        runs but many more in the slowest Fig. 16 cell, 2,500 jobs on
-        10,000 executors.
-        """
-        self.bytes_in_memory = sum(
-            e.bytes_in_memory for e in self._entries.values()
-        )
-
     # ------------------------------------------------------------------
     # Write / read / release
     # ------------------------------------------------------------------
@@ -117,20 +114,23 @@ class CacheWorker:
         self,
         job_id: str,
         edge_key: str,
-        n_bytes: float,
+        n_bytes: int,
         pending_consumers: int,
         now: float,
         replica: bool = False,
     ) -> float:
         """Store ``n_bytes`` of shuffle data; returns extra delay from spill.
 
-        If the write does not fit, least-recently-used entries are spilled
-        to disk in large chunks until it does; the spill time is returned so
-        the caller can extend the writing task's shuffle-write phase.
-        ``replica`` marks redundant copies written by shuffle replication;
-        their bytes are additionally tracked on the ledger's replica
-        counters.
+        ``n_bytes`` is a whole, non-negative byte count: a ``float`` raises
+        ``TypeError``, a negative count ``ValueError``.  If the write does
+        not fit, least-recently-used entries are spilled to disk in large
+        chunks until it does; the spill time is returned so the caller can
+        extend the writing task's shuffle-write phase.  ``replica`` marks
+        redundant copies written by shuffle replication; their bytes are
+        additionally tracked on the ledger's replica counters.
         """
+        if not isinstance(n_bytes, int):
+            raise TypeError(f"n_bytes must be an int byte count, got {n_bytes!r}")
         if n_bytes < 0:
             raise ValueError("n_bytes must be non-negative")
         if pending_consumers < 0:
@@ -140,9 +140,12 @@ class CacheWorker:
         entry = self._entries.get(key)
         new_entry = entry is None
         if entry is None:
-            entry = CacheEntry(key=key, bytes_in_memory=0.0, replica=replica)
+            entry = CacheEntry(key=key, bytes_in_memory=0, replica=replica)
             self._entries[key] = entry
-        mem_delta = disk_delta = 0.0
+            self._job_keys.setdefault(job_id, {})[key] = None
+        else:
+            self._entries.move_to_end(key)
+        mem_delta = disk_delta = 0
         if n_bytes > self.config.memory_capacity:
             # Oversized writes streamed straight through disk stay there;
             # readers will pull their share back, so snapshot it now.
@@ -151,11 +154,10 @@ class CacheWorker:
             disk_delta = n_bytes
         else:
             entry.bytes_in_memory += n_bytes
+            self.bytes_in_memory += n_bytes
             mem_delta = n_bytes
         entry.pending_consumers = max(entry.pending_consumers, pending_consumers)
         entry.last_touch = now
-        self._entries.move_to_end(key)
-        self._resync_memory()
         if self.ledger is not None:
             self.ledger.cache_written(
                 self.machine_id, mem_delta, disk_delta, new_entry
@@ -164,7 +166,7 @@ class CacheWorker:
                 self.ledger.cache_replica_written(self.machine_id, n_bytes)
         return spill_delay
 
-    def _ensure_capacity(self, n_bytes: float) -> float:
+    def _ensure_capacity(self, n_bytes: int) -> float:
         """Spill LRU entries until ``n_bytes`` fits; return spill seconds."""
         if n_bytes > self.config.memory_capacity:
             # A single write larger than RAM streams straight through disk.
@@ -174,14 +176,14 @@ class CacheWorker:
         if self.memory_free >= n_bytes:
             return 0.0
         spill_delay = 0.0
-        spilled_any = False
-        for key in list(self._entries):
+        # Spilling changes byte counts, never keys or order, so the LRU
+        # walk runs over the live map.
+        for entry in self._entries.values():
             if self.memory_free >= n_bytes:
                 break
-            entry = self._entries[key]
-            if entry.bytes_in_memory <= 0:
-                continue
             spilled = entry.bytes_in_memory
+            if spilled == 0:
+                continue
             spill_delay += self.disk.spill_time(spilled)
             entry.bytes_on_disk += spilled
             # Snapshot each remaining consumer's read-back share *now*:
@@ -189,15 +191,12 @@ class CacheWorker:
             # share computed at read time from the shrunken count would
             # overcharge late readers for the same spilled bytes.
             entry.spill_read_share += spilled / max(1, entry.pending_consumers)
+            entry.bytes_in_memory = 0
             self.bytes_in_memory -= spilled
-            entry.bytes_in_memory = 0.0
             self.bytes_spilled_total += spilled
             self.spill_events += 1
-            spilled_any = True
             if self.ledger is not None:
                 self.ledger.cache_spilled(self.machine_id, spilled)
-        if spilled_any:
-            self._resync_memory()
         if self.memory_free < n_bytes:
             raise CacheWorkerFullError(
                 f"cache worker {self.machine_id} cannot fit {n_bytes} bytes"
@@ -212,24 +211,15 @@ class CacheWorker:
             return 0.0
         entry.last_touch = now
         self._entries.move_to_end(key)
-        # The LRU order is the counter's summation order: a reorder is a
-        # mutation too.
-        self._resync_memory()
-        if self.ledger is not None:
-            self.ledger.cache_reordered(self.machine_id)
-        if entry.bytes_on_disk <= 0 or entry.pending_consumers <= 0:
+        remaining = entry.bytes_on_disk - entry.bytes_read_back
+        if remaining <= 0 or entry.pending_consumers <= 0:
             return 0.0
         # Charge the share snapshotted at spill time, never more than the
         # spilled bytes not yet read back.  Once every spilled byte has
         # been charged once (promoted back to memory-resident semantics),
-        # further reads are free — the old shrinking-denominator formula
-        # (`bytes_on_disk / pending_consumers`) double-charged late
-        # readers after early consumers had already pulled the data back.
-        remaining = entry.bytes_on_disk - entry.bytes_read_back
+        # further reads are free.
         share = min(entry.spill_read_share, remaining)
-        if share <= 1e-6:  # fully promoted (modulo float dust)
-            return 0.0
-        entry.bytes_read_back += share
+        entry.bytes_read_back += math.ceil(share)
         return self.disk.spill_time(share)
 
     def consume(self, job_id: str, edge_key: str) -> bool:
@@ -241,7 +231,12 @@ class CacheWorker:
             return False
         entry.pending_consumers = max(0, entry.pending_consumers - 1)
         if entry.pending_consumers == 0:
-            self._release(key)
+            del self._entries[key]
+            job_keys = self._job_keys[job_id]
+            del job_keys[key]
+            if not job_keys:
+                del self._job_keys[job_id]
+            self._released(entry)
             return True
         return False
 
@@ -255,11 +250,12 @@ class CacheWorker:
         rather than to whichever reconciliation checkpoint runs next.
         """
         lost = list(self._entries.values())
-        mem_lost = sum(e.bytes_in_memory for e in lost)
+        mem_lost = self.bytes_in_memory
         disk_lost = sum(e.bytes_on_disk for e in lost)
         replica_lost = sum(e.total_bytes for e in lost if e.replica)
         self._entries.clear()
-        self.bytes_in_memory = 0.0
+        self._job_keys.clear()
+        self.bytes_in_memory = 0
         if self.ledger is not None:
             self.ledger.cache_dropped_all(
                 self.machine_id, replica_bytes=replica_lost
@@ -285,12 +281,16 @@ class CacheWorker:
         Emits one obs instant summarizing the released bytes, in the same
         step as the per-entry ledger releases.
         """
-        keys = [k for k in self._entries if k[0] == job_id]
-        mem = sum(self._entries[k].bytes_in_memory for k in keys)
-        disk = sum(self._entries[k].bytes_on_disk for k in keys)
+        keys = self._job_keys.pop(job_id, None)
+        if keys is None:
+            return
+        mem = disk = 0
         for key in keys:
-            self._release(key)
-        if self.tracer is not None and self.tracer.enabled and keys:
+            entry = self._entries.pop(key)
+            mem += entry.bytes_in_memory
+            disk += entry.bytes_on_disk
+            self._released(entry)
+        if self.tracer is not None and self.tracer.enabled:
             self.tracer.instant(
                 Category.CACHE,
                 "cache.release_job",
@@ -302,18 +302,14 @@ class CacheWorker:
                 bytes_on_disk=disk,
             )
 
-    def _release(self, key: tuple[str, str]) -> None:
-        entry = self._entries.pop(key, None)
-        if entry is not None:
-            if self.ledger is not None:
-                self.ledger.cache_released(
-                    self.machine_id, entry.bytes_in_memory, entry.bytes_on_disk
+    def _released(self, entry: CacheEntry) -> None:
+        """Account for one entry already removed from the maps."""
+        self.bytes_in_memory -= entry.bytes_in_memory
+        if self.ledger is not None:
+            self.ledger.cache_released(
+                self.machine_id, entry.bytes_in_memory, entry.bytes_on_disk
+            )
+            if entry.replica:
+                self.ledger.cache_replica_released(
+                    self.machine_id, entry.total_bytes
                 )
-                if entry.replica:
-                    self.ledger.cache_replica_released(
-                        self.machine_id, entry.total_bytes
-                    )
-            # Recompute from the entry map instead of subtracting: repeated
-            # float subtraction drifted the counter away from the true sum
-            # (the old `< 1e-6` snap-to-zero papered over it only near 0).
-            self._resync_memory()

@@ -223,6 +223,20 @@ class JobRun:
         self.done = False
         self.stage_runs: dict[str, StageRun] = {}
         self.units: dict[int, UnitRun] = {}
+        # Per-edge Cache Worker state, keyed ``"src->dst"``: it belongs to
+        # this attempt, so a restarted attempt starts with none of it.
+        #: Shuffle mode pinned when a cross-unit edge is first resolved, so
+        #: the producer's store and the consumer's costing agree.
+        self.edge_mode_decisions: dict[str, ModeDecision] = {}
+        #: Replica groups of machines whose Cache Workers hold an edge's
+        #: data: ``groups[i][0]`` holds one producer machine's share, later
+        #: members are its replicas (``ShuffleConfig.replication_factor``).
+        #: A share survives a Cache Worker loss iff its group keeps a holder.
+        self.edge_cw_machines: dict[str, list[list[int]]] = {}
+        #: Extra data-availability delay from producer-side LRU spills.
+        self.edge_extra_delay: dict[str, float] = {}
+        #: Every machine whose Cache Worker holds data of this attempt.
+        self.cw_machines: set[int] = set()
         for graphlet in graphlets.graphlets:
             unit = UnitRun(self, graphlet.graphlet_id, list(graphlet.stage_names))
             self.units[graphlet.graphlet_id] = unit
@@ -274,10 +288,9 @@ class SwiftRuntime:
         #: Per-edge adaptive mode switching (shuffle v2): observes realized
         #: cache pressure and connection-setup cost and re-resolves the
         #: scheme for stages that have not started yet.  Decisions are
-        #: memoized per (job, edge) so the producer-side store and the
-        #: consumer-side cost computation always agree.
+        #: memoized per edge on the job attempt
+        #: (``JobRun.edge_mode_decisions``).
         self.mode_controller = ShuffleModeController(self.config.shuffle)
-        self._edge_mode_decisions: dict[tuple[str, str], ModeDecision] = {}
         #: Structured record of every shuffle-loss recovery action —
         #: ``{"job_id", "edge_key", "machine_id", "survivors", "action"}``
         #: with action ``"failover"`` (replica served the share, no rerun)
@@ -295,17 +308,6 @@ class SwiftRuntime:
         self.reference_duration = reference_duration
         self.job_runs: dict[str, JobRun] = {}
         self.results: list[JobResult] = []
-        #: Extra data-availability delay per (job_id, edge key) caused by
-        #: Cache Worker LRU spills on the producer side.
-        self._edge_extra_delay: dict[tuple[str, str], float] = {}
-        #: Replica groups of machines whose Cache Workers hold data for a
-        #: (job_id, edge key).  Each group holds one producer machine's share
-        #: redundantly: ``groups[i][0]`` is the primary, later members are
-        #: replicas (``ShuffleConfig.replication_factor``).  A share survives
-        #: a Cache Worker loss iff its group keeps at least one live holder.
-        self._edge_cw_machines: dict[tuple[str, str], list[list[int]]] = {}
-        #: All machines with Cache Worker state per job (for fast release).
-        self._job_cw_machines: dict[str, set[int]] = {}
         self._request_units: dict[int, UnitRun] = {}
         #: Set once ``run()`` returns with the event queue empty; late
         #: submissions then raise :class:`RuntimeDrainedError` instead of
@@ -638,7 +640,7 @@ class SwiftRuntime:
             worker = machine.cache_worker
             if worker is None:
                 continue
-            used += worker.memory_used
+            used += worker.bytes_in_memory
             capacity += worker.config.memory_capacity
         return used / capacity if capacity > 0 else 0.0
 
@@ -652,8 +654,8 @@ class SwiftRuntime:
         # re-resolved against realized cluster state the first time anybody
         # needs it (i.e. when the earliest adjacent stage prepares), then
         # pinned: producer store and consumer costing must agree.
-        dkey = (job_run.job.job_id, f"{edge.src}->{edge.dst}")
-        decision = self._edge_mode_decisions.get(dkey)
+        edge_key = f"{edge.src}->{edge.dst}"
+        decision = job_run.edge_mode_decisions.get(edge_key)
         if decision is None:
             decision = self.mode_controller.resolve(
                 requested,
@@ -661,12 +663,12 @@ class SwiftRuntime:
                 cache_utilization=self._cache_utilization,
                 setup_latency=self.cluster.network.connection_setup_time(),
             )
-            self._edge_mode_decisions[dkey] = decision
+            job_run.edge_mode_decisions[edge_key] = decision
             if decision.switched:
                 if self.tracer.enabled:
                     self.tracer.instant(
                         Category.SHUFFLE, "shuffle.mode_switch", self.sim.now,
-                        job_run.job.job_id, scope=dkey[1],
+                        job_run.job.job_id, scope=edge_key,
                         scheme=decision.scheme.value,
                         static_scheme=decision.static_scheme.value,
                         reason=decision.reason,
@@ -749,9 +751,7 @@ class SwiftRuntime:
                 avail = producer_sr.finish_estimate
                 if cross and scheme in (ShuffleScheme.LOCAL, ShuffleScheme.REMOTE):
                     avail += self._cache_worker_read_delay(job_run, edge, n)
-                    avail += self._edge_extra_delay.get(
-                        (job_run.job.job_id, edge_key), 0.0
-                    )
+                    avail += job_run.edge_extra_delay.get(edge_key, 0.0)
                 barrier_avail = max(barrier_avail, avail)
         if merged is not None:
             y = self._effective_machines(merged.m, merged.n)
@@ -811,7 +811,7 @@ class SwiftRuntime:
         delay = 0.0
         key = f"{edge.src}->{edge.dst}"
         job_id = job_run.job.job_id
-        groups = self._edge_cw_machines.get((job_id, key), ())
+        groups = job_run.edge_cw_machines.get(key, ())
         for group in groups:
             for machine_id in group:
                 worker: CacheWorker = self.cluster.machines[machine_id].cache_worker  # type: ignore[assignment]
@@ -1034,7 +1034,9 @@ class SwiftRuntime:
             y = self._effective_machines(m, n)
             candidates = self.cluster.schedulable_machines() or self.cluster.alive_machines()
             machines = candidates[:y]
-            share = dag.edge_bytes(edge) / max(1, len(machines))
+            # Each machine stores a whole number of bytes: the share rounds
+            # up once, here, and the Cache Workers count exact ints.
+            share = math.ceil(dag.edge_bytes(edge) / max(1, len(machines)))
             consumers_per_machine = max(
                 1, math.ceil(dag.stage(edge.dst).task_count / max(1, len(machines)))
             )
@@ -1047,10 +1049,10 @@ class SwiftRuntime:
             spill_delay = 0.0
             n_replicas = 0
             job_id = job_run.job.job_id
-            self._edge_cw_machines[(job_id, key)] = [
+            job_run.edge_cw_machines[key] = [
                 [mm.machine_id for mm in group] for group in groups
             ]
-            self._job_cw_machines.setdefault(job_id, set()).update(
+            job_run.cw_machines.update(
                 mm.machine_id for group in groups for mm in group
             )
             for group in groups:
@@ -1069,7 +1071,7 @@ class SwiftRuntime:
                     )
                     n_replicas += rank > 0
             if spill_delay > 0:
-                self._edge_extra_delay[(job_id, key)] = spill_delay
+                job_run.edge_extra_delay[key] = spill_delay
             if self.tracer.enabled:
                 self.tracer.instant(
                     Category.CACHE, "cache.store", self.sim.now, job_id,
@@ -1088,7 +1090,7 @@ class SwiftRuntime:
                         worker = machine.cache_worker
                         if worker is not None:
                             self.tracer.gauge_max(
-                                "cache_worker_mem_used_bytes", worker.memory_used
+                                "cache_worker_mem_used_bytes", worker.bytes_in_memory
                             )
 
     def _consume_cross_unit_inputs(self, sr: StageRun) -> None:
@@ -1099,9 +1101,7 @@ class SwiftRuntime:
             if producer.unit_id == sr.unit_id:
                 continue
             key = f"{edge.src}->{edge.dst}"
-            groups = self._edge_cw_machines.pop(
-                (job_run.job.job_id, key), ()
-            )
+            groups = job_run.edge_cw_machines.pop(key, ())
             for group in groups:
                 for machine_id in group:
                     worker: CacheWorker = self.cluster.machines[machine_id].cache_worker  # type: ignore[assignment]
@@ -1124,7 +1124,7 @@ class SwiftRuntime:
                 restarts=metrics.restarts,
             )
             self.tracer.collect_job_metrics(metrics)
-        self._release_cache_workers(job_run.job.job_id)
+        self._release_cache_workers(job_run)
         if self.ledger is not None:
             self.ledger.reconcile(
                 self.cluster, f"job:{job_run.job.job_id}:completed",
@@ -1362,7 +1362,7 @@ class SwiftRuntime:
             if producer_sr is None or consumer_sr is None or consumer_sr.completed:
                 continue
             # The dead worker can no longer serve reads for this edge.
-            groups = self._edge_cw_machines.get((entry_job_id, edge_key))
+            groups = job_run.edge_cw_machines.get(edge_key)
             share_lost = groups is None
             survivors = 0
             if groups is not None:
@@ -1440,20 +1440,18 @@ class SwiftRuntime:
         if self.on_job_done is not None:
             self.on_job_done(self.results[-1])
 
-    def _release_cache_workers(self, job_id: str) -> None:
-        """Drop all Cache Worker entries a job left behind."""
-        for machine_id in self._job_cw_machines.pop(job_id, ()):
+    def _release_cache_workers(self, job_run: JobRun) -> None:
+        """Drop all Cache Worker entries and per-edge state an attempt left
+        behind."""
+        job_id = job_run.job.job_id
+        for machine_id in job_run.cw_machines:
             worker: CacheWorker = self.cluster.machines[machine_id].cache_worker  # type: ignore[assignment]
             if worker is not None:
                 worker.release_job(job_id, now=self.sim.now)
-        stale = [k for k in self._edge_cw_machines if k[0] == job_id]
-        for key in stale:
-            del self._edge_cw_machines[key]
-        # A restarted attempt re-resolves its shuffle modes against the
-        # cluster state it actually sees.
-        stale_decisions = [k for k in self._edge_mode_decisions if k[0] == job_id]
-        for key in stale_decisions:
-            del self._edge_mode_decisions[key]
+        job_run.cw_machines.clear()
+        job_run.edge_cw_machines.clear()
+        job_run.edge_mode_decisions.clear()
+        job_run.edge_extra_delay.clear()
 
     def _release_job_resources(self, job_run: JobRun) -> None:
         self.scheduler.cancel_job(job_run.job.job_id)
@@ -1480,7 +1478,7 @@ class SwiftRuntime:
                     inst.executor = None
                 self._cancel_finish(inst)
                 inst.state = TaskState.DEAD
-        self._release_cache_workers(job_run.job.job_id)
+        self._release_cache_workers(job_run)
         self._pump_scheduler()
 
     def _restart_job(self, job_run: JobRun) -> None:

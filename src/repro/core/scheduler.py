@@ -325,11 +325,11 @@ def pick_replica_machines(
     # Machine ids make every key unique and no resident bytes change during
     # the call, so the heap yields exactly the order a fresh min() over the
     # pool would.
-    heap: list[tuple[int, bool, float, int, Machine]] = [
+    heap: list[tuple[int, bool, int, int, Machine]] = [
         (
             0,
             m.machine_id in primary_ids,
-            m.cache_worker.memory_used,  # type: ignore[union-attr]
+            m.cache_worker.bytes_in_memory,  # type: ignore[union-attr]
             m.machine_id,
             m,
         )

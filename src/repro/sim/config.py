@@ -119,6 +119,10 @@ class CacheWorkerConfig:
 
     def validate(self) -> None:
         """Raise ``ValueError`` on out-of-range values."""
+        if not isinstance(self.memory_capacity, int):
+            raise ValueError(
+                f"memory_capacity must be an int byte count, got {self.memory_capacity!r}"
+            )
         if self.memory_capacity <= 0:
             raise ValueError("memory_capacity must be positive")
         if self.spill_chunk_bytes <= 0:

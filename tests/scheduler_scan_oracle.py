@@ -21,7 +21,7 @@ from __future__ import annotations
 from heapq import heapify, heappop, nsmallest
 from typing import Optional
 
-from repro.audit.ledger import _BYTES_EPS, AuditViolation, ResourceLedger
+from repro.audit.ledger import AuditViolation, ResourceLedger
 from repro.core.scheduler import Grant, ReqItem
 from repro.sim.cluster import Cluster, Executor, ExecutorState
 
@@ -316,28 +316,28 @@ class FullScanLedger(ResourceLedger):
                     expected=0,
                     actual=cluster.network.open_connections,
                 )
-            if self.replica_bytes_outstanding > _BYTES_EPS:
+            if self.replica_bytes_outstanding != 0:
                 self._violate(
                     "replica_bytes",
                     "replica bytes still outstanding after all jobs "
                     f"terminated ({self.replica_bytes_written_total:g} "
                     "written over the run)",
                     checkpoint=checkpoint,
-                    expected=0.0,
+                    expected=0,
                     actual=self.replica_bytes_outstanding,
                 )
             for machine in cluster.machines:
                 worker = machine.cache_worker
                 if worker is None:
                     continue
-                if len(worker) > 0 or worker.bytes_in_memory > _BYTES_EPS:  # type: ignore[arg-type]
+                if len(worker) > 0 or worker.bytes_in_memory != 0:  # type: ignore[arg-type]
                     self._violate(
                         "cache_memory",
                         f"machine {machine.machine_id} still holds "
                         f"{len(worker)} cache entries after all jobs "  # type: ignore[arg-type]
                         "terminated",
                         checkpoint=checkpoint,
-                        expected=0.0,
+                        expected=0,
                         actual=worker.bytes_in_memory,  # type: ignore[union-attr]
                     )
         return self.violations[before:]

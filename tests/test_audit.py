@@ -109,7 +109,7 @@ def test_cache_counter_drift_caught():
     ledger = ResourceLedger(strict=False)
     worker = _worker(ledger=ledger)
     worker.write("job", "e0", 10 * MB, 1, now=0.0)
-    worker.bytes_in_memory += 123.0  # seeded drift
+    worker.bytes_in_memory += 123  # seeded divergence
     ledger.reconcile_cache_worker(worker, "checkpoint")
     assert any(v.resource == "cache_memory" for v in ledger.violations)
 
@@ -124,7 +124,7 @@ def test_cache_release_balances():
     worker.consume("jobA", "e1")
     ledger.reconcile_cache_worker(worker, "end")
     assert ledger.ok
-    assert worker.bytes_in_memory == 0.0
+    assert worker.bytes_in_memory == 0
     assert len(worker) == 0
 
 
@@ -153,14 +153,14 @@ def test_violation_str_and_dict_round_trip():
 
 
 # ----------------------------------------------------------------------
-# Float-drift and spill read-back fixes (satellites 2 and 3)
+# Exact byte counts and spill read-back
 # ----------------------------------------------------------------------
 
 def test_memory_counter_equals_entry_sum_after_many_partial_releases():
-    """Repeated fractional writes/releases used to drift the incremental
-    counter; it must now always equal the entry-map sum exactly."""
+    """Many odd-sized writes and releases keep the O(1) counter equal to the
+    entry-map sum exactly: integer byte counts do not drift."""
     worker = _worker()
-    sizes = [0.1 * MB * (i + 1) / 3.0 for i in range(30)]
+    sizes = [34_953 * (2 * i + 1) for i in range(30)]
     for i, size in enumerate(sizes):
         worker.write("job", f"e{i}", size, 1, now=float(i))
     for i in range(0, 30, 2):
@@ -168,7 +168,7 @@ def test_memory_counter_equals_entry_sum_after_many_partial_releases():
     expected = sum(e.bytes_in_memory for e in worker.iter_entries())
     assert worker.bytes_in_memory == expected
     worker.release_job("job")
-    assert worker.bytes_in_memory == 0.0
+    assert worker.bytes_in_memory == 0
 
 
 def test_spilled_read_back_total_never_exceeds_spilled_bytes():
@@ -186,7 +186,7 @@ def test_spilled_read_back_total_never_exceeds_spilled_bytes():
         assert delay > 0.0
         # Shrink the consumer count between reads, as consume() does.
         entry.pending_consumers = max(1, entry.pending_consumers - 1)
-    assert entry.bytes_read_back == pytest.approx(40 * MB)
+    assert entry.bytes_read_back == 40 * MB
     # A straggler re-read after full promotion is free.
     assert worker.read("job", "spilled", now=10.0) == 0.0
 
@@ -235,7 +235,7 @@ def test_untouched_cache_shadow_corruption_caught_at_run_end():
     from repro.audit.ledger import _CacheShadow
 
     def corrupt(runtime):
-        runtime.ledger._cache[15] = _CacheShadow(bytes_in_memory=1e6)
+        runtime.ledger._cache[15] = _CacheShadow(bytes_in_memory=10**6)
 
     violation = _run_corrupted_after_first_job(corrupt)
     assert violation.resource == "cache_memory"
@@ -247,7 +247,7 @@ def test_oversized_write_snapshots_read_share():
     worker.write("job", "huge", 40 * MB, 2, now=0.0)
     entry = worker.entry("job", "huge")
     assert entry is not None
-    assert entry.bytes_in_memory == 0.0
+    assert entry.bytes_in_memory == 0
     assert entry.bytes_on_disk == 40 * MB
     assert entry.spill_read_share == pytest.approx(20 * MB)
     assert worker.read("job", "huge", now=1.0) > 0.0
@@ -265,7 +265,7 @@ def _drained(runtime: SwiftRuntime) -> None:
         worker = machine.cache_worker
         assert worker is not None
         assert len(worker) == 0
-        assert worker.bytes_in_memory == 0.0
+        assert worker.bytes_in_memory == 0
 
 
 def test_terasort_under_strict_audit():

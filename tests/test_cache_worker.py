@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from collections import OrderedDict
+
 import pytest
 
 from repro.core.cache_worker import CacheWorker, CacheWorkerFullError
@@ -20,7 +22,7 @@ def test_write_within_capacity_no_spill():
     worker = make_worker()
     delay = worker.write("job", "e1", 10 * MB, pending_consumers=2, now=0.0)
     assert delay == 0.0
-    assert worker.memory_used == 10 * MB
+    assert worker.bytes_in_memory == 10 * MB
     assert len(worker) == 1
 
 
@@ -79,7 +81,7 @@ def test_capacity_error_when_nothing_spillable():
     # Force the existing entry to look unspillable by zeroing its memory
     # without releasing the accounting (simulates concurrent writes racing).
     entry = worker.entry("job", "a")
-    entry.bytes_in_memory = 0.0
+    entry.bytes_in_memory = 0
     worker.bytes_in_memory = 90 * MB
     with pytest.raises(CacheWorkerFullError):
         worker.write("job", "b", 50 * MB, 1, now=1.0)
@@ -92,7 +94,7 @@ def test_consume_releases_at_zero():
     assert worker.entry("job", "e") is not None
     assert worker.consume("job", "e") is True
     assert worker.entry("job", "e") is None
-    assert worker.memory_used == 0.0
+    assert worker.bytes_in_memory == 0
     # Consuming a missing entry is a no-op.
     assert worker.consume("job", "e") is False
 
@@ -104,7 +106,7 @@ def test_release_job_drops_all_entries():
     worker.write("job2", "c", 10 * MB, 1, now=0.0)
     worker.release_job("job1")
     assert len(worker) == 1
-    assert worker.memory_used == 10 * MB
+    assert worker.bytes_in_memory == 10 * MB
 
 
 def test_incremental_writes_accumulate():
@@ -121,3 +123,56 @@ def test_memory_free_accounting():
     assert worker.memory_free == 100 * MB
     worker.write("job", "e", 30 * MB, 1, now=0.0)
     assert worker.memory_free == 70 * MB
+
+
+def test_write_rejects_non_integer_bytes():
+    worker = make_worker()
+    with pytest.raises(TypeError):
+        worker.write("job", "e", 1.5, 1, 0.0)
+    with pytest.raises(TypeError):
+        worker.write("job", "e", float(MB), 1, 0.0)
+    assert len(worker) == 0 and worker.bytes_in_memory == 0
+
+
+class CountingMap(OrderedDict):
+    """An entry map that counts every walk over its keys, values or items."""
+
+    walks = 0
+
+    def __iter__(self):
+        self.walks += 1
+        return super().__iter__()
+
+    def keys(self):
+        self.walks += 1
+        return super().keys()
+
+    def values(self):
+        self.walks += 1
+        return super().values()
+
+    def items(self):
+        self.walks += 1
+        return super().items()
+
+
+def test_bookkeeping_never_walks_the_entry_map():
+    """Write (when it fits), read, consume and one job's release touch only
+    their own keys: with entries of many jobs on the worker, none of them
+    iterates the entry map."""
+    worker = make_worker(1024)
+    entries = worker._entries = CountingMap()
+    for j in range(50):
+        for e in range(4):
+            worker.write(f"job{j}", f"e{e}", 1 * MB + j, 2, now=float(j))
+    worker.read("job3", "e1", now=60.0)
+    worker.consume("job4", "e2")
+    assert worker.consume("job4", "e2") is True
+    worker.release_job("job7", now=61.0)
+    assert entries.walks == 0
+    assert len(worker) == 50 * 4 - 1 - 4
+    assert worker.entry("job7", "e0") is None
+    assert worker.entry("job8", "e0") is not None
+    assert worker.bytes_in_memory == sum(
+        e.bytes_in_memory for e in worker.iter_entries()
+    )

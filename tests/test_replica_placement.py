@@ -33,7 +33,7 @@ def oracle_pick_replica_machines(
                 key=lambda m: (
                     assigned[m.machine_id],
                     m.machine_id in primary_ids,
-                    m.cache_worker.memory_used,
+                    m.cache_worker.bytes_in_memory,
                     m.machine_id,
                 ),
                 default=None,
@@ -49,17 +49,17 @@ def oracle_pick_replica_machines(
 class StubWorker:
     """A Cache Worker that only reports resident bytes, counting the reads."""
 
-    def __init__(self, used: float) -> None:
+    def __init__(self, used: int) -> None:
         self._used = used
         self.reads = 0
 
     @property
-    def memory_used(self) -> float:
+    def bytes_in_memory(self) -> int:
         self.reads += 1
         return self._used
 
 
-def make_machine(machine_id: int, used: Optional[float]) -> Machine:
+def make_machine(machine_id: int, used: Optional[int]) -> Machine:
     machine = Machine(machine_id, 0)
     machine.cache_worker = None if used is None else StubWorker(used)
     return machine
@@ -76,7 +76,7 @@ def placements(draw):
     lie outside it."""
     n = draw(st.integers(min_value=0, max_value=24))
     machine_ids = draw(st.permutations(range(40)))[:n]
-    memory = st.one_of(st.none(), st.sampled_from([0.0, 1.0, 5.0, 1e9]))
+    memory = st.one_of(st.none(), st.sampled_from([0, 1, 5, 10**9]))
     machines = [make_machine(mid, draw(memory)) for mid in machine_ids]
     candidates = draw(st.permutations([m for m in machines if draw(st.booleans())]))
     primaries = draw(st.lists(st.sampled_from(machines), max_size=12)) if machines else []

@@ -55,7 +55,7 @@ def test_cache_worker_entries_released_after_consumption():
     for machine in runtime.cluster.machines:
         worker: CacheWorker = machine.cache_worker
         assert len(worker) == 0
-        assert worker.memory_used == 0.0
+        assert worker.bytes_in_memory == 0
 
 
 def test_cache_pressure_spills_and_still_completes():
@@ -69,6 +69,49 @@ def test_cache_pressure_spills_and_still_completes():
     assert result.completed
     spilled = sum(m.cache_worker.bytes_spilled_total for m in runtime.cluster.machines)
     assert spilled > 0
+
+
+def _per_edge_state(job_run) -> tuple:
+    return (job_run.edge_mode_decisions, job_run.edge_cw_machines,
+            job_run.edge_extra_delay, job_run.cw_machines)
+
+
+def test_attempts_own_their_per_edge_state():
+    """Per-edge Cache Worker state lives on the job attempt: a restarted
+    attempt starts without its predecessor's spill delay or replica groups,
+    and neither the aborted nor the finished attempt keeps any."""
+    config = SimConfig()
+    config.cache_worker.memory_capacity = 4 * 1024 ** 2  # 4 MiB: stores spill
+    cluster = Cluster.build(8, 32, config=config)
+    runtime = SwiftRuntime(
+        cluster, swift_policy(shuffle=ShuffleScheme.LOCAL), config=config
+    )
+    attempts = []
+    store = runtime._store_cross_unit_outputs
+
+    def restart(old):
+        runtime._restart_job(old)
+        new = runtime.job_runs[old.job.job_id]
+        attempts.append(new)
+        assert new is not old and new.attempt == 1
+        assert new.edge_extra_delay == {} and new.edge_cw_machines == {}
+        assert _per_edge_state(old) == ({}, {}, {}, set())
+        assert all(len(m.cache_worker) == 0 for m in runtime.cluster.machines)
+
+    def store_then_restart(sr):
+        store(sr)
+        job_run = sr.job_run
+        if job_run.attempt == 0:
+            assert job_run.edge_extra_delay  # the first attempt's store spilled
+            attempts.append(job_run)
+            runtime.sim.schedule(0.0, restart, job_run)
+
+    runtime._store_cross_unit_outputs = store_then_restart
+    result = runtime.execute(as_job(wide_barrier_dag(100, 100, mb_per_task=30.0)))
+    assert result.completed and result.metrics.restarts == 1
+    assert len(attempts) == 2
+    for job_run in attempts:
+        assert _per_edge_state(job_run) == ({}, {}, {}, set())
 
 
 def test_connections_fully_released_after_run():

@@ -193,13 +193,13 @@ def audit_scenarios(draw):
         st.tuples(st.just("release"), st.integers(min_value=0, max_value=10**6)),
         st.tuples(st.sampled_from(["quarantine", "recover", "die"]), positions),
         st.tuples(st.just("write"), positions, st.sampled_from("xyz"),
-                  st.sampled_from([1.0, 3.5, 1e6])),
+                  st.sampled_from([1, 3, 10**6])),
         st.tuples(st.just("read"), positions, st.sampled_from("xyz")),
         st.tuples(st.just("consume"), positions, st.sampled_from("xyz")),
         st.tuples(st.just("drop"), positions),
         # Corruptions through paths that mark what they touch.
         st.tuples(st.just("skew_idle"), positions, st.sampled_from([-1, 1])),
-        st.tuples(st.just("skew_shadow"), positions, st.sampled_from([-2.0, 7.0])),
+        st.tuples(st.just("skew_shadow"), positions, st.sampled_from([-2, 7])),
         st.tuples(st.just("checkpoint"), st.booleans()),
     )
     return machine_ids, sizes, draw(st.lists(op, max_size=60))
@@ -217,7 +217,7 @@ def test_touched_reconcile_matches_full_scan_oracle(case):
     disk = DiskModel(DiskConfig())
     for machine in cluster.machines:
         machine.cache_worker = CacheWorker(
-            machine.machine_id, CacheWorkerConfig(memory_capacity=4e6), disk
+            machine.machine_id, CacheWorkerConfig(memory_capacity=4_000_000), disk
         )
         machine.cache_worker.ledger = Tee(new, old)
     scheduler = ResourceScheduler(cluster)
@@ -253,7 +253,7 @@ def test_touched_reconcile_matches_full_scan_oracle(case):
             repairs.append((machine, -op[2]))
         elif kind == "skew_shadow":
             # Reconcile resyncs the shadow, so this repairs itself.
-            worker.ledger.cache_written(machine.machine_id, op[2], 0.0, False)
+            worker.ledger.cache_written(machine.machine_id, op[2], 0, False)
         else:
             checkpoint = f"c{step}"
             got = new.reconcile(cluster, checkpoint, touched_only=op[1])

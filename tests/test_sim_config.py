@@ -53,6 +53,25 @@ def test_cache_worker_rejects_bad_values():
         CacheWorkerConfig(spill_chunk_bytes=0).validate()
 
 
+def test_cache_worker_capacity_is_whole_bytes():
+    with pytest.raises(ValueError):
+        CacheWorkerConfig(memory_capacity=4e6).validate()
+    with pytest.raises(ValueError):
+        CacheWorkerConfig(memory_capacity=2.5 * 1024**3).validate()
+    CacheWorkerConfig(memory_capacity=4_000_000).validate()
+
+
+def test_cache_pressure_perturbation_keeps_capacity_whole():
+    from repro.chaos.campaign import CACHE_FACTORS, Perturbations
+
+    for factor in CACHE_FACTORS:
+        config = Perturbations(cache_factor=factor).apply(SimConfig())
+        capacity = config.cache_worker.memory_capacity
+        assert isinstance(capacity, int)
+        assert capacity == int(SimConfig().cache_worker.memory_capacity * factor)
+        config.validate()
+
+
 def test_shuffle_thresholds_must_be_ordered():
     ShuffleConfig(direct_threshold=10, local_threshold=20).validate()
     with pytest.raises(ValueError):
