@@ -40,6 +40,7 @@ class Violation:
 #: Failure reasons the runtime is *allowed* to report for a failed job.
 _APP_ERROR_PREFIX = "application_error"
 _RETRY_PREFIX = "retry budget exhausted"
+_UNSCHEDULABLE_PREFIX = "unschedulable:"
 
 #: Event kinds that can legitimately burn retry budget.
 _DESTRUCTIVE = {
@@ -276,11 +277,13 @@ def check_failure_reasons(
 
     An application error fails the job by design (reported, not retried) —
     but only if the campaign actually injected one.  A retry-budget
-    escalation needs at least one destructive event.  Anything else is an
-    unexplained failure.
+    escalation needs at least one destructive event.  A request that no
+    longer fits the live machines (``unschedulable:``) needs a machine
+    crash.  Anything else is an unexplained failure.
     """
     out = []
     has_app_error = campaign.has_kind(FailureKind.APPLICATION_ERROR)
+    has_machine_crash = campaign.has_kind(FailureKind.MACHINE_CRASH)
     has_destructive = any(e.kind in _DESTRUCTIVE for e in campaign.events)
     for result in results:
         if not result.failed:
@@ -314,6 +317,15 @@ def check_failure_reasons(
                     Violation(
                         "unexpected-job-failure",
                         "retry budget exhausted without any destructive event",
+                        result.job_id,
+                    )
+                )
+        elif reason.startswith(_UNSCHEDULABLE_PREFIX):
+            if not has_machine_crash:
+                out.append(
+                    Violation(
+                        "unexpected-job-failure",
+                        "job unschedulable although no machine crashed",
                         result.job_id,
                     )
                 )

@@ -27,7 +27,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional
 
 from ..audit.ledger import ResourceLedger
 from ..obs.records import Category
@@ -47,6 +47,7 @@ from .scheduler import (
     Grant,
     ReqItem,
     ResourceScheduler,
+    SchedulingImpossibleError,
     pick_locality_machines,
     pick_replica_machines,
 )
@@ -84,6 +85,8 @@ class TaskState(enum.Enum):
     """Lifecycle of one task instance."""
     PENDING = "pending"
     DISPATCHED = "dispatched"
+    #: A re-run waiting for the scheduler to grant it an executor.
+    WAITING = "waiting"
     FINISHED = "finished"
     DEAD = "dead"
 
@@ -244,10 +247,6 @@ class JobRun:
                 self.stage_runs[name] = StageRun(self, name, graphlet.graphlet_id)
 
 
-class SchedulingImpossibleError(RuntimeError):
-    """A gang request can never be satisfied on this cluster."""
-
-
 class RuntimeDrainedError(RuntimeError):
     """A job was submitted to a runtime whose ``run()`` already drained.
 
@@ -309,6 +308,11 @@ class SwiftRuntime:
         self.job_runs: dict[str, JobRun] = {}
         self.results: list[JobResult] = []
         self._request_units: dict[int, UnitRun] = {}
+        #: Re-runs waiting for a one-executor grant, by request id:
+        #: ``(instance, not_before, relaunch, then)`` (see ``_rerun_instance``).
+        self._waiting_reruns: dict[
+            int, tuple[TaskInstance, float, float, Callable[[float], None]]
+        ] = {}
         #: Set once ``run()`` returns with the event queue empty; late
         #: submissions then raise :class:`RuntimeDrainedError` instead of
         #: queueing events that would never execute.
@@ -367,6 +371,14 @@ class SwiftRuntime:
     def run(self, until: Optional[float] = None) -> list[JobResult]:
         """Run the simulation to completion and return per-job results."""
         self.sim.run(until=until)
+        # Drained with requests still queued: reclaim the executors held by
+        # tasks that wait for inputs, for as long as that starts a task.
+        while (
+            self.sim.pending_events() == 0
+            and self._yield_idle_executors()
+            and self.sim.pending_events()
+        ):
+            self.sim.run(until=until)
         if self.ledger is not None:
             # Drained-state assertions only make sense once every submitted
             # job has terminated (``until`` may stop mid-flight).
@@ -473,26 +485,13 @@ class SwiftRuntime:
             elif not self._unit_inputs_started(unit):
                 continue
             n = unit.task_count()
-            if self.policy.gang and n > self.cluster.total_executors():
-                raise SchedulingImpossibleError(
-                    f"unit {unit.graphlet_id} of {job_run.job.job_id} needs {n} "
-                    f"executors; cluster has {self.cluster.total_executors()}"
-                )
             locality: tuple[int, ...] = ()
             if any(
                 job_run.dag.stage(name).scan_bytes_per_task > 0
                 for name in unit.stage_names
             ):
                 locality = pick_locality_machines(self.cluster, n)
-            item = self.scheduler.request(
-                job_id=job_run.job.job_id,
-                unit_id=unit.graphlet_id,
-                n_executors=n,
-                locality=locality,
-                priority=job_run.job.priority,
-                now=self.sim.now,
-                gang=self.policy.gang,
-            )
+            item = self._request(unit, n, locality)
             unit.request = item
             unit.state = UnitState.REQUESTED
             self._request_units[item.request_id] = unit
@@ -504,9 +503,55 @@ class SwiftRuntime:
                 )
         self._pump_scheduler()
 
+    def _request(
+        self, unit: UnitRun, n: int, locality: tuple[int, ...] = ()
+    ) -> ReqItem:
+        """File a request for ``n`` of ``unit``'s executors with its job's
+        priority (one that can never be granted fails its job, see
+        :meth:`_check_schedulable`).  A unit's later requests (a re-run, a
+        task that lost its executor before it ran) take its first request's
+        place in the queue, ahead of the units requested after it, which
+        may be waiting for this unit's output."""
+        job = unit.job_run.job
+        item = self.scheduler.request(
+            job_id=job.job_id,
+            unit_id=unit.graphlet_id,
+            n_executors=n,
+            locality=locality,
+            priority=job.priority,
+            now=self.sim.now,
+            gang=self.policy.gang,
+            place_of=unit.request,
+        )
+        self._check_schedulable((item,))
+        return item
+
+    def _check_schedulable(self, items: Iterable[ReqItem]) -> None:
+        """A request in ``items`` that needs more executors than live
+        machines hold can never be granted: it fails its job, as an event
+        at the current time, so the step that filed or stranded it
+        finishes first."""
+        for item in self.scheduler.unschedulable(items):
+            self.sim.schedule_at(self.sim.now, self._fail_unschedulable, item)
+
+    def _fail_unschedulable(self, item: ReqItem) -> None:
+        if item.cancelled:  # the job restarted or failed meanwhile
+            return
+        self._fail_job(
+            self.job_runs[item.job_id],
+            f"unschedulable: unit {item.unit_id} needs {item.remaining} "
+            f"executors ({'gang' if item.gang else 'waves'}); live machines "
+            f"hold {self.cluster.live_executors()}",
+        )
+
     def _pump_scheduler(self) -> None:
         for grant in self.scheduler.schedule():
-            unit = self._request_units.get(grant.request.request_id)
+            request_id = grant.request.request_id
+            waiting = self._waiting_reruns.pop(request_id, None)
+            if waiting is not None:
+                self._start_rerun(*waiting, grant.executors[0])
+                continue
+            unit = self._request_units.get(request_id)
             if unit is None:
                 for executor in grant.executors:
                     executor.release()
@@ -564,17 +609,10 @@ class SwiftRuntime:
         """Per-task dispatch loop with the executor state machine inlined.
 
         Executors arrive ASSIGNED from the scheduler, so ASSIGNED->RUNNING
-        never touches idle counters.  A cold-start launch draws one
-        uniform jitter per task from the simulator rng; a prelaunched one
-        draws nothing.
+        never touches idle counters.  Each task's launch comes from
+        :meth:`_launch`, in task order.
         """
-        rng = self.sim.rng
-        cfg = self.config.executor
-        prelaunched = self.policy.launch == LaunchModel.PRELAUNCHED
-        fixed_launch = cfg.prelaunched_overhead
-        mean = cfg.coldstart_mean
-        jitter = cfg.coldstart_jitter
-        uniform = rng.uniform
+        launch = self._launch
         running = ExecutorState.RUNNING
         dispatched = TaskState.DISPATCHED
         plan_cached = self.admin.plan_cached
@@ -587,11 +625,7 @@ class SwiftRuntime:
             inst.executor = executor
             inst.state = dispatched
             inst.plan_arrive = arrive
-            if prelaunched:
-                inst.launch = fixed_launch
-            else:
-                launch = mean + uniform(-jitter, jitter)
-                inst.launch = launch if launch > 0.0 else 0.0
+            inst.launch = launch()
             sr = inst.stage_run
             if sr is last_sr:
                 # Same (job, stage) key as the previous instance: a repeat
@@ -600,6 +634,18 @@ class SwiftRuntime:
             else:
                 last_sr = sr
                 plan_cached(job_id, sr.name)
+
+    def _launch(self) -> float:
+        """One task attempt's launch time under the policy's launch model:
+        the prelaunched overhead, or a cold start with one uniform jitter
+        draw from the simulator rng.  First runs and re-runs both call it."""
+        cfg = self.config.executor
+        if self.policy.launch == LaunchModel.PRELAUNCHED:
+            return cfg.prelaunched_overhead
+        launch = cfg.coldstart_mean + self.sim.rng.uniform(
+            -cfg.coldstart_jitter, cfg.coldstart_jitter
+        )
+        return launch if launch > 0.0 else 0.0
 
     def _try_compute_stages(self, unit: UnitRun) -> None:
         """Prepare and compute every stage of the unit whose inputs are known."""
@@ -834,7 +880,8 @@ class SwiftRuntime:
     def _compute_ready_instances(self, sr: StageRun) -> None:
         """Compute finish times for dispatched-but-uncomputed instances.
 
-        One rng draw per instance, in instance order.  Stage aggregates are
+        One rng draw per instance, in instance order.  An instance that lost
+        its executor waits for recovery instead.  Stage aggregates are
         carried in locals and written back once.  Each instance's finish
         event is scheduled inline, in instance order; ``schedule_batch`` is
         not used because it takes delays, and ``now + (finish - now)`` need
@@ -858,7 +905,7 @@ class SwiftRuntime:
         dispatched = TaskState.DISPATCHED
         inf = math.inf
         for inst in sr.instances:
-            if inst.state is not dispatched or inst.finish_time != inf:
+            if inst.state is not dispatched or inst.finish_time != inf or inst.executor is None:
                 continue
             proc = work * (1.0 + uniform(0.0, 0.06))
             inst.proc = proc
@@ -1213,6 +1260,10 @@ class SwiftRuntime:
                     # its completion until recovery re-runs it.
                     inst.finish_time = math.inf
                     self._cancel_finish(inst)
+            # Requests that no longer fit the live pool can never be
+            # granted: fail their jobs instead of letting a dead gang block
+            # the queue head.
+            self._check_schedulable(self.scheduler.pending())
             if self.policy.recovery == FailureRecovery.JOB_RESTART:
                 # Restart every job that lost an in-flight task, not just the
                 # one the spec targeted: a machine death is cluster-wide.
@@ -1454,7 +1505,8 @@ class SwiftRuntime:
         job_run.edge_extra_delay.clear()
 
     def _release_job_resources(self, job_run: JobRun) -> None:
-        self.scheduler.cancel_job(job_run.job.job_id)
+        for item in self.scheduler.cancel_job(job_run.job.job_id):
+            self._waiting_reruns.pop(item.request_id, None)
         trace_on = self.tracer.enabled
         for sr in job_run.stage_runs.values():
             if sr.registered_connections:
@@ -1502,13 +1554,18 @@ class SwiftRuntime:
         job_run = sr.job_run
         if job_run.done or job_run.aborted or job_run.failed:
             return
-        if inst.state in (TaskState.DEAD, TaskState.PENDING):
+        if inst.state in (TaskState.DEAD, TaskState.PENDING, TaskState.WAITING):
             # A task that never received a plan has produced nothing and
-            # consumed nothing; there is nothing to recover.
+            # consumed nothing, and a re-run waiting for its executor has not
+            # started; there is nothing to recover.
             return
         if inst.start == math.inf:
             # Dispatched but never computed (inputs still unknown): the
-            # normal flow will execute it; nothing to recover.
+            # normal flow will execute it.  If it lost its executor, it goes
+            # back to pending and its unit asks for one, as at its first
+            # dispatch.
+            if inst.executor is None:
+                self._requeue(inst)
             return
         has_executed = {
             name: s.n_computed > 0 and any(i.start <= self.sim.now for i in s.instances)
@@ -1550,11 +1607,7 @@ class SwiftRuntime:
             pred = job_run.dag.stage(pred_name)
             share = pred.total_output_bytes / max(1, sr.stage.task_count)
             resend_delay += share / self.config.network.nic_bandwidth
-        base = self.sim.now + resend_delay
-        # Re-run the failed task itself.
-        new_finish = self._rerun_instance(inst, base)
-        if new_finish is None:
-            # Retry budget exhausted; the job has been failed.
+        if not self._retry_left(inst):
             return
         if self.tracer.enabled:
             self.tracer.instant(
@@ -1565,81 +1618,164 @@ class SwiftRuntime:
                 rerun_stages=len(decision.rerun_stages),
             )
             self.tracer.count("task_reruns_executed")
-        # Non-idempotent case: executed same-unit successors re-run too,
-        # each gated on the upstream re-run finishing.
-        for stage_name in decision.rerun_stages:
-            if stage_name == sr.name:
-                continue
-            succ_sr = job_run.stage_runs[stage_name]
-            gate = new_finish
-            stage_finish = gate
-            for succ_inst in succ_sr.instances:
-                if succ_inst.state == TaskState.PENDING:
-                    continue
-                finish = self._rerun_instance(succ_inst, gate)
-                if finish is None:
-                    return
-                stage_finish = max(stage_finish, finish)
-            new_finish = stage_finish
-        self._propagate_delays(sr)
+        successors = tuple(name for name in decision.rerun_stages if name != sr.name)
+        # Re-run the failed task itself; the rest of the recovery waits for
+        # its times.
+        self._rerun_instance(
+            inst, self.sim.now + resend_delay,
+            lambda finish: self._rerun_successors(sr, successors, finish),
+        )
 
-    def _rerun_instance(self, inst: TaskInstance, not_before: float) -> Optional[float]:
-        """Re-execute ``inst`` in place; returns its new finish time.
+    def _requeue(self, inst: TaskInstance) -> None:
+        """Send a dispatched task that has not run, and holds no executor,
+        back to pending; its unit asks for one executor, and the grant
+        dispatches it as a first run."""
+        inst.state = TaskState.PENDING
+        unit = inst.stage_run.job_run.units[inst.stage_run.unit_id]
+        item = self._request(unit, 1)
+        self._request_units[item.request_id] = unit
+        self._pump_scheduler()
 
-        Each re-run consumes one unit of the task's retry budget and pays an
-        exponential backoff (with deterministic jitter drawn from the
-        simulator rng).  When the budget is exhausted the job is failed with
-        a clear reason and ``None`` is returned.
+    def _yield_idle_executors(self) -> bool:
+        """The event queue drained with requests still queued: no running
+        task will release an executor, and the executors they need are held
+        by dispatched tasks whose inputs are not ready, as an eagerly
+        granted unit (Bubble) holds them while the producer it waits for
+        has lost its executor to a failure.  Those tasks give their
+        executors back and are requeued; True when any was."""
+        if not self.scheduler._pending:
+            return False
+        idle = [
+            inst
+            for job_run in self.job_runs.values()
+            if not (job_run.done or job_run.failed)
+            for sr in job_run.stage_runs.values()
+            for inst in sr.instances
+            if inst.state is TaskState.DISPATCHED
+            and inst.start == math.inf
+            and inst.executor is not None
+        ]
+        for inst in idle:
+            inst.executor.release()
+            inst.executor = None
+            self._requeue(inst)
+        return bool(idle)
+
+    def _rerun_successors(
+        self, sr: StageRun, stages: tuple[str, ...], gate: float
+    ) -> None:
+        """The rest of a recovery, run once the re-run of ``sr``'s failed
+        task has its times.  Non-idempotent case: the executed instances of
+        each same-unit successor stage in ``stages`` re-run, gated on every
+        re-run before them finishing (``gate``).  Then the stages downstream
+        of ``sr`` are re-timed."""
+        if not stages:
+            self._propagate_delays(sr)
+            return
+        rest = stages[1:]
+        insts = [
+            i for i in sr.job_run.stage_runs[stages[0]].instances
+            if i.state not in (TaskState.PENDING, TaskState.WAITING)
+        ]
+        if not insts:
+            self._rerun_successors(sr, rest, gate)
+            return
+        finishes = [gate]
+
+        def timed(finish: float) -> None:
+            finishes.append(finish)
+            if len(finishes) > len(insts):
+                self._rerun_successors(sr, rest, max(finishes))
+
+        for succ_inst in insts:
+            if not self._retry_left(succ_inst):
+                return
+            self._rerun_instance(succ_inst, gate, timed)
+
+    def _retry_left(self, inst: TaskInstance) -> bool:
+        """True when ``inst`` may re-run once more.  Otherwise its retry
+        budget is exhausted and its job is failed with a clear reason."""
+        retry = self.config.retry
+        if inst.attempt + 1 <= retry.max_task_retries:
+            return True
+        sr = inst.stage_run
+        self._fail_job(
+            sr.job_run,
+            reason=(
+                f"retry budget exhausted: task {sr.name}[{inst.index}] "
+                f"failed {inst.attempt + 1} times "
+                f"(max_task_retries={retry.max_task_retries})"
+            ),
+        )
+        return False
+
+    def _rerun_instance(
+        self, inst: TaskInstance, not_before: float, then: Callable[[float], None]
+    ) -> None:
+        """Re-execute ``inst`` in place, then call ``then`` with its new
+        finish time.
+
+        Each re-run consumes one unit of the task's retry budget (callers
+        check :meth:`_retry_left` first) and pays, in this order, the
+        policy's launch (:meth:`_launch`, as a first run does), an
+        exponential backoff with jitter drawn from the simulator rng, and
+        plan generation on a Plan Handler miss.  A re-run that still holds
+        its executor (the process survived a task crash) starts at once.
+        One without is suspended (``WAITING``, no finish event) until the
+        scheduler grants its one-executor request.
         """
         sr = inst.stage_run
         retry = self.config.retry
-        if inst.attempt + 1 > retry.max_task_retries:
-            self._fail_job(
-                sr.job_run,
-                reason=(
-                    f"retry budget exhausted: task {sr.name}[{inst.index}] "
-                    f"failed {inst.attempt + 1} times "
-                    f"(max_task_retries={retry.max_task_retries})"
-                ),
-            )
-            return None
         inst.attempt += 1
         if inst.state == TaskState.FINISHED:
             sr.n_finalized -= 1
             sr.completed = False
-        inst.state = TaskState.DISPATCHED
         sr.job_run.metrics.task_reruns += 1
+        inst.launch = self._launch()
         backoff = retry.backoff(inst.attempt)
         backoff += backoff * retry.jitter_frac * self.sim.rng.random()
-        relaunch = self.config.executor.prelaunched_overhead + backoff
+        relaunch = inst.launch + backoff
         # Recovery re-dispatches a cached plan (Plan Handler hit); only a
         # never-before-dispatched task pays plan generation again.
         if not self.admin.plan_cached(sr.job_run.job.job_id, sr.name):
             relaunch += self.config.admin.event_processing_time
-        if inst.executor is None:
-            executor = self._grab_free_executor()
-            if executor is not None:
-                executor.assign(inst)
-                executor.start()
-                inst.executor = executor
-                relaunch += self.config.admin.dispatch_latency
-            else:
-                # No free slot right now; model a short re-acquire wait.
-                relaunch += 0.5
-        inst.ready = not_before + relaunch
+        if inst.executor is not None:
+            self._start_rerun(inst, not_before, relaunch, then)
+            return
+        inst.state = TaskState.WAITING
+        inst.finish_time = math.inf
+        self._cancel_finish(inst)
+        item = self._request(sr.job_run.units[sr.unit_id], 1)
+        self._waiting_reruns[item.request_id] = (inst, not_before, relaunch, then)
+        self._pump_scheduler()
+
+    def _start_rerun(
+        self,
+        inst: TaskInstance,
+        not_before: float,
+        relaunch: float,
+        then: Callable[[float], None],
+        executor: Optional[Executor] = None,
+    ) -> None:
+        """Start a re-run on the executor it holds, or on ``executor`` just
+        granted to it, which also costs ``dispatch_latency``.  It is ready
+        ``relaunch`` after the later of ``not_before`` and now; time it,
+        queue its finish event and continue its recovery."""
+        if executor is not None:
+            executor.current_task = inst
+            executor.start()
+            inst.executor = executor
+            relaunch += self.config.admin.dispatch_latency
+        inst.state = TaskState.DISPATCHED
+        sr = inst.stage_run
+        start = not_before if not_before > self.sim.now else self.sim.now
+        inst.ready = start + relaunch
         inst.start, inst.finish_time = _task_times(
             inst.ready, sr.barrier_avail, sr.pipeline_floor, sr.pipeline_first_input,
             self.config.pipeline_flush_latency, inst.read, inst.proc, inst.write)
         sr.finish_estimate = max(sr.finish_estimate, inst.finish_time)
         self._schedule_finish(inst)
-        return inst.finish_time
-
-    def _grab_free_executor(self) -> Optional[Executor]:
-        for machine in self.cluster.schedulable_machines():
-            stack = machine._free_stack
-            if stack:
-                return stack[-1]
-        return None
+        then(inst.finish_time)
 
     def _output_consumed(self, sr: StageRun) -> bool:
         """True when every consumer of ``sr`` has already read its output."""

@@ -6,7 +6,7 @@ flock ... For tasks without locality preference, the most free machine is
 chosen.  For each graphlet received, gang scheduling is used."
 
 Requests are recorded as request items (ReqItem) in a heap ordered by
-``(priority, enqueue_time, request_id)``; on every resource event the
+``(priority, enqueue_time, order, request_id)``; on every resource event the
 scheduler walks the heap from its head and grants each request that fits
 entirely (gang semantics: all-or-nothing per unit), stopping at the first
 gang that does not.  Executors are picked through the cluster's load index,
@@ -18,9 +18,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
 from itertools import islice
-from typing import Optional
+from typing import Iterable, Optional
 
 from ..sim.cluster import Cluster, Executor, ExecutorState, Machine
+
+
+class SchedulingImpossibleError(ValueError):
+    """A gang request exceeds the cluster as built: malformed input that no
+    schedule can ever satisfy."""
 
 
 @dataclass
@@ -40,6 +45,9 @@ class ReqItem:
     locality: tuple[int, ...] = ()
     priority: int = 0
     enqueue_time: float = 0.0
+    #: Rank among requests of equal priority and enqueue time: the request
+    #: id, or that of the request whose place in the queue this one takes.
+    order: int = 0
     gang: bool = True
     remaining: int = 0
     granted: bool = False
@@ -64,9 +72,10 @@ class ResourceScheduler:
         self.cluster = cluster
         #: Pending requests by id, in arrival order.
         self._pending: dict[int, ReqItem] = {}
-        #: ``(priority, enqueue_time, request_id, item)`` for every pending
-        #: request, plus cancelled ones not yet popped (deleted lazily).
-        self._heap: list[tuple[int, float, int, ReqItem]] = []
+        #: ``(priority, enqueue_time, order, request_id, item)`` for every
+        #: pending request, plus cancelled ones not yet popped (deleted
+        #: lazily).
+        self._heap: list[tuple[int, float, int, int, ReqItem]] = []
         self._next_id = 0
         self.grants_made = 0
         #: Head-of-line gang size we last failed to satisfy; while the free
@@ -86,16 +95,26 @@ class ResourceScheduler:
         priority: int = 0,
         now: float = 0.0,
         gang: bool = True,
+        place_of: Optional[ReqItem] = None,
     ) -> ReqItem:
-        """Enqueue a request item; raises for impossible gang sizes."""
+        """Enqueue a request item, at ``place_of``'s place in the queue
+        (its priority, enqueue time and order) when given.
+
+        Raises :class:`SchedulingImpossibleError` for a gang larger than the
+        cluster as built.  A gang that fits the cluster but not its live
+        machines is enqueued; :meth:`unschedulable` reports it.
+        """
         if n_executors < 1:
             raise ValueError("a resource request needs at least one executor")
         if gang and n_executors > self.cluster.total_executors():
-            raise ValueError(
+            raise SchedulingImpossibleError(
                 f"gang request for {n_executors} executors exceeds cluster "
                 f"capacity {self.cluster.total_executors()}"
             )
         self._next_id += 1
+        order = self._next_id
+        if place_of is not None:
+            priority, now, order = place_of.priority, place_of.enqueue_time, place_of.order
         item = ReqItem(
             request_id=self._next_id,
             job_id=job_id,
@@ -104,27 +123,38 @@ class ResourceScheduler:
             locality=locality,
             priority=priority,
             enqueue_time=now,
+            order=order,
             gang=gang,
         )
         self._pending[item.request_id] = item
-        heappush(self._heap, (priority, now, item.request_id, item))
+        heappush(self._heap, (priority, now, order, item.request_id, item))
         self._stalled_need = None
         return item
 
-    def cancel_job(self, job_id: str) -> None:
-        """Drop all of one job's queued requests."""
+    def cancel_job(self, job_id: str) -> list[ReqItem]:
+        """Drop all of one job's queued requests; returns them."""
         pending = self._pending
-        for item in [r for r in pending.values() if r.job_id == job_id]:
+        dropped = [r for r in pending.values() if r.job_id == job_id]
+        for item in dropped:
             item.cancelled = True
             del pending[item.request_id]
         if len(self._heap) > 2 * len(pending) + 64:
             # Mostly cancelled entries: rebuild rather than let them pile up.
             self._heap = [
-                (r.priority, r.enqueue_time, r.request_id, r)
+                (r.priority, r.enqueue_time, r.order, r.request_id, r)
                 for r in pending.values()
             ]
             heapify(self._heap)
         self._stalled_need = None
+        return dropped
+
+    def unschedulable(self, items: Iterable[ReqItem]) -> list[ReqItem]:
+        """The requests among ``items`` that no grant can ever satisfy: the
+        smallest grant each accepts (its whole remainder for a gang, one
+        executor otherwise) exceeds the executors on live machines.  This is
+        the one place a request's size meets the live pool."""
+        live = self.cluster.live_executors()
+        return [r for r in items if (r.remaining if r.gang else 1) > live]
 
     def pending(self) -> list[ReqItem]:
         """Requests still waiting for executors, in arrival order."""
@@ -175,9 +205,9 @@ class ResourceScheduler:
         dirty = self.cluster._dirty
         # Entries popped but still pending (partial grants, failed picks);
         # pushed back with their keys unchanged, so they keep their place.
-        kept: list[tuple[int, float, int, ReqItem]] = []
+        kept: list[tuple[int, float, int, int, ReqItem]] = []
         while heap:
-            item = heap[0][3]
+            item = heap[0][4]
             if item.granted or item.cancelled:
                 heappop(heap)
                 pending.pop(item.request_id, None)

@@ -126,8 +126,6 @@ class Machine:
         #: Running count of tasks currently in a network/disk-heavy phase;
         #: used for contention estimates.
         self.active_transfers = 0
-        #: Recent task failures, used by the health monitor.
-        self.recent_failures: list[float] = []
         #: The load this machine is filed under in the cluster's load index;
         #: ``None`` while it is not filed (not schedulable, or not indexed
         #: yet).
@@ -197,16 +195,10 @@ class Machine:
             self._withdraw_from_pool()
             self.state = MachineState.DEAD
             if self._cluster is not None:
+                self._cluster._live_executors -= len(self.executors)
                 self._cluster._health_changed(self)
             for executor in self.executors:
                 executor.revoke()
-
-    def record_failure(self, now: float, window: float) -> int:
-        """Record a task failure; return the count within ``window`` seconds."""
-        self.recent_failures.append(now)
-        cutoff = now - window
-        self.recent_failures = [t for t in self.recent_failures if t >= cutoff]
-        return len(self.recent_failures)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Machine {self.machine_id} {self.state.value} {self.busy_count()}/{len(self.executors)}>"
@@ -244,6 +236,9 @@ class Cluster:
         #: Machine membership is fixed after construction, so the slot total
         #: is a constant (queried on every request validation).
         self._total_executors = sum(len(m.executors) for m in machines)
+        #: Slots on machines that have not died; ``Machine.mark_dead``
+        #: lowers it.
+        self._live_executors = sum(len(m.executors) for m in machines if m.alive)
         #: Cache of :meth:`schedulable_machines`, invalidated by the
         #: ``mark_*`` health transitions.  Callers must not mutate it.
         self._schedulable_cache: Optional[list[Machine]] = None
@@ -412,6 +407,11 @@ class Cluster:
     def total_executors(self) -> int:
         """Executor slots across all machines (fixed after construction)."""
         return self._total_executors
+
+    def live_executors(self) -> int:
+        """Executor slots on machines that have not died (O(1)): the most
+        any request can ever be granted."""
+        return self._live_executors
 
     def free_executor_count(self) -> int:
         """Idle executors on machines that accept tasks (O(1))."""

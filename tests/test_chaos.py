@@ -188,6 +188,40 @@ def test_bounded_shuffle_recovery_invariant():
     assert len(out) == 1
 
 
+def _failed(reason):
+    from repro.core.metrics import JobMetrics
+    from repro.core.runtime import JobResult
+
+    return JobResult(job_id="j", policy_name="swift", metrics=JobMetrics(job_id="j"),
+                     completed=False, failed=True, reason=reason)
+
+
+def test_unschedulable_failure_is_explained_by_a_machine_crash():
+    from repro.chaos.campaign import ChaosEvent
+    from repro.chaos.invariants import check_failure_reasons
+    from repro.sim.failures import FailureKind
+
+    crash = ChaosEvent(kind=FailureKind.MACHINE_CRASH.value, at_fraction=0.5,
+                       machine_id=0)
+    result = _failed("unschedulable: unit 1 needs 57 executors (gang); "
+                     "live machines hold 48")
+    assert check_failure_reasons(_campaign([crash]), [result]) == []
+
+
+@pytest.mark.parametrize("kind", ["task_crash", "machine_quarantine", None])
+def test_unschedulable_failure_without_a_machine_crash_is_a_violation(kind):
+    """Only a dead machine shrinks the live pool; a quarantined one may
+    come back, and a crashed task or process frees its executor."""
+    from repro.chaos.campaign import ChaosEvent
+    from repro.chaos.invariants import check_failure_reasons
+
+    events = [] if kind is None else [ChaosEvent(kind=kind, at_fraction=0.5, machine_id=0)]
+    result = _failed("unschedulable: unit 1 needs 57 executors (gang); "
+                     "live machines hold 64")
+    out = check_failure_reasons(_campaign(events), [result])
+    assert [v.invariant for v in out] == ["unexpected-job-failure"]
+
+
 def test_cli_chaos_sweep(tmp_path, capsys):
     from repro.cli import main
 
@@ -221,8 +255,8 @@ def test_job_finish_time_invariant():
 
     from conftest import as_job, chain_dag
 
-    # A cold-started task crashes while launching; its warm re-run
-    # finishes before the first attempt would have.
+    # A cold-started task crashes while launching; its re-run draws a
+    # shorter cold start and finishes before the first attempt would have.
     spec = FailureSpec(kind=FailureKind.TASK_CRASH, stage="S1", task_index=0,
                        at_fraction=0.01)
     runtime = SwiftRuntime(Cluster.build(1, 4), spark_policy(),

@@ -11,8 +11,10 @@ Invariants the performance work must never break:
   failure-free and under every failure kind.  The busy intervals are the
   traced task-attempt spans (``RecordingTracer.task_intervals()``), which
   reproduce byte for byte the runtime-side list the fingerprints were
-  first recorded from.  They were last regenerated when each task got one
-  live finish event, so that a re-run finishes at its own time.
+  first recorded from.  They were last regenerated when re-runs began
+  to take their executor from the Resource Scheduler and their launch
+  from the policy's launch model (13 machine-crash, process-restart and
+  task-crash cases of Swift, Bubble and Spark moved).
   Regenerate them only with a change meant to move simulated outcomes,
   and say which cases moved and why::
 

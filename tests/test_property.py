@@ -552,6 +552,130 @@ def test_retiming_with_unmoved_inputs_keeps_task_times(make_policy, kind, dag, a
     assert result.completed
 
 
+# ----------------------------------------------------------------------
+# Recovery: every attempt runs on a live executor and pays its launch
+# ----------------------------------------------------------------------
+
+@st.composite
+def recovery_runs(draw):
+    """One to three layered-DAG jobs with staggered arrivals, a cluster of
+    two to four machines with one to eight executors each (often smaller
+    than the jobs), and one failure of the first job at a fraction of its
+    failure-free run."""
+    dags = draw(st.lists(layered_dags(), min_size=1, max_size=3))
+    gaps = draw(st.lists(st.sampled_from((0.0, 0.5, 2.0)), min_size=len(dags),
+                         max_size=len(dags)))
+    machines = draw(st.integers(min_value=2, max_value=4))
+    executors = draw(st.integers(min_value=1, max_value=8))
+    at = draw(st.floats(min_value=0.05, max_value=0.9))
+    return dags, gaps, machines, executors, at
+
+
+def _run_with_one_failure(make_policy, kind, dags, gaps, machines, executors, at):
+    """Run the jobs with one ``kind`` failure of job ``j0`` (a machine
+    crash hits machine 0); returns the runtime, the job ids, the results,
+    the failure's detection time from the trace, and every finalized
+    attempt with whether it held an executor on a live machine as it
+    finished.  Machines get at least enough executors for the policy's
+    largest gang, so every job is valid input."""
+    from repro.core.dag import Job
+    from repro.core.runtime import SwiftRuntime
+    from repro.obs import RecordingTracer
+    from repro.sim.failures import FailureKind, FailurePlan, FailureSpec
+
+    policy = make_policy()
+    jobs, submit = [], 0.0
+    for i, (dag, gap) in enumerate(zip(dags, gaps)):
+        submit += gap
+        jobs.append(Job(dag=JobDAG(f"j{i}", dag.stages.values(), dag.edges),
+                        submit_time=submit))
+    if policy.gang:
+        gang = max(g.task_count(job.dag) for job in jobs
+                   for g in policy.partitioner.partition(job.dag).graphlets)
+        executors = max(executors, math.ceil(gang / machines))
+    baseline = SwiftRuntime(Cluster.build(machines, executors), make_policy())
+    baseline.submit_all(jobs)
+    reference = {r.job_id: r.latency for r in baseline.run()}
+    spec = FailureSpec(kind=FailureKind(kind), at_fraction=at, job_id="j0",
+                       machine_id=0 if kind == "machine_crash" else None)
+    tracer = RecordingTracer()
+    runtime = SwiftRuntime(Cluster.build(machines, executors), make_policy(),
+                           failure_plan=FailurePlan([spec]),
+                           reference_duration=reference, tracer=tracer)
+    finalized = []
+    finalize = runtime._flush_finishes
+
+    def recorded(inst):
+        live = inst.executor is not None and inst.executor.machine.alive
+        finalized.append((inst.stage_run.name, inst.index, inst.attempt, live))
+        finalize(inst)
+
+    runtime._flush_finishes = recorded
+    runtime.submit_all(jobs)
+    results = runtime.run()
+    detected = [r.ts for r in tracer.records if r.name == "failure.detected"]
+    return runtime, [job.job_id for job in jobs], results, detected, finalized
+
+
+_RECOVERY_KINDS = ["task_crash", "process_restart", "machine_crash"]
+
+
+@pytest.mark.parametrize("kind", _RECOVERY_KINDS)
+@pytest.mark.parametrize("make_policy", _policies(), ids=lambda p: p.__name__)
+@given(run=recovery_runs())
+@settings(max_examples=15, deadline=None)
+def test_every_finishing_attempt_holds_a_live_executor(make_policy, kind, run):
+    """(a) First runs, re-runs and tasks that lost their executor before
+    running all finish on an executor of a live machine."""
+    _, _, _, _, finalized = _run_with_one_failure(make_policy, kind, *run)
+    for stage, index, attempt, live in finalized:
+        assert live, (stage, index, attempt)
+
+
+@pytest.mark.parametrize("kind", _RECOVERY_KINDS)
+@pytest.mark.parametrize("make_policy", _policies(), ids=lambda p: p.__name__)
+@given(run=recovery_runs())
+@settings(max_examples=15, deadline=None)
+def test_rerun_pays_backoff_launch_and_processing_after_detection(make_policy, kind, run):
+    """(b) A re-run finishes no earlier than its failure's detection plus
+    its backoff, the policy's cheapest launch and its processing time.
+    The bound comes from config constants only."""
+    from repro.core.policies import LaunchModel
+    from repro.sim.config import SimConfig
+
+    _, _, results, detected, _ = _run_with_one_failure(make_policy, kind, *run)
+    config = SimConfig()
+    executor = config.executor
+    if make_policy().launch == LaunchModel.PRELAUNCHED:
+        min_launch = executor.prelaunched_overhead
+    else:
+        min_launch = max(0.0, executor.coldstart_mean - executor.coldstart_jitter)
+    reruns = [t for r in results for t in r.metrics.tasks if t.attempt > 0]
+    if reruns:
+        (detect,) = detected
+    for t in reruns:
+        bound = detect + config.retry.backoff(t.attempt) + min_launch + t.processing_time
+        assert t.finish >= bound, (t.stage, t.index, t.attempt, t.finish, bound)
+
+
+@pytest.mark.parametrize("kind", _RECOVERY_KINDS)
+@pytest.mark.parametrize("make_policy", _policies(), ids=lambda p: p.__name__)
+@given(run=recovery_runs())
+@settings(max_examples=15, deadline=None)
+def test_every_submitted_job_ends_with_one_result(make_policy, kind, run):
+    """(c) The run never drains with a job unfinished: each completes, or
+    fails with a reason, exactly once, and no request stays queued and no
+    re-run waiting."""
+    runtime, job_ids, results, _, _ = _run_with_one_failure(make_policy, kind, *run)
+    assert sorted(r.job_id for r in results) == sorted(job_ids)
+    for result in results:
+        assert result.completed != result.failed
+        if result.failed:
+            assert result.reason.startswith(("unschedulable:", "retry budget exhausted"))
+    assert runtime.scheduler.pending() == []
+    assert runtime._waiting_reruns == {}
+
+
 @given(
     st.lists(
         st.sampled_from(

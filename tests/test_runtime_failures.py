@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import pytest
 
-from repro.baselines import restart_policy, spark_policy
+from repro.baselines import bubble_policy, jetscope_policy, restart_policy, spark_policy
 from repro.core.policies import swift_policy
 from repro.core.runtime import SwiftRuntime
 from repro.obs import Category, RecordingTracer
 from repro.sim.cluster import Cluster, MachineState
 from repro.sim.failures import FailureKind, FailurePlan, FailureSpec
+
+from repro.workloads import traces
 
 from conftest import as_job, chain_dag, kind_plan, run_jobs, trace_jobs
 
@@ -289,10 +291,11 @@ def test_quarantine_mid_flight_keeps_free_slot_counter_exact(recovers):
 
 
 def test_rerun_finishing_earlier_completes_at_its_own_finish():
-    """A cold-started task that crashes while still launching re-runs on a
-    warm executor and finishes well before its first attempt would have.
+    """A cold-started task that crashes while still launching re-runs with
+    a cold start of its own, whose draw here is shorter than the first
+    attempt's, so the re-run finishes before the first attempt would have.
     The job must complete when that re-run finishes, not when the first
-    attempt's finish event fires."""
+    attempt's (cancelled) finish event would have fired."""
     dag = chain_dag("early", tasks=1, n_stages=1)
     spec = FailureSpec(kind=FailureKind.TASK_CRASH, stage="S1", task_index=0,
                        at_fraction=0.01)
@@ -303,6 +306,98 @@ def test_rerun_finishing_earlier_completes_at_its_own_finish():
     (timing,) = result.metrics.tasks
     assert timing.attempt == 1
     assert result.metrics.finish_time == pytest.approx(timing.finish)
+
+
+def test_rerun_pays_its_policy_launch():
+    """A Spark task that crashes while it cold-starts keeps its executor
+    (a task crash), and its re-run pays a cold start again, not the
+    prelaunched overhead: the launch it reports is a cold start, and its
+    finish lies at least its backoff, that launch and its processing after
+    the crash."""
+    dag = chain_dag("early", tasks=1, n_stages=1)
+    spec = FailureSpec(kind=FailureKind.TASK_CRASH, stage="S1", task_index=0,
+                       at_fraction=0.01)
+    result, _, runtime = run_with_failures(dag, [spec], policy=spark_policy(),
+                                           machines=1, executors=4, reference=10.0)
+    executor, retry = runtime.config.executor, runtime.config.retry
+    (timing,) = result.metrics.tasks
+    assert timing.attempt == 1
+    assert timing.launch_time >= executor.coldstart_mean - executor.coldstart_jitter
+    crashed_at = 0.01 * 10.0
+    assert timing.finish >= (
+        crashed_at + retry.backoff(1) + timing.launch_time + timing.processing_time
+    )
+
+
+def test_every_finishing_attempt_holds_a_live_executor(monkeypatch):
+    """Spark on 8 x 32 with a machine crash for half of 40 tightly packed
+    trace jobs: re-runs that find no free executor wait for a grant
+    instead of running on none, and a job whose requests no longer fit the
+    live machines fails with a reason instead of never ending."""
+    finishing = []
+    flush = SwiftRuntime._flush_finishes
+
+    def checked(self, inst):
+        executor = inst.executor
+        finishing.append(executor is not None and executor.machine.alive)
+        flush(self, inst)
+
+    monkeypatch.setattr(SwiftRuntime, "_flush_finishes", checked)
+    jobs = traces.generate_trace(
+        traces.TraceConfig(n_jobs=40, mean_interarrival=0.02, seed=7)
+    )
+
+    def run(plan, reference):
+        runtime = SwiftRuntime(Cluster.build(8, 32), spark_policy(),
+                               failure_plan=plan, reference_duration=reference)
+        runtime.submit_all(list(jobs))
+        return runtime.run()
+
+    reference = {r.job_id: r.latency for r in run(None, 100.0)}
+    results = run(kind_plan(jobs, FailureKind.MACHINE_CRASH, 0), reference)
+    assert finishing and all(finishing)
+    assert sorted(r.job_id for r in results) == sorted(j.job_id for j in jobs)
+    for result in results:
+        assert result.completed or result.reason.startswith("unschedulable:")
+
+
+@pytest.mark.parametrize("machine_id", [0, 1], ids=["producer_lost", "consumer_lost"])
+def test_eager_units_recover_on_live_executors(machine_id, monkeypatch):
+    """Bubble on 2 x 1 grants the consumer S2 its executor while the sort
+    S1 still runs.  Crashing S1's machine leaves S2 holding the only live
+    executor while it waits for S1's output: S2 yields it, S1 re-runs on
+    it, and S2 is dispatched again.  Crashing S2's machine before S2 ran
+    sends S2 back to pending and its unit asks for a new executor."""
+    finishing = []
+    flush = SwiftRuntime._flush_finishes
+
+    def checked(self, inst):
+        executor = inst.executor
+        finishing.append(executor is not None and executor.machine.alive)
+        flush(self, inst)
+
+    monkeypatch.setattr(SwiftRuntime, "_flush_finishes", checked)
+    dag = chain_dag("eager", blocking_stages=(1,), n_stages=2, tasks=1)
+    spec = FailureSpec(kind=FailureKind.MACHINE_CRASH, machine_id=machine_id, at_fraction=0.5)
+    result, _, runtime = run_with_failures(dag, [spec], policy=bubble_policy(),
+                                           machines=2, executors=1)
+    assert result.completed
+    assert finishing and all(finishing)
+    assert runtime.scheduler.pending() == []
+
+
+def test_gang_that_no_longer_fits_the_live_pool_fails_its_job():
+    """JetScope restarts a 57-task whole-job gang after machine 0 of 4 x 16
+    crashes; 48 executors are left, so the gang can never be granted.  The
+    job fails with an ``unschedulable:`` reason and nothing stays queued."""
+    dag = chain_dag("big", n_stages=3, tasks=19)
+    spec = FailureSpec(kind=FailureKind.MACHINE_CRASH, machine_id=0, at_fraction=0.5)
+    result, _, runtime = run_with_failures(dag, [spec], policy=jetscope_policy(),
+                                           machines=4, executors=16)
+    assert runtime.results == [result]
+    assert result.failed
+    assert result.reason.startswith("unschedulable:")
+    assert runtime.scheduler.pending() == []
 
 
 @pytest.mark.parametrize("kind", list(FailureKind), ids=lambda k: k.name)

@@ -99,12 +99,18 @@ def test_dead_machine_not_marked_read_only():
     assert machine.state == MachineState.DEAD
 
 
-def test_record_failure_window():
-    machine = Machine(0, 1)
-    assert machine.record_failure(now=10.0, window=30.0) == 1
-    assert machine.record_failure(now=20.0, window=30.0) == 2
-    # The first failure ages out of the window.
-    assert machine.record_failure(now=45.0, window=30.0) == 2
+def test_live_executors_count_only_machines_that_have_not_died():
+    """Quarantine keeps a machine's slots live (it may come back); death
+    removes them once, and ``total_executors`` keeps the cluster as built."""
+    cluster = Cluster.build(3, 4)
+    assert cluster.live_executors() == 12
+    cluster.machines[0].mark_read_only()
+    assert cluster.live_executors() == 12
+    cluster.machines[1].mark_dead()
+    cluster.machines[1].mark_dead()
+    cluster.machines[0].mark_dead()
+    assert cluster.live_executors() == 4
+    assert cluster.total_executors() == 12
 
 
 def test_schedulable_excludes_read_only_and_dead():
