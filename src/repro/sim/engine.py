@@ -7,17 +7,13 @@ engine is intentionally independent of the cluster model so that it can be
 unit-tested and reused (the fault injector and the trace replayer both drive
 it directly).
 
-:class:`Simulator` is array-backed.  The heap is a flat array of
-``(time, priority, seq, slot)`` rows, so heap sifting uses C-level tuple
-comparison instead of a Python ``__lt__``.  ``slot`` indexes
-struct-of-arrays storage (a seq validity array keyed into a callback+args
-table); cancellation is a bitmask over slots, and slots are recycled
-through a free stack.  ``schedule_batch`` amortises heap maintenance for
-bulk producers (trace arrivals and job submissions).  The original
-object-heap kernel lives on in ``tests/legacy_kernel.py`` as a
-differential oracle: the kernel tests run on both, and
-``tests/test_determinism.py`` drives random interleavings through both in
-lockstep.
+One object per event: the heap holds ``(time, priority, seq, event)``
+tuples, and the :class:`Event` itself owns its callback, arguments and
+cancelled flag.  ``seq`` is unique, so heap sifting is C-level tuple
+comparison that never reaches the ``Event``.  The original object-heap
+kernel lives on in ``tests/legacy_kernel.py`` as a differential oracle: the
+kernel tests run on both, and ``tests/test_determinism.py`` drives random
+interleavings through both in lockstep.
 
 Cancelled events use lazy deletion: :meth:`Event.cancel` only marks the
 entry, and the engine drops it when it reaches the top of the heap.  A live
@@ -31,7 +27,6 @@ attempt (``repro.core.runtime``), so every queued finish event is live.
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
-from array import array
 from math import inf
 from typing import Any, Callable, Iterable, Optional, Tuple
 
@@ -58,60 +53,52 @@ BatchItem = Tuple[float, Callable[..., Any], tuple]
 
 
 class Event:
-    """Handle for a scheduled callback in the array-backed kernel.
+    """A scheduled callback.
 
-    The handle does not own the callback — it only remembers which slot/seq
-    pair it named, so :meth:`cancel` after the event executed (or after
-    ``clear_pending`` wiped the queue) is a safe no-op: the seq check fails
-    and nothing is touched.
+    ``_sim`` is the owning simulator only while the event is queued and
+    live; running, cancelling or ``clear_pending`` detach it, so a late
+    :meth:`cancel` is a no-op instead of corrupting the live counter.
     """
 
-    __slots__ = ("time", "priority", "seq", "cancelled", "_sim", "_slot")
+    __slots__ = ("time", "callback", "args", "cancelled", "_sim")
 
     def __init__(
-        self, sim: "Simulator", slot: int, time: float, priority: int, seq: int
+        self,
+        sim: "Simulator",
+        time: float,
+        callback: Callable[..., Any],
+        args: tuple,
     ) -> None:
         self.time = time
-        self.priority = priority
-        self.seq = seq
+        self.callback = callback
+        self.args = args
         self.cancelled = False
-        self._sim = sim
-        self._slot = slot
+        self._sim: Optional[Simulator] = sim
 
     def cancel(self) -> None:
         """Mark the event so the engine skips it when popped."""
-        if self.cancelled:
-            return
         self.cancelled = True
-        self._sim._cancel_slot(self._slot, self.seq)
+        sim = self._sim
+        if sim is not None:
+            self._sim = None
+            sim._on_cancel()
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
+        name = getattr(self.callback, "__qualname__", repr(self.callback))
         state = " cancelled" if self.cancelled else ""
-        return f"<Event t={self.time:.6f} p={self.priority} seq={self.seq}{state}>"
+        return f"<Event t={self.time:.6f} {name}{state}>"
 
 
 class Simulator:
-    """Deterministic discrete-event simulator (array-backed kernel).
+    """Deterministic discrete-event simulator.
 
-    State layout: ``_heap`` is a heap of ``(time, priority, seq, slot)``
-    rows — the time/priority/seq columns live in the heap entries themselves,
-    compared at C speed.  ``slot`` keys the parallel per-slot storage:
-    ``_seqs`` (validity), ``_callbacks``/``_cbargs`` (the callback table),
-    ``_dead`` (cancellation bitmask), and ``_free`` (recycled-slot stack).
-    A slot is live while its heap entry exists; it is released when that
-    entry is popped (executed or found dead) or filtered out by compaction.
-    Seqs start at 1 and never repeat, so ``_seqs[slot] == handle.seq`` is
-    the validity test for stale handles.
+    ``_heap`` is a heap of ``(time, priority, seq, event)`` entries.  Seqs
+    start at 1 and never repeat, so no two entries compare equal and the
+    order never depends on the ``Event`` objects.
     """
 
     def __init__(self, seed: int = 0, tracer: Optional[Tracer] = None) -> None:
-        self._heap: list[tuple[float, int, int, int]] = []
-        # Struct-of-arrays slot storage.
-        self._seqs = array("q")
-        self._callbacks: list[Optional[Callable[..., Any]]] = []
-        self._cbargs: list[tuple] = []
-        self._dead = bytearray()
-        self._free: list[int] = []
+        self._heap: list[tuple[float, int, int, Event]] = []
         self._seq = 0
         self._now = 0.0
         self._running = False
@@ -136,6 +123,7 @@ class Simulator:
     # ------------------------------------------------------------------
     # Scheduling
     # ------------------------------------------------------------------
+    # Each check is a negated comparison so NaN fails it too.
     def schedule(
         self,
         delay: float,
@@ -144,7 +132,7 @@ class Simulator:
         priority: int = PRIORITY_NORMAL,
     ) -> Event:
         """Schedule ``callback(*args)`` to run ``delay`` seconds from now."""
-        if delay < 0:
+        if not delay >= 0:
             raise ValueError(f"cannot schedule into the past (delay={delay})")
         return self._push(self._now + delay, priority, callback, args)
 
@@ -156,7 +144,7 @@ class Simulator:
         priority: int = PRIORITY_NORMAL,
     ) -> Event:
         """Schedule ``callback(*args)`` at absolute simulated ``time``."""
-        if time < self._now:
+        if not time >= self._now:
             raise ValueError(
                 f"cannot schedule into the past (time={time}, now={self._now})"
             )
@@ -165,34 +153,13 @@ class Simulator:
     def _push(
         self, time: float, priority: int, callback: Callable[..., Any], args: tuple
     ) -> Event:
-        """Allocate a slot, push a heap row, build the handle (hot path)."""
+        """Queue one event and return its handle (hot path)."""
+        event = Event(self, time, callback, args)
         self._seq = seq = self._seq + 1
-        free = self._free
-        if free:
-            slot = free.pop()
-            self._seqs[slot] = seq
-            self._callbacks[slot] = callback
-            self._cbargs[slot] = args
-            self._dead[slot] = 0
-        else:
-            slot = len(self._seqs)
-            self._seqs.append(seq)
-            self._callbacks.append(callback)
-            self._cbargs.append(args)
-            self._dead.append(0)
-        heappush(self._heap, (time, priority, seq, slot))
+        heappush(self._heap, (time, priority, seq, event))
         self._live = live = self._live + 1
         if live > self.peak_pending:
             self.peak_pending = live
-        # Event.__new__ + direct attribute stores: skips the __init__ frame,
-        # which is measurable at millions of schedules per replay.
-        event = Event.__new__(Event)
-        event.time = time
-        event.priority = priority
-        event.seq = seq
-        event.cancelled = False
-        event._sim = self
-        event._slot = slot
         return event
 
     def schedule_batch(
@@ -205,98 +172,39 @@ class Simulator:
 
         No handles are returned — batched events cannot be cancelled
         individually, which is exactly the contract bulk producers (trace
-        arrivals, job submissions) want.  Heap maintenance is amortised: for
-        large batches the entries are appended and the heap rebuilt once
-        (O(n + k)) instead of k pushes (O(k log n)).
+        arrivals, job submissions) want.  The batch is all-or-nothing: every
+        delay is checked before any event is queued.  The entries are
+        appended and the heap rebuilt once.
         """
-        heap = self._heap
         now = self._now
         seq = self._seq
-        appended = 0
-        entries: list[tuple[float, int, int, int]] = []
+        entries: list[tuple[float, int, int, Event]] = []
         for delay, callback, args in items:
-            if delay < 0:
+            if not delay >= 0:
                 raise ValueError(f"cannot schedule into the past (delay={delay})")
             seq += 1
-            slot = self._alloc_slot(seq, callback, args)
-            entries.append((now + delay, priority, seq, slot))
-            appended += 1
+            time = now + delay
+            entries.append((time, priority, seq, Event(self, time, callback, args)))
         self._seq = seq
-        if not appended:
-            return 0
-        if appended > max(len(heap) // 8, 8):
-            heap.extend(entries)
-            heapify(heap)
-        else:
-            for entry in entries:
-                heappush(heap, entry)
-        self._live += appended
+        heap = self._heap
+        heap.extend(entries)
+        heapify(heap)
+        self._live += len(entries)
         if self._live > self.peak_pending:
             self.peak_pending = self._live
-        return appended
+        return len(entries)
 
-    def _alloc_slot(
-        self, seq: int, callback: Callable[..., Any], args: tuple
-    ) -> int:
-        """Claim a slot (recycled or fresh) and fill its parallel arrays."""
-        free = self._free
-        if free:
-            slot = free.pop()
-            self._seqs[slot] = seq
-            self._callbacks[slot] = callback
-            self._cbargs[slot] = args
-            self._dead[slot] = 0
-        else:
-            slot = len(self._seqs)
-            self._seqs.append(seq)
-            self._callbacks.append(callback)
-            self._cbargs.append(args)
-            self._dead.append(0)
-        return slot
+    def _on_cancel(self) -> None:
+        """Account for one cancellation; compact the heap when mostly dead.
 
-    def _release_slot(self, slot: int) -> None:
-        """Return a slot to the free stack and drop its object references."""
-        self._seqs[slot] = 0
-        self._callbacks[slot] = None
-        self._cbargs[slot] = ()
-        self._dead[slot] = 0
-        self._free.append(slot)
-
-    # ------------------------------------------------------------------
-    # Cancellation
-    # ------------------------------------------------------------------
-    def _cancel_slot(self, slot: int, seq: int) -> None:
-        """Cancel the event in ``slot`` iff the handle's seq still owns it.
-
-        Stale handles (event executed, queue cleared, slot recycled) fail
-        the bounds or seq check and are ignored, which keeps ``_live``
-        exact — the accounting bug behind the old ``clear_pending`` leak.
+        The heap is filtered in place, so the run loop's local binding stays
+        valid when a callback's cancel triggers compaction.
         """
-        seqs = self._seqs
-        if slot >= len(seqs) or seqs[slot] != seq or self._dead[slot]:
-            return
-        self._dead[slot] = 1
         self._live -= 1
         heap = self._heap
         if len(heap) > _COMPACT_MIN_QUEUE and len(heap) - self._live > self._live:
-            self._compact()
-
-    def _compact(self) -> None:
-        """Drop dead heap entries in one pass and recycle their slots.
-
-        Rebuilds in place (slice assignment) so the run loop's local heap
-        binding stays valid when a callback's cancel triggers compaction.
-        """
-        heap = self._heap
-        dead = self._dead
-        kept: list[tuple[float, int, int, int]] = []
-        for entry in heap:
-            if dead[entry[3]]:
-                self._release_slot(entry[3])
-            else:
-                kept.append(entry)
-        heap[:] = kept
-        heapify(heap)
+            heap[:] = [entry for entry in heap if not entry[3].cancelled]
+            heapify(heap)
 
     # ------------------------------------------------------------------
     # Execution
@@ -304,41 +212,39 @@ class Simulator:
     def peek_time(self) -> Optional[float]:
         """Return the time of the next pending event, or ``None`` if idle."""
         heap = self._heap
-        dead = self._dead
-        while heap and dead[heap[0][3]]:
-            self._release_slot(heappop(heap)[3])
+        while heap and heap[0][3].cancelled:
+            heappop(heap)
         return heap[0][0] if heap else None
 
     def step(self) -> bool:
         """Run the next event.  Returns ``False`` when the queue is empty."""
         tracer = self.tracer
         heap = self._heap
-        dead = self._dead
         while heap:
-            time, priority, seq, slot = heappop(heap)
-            if dead[slot]:
-                self._release_slot(slot)
+            time, priority, _, event = heappop(heap)
+            if event.cancelled:
                 continue
-            callback = self._callbacks[slot]
-            args = self._cbargs[slot]
-            self._release_slot(slot)
+            event._sim = None
             self._live -= 1
             self._now = time
             self.events_processed += 1
             if tracer.enabled and tracer.engine_events:
-                tracer.on_engine_event(time, callback, priority)
-            callback(*args)  # type: ignore[misc]
+                tracer.on_engine_event(time, event.callback, priority)
+            event.callback(*event.args)
             return True
         return False
 
     def run(self, until: Optional[float] = None, max_events: int = 50_000_000) -> float:
         """Run until the queue drains or simulated time passes ``until``.
 
-        Returns the final simulated time.  ``max_events`` guards against
-        accidental infinite event loops in tests.
+        Returns the final simulated time.  ``until`` may not lie before
+        ``now``.  ``max_events`` guards against accidental infinite event
+        loops in tests.
         """
         if self._running:
             raise SimulationError("Simulator.run is not re-entrant")
+        if until is not None and not until >= self._now:
+            raise ValueError(f"cannot run back in time (until={until}, now={self._now})")
         self._running = True
         tracer = self.tracer
         # Hoisted once per run: with tracing disabled the loop takes the
@@ -348,15 +254,9 @@ class Simulator:
             if tracer.enabled and tracer.engine_events
             else None
         )
-        # Local bindings survive callbacks: compaction rebuilds the heap in
-        # place and clear_pending empties every container in place, so the
-        # object identities are stable for the whole run.
+        # Compaction and clear_pending change the heap in place, so this
+        # binding stays valid for the whole run.
         heap = self._heap
-        dead = self._dead
-        seqs = self._seqs
-        callbacks = self._callbacks
-        cbargs = self._cbargs
-        free_slot = self._free.append
         pop = heappop
         limit = inf if until is None else until
         executed = 0
@@ -366,30 +266,22 @@ class Simulator:
                 # (skipping dead entries) instead of a peek+step pair that
                 # walks the heap top twice per event.
                 head = heap[0]
-                slot = head[3]
-                if dead[slot]:
+                event = head[3]
+                if event.cancelled:
                     pop(heap)
-                    self._release_slot(slot)
                     continue
                 time = head[0]
                 if time > limit:
                     self._now = limit
                     break
                 pop(heap)
-                callback = callbacks[slot]
-                args = cbargs[slot]
-                # Inlined slot release: only the seq is invalidated here (it
-                # is what stale handles are checked against); the callback
-                # and args references are overwritten when the slot is
-                # reused, or dropped by clear_pending.
-                seqs[slot] = 0
-                free_slot(slot)
+                event._sim = None
                 self._live -= 1
                 self._now = time
                 executed += 1
                 if on_event is not None:
-                    on_event(time, callback, head[1])
-                callback(*args)  # type: ignore[misc]
+                    on_event(time, event.callback, head[1])
+                event.callback(*event.args)
                 if executed > max_events:
                     raise SimulationError(
                         f"exceeded max_events={max_events}; likely an event loop"
@@ -413,16 +305,15 @@ class Simulator:
 
         Used by watchdogs (``repro.chaos``) that abandon a run after a
         deadline: the queue is emptied so the simulator can be inspected or
-        discarded without draining stale callbacks.  All slot storage is
-        wiped, so handles to cleared events fail their seq check and a late
-        ``Event.cancel`` is a no-op instead of driving ``_live`` negative.
+        discarded without draining stale callbacks.  Every queued handle is
+        detached first, so a late ``Event.cancel`` is a no-op instead of
+        driving ``_live`` negative.
         """
         abandoned = self._live
+        for entry in self._heap:
+            event = entry[3]
+            event.cancelled = True
+            event._sim = None
         self._heap.clear()
-        del self._seqs[:]
-        self._callbacks.clear()
-        self._cbargs.clear()
-        self._dead[:] = b""
-        self._free.clear()
         self._live = 0
         return abandoned

@@ -5,23 +5,21 @@ production :class:`repro.sim.engine.Simulator`, but every event is a
 :class:`LegacyEvent` object on a heap ordered by a Python-level ``__lt__``.
 ``tests/test_sim_engine.py`` runs every behavioural test on both kernels
 and ``tests/test_determinism.py`` replays random interleavings through
-both in lockstep, so the array-backed kernel can never drift silently.
+both in lockstep, so the production kernel can never drift silently.
+
+The oracle shares no code with the kernel it checks: it imports only the
+priority constant and the error type.  It never compacts its queue, which
+is unobservable.
 """
 
 from __future__ import annotations
 
 import random
-from heapq import heapify, heappop, heappush
+from heapq import heappop, heappush
 from typing import Any, Callable, Iterable, Optional
 
 from repro.obs.tracer import NULL_TRACER, Tracer
-from repro.sim.engine import (
-    _COMPACT_MIN_QUEUE,
-    PRIORITY_NORMAL,
-    BatchItem,
-    SimulationError,
-    Simulator,
-)
+from repro.sim.engine import PRIORITY_NORMAL, SimulationError
 
 
 class LegacyEvent:
@@ -53,7 +51,7 @@ class LegacyEvent:
             return
         self.cancelled = True
         if self._sim is not None:
-            self._sim._on_cancel()
+            self._sim._live -= 1
 
     def __lt__(self, other: "LegacyEvent") -> bool:
         return (self.time, self.priority, self.seq) < (other.time, other.priority, other.seq)
@@ -64,7 +62,7 @@ class LegacyEvent:
         return f"<LegacyEvent t={self.time:.6f} p={self.priority} {name}{state}>"
 
 
-class LegacySimulator(Simulator):
+class LegacySimulator:
     """The original object-heap kernel, kept as a differential oracle."""
 
     def __init__(self, seed: int = 0, tracer: Optional[Tracer] = None) -> None:
@@ -78,6 +76,15 @@ class LegacySimulator(Simulator):
         self.events_processed = 0
         self.tracer = tracer if tracer is not None else NULL_TRACER
 
+    @property
+    def now(self) -> float:
+        """Current simulated time in seconds."""
+        return self._now
+
+    def pending_events(self) -> int:
+        """Number of not-yet-cancelled events in the queue."""
+        return self._live
+
     def schedule(
         self,
         delay: float,
@@ -86,7 +93,7 @@ class LegacySimulator(Simulator):
         priority: int = PRIORITY_NORMAL,
     ) -> LegacyEvent:
         """Schedule ``callback(*args)`` to run ``delay`` seconds from now."""
-        if delay < 0:
+        if not delay >= 0:
             raise ValueError(f"cannot schedule into the past (delay={delay})")
         return self.schedule_at(self._now + delay, callback, *args, priority=priority)
 
@@ -98,7 +105,7 @@ class LegacySimulator(Simulator):
         priority: int = PRIORITY_NORMAL,
     ) -> LegacyEvent:
         """Schedule ``callback(*args)`` at absolute simulated ``time``."""
-        if time < self._now:
+        if not time >= self._now:
             raise ValueError(
                 f"cannot schedule into the past (time={time}, now={self._now})"
             )
@@ -113,24 +120,21 @@ class LegacySimulator(Simulator):
 
     def schedule_batch(
         self,
-        items: Iterable[BatchItem],
+        items: Iterable[tuple[float, Callable[..., Any], tuple]],
         *,
         priority: int = PRIORITY_NORMAL,
     ) -> int:
-        """Bulk-schedule ``(delay, callback, args)`` triples; returns count."""
-        appended = 0
+        """Bulk-schedule ``(delay, callback, args)`` triples; returns count.
+
+        All-or-nothing: every delay is checked before any event is queued.
+        """
+        items = list(items)
+        for delay, _, _ in items:
+            if not delay >= 0:
+                raise ValueError(f"cannot schedule into the past (delay={delay})")
         for delay, callback, args in items:
             self.schedule(delay, callback, *args, priority=priority)
-            appended += 1
-        return appended
-
-    def _on_cancel(self) -> None:
-        """Account for one cancellation; compact the heap when mostly dead."""
-        self._live -= 1
-        queue = self._queue
-        if len(queue) > _COMPACT_MIN_QUEUE and len(queue) - self._live > self._live:
-            self._queue = [event for event in queue if not event.cancelled]
-            heapify(self._queue)
+        return len(items)
 
     def peek_time(self) -> Optional[float]:
         """Return the time of the next pending event, or ``None`` if idle."""
@@ -161,6 +165,8 @@ class LegacySimulator(Simulator):
         """Run until the queue drains or simulated time passes ``until``."""
         if self._running:
             raise SimulationError("Simulator.run is not re-entrant")
+        if until is not None and not until >= self._now:
+            raise ValueError(f"cannot run back in time (until={until}, now={self._now})")
         self._running = True
         tracer = self.tracer
         on_event = (
@@ -170,8 +176,6 @@ class LegacySimulator(Simulator):
         )
         try:
             executed = 0
-            # self._queue is re-read every iteration: compaction (triggered
-            # by LegacyEvent.cancel inside a callback) rebinds it.
             while self._queue:
                 event = self._queue[0]
                 if event.cancelled:
@@ -204,8 +208,7 @@ class LegacySimulator(Simulator):
 
         Each event is detached (``cancelled=True``, ``_sim=None``) before the
         queue is dropped, so a handle cancelled *after* the clear is a no-op
-        instead of decrementing ``_live`` below zero and triggering bogus
-        compaction.
+        instead of decrementing ``_live`` below zero.
         """
         abandoned = self._live
         for event in self._queue:

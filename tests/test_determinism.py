@@ -19,7 +19,7 @@ Invariants the performance work must never break:
   and say which cases moved and why::
 
       PYTHONPATH=src python tests/test_determinism.py
-* The array-backed event kernel behaves exactly like the object-heap
+* The production event kernel behaves exactly like the object-heap
   oracle in ``tests/legacy_kernel.py`` under random interleavings.
 * Tracing observes without steering: a run with a RecordingTracer
   attached produces byte-identical results and admin stats to an
@@ -179,7 +179,7 @@ def test_tracing_does_not_perturb_simulation(make_policy, with_failures):
 
 
 # ----------------------------------------------------------------------
-# Differential kernel property: array kernel vs legacy oracle
+# Differential kernel property: production kernel vs legacy oracle
 # ----------------------------------------------------------------------
 
 from hypothesis import given, settings  # noqa: E402
@@ -198,6 +198,13 @@ _KERNEL_OPS = st.lists(
     st.one_of(
         st.tuples(st.just("schedule"), _DELAYS, st.sampled_from([0, 10, 20])),
         st.tuples(st.just("batch"), st.lists(_DELAYS, max_size=12)),
+        # A batch with one bad delay must queue nothing on either kernel.
+        st.tuples(
+            st.just("bad_batch"),
+            st.lists(_DELAYS, max_size=12),
+            st.sampled_from([-1.0, float("nan")]),
+            st.integers(min_value=0, max_value=12),
+        ),
         st.tuples(st.just("cancel"), st.integers(min_value=0, max_value=255)),
         st.tuples(st.just("run_until"), _DELAYS),
         st.just(("run",)),
@@ -217,7 +224,7 @@ def _recorder(log: list, tag: int, sim) -> object:
 @settings(max_examples=60, deadline=None)
 @given(ops=_KERNEL_OPS)
 def test_kernels_agree_on_random_interleavings(ops):
-    """The array-backed kernel and the legacy object-heap oracle must be
+    """The production kernel and the legacy object-heap oracle must be
     observationally identical under any schedule/cancel/clear/run
     interleaving: same execution order, same clock, same pending counts."""
     sims = (Simulator(), LegacySimulator())
@@ -242,6 +249,18 @@ def test_kernels_agree_on_random_interleavings(ops):
                         for i, delay in enumerate(delays)
                     ]
                 )
+            tag += len(delays)
+        elif kind == "bad_batch":
+            _, delays, bad, at = op
+            delays = delays[:at] + [bad] + delays[at:]
+            for sim, log in zip(sims, logs):
+                with pytest.raises(ValueError):
+                    sim.schedule_batch(
+                        [
+                            (delay, _recorder(log, tag + i, sim), ())
+                            for i, delay in enumerate(delays)
+                        ]
+                    )
             tag += len(delays)
         elif kind == "cancel":
             _, index = op
