@@ -33,8 +33,8 @@ from .dispatch import (
     execute_sql,
     run_query,
 )
+from .errors import ExecutionError, SqlTypeError
 from .executor import (
-    ExecutionError,
     QueryExecutor,
     eval_expr,
     like_to_glob,
@@ -95,6 +95,7 @@ __all__ = [
     "QueryOutcome",
     "SelectItem",
     "SelectStatement",
+    "SqlTypeError",
     "Star",
     "SubqueryRef",
     "TPCH_TABLES",

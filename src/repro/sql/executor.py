@@ -26,6 +26,7 @@ from .ast import (
     collect_aggregates,
 )
 from .catalog import Catalog
+from .errors import ExecutionError, SqlTypeError
 from .logical import (
     LogicalAggregate,
     LogicalFilter,
@@ -41,10 +42,6 @@ from .logical import (
 
 Row = dict[str, object]
 Database = dict[str, list[Row]]
-
-
-class ExecutionError(RuntimeError):
-    """Raised when a plan cannot be evaluated over the data."""
 
 
 # ----------------------------------------------------------------------
@@ -116,7 +113,10 @@ def eval_expr(expr: Expr, row: Row) -> object:
         value = eval_expr(expr.operand, row)
         if expr.op == "-":
             # NULL propagates through arithmetic, same as binary operators.
-            return None if value is None else -value
+            try:
+                return None if value is None else -value
+            except TypeError as exc:
+                raise SqlTypeError(str(exc)) from exc
         if expr.op == "not":
             return not value
         raise ExecutionError(f"unknown unary operator {expr.op}")
@@ -175,7 +175,10 @@ def _eval_binary(expr: BinaryOp, row: Row) -> object:
     fn = ops.get(op)
     if fn is None:
         raise ExecutionError(f"unknown operator {op!r}")
-    return fn(left, right)
+    try:
+        return fn(left, right)
+    except TypeError as exc:
+        raise SqlTypeError(str(exc)) from exc
 
 
 # ----------------------------------------------------------------------

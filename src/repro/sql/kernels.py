@@ -45,6 +45,7 @@ from .ast import (
     UnaryOp,
 )
 from .batch import ColumnBatch, ColumnVector
+from .errors import SqlTypeError
 from .executor import _SCALAR_FUNCTIONS, ExecutionError, like_to_glob, sql_like
 
 
@@ -194,7 +195,7 @@ def _compare(op: str, a: Value, b: Value, n: int) -> Value:
     if ka == "null" or kb == "null":
         return Const(None)
     if isinstance(a, Const) and isinstance(b, Const):
-        return Const(_PY_BIN[op](a.value, b.value))
+        return _py_binary(op, a, b, n)
     if ka in _NUMERIC_KINDS and kb in _NUMERIC_KINDS:
         with np.errstate(all="ignore"):
             out = _NP_CMP[op](_numeric_operand(a), _numeric_operand(b))
@@ -202,8 +203,8 @@ def _compare(op: str, a: Value, b: Value, n: int) -> Value:
     if ka == "str" and kb == "str":
         return _compare_str(op, a, b)
     # Mixed types: the row engine's Python operators decide (== is False,
-    # orderings raise TypeError) — run them lane by lane.
-    return _elementwise2(_null_prop(_PY_BIN[op]), a, b, n)
+    # orderings raise SqlTypeError) — run them lane by lane.
+    return _py_binary(op, a, b, n)
 
 
 def _compare_str(op: str, a: Value, b: Value) -> Value:
@@ -229,7 +230,7 @@ def _arith(op: str, a: Value, b: Value, n: int) -> Value:
     if ka == "null" or kb == "null":
         return Const(None)
     if isinstance(a, Const) and isinstance(b, Const):
-        return Const(_PY_BIN[op](a.value, b.value))
+        return _py_binary(op, a, b, n)
     if ka in _NUMERIC_KINDS and kb in _NUMERIC_KINDS and not (
         _oversized_const(a) or _oversized_const(b)
     ):
@@ -237,7 +238,18 @@ def _arith(op: str, a: Value, b: Value, n: int) -> Value:
             out = _NP_ARITH[op](_numeric_operand(a), _numeric_operand(b))
         kind = "int" if op != "/" and "float" not in (ka, kb) else "float"
         return ColumnVector(kind, out, _mask_union(a, b))
-    return _elementwise2(_null_prop(_PY_BIN[op]), a, b, n)
+    return _py_binary(op, a, b, n)
+
+
+def _py_binary(op: str, a: Value, b: Value, n: int) -> Value:
+    """``op`` by the row engine's Python operators, on two constants or
+    lane by lane; operands it does not accept raise :class:`SqlTypeError`."""
+    try:
+        if isinstance(a, Const) and isinstance(b, Const):
+            return Const(_PY_BIN[op](a.value, b.value))
+        return _elementwise2(_null_prop(_PY_BIN[op]), a, b, n)
+    except TypeError as exc:
+        raise SqlTypeError(str(exc)) from exc
 
 
 def _oversized_const(v: Value) -> bool:
@@ -252,14 +264,17 @@ def _negate(v: Value, n: int) -> Value:
     kind = _kind_of(v)
     if kind == "null":
         return Const(None)
-    if isinstance(v, Const):
-        return Const(-v.value)  # type: ignore[operator]
-    if kind in ("int", "bool"):
+    if isinstance(v, ColumnVector) and kind in ("int", "bool"):
         data = v.data.astype(np.int64) if kind == "bool" else v.data
         return ColumnVector("int", -data, v.mask)
-    if kind == "float":
+    if isinstance(v, ColumnVector) and kind == "float":
         return ColumnVector("float", -v.data, v.mask)
-    return _elementwise1(lambda x: None if x is None else -x, v, n)  # type: ignore[operator]
+    try:
+        if isinstance(v, Const):
+            return Const(-v.value)  # type: ignore[operator]
+        return _elementwise1(lambda x: None if x is None else -x, v, n)  # type: ignore[operator]
+    except TypeError as exc:
+        raise SqlTypeError(str(exc)) from exc
 
 
 # ----------------------------------------------------------------------

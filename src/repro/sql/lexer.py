@@ -1,9 +1,19 @@
-"""Tokenizer for the Swift SQL-like job-description language (Fig. 1)."""
+"""Tokenizer for the Swift SQL-like job-description language (Fig. 1).
+
+One compiled regex, run with ``finditer``, splits the text: each match
+skips whitespace and ``--`` comments, then takes one word, number,
+punctuation, operator or string token, a bad character, or the end.
+Each token's ``tag`` is resolved here, once, for the parser to compare:
+a keyword's lowered, interned text, an operator's or punctuation's text,
+or the :class:`TokenKind` of an identifier, number, string or EOF.
+"""
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+import re
+import sys
+from typing import NamedTuple, Union
 
 
 class TokenKind(enum.Enum):
@@ -32,92 +42,89 @@ KEYWORDS = frozenset(
     }
 )
 
-_OPERATORS = ("<>", "!=", ">=", "<=", "=", "<", ">", "+", "-", "/", "%", "||")
+_KEYWORD_TAGS = {word: sys.intern(word) for word in KEYWORDS}
+_PUNCTUATION = {
+    "(": TokenKind.LPAREN, ")": TokenKind.RPAREN, ",": TokenKind.COMMA,
+    ".": TokenKind.DOT, "*": TokenKind.STAR, ";": TokenKind.SEMICOLON,
+}
+
+# Numbers are ASCII digits (what float() reads) with an optional fraction
+# and exponent; a number that runs into a letter, digit or "_" is malformed.
+_TOKEN_RE = re.compile(
+    r"""
+    \s*(?:--[^\n]*\s*)*
+    (?:
+        (?P<word>[^\W\d]\w*)
+      | (?P<number>(?:[0-9]+(?:\.[0-9]+)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?)(?P<badnumber>\w+)?
+      | (?P<punct>[(),.*;])
+      | (?P<op><>|!=|>=|<=|\|\||[=<>+\-/%])
+      | (?P<string>'[^']*')
+      | (?P<eof>\Z)
+      | (?P<bad>.)
+    )
+    """,
+    re.VERBOSE | re.DOTALL,
+)
+
+#: Group numbers, so that the loop compares ints rather than group names.
+_WORD, _NUMBER, _BADNUMBER, _PUNCT, _OP, _STRING, _EOF = (
+    _TOKEN_RE.groupindex[name]
+    for name in ("word", "number", "badnumber", "punct", "op", "string", "eof")
+)
+
+Tag = Union[str, TokenKind]
 
 
 class LexError(ValueError):
     """Raised on unexpected input characters."""
 
 
-@dataclass(frozen=True)
-class Token:
-    """One lexical token with its source position."""
+class Token(NamedTuple):
+    """One lexical token with its source position and parser tag."""
     kind: TokenKind
     text: str
     position: int
+    tag: Tag
 
     @property
     def lowered(self) -> str:
         """The token text lower-cased (keywords compare case-insensitively)."""
         return self.text.lower()
 
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"Token({self.kind.value}, {self.text!r})"
-
 
 def tokenize(source: str) -> list[Token]:
     """Tokenize ``source``; always ends with an EOF token."""
     tokens: list[Token] = []
-    i = 0
-    n = len(source)
-    while i < n:
-        ch = source[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if source.startswith("--", i):
-            end = source.find("\n", i)
-            i = n if end < 0 else end + 1
-            continue
-        if ch == "'":
-            end = i + 1
-            while end < n and source[end] != "'":
-                end += 1
-            if end >= n:
-                raise LexError(f"unterminated string literal at {i}")
-            tokens.append(Token(TokenKind.STRING, source[i + 1 : end], i))
-            i = end + 1
-            continue
-        if ch.isdigit() or (ch == "." and i + 1 < n and source[i + 1].isdigit()):
-            end = i
-            seen_dot = False
-            while end < n and (source[end].isdigit() or (source[end] == "." and not seen_dot)):
-                if source[end] == ".":
-                    # A dot is part of the number only when followed by a digit.
-                    if end + 1 >= n or not source[end + 1].isdigit():
-                        break
-                    seen_dot = True
-                end += 1
-            tokens.append(Token(TokenKind.NUMBER, source[i:end], i))
-            i = end
-            continue
-        if ch.isalpha() or ch == "_":
-            end = i
-            while end < n and (source[end].isalnum() or source[end] == "_"):
-                end += 1
-            text = source[i:end]
-            kind = TokenKind.KEYWORD if text.lower() in KEYWORDS else TokenKind.IDENT
-            tokens.append(Token(kind, text, i))
-            i = end
-            continue
-        if ch == "(":
-            tokens.append(Token(TokenKind.LPAREN, ch, i)); i += 1; continue
-        if ch == ")":
-            tokens.append(Token(TokenKind.RPAREN, ch, i)); i += 1; continue
-        if ch == ",":
-            tokens.append(Token(TokenKind.COMMA, ch, i)); i += 1; continue
-        if ch == ".":
-            tokens.append(Token(TokenKind.DOT, ch, i)); i += 1; continue
-        if ch == "*":
-            tokens.append(Token(TokenKind.STAR, ch, i)); i += 1; continue
-        if ch == ";":
-            tokens.append(Token(TokenKind.SEMICOLON, ch, i)); i += 1; continue
-        for op in _OPERATORS:
-            if source.startswith(op, i):
-                tokens.append(Token(TokenKind.OPERATOR, op, i))
-                i += len(op)
-                break
+    append, new = tokens.append, tuple.__new__  # skips NamedTuple's Python __new__
+    ident, number = TokenKind.IDENT, TokenKind.NUMBER
+    for match in _TOKEN_RE.finditer(source):
+        group = match.lastindex
+        text = match[group]
+        position = match.start(group)
+        if group == _WORD:
+            tag = _KEYWORD_TAGS.get(text.lower())
+            if tag is not None:
+                append(new(Token, (TokenKind.KEYWORD, text, position, tag)))
+            elif text[0].isalpha() or text[0] == "_":
+                append(new(Token, (ident, text, position, ident)))
+            else:  # '²' and other numeric characters start no identifier
+                raise LexError(f"unexpected character {text[0]!r} at position {position}")
+        elif group == _PUNCT:
+            append(new(Token, (_PUNCTUATION[text], text, position, text)))
+        elif group == _OP:
+            append(new(Token, (TokenKind.OPERATOR, text, position, text)))
+        elif group == _NUMBER:
+            append(new(Token, (number, text, position, number)))
+        elif group == _STRING:
+            append(new(Token, (TokenKind.STRING, text[1:-1], position, TokenKind.STRING)))
+        elif group == _EOF:
+            append(new(Token, (TokenKind.EOF, "", position, TokenKind.EOF)))
+            break
+        elif group == _BADNUMBER:
+            start = match.start(_NUMBER)
+            raise LexError(f"malformed number {source[start:match.end()]!r} at position {start}")
+        elif text == "'":
+            raise LexError(f"unterminated string literal at {position}")
         else:
-            raise LexError(f"unexpected character {ch!r} at position {i}")
-    tokens.append(Token(TokenKind.EOF, "", n))
+            raise LexError(f"unexpected character {text!r} at position {position}")
     return tokens

@@ -3,19 +3,24 @@
 Covers the constructs Fig. 1 uses: SELECT lists with aliases and arithmetic,
 FROM with base tables and parenthesised subqueries, chained JOIN ... ON with
 multi-term conditions, WHERE with LIKE, GROUP BY, ORDER BY ... DESC, LIMIT.
+
+It keeps one method per precedence level and compares each lookahead
+token's ``tag`` (resolved once by the lexer); a binary level finds its
+operators in a small dict.  Token text is never lowered here.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from math import isfinite
+from typing import Callable, Optional, TypeVar, Union
 
 from .ast import (
     BinaryOp,
     CaseExpr,
     ColumnRef,
     Expr,
-    InList,
     FunctionCall,
+    InList,
     JoinClause,
     Literal,
     OrderItem,
@@ -26,56 +31,70 @@ from .ast import (
     TableRef,
     UnaryOp,
 )
-from .lexer import LexError, Token, TokenKind, tokenize
+from .lexer import KEYWORDS, LexError, Tag, Token, TokenKind, tokenize
 
 
 class ParseError(ValueError):
     """Raised when the source does not conform to the grammar."""
 
 
+_IDENT, _NUMBER, _STRING, _EOF = TokenKind.IDENT, TokenKind.NUMBER, TokenKind.STRING, TokenKind.EOF
+
+#: Operator tag -> the ``BinaryOp`` operator, one dict per precedence level.
+_COMPARISONS = {"=": "=", "<>": "<>", "!=": "<>", "<": "<", ">": ">", "<=": "<=", ">=": ">="}
+_ADDITIVE = {"+": "+", "-": "-", "||": "||"}
+_MULTIPLICATIVE = {"*": "*", "/": "/", "%": "%"}
+
+#: Tag that starts a JOIN clause -> the join kind.
+_JOIN_KINDS = {"join": "inner", "inner": "inner", "left": "left", "right": "right"}
+
+T = TypeVar("T")
+
+
 class Parser:
-    """One-token-lookahead recursive-descent parser."""
+    """One-token-lookahead recursive-descent parser over token tags."""
 
     def __init__(self, tokens: list[Token]) -> None:
         self._tokens = tokens
+        #: Every token's tag, plus one more EOF so reading past the end is EOF.
+        self._tags = [token.tag for token in tokens] + [_EOF]
         self._pos = 0
+        #: The lookahead token's tag.
+        self._tag = self._tags[0]
 
     # ------------------------------------------------------------------
     # Token helpers
     # ------------------------------------------------------------------
-    @property
-    def current(self) -> Token:
-        """The lookahead token."""
-        return self._tokens[self._pos]
-
     def _advance(self) -> Token:
-        token = self.current
-        self._pos += 1
-        return token
+        pos = self._pos
+        self._pos = pos + 1
+        self._tag = self._tags[pos + 1]
+        return self._tokens[pos]
 
-    def _check_keyword(self, *words: str) -> bool:
-        return self.current.kind == TokenKind.KEYWORD and self.current.lowered in words
-
-    def _accept_keyword(self, *words: str) -> bool:
-        if self._check_keyword(*words):
+    def _accept(self, tag: Tag) -> bool:
+        if self._tag == tag:
             self._advance()
             return True
         return False
 
-    def _expect_keyword(self, word: str) -> None:
-        if not self._accept_keyword(word):
+    def _expect(self, tag: Tag) -> Token:
+        if self._tag != tag:
+            if isinstance(tag, TokenKind):
+                expected = tag.value
+            else:
+                expected = repr(tag.upper()) if tag in KEYWORDS else tag
+            token = self._tokens[self._pos]
             raise ParseError(
-                f"expected {word.upper()!r}, found {self.current.text!r} "
-                f"at position {self.current.position}"
-            )
-
-    def _expect(self, kind: TokenKind) -> Token:
-        if self.current.kind != kind:
-            raise ParseError(
-                f"expected {kind.value}, found {self.current.text!r} "
-                f"at position {self.current.position}"
+                f"expected {expected}, found {token.text!r} at position {token.position}"
             )
         return self._advance()
+
+    def _parse_list(self, parse_item: Callable[[], T]) -> list[T]:
+        """One or more comma-separated items."""
+        items = [parse_item()]
+        while self._accept(","):
+            items.append(parse_item())
+        return items
 
     # ------------------------------------------------------------------
     # Statements
@@ -83,258 +102,216 @@ class Parser:
     def parse_statement(self) -> SelectStatement:
         """Parse a full SELECT statement up to EOF."""
         statement = self._parse_select()
-        if self.current.kind == TokenKind.SEMICOLON:
-            self._advance()
-        self._expect(TokenKind.EOF)
+        self._accept(";")
+        self._expect(_EOF)
         return statement
 
     def _parse_select(self) -> SelectStatement:
-        self._expect_keyword("select")
+        self._expect("select")
         statement = SelectStatement()
-        statement.distinct = self._accept_keyword("distinct")
-        statement.select_items.append(self._parse_select_item())
-        while self.current.kind == TokenKind.COMMA:
-            self._advance()
-            statement.select_items.append(self._parse_select_item())
-        if self._accept_keyword("from"):
+        statement.distinct = self._accept("distinct")
+        statement.select_items = self._parse_list(self._parse_select_item)
+        if self._accept("from"):
             statement.from_table = self._parse_table_ref()
-            while self._check_keyword("join", "inner", "left", "right"):
+            while self._tag in _JOIN_KINDS:
                 statement.joins.append(self._parse_join())
-        if self._accept_keyword("where"):
+        if self._accept("where"):
             statement.where = self._parse_expr()
-        if self._check_keyword("group"):
-            self._advance()
-            self._expect_keyword("by")
-            statement.group_by.append(self._parse_expr())
-            while self.current.kind == TokenKind.COMMA:
-                self._advance()
-                statement.group_by.append(self._parse_expr())
-        if self._accept_keyword("having"):
+        if self._accept("group"):
+            self._expect("by")
+            statement.group_by = self._parse_list(self._parse_expr)
+        if self._accept("having"):
             statement.having = self._parse_expr()
-        if self._check_keyword("order"):
-            self._advance()
-            self._expect_keyword("by")
-            statement.order_by.append(self._parse_order_item())
-            while self.current.kind == TokenKind.COMMA:
-                self._advance()
-                statement.order_by.append(self._parse_order_item())
-        if self._accept_keyword("limit"):
-            token = self._expect(TokenKind.NUMBER)
-            statement.limit = int(float(token.text))
+        if self._accept("order"):
+            self._expect("by")
+            statement.order_by = self._parse_list(self._parse_order_item)
+        if self._accept("limit"):
+            token = self._expect(_NUMBER)
+            limit = float(token.text)
+            if not isfinite(limit):
+                raise ParseError(f"LIMIT {token.text!r} out of range at position {token.position}")
+            statement.limit = int(limit)
         return statement
 
+    def _parse_alias(self) -> Optional[str]:
+        if self._tag is _IDENT:
+            return self._advance().text
+        return self._expect(_IDENT).text if self._accept("as") else None
+
     def _parse_select_item(self) -> SelectItem:
-        if self.current.kind == TokenKind.STAR:
-            self._advance()
+        if self._accept("*"):
             return SelectItem(expr=Star())
         expr = self._parse_expr()
-        alias: Optional[str] = None
-        if self._accept_keyword("as"):
-            alias = self._expect(TokenKind.IDENT).text
-        elif self.current.kind == TokenKind.IDENT:
-            alias = self._advance().text
-        return SelectItem(expr=expr, alias=alias)
+        return SelectItem(expr=expr, alias=self._parse_alias())
 
     def _parse_order_item(self) -> OrderItem:
         expr = self._parse_expr()
-        descending = False
-        if self._accept_keyword("desc"):
-            descending = True
-        else:
-            self._accept_keyword("asc")
+        descending = self._accept("desc")
+        if not descending:
+            self._accept("asc")
         return OrderItem(expr=expr, descending=descending)
 
     def _parse_table_ref(self) -> Union[TableRef, SubqueryRef]:
-        if self.current.kind == TokenKind.LPAREN:
-            self._advance()
+        if self._accept("("):
             subquery = self._parse_select()
-            self._expect(TokenKind.RPAREN)
-            alias = None
-            self._accept_keyword("as")
-            if self.current.kind == TokenKind.IDENT:
-                alias = self._advance().text
+            self._expect(")")
+            self._accept("as")
+            alias = self._advance().text if self._tag is _IDENT else None
             return SubqueryRef(query=subquery, alias=alias)
-        name = self._expect(TokenKind.IDENT).text
-        alias = None
-        if self._accept_keyword("as"):
-            alias = self._expect(TokenKind.IDENT).text
-        elif self.current.kind == TokenKind.IDENT:
-            alias = self._advance().text
-        return TableRef(name=name, alias=alias)
+        name = self._expect(_IDENT).text
+        return TableRef(name=name, alias=self._parse_alias())
 
     def _parse_join(self) -> JoinClause:
-        kind = "inner"
-        if self._accept_keyword("left"):
-            kind = "left"
-            self._accept_keyword("outer")
-        elif self._accept_keyword("right"):
-            kind = "right"
-            self._accept_keyword("outer")
-        elif self._accept_keyword("inner"):
-            kind = "inner"
-        self._expect_keyword("join")
+        kind = _JOIN_KINDS[self._tag]
+        if self._tag != "join":
+            self._advance()
+            if kind != "inner":
+                self._accept("outer")
+        self._expect("join")
         table = self._parse_table_ref()
-        self._expect_keyword("on")
-        condition = self._parse_expr()
-        return JoinClause(kind=kind, table=table, condition=condition)
+        self._expect("on")
+        return JoinClause(kind=kind, table=table, condition=self._parse_expr())
 
     # ------------------------------------------------------------------
-    # Expressions (precedence climbing)
+    # Expressions, loosest level first: OR, AND, NOT, comparison,
+    # additive, multiplicative, unary minus, primary.
     # ------------------------------------------------------------------
     def _parse_expr(self) -> Expr:
-        return self._parse_or()
-
-    def _parse_or(self) -> Expr:
         left = self._parse_and()
-        while self._accept_keyword("or"):
+        while self._tag == "or":
+            self._advance()
             left = BinaryOp("or", left, self._parse_and())
         return left
 
     def _parse_and(self) -> Expr:
         left = self._parse_not()
-        while self._accept_keyword("and"):
+        while self._tag == "and":
+            self._advance()
             left = BinaryOp("and", left, self._parse_not())
         return left
 
     def _parse_not(self) -> Expr:
-        if self._accept_keyword("not"):
+        if self._tag == "not":
+            self._advance()
             return UnaryOp("not", self._parse_not())
         return self._parse_comparison()
 
     def _parse_comparison(self) -> Expr:
         left = self._parse_additive()
-        if self.current.kind == TokenKind.OPERATOR and self.current.text in (
-            "=", "<>", "!=", "<", ">", "<=", ">=",
-        ):
-            op = self._advance().text
-            if op == "!=":
-                op = "<>"
+        tag = self._tag
+        op = _COMPARISONS.get(tag)
+        if op is not None:
+            self._advance()
             return BinaryOp(op, left, self._parse_additive())
-        if self._check_keyword("like"):
+        if tag == "not" and self._tags[self._pos + 1] in ("like", "in"):
+            # "x NOT LIKE y" / "x NOT IN (...)"; any other NOT is the caller's.
+            self._advance()
+            if self._accept("like"):
+                return UnaryOp("not", BinaryOp("like", left, self._parse_additive()))
+            self._advance()
+            return self._parse_in_list(left, negated=True)
+        if tag == "like":
             self._advance()
             return BinaryOp("like", left, self._parse_additive())
-        if self._check_keyword("in"):
+        if tag == "in":
             self._advance()
             return self._parse_in_list(left, negated=False)
-        if self._check_keyword("not"):
-            # "x NOT LIKE y" / "x NOT IN (...)"
-            save = self._pos
-            self._advance()
-            if self._accept_keyword("like"):
-                return UnaryOp("not", BinaryOp("like", left, self._parse_additive()))
-            if self._accept_keyword("in"):
-                return self._parse_in_list(left, negated=True)
-            self._pos = save
-        if self._check_keyword("between"):
+        if tag == "between":
             self._advance()
             low = self._parse_additive()
-            self._expect_keyword("and")
+            self._expect("and")
             high = self._parse_additive()
-            return BinaryOp(
-                "and", BinaryOp(">=", left, low), BinaryOp("<=", left, high)
-            )
-        if self._check_keyword("is"):
+            return BinaryOp("and", BinaryOp(">=", left, low), BinaryOp("<=", left, high))
+        if tag == "is":
             self._advance()
-            negated = self._accept_keyword("not")
-            self._expect_keyword("null")
+            negated = self._accept("not")
+            self._expect("null")
             test = FunctionCall("is_null", (left,))
             return UnaryOp("not", test) if negated else test
         return left
 
     def _parse_in_list(self, left: Expr, negated: bool) -> InList:
-        self._expect(TokenKind.LPAREN)
-        values = [self._parse_expr()]
-        while self.current.kind == TokenKind.COMMA:
-            self._advance()
-            values.append(self._parse_expr())
-        self._expect(TokenKind.RPAREN)
+        self._expect("(")
+        values = self._parse_list(self._parse_expr)
+        self._expect(")")
         return InList(expr=left, values=tuple(values), negated=negated)
 
     def _parse_additive(self) -> Expr:
         left = self._parse_multiplicative()
-        while self.current.kind == TokenKind.OPERATOR and self.current.text in ("+", "-", "||"):
-            op = self._advance().text
+        op = _ADDITIVE.get(self._tag)
+        while op is not None:
+            self._advance()
             left = BinaryOp(op, left, self._parse_multiplicative())
+            op = _ADDITIVE.get(self._tag)
         return left
 
     def _parse_multiplicative(self) -> Expr:
         left = self._parse_unary()
-        while (
-            self.current.kind == TokenKind.STAR
-            or (self.current.kind == TokenKind.OPERATOR and self.current.text in ("/", "%"))
-        ):
-            op = "*" if self.current.kind == TokenKind.STAR else self.current.text
+        op = _MULTIPLICATIVE.get(self._tag)
+        while op is not None:
             self._advance()
             left = BinaryOp(op, left, self._parse_unary())
+            op = _MULTIPLICATIVE.get(self._tag)
         return left
 
     def _parse_unary(self) -> Expr:
-        if self.current.kind == TokenKind.OPERATOR and self.current.text == "-":
+        if self._tag == "-":
             self._advance()
             return UnaryOp("-", self._parse_unary())
         return self._parse_primary()
 
     def _parse_primary(self) -> Expr:
-        token = self.current
-        if token.kind == TokenKind.NUMBER:
-            self._advance()
-            value = float(token.text)
-            return Literal(int(value) if value.is_integer() and "." not in token.text else value)
-        if token.kind == TokenKind.STRING:
-            self._advance()
-            return Literal(token.text)
-        if token.kind == TokenKind.LPAREN:
-            self._advance()
-            expr = self._parse_expr()
-            self._expect(TokenKind.RPAREN)
-            return expr
-        if token.kind == TokenKind.KEYWORD and token.lowered == "null":
-            self._advance()
-            return Literal(None)
-        if token.kind == TokenKind.KEYWORD and token.lowered == "case":
-            return self._parse_case()
-        if token.kind == TokenKind.IDENT:
+        tag = self._tag
+        if tag is _IDENT:
             return self._parse_name_or_call()
-        raise ParseError(
-            f"unexpected token {token.text!r} at position {token.position}"
-        )
+        if tag is _NUMBER:
+            text = self._advance().text
+            value = float(text)
+            return Literal(int(value) if value.is_integer() and text.isdigit() else value)
+        if tag is _STRING:
+            return Literal(self._advance().text)
+        if self._accept("("):
+            expr = self._parse_expr()
+            self._expect(")")
+            return expr
+        if self._accept("null"):
+            return Literal(None)
+        if tag == "case":
+            return self._parse_case()
+        token = self._tokens[self._pos]
+        raise ParseError(f"unexpected token {token.text!r} at position {token.position}")
 
     def _parse_case(self) -> CaseExpr:
-        self._expect_keyword("case")
+        self._advance()  # CASE
         whens: list[tuple[Expr, Expr]] = []
-        while self._accept_keyword("when"):
+        while self._accept("when"):
             condition = self._parse_expr()
-            self._expect_keyword("then")
+            self._expect("then")
             whens.append((condition, self._parse_expr()))
         if not whens:
             raise ParseError("CASE needs at least one WHEN arm")
-        default = self._parse_expr() if self._accept_keyword("else") else None
-        self._expect_keyword("end")
+        default = self._parse_expr() if self._accept("else") else None
+        self._expect("end")
         return CaseExpr(whens=tuple(whens), default=default)
 
     def _parse_name_or_call(self) -> Expr:
-        name = self._expect(TokenKind.IDENT).text
-        if self.current.kind == TokenKind.LPAREN:
+        name = self._advance().text
+        tag = self._tag
+        if tag == "(":
             self._advance()
-            distinct = self._accept_keyword("distinct")
+            distinct = self._accept("distinct")
             args: list[Expr] = []
-            if self.current.kind == TokenKind.STAR:
-                self._advance()
+            if self._accept("*"):
                 args.append(Star())
-            elif self.current.kind != TokenKind.RPAREN:
-                args.append(self._parse_expr())
-                while self.current.kind == TokenKind.COMMA:
-                    self._advance()
-                    args.append(self._parse_expr())
-            self._expect(TokenKind.RPAREN)
+            elif self._tag != ")":
+                args = self._parse_list(self._parse_expr)
+            self._expect(")")
             return FunctionCall(name.lower(), tuple(args), distinct=distinct)
-        if self.current.kind == TokenKind.DOT:
+        if tag == ".":
             self._advance()
-            if self.current.kind == TokenKind.STAR:
-                self._advance()
+            if self._accept("*"):
                 return Star(qualifier=name)
-            column = self._expect(TokenKind.IDENT).text
-            return ColumnRef(name=column, qualifier=name)
+            return ColumnRef(name=self._expect(_IDENT).text, qualifier=name)
         return ColumnRef(name=name)
 
 
@@ -344,4 +321,7 @@ def parse(source: str) -> SelectStatement:
         tokens = tokenize(source)
     except LexError as exc:
         raise ParseError(str(exc)) from exc
-    return Parser(tokens).parse_statement()
+    try:
+        return Parser(tokens).parse_statement()
+    except RecursionError:
+        raise ParseError("statement nested too deeply") from None

@@ -21,6 +21,7 @@ from repro.sql import (
     ColumnTable,
     ExecutionError,
     PlanError,
+    SqlTypeError,
     TableSchema,
     execute_sql,
     generate_database,
@@ -851,6 +852,29 @@ def test_round_over_null_aggregate_raises_without_having(engine):
     sql = "select g, round(max(x)) as r from t group by g"
     with pytest.raises(TypeError):
         execute_sql(sql, database, catalog, engine=engine)
+
+
+# ----------------------------------------------------------------------
+# An operator over operand types it does not accept (an int column against
+# a date string, a string times a float) is a typed SQL error on both
+# engines: ``SqlTypeError`` is an ``ExecutionError`` and a ``TypeError``.
+# ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("sql", [
+    "select id from items where id < '1995-03-15'",
+    "select id from items where '1995-03-15' >= price",
+    "select id from items where 1 < 'a'",
+    "select tag * price as x from items",
+    "select -tag as x from items",
+    "select -'a' as x from items",
+], ids=("int_vs_str", "str_vs_float", "constants", "str_times_float", "negate_column",
+        "negate_constant"))
+def test_operator_type_mismatch_is_a_typed_error(engine, sql, setup):
+    database, catalog = setup
+    with pytest.raises(SqlTypeError) as info:
+        execute_sql(sql, database, catalog, engine=engine)
+    assert isinstance(info.value, ExecutionError) and isinstance(info.value, TypeError)
 
 
 # ----------------------------------------------------------------------

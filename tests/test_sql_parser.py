@@ -196,3 +196,41 @@ def test_in_list_and_not_in():
 def test_aggregate_inside_case_detected():
     stmt = parse("select case when sum(x) > 1 then 1 else 0 end from t")
     assert stmt.is_aggregate
+
+
+def test_exponent_literal_is_a_float():
+    stmt = parse("select 1e5, 2.5E-3 from t")
+    assert [item.expr for item in stmt.select_items] == [Literal(100000.0), Literal(0.0025)]
+    assert type(stmt.select_items[0].expr.value) is float
+    assert stmt.select_items[0].alias is None
+
+
+def test_integer_and_decimal_literals_keep_their_type():
+    values = [item.expr.value for item in parse("select 7, 7.0, .5 from t").select_items]
+    assert values == [7, 7.0, 0.5]
+    assert [type(v) for v in values] == [int, float, float]
+
+
+@pytest.mark.parametrize("sql", [
+    "select ² from t",
+    "select 1x from t",
+    "select 1e from t",
+    "select a from t limit 1e400",
+    pytest.param("select " + "(" * 400 + "1" + ")" * 400 + " from t", id="deep_nesting"),
+])
+def test_malformed_input_is_a_parse_error(sql):
+    with pytest.raises(ParseError):
+        parse(sql)
+
+
+def test_error_messages_name_the_expected_token():
+    with pytest.raises(ParseError, match=r"expected 'BY', found 'x' at position 22"):
+        parse("select a from t group x")
+    with pytest.raises(ParseError, match=r"expected \), found 'from' at position 11"):
+        parse("select f(a from t")
+    with pytest.raises(ParseError, match=r"expected ident, found '1' at position 12"):
+        parse("select a as 1 from t")
+    with pytest.raises(ParseError, match=r"expected eof, found 'junk' at position 21"):
+        parse("select a from t junk junk")
+    with pytest.raises(ParseError, match=r"unexpected token 'from' at position 7"):
+        parse("select from t")
