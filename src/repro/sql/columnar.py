@@ -10,9 +10,10 @@ Scalar expressions are compiled once per query into array kernels
 
 * **filter** — kernel truthiness mask, ``np.flatnonzero`` + fancy-index
   gather;
-* **aggregate** — groups from the key columns' equality codes, numbered
-  in first-seen order (a DISTINCT aggregate first keeps the first lane of
-  each group and value), then ``np.bincount`` (whose sequential
+* **aggregate** — groups from the key columns' equality codes, folded
+  into one joint code and numbered in first-seen order from O(n) tables
+  with no sort (a DISTINCT aggregate first keeps the first lane of each
+  group and value), then ``np.bincount`` (whose sequential
   accumulation matches the row engine's ``total += v`` float-for-float)
   and ``np.minimum.at``/``np.maximum.at`` segmented reductions.  Aggregates
   emit columns: each distinct call's per-group results form one column of
@@ -28,15 +29,16 @@ Scalar expressions are compiled once per query into array kernels
   connected components whose join yields the fewest rows — counted
   exactly as ``sum(left count * right count)`` from one ``np.bincount``
   per side, ties by FROM position — carrying only int64 row ids per
-  input.  One ``np.lexsort`` puts the id tuples back into FROM order,
-  which is the left-deep chain's left-major, build-ascending order, and
-  each kept column is gathered once.  LEFT JOINs and residual or
-  non-equi conditions stay binary (:class:`_JoinOp`):
-  equi-keys go through the same codes and match kernel (buckets from
-  ``np.bincount``/``cumsum`` offsets and one stable argsort, pairs
-  expanded with ``np.repeat``); a condition without an equi-key takes
-  every pair as a candidate (a vectorized nested loop); a residual kernel
-  pass applies the rest of the condition;
+  input.  One stable pass over each input's row ids, last input first,
+  puts the id tuples back into FROM order, which is the left-deep
+  chain's left-major, build-ascending order, and each kept column is
+  gathered once.  LEFT JOINs and residual or non-equi conditions stay
+  binary (:class:`_JoinOp`): equi-keys go through the same codes and
+  match kernel (buckets from ``np.bincount``/``cumsum`` offsets and one
+  stable order of the build codes, pairs expanded with ``np.repeat``); a
+  condition without an equi-key takes every pair as a candidate (a
+  vectorized nested loop); a residual kernel pass applies the rest of the
+  condition;
 * **sort** — successive stable ``np.argsort`` passes, least-significant
   key first, with a null-flag pass replicating the row engine's
   ``_sort_key`` ordering;
@@ -49,10 +51,13 @@ translation, first-seen group ordering, left-major join output.  GROUP
 BY, DISTINCT, DISTINCT aggregates and join keys decide equality through
 one coder, :func:`_value_codes`: every NULL is one key and every NaN
 another (as join keys neither matches anything), ``1``, ``1.0`` and
-``True`` are equal, and a string equals no number.  Sorts and
-aggregates numpy cannot reproduce bit for bit (``object`` columns,
-``bool`` or NaN ``min``/``max``, NaN sort keys) replay the row engine's
-Python loop in lane order.  Differential tests assert identical output
+``True`` are equal, and a string equals no number.  Its codes are dense
+in a known ``[0, size)``, so no kernel compares codes: groups come from
+tables indexed by code, and every stable order of codes or row ids is
+:func:`_stable_order`, numpy's radix sort on 16-bit keys (one pass up to
+2**16, two up to 2**32).  Sorts and aggregates numpy cannot reproduce
+bit for bit (``object`` columns, ``bool`` or NaN ``min``/``max``, NaN
+sort keys) replay the row engine's Python loop in lane order.  Differential tests assert identical output
 on every TPC-H query and the conformance corpus.
 
 Lowering (:func:`compile_plan`) applies two rewrites, unconditionally:
@@ -106,13 +111,8 @@ from .batch import (
     gather,
 )
 from .catalog import Catalog
-from .executor import (
-    Database,
-    ExecutionError,
-    Row,
-    _extract_equi_keys,
-    _sort_key,
-)
+from .errors import ExecutionError
+from .executor import Database, Row, _extract_equi_keys, _sort_key
 from .kernels import Kernel, compile_kernel, resolve_column
 from .logical import (
     LogicalAggregate,
@@ -360,10 +360,7 @@ class _ProjectOp(_UnaryOpBase):
 def _distinct(batch: ColumnBatch) -> ColumnBatch:
     """The first occurrence of each distinct row, in order."""
     vectors = {id(batch.columns[n]): batch.columns[n] for n in batch.names}
-    codes = [_value_codes([vec])[0][0] for vec in vectors.values()]
-    _, first = _first_seen_groups(
-        _combine_codes(codes or [np.zeros(batch.length, np.int64)])
-    )
+    _, first = _first_seen_groups(*_group_codes(vectors.values(), batch.length))
     return batch if len(first) == batch.length else gather(batch, first)
 
 
@@ -383,7 +380,8 @@ def _value_codes(vectors: list[ColumnVector]) -> tuple[list[np.ndarray], int]:
     under the engine's one equality rule: every NULL lane gets ``_NULL``
     and every NaN lane ``_NAN``; ``1``, ``1.0`` and ``True`` are equal; a
     string never equals a number.  Returns one code array per vector and
-    the size of the space (every code is below it).
+    the size of the space (every code is below it): the grouping and join
+    kernels index tables by code and pick their sort passes by that size.
 
     Strings take dictionary codes and numbers offsets or ``np.unique``
     (pooled in float64 only while that is exact).  ``object`` columns,
@@ -468,27 +466,69 @@ def _object_codes(vectors: list[ColumnVector]) -> tuple[list[np.ndarray], int]:
 # Aggregation
 # ----------------------------------------------------------------------
 
-def _combine_codes(parts: list[np.ndarray]) -> np.ndarray:
-    """Fold per-column codes into one joint code per lane."""
-    codes = parts[0]
-    for nxt in parts[1:]:
-        width = int(nxt.max()) + 1 if nxt.size else 1
-        combined = codes * width + nxt
-        # Compress after every fold so the product stays far from 2**63.
-        _, inv = np.unique(combined, return_inverse=True)
-        codes = inv.astype(np.int64)
-    return codes
+def _combine_codes(
+    parts: list[np.ndarray], sizes: list[int]
+) -> tuple[np.ndarray, int]:
+    """Fold per-column codes (``parts[i]`` below ``sizes[i]``) into one
+    joint code per lane; returns the codes and the size of their space.
+
+    Codes fold by multiplying.  A space wider than ``4n + 64`` for ``n``
+    lanes is renumbered through ``np.unique`` first, so every table over
+    the codes stays O(n) and no product comes near 2**63.
+    """
+    bound = 4 * len(parts[0]) + 64
+    codes, size = _bounded(parts[0], sizes[0], bound)
+    for part, width in zip(parts[1:], sizes[1:]):
+        part, width = _bounded(part, width, bound)
+        codes, size = _bounded(codes * width + part, size * width, bound)
+    return codes, size
 
 
-def _first_seen_groups(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Group ids in first-occurrence order + first lane index per group."""
-    uniques, first, inv = np.unique(
-        codes, return_index=True, return_inverse=True
-    )
-    order = np.argsort(first, kind="stable")
-    rank = np.empty(len(uniques), np.int64)
-    rank[order] = np.arange(len(uniques))
-    return rank[inv.astype(np.int64)], first[order]
+def _bounded(codes: np.ndarray, size: int, bound: int) -> tuple[np.ndarray, int]:
+    """``codes`` renumbered densely when their space is wider than ``bound``."""
+    if size <= bound:
+        return codes, size
+    uniques, inverse = np.unique(codes, return_inverse=True)
+    return inverse.astype(np.int64, copy=False), len(uniques)
+
+
+def _first_seen_groups(codes: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Group ids in first-occurrence order + first lane index per group.
+
+    O(n + size) tables, no sort: each code's first lane comes from
+    ``np.minimum.at``, and those lanes, in lane order, are the groups.
+    """
+    lanes = np.arange(len(codes), dtype=np.int64)
+    first = np.full(size, len(codes), np.int64)
+    np.minimum.at(first, codes, lanes)
+    reps = np.flatnonzero(first[codes] == lanes)
+    rank = np.empty(size, np.int64)
+    rank[codes[reps]] = np.arange(len(reps), dtype=np.int64)
+    return rank[codes], reps
+
+
+def _group_codes(vectors: Iterable[ColumnVector], n: int) -> tuple[np.ndarray, int]:
+    """One joint equality code per lane over ``vectors`` (``n`` lanes each)."""
+    coded = [_value_codes([vec]) for vec in vectors]
+    if not coded:
+        return np.zeros(n, np.int64), 1
+    return _combine_codes([codes for (codes,), _ in coded], [size for _, size in coded])
+
+
+def _stable_order(codes: np.ndarray, size: int) -> np.ndarray:
+    """Exactly ``np.argsort(codes, kind="stable")`` for codes in ``[0, size)``.
+
+    numpy radix-sorts 16-bit keys, so a space up to 2**16 sorts once as
+    ``uint16`` and one up to 2**32 in two 16-bit LSD passes; only a wider
+    space takes the int64 comparison sort.
+    """
+    if size <= 1 << 16:
+        return np.argsort(codes.astype(np.uint16), kind="stable")
+    if size > 1 << 32:
+        return np.argsort(codes, kind="stable")
+    low = np.argsort(codes.astype(np.uint16), kind="stable")
+    high = (codes[low] >> 16).astype(np.uint16)
+    return low[np.argsort(high, kind="stable")]
 
 
 def _group_vector(
@@ -567,8 +607,10 @@ class _AggCall:
         values = self.kernel.eval(table)  # type: ignore[union-attr]
         if self.distinct:
             # Only the first lane of each (group, value) pair counts.
-            (codes,), _ = _value_codes([values])
-            _, first = _first_seen_groups(_combine_codes([gids, codes]))
+            (codes,), size = _value_codes([values])
+            _, first = _first_seen_groups(
+                *_combine_codes([gids, codes], [n_groups, size])
+            )
             first = first[codes[first] != _NULL]
             values, gids = values.take(first), gids[first]
         if values.kind == "object":
@@ -730,8 +772,9 @@ class _AggregateOp(_UnaryOpBase):
         # evaluate nothing.
         n = table.length
         if self.group_kernels:
-            codes = [_value_codes([k.eval(table)])[0][0] for k in self.group_kernels]
-            gids, rep_idx = _first_seen_groups(_combine_codes(codes))
+            gids, rep_idx = _first_seen_groups(
+                *_group_codes((k.eval(table) for k in self.group_kernels), n)
+            )
             n_groups = len(rep_idx)
         else:
             # An ungrouped aggregate has one group even over empty input.
@@ -778,7 +821,7 @@ def _key_codes(
     codes <=> every pair is equal; a lane with a NULL or NaN key holds a
     code only its own side uses, so it matches nothing.
     """
-    left_parts, right_parts = [], []
+    left_parts, right_parts, sizes = [], [], []
     for left, right in zip(left_vecs, right_vecs):
         (left_codes, right_codes), size = _value_codes([left, right])
         # NULL and NaN keys equal nothing: the left side keeps both on
@@ -789,22 +832,25 @@ def _key_codes(
             right_codes[right_codes == _NULL] = _NAN
         left_parts.append(left_codes)
         right_parts.append(right_codes)
+        sizes.append(size)
     if len(left_parts) == 1:
         return left_parts[0], right_parts[0], size
-    return _joint_codes(left_parts, right_parts)
+    return _joint_codes(left_parts, right_parts, sizes)
 
 
 def _joint_codes(
-    left_parts: list[np.ndarray], right_parts: list[np.ndarray]
+    left_parts: list[np.ndarray], right_parts: list[np.ndarray], sizes: list[int]
 ) -> tuple[np.ndarray, np.ndarray, int]:
-    """Fold per-key codes into one dense joint code per lane.
+    """Fold per-key codes into one joint code per lane.
 
-    Both sides fold through the *same* compression, so the fold runs over
+    Both sides fold through the *same* renumbering, so the fold runs over
     their concatenation.  Returns (left codes, right codes, size).
     """
     n = len(left_parts[0])
-    codes = _combine_codes([np.concatenate(p) for p in zip(left_parts, right_parts)])
-    return codes[:n], codes[n:], int(codes.max(initial=-1)) + 1
+    codes, size = _combine_codes(
+        [np.concatenate(p) for p in zip(left_parts, right_parts)], sizes
+    )
+    return codes[:n], codes[n:], size
 
 
 def _match(
@@ -815,14 +861,14 @@ def _match(
     ``counts`` is ``np.bincount(build)`` over the whole code space.  Pairs
     come probe-major, build lanes ascending within a code — the row
     engine's hash-join order.  Buckets are located through ``cumsum``
-    offsets over ``counts`` and one stable argsort of the build codes.
+    offsets over ``counts`` and one :func:`_stable_order` of the build codes.
     """
     per_probe = counts[probe]
     total = int(per_probe.sum())
     if not total:
         empty = np.empty(0, np.int64)
         return empty, empty
-    order = np.argsort(build, kind="stable")
+    order = _stable_order(build, len(counts))
     starts = np.cumsum(counts) - counts
     ends = np.cumsum(per_probe)
     probe_idx = np.repeat(np.arange(len(probe), dtype=np.int64), per_probe)
@@ -872,8 +918,9 @@ class _MultiJoinOp(_Op):
        fewest rows — exactly ``sum(left count * right count)`` over codes,
        from one ``np.bincount`` per side — ties by FROM position;
     4. carries only an int64 row-id vector per input;
-    5. ``np.lexsort``s the id tuples into FROM order (skipped when every
-       merge kept that order) and gathers each kept column once,
+    5. sorts the id tuples into FROM order with one :func:`_stable_order`
+       pass per input, last input first (skipped when every merge kept
+       that order), and gathers each kept column once,
        from the input the left-deep chain of binary joins takes it from.
 
     The left-deep chain emits left-major output with build rows ascending
@@ -1003,7 +1050,11 @@ class _MultiJoinOp(_Op):
         (final,) = live
         ids = [final.ids[i] for i in range(len(tables))]
         if not final.ordered:
-            order = np.lexsort(ids[::-1])
+            # LSD: one stable pass per input, last input first.  Each row's
+            # id tuple is distinct, so the order is the tuples' sort order.
+            order = np.arange(len(ids[0]), dtype=np.int64)
+            for v, table in zip(ids[::-1], tables[::-1]):
+                order = order[_stable_order(v[order], table.length)]
             ids = [v[order] for v in ids]
         return ids
 
@@ -1014,7 +1065,7 @@ def _candidate(a: _Component, b: _Component, edges: list[tuple]) -> Optional[tup
     join graph) fold into one joint code."""
     a_parts: list[np.ndarray] = []
     b_parts: list[np.ndarray] = []
-    size = 0
+    sizes: list[int] = []
     for i, k, codes_i, codes_k, edge_size in edges:
         if i in a.ids and k in b.ids:
             a_parts.append(a.rows_of(i, codes_i))
@@ -1024,13 +1075,13 @@ def _candidate(a: _Component, b: _Component, edges: list[tuple]) -> Optional[tup
             b_parts.append(b.rows_of(i, codes_i))
         else:
             continue
-        size = edge_size
+        sizes.append(edge_size)
     if not a_parts:
         return None
     if len(a_parts) == 1:
-        a_codes, b_codes = a_parts[0], b_parts[0]
+        a_codes, b_codes, size = a_parts[0], b_parts[0], sizes[0]
     else:
-        a_codes, b_codes, size = _joint_codes(a_parts, b_parts)
+        a_codes, b_codes, size = _joint_codes(a_parts, b_parts, sizes)
     a_counts = np.bincount(a_codes, minlength=size)
     b_counts = np.bincount(b_codes, minlength=size)
     return int(a_counts @ b_counts), a_codes, b_codes, a_counts, b_counts
@@ -1114,7 +1165,7 @@ class _JoinOp(_Op):
                 all_right = np.concatenate(
                     [cand_right, np.full(unmatched.size, -1, np.int64)]
                 )
-                order = np.argsort(all_left, kind="stable")
+                order = _stable_order(all_left, left.length)
                 cand_left = all_left[order]
                 cand_right = all_right[order]
         taken: dict[tuple[str, int], ColumnVector] = {}

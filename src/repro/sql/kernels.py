@@ -45,8 +45,8 @@ from .ast import (
     UnaryOp,
 )
 from .batch import ColumnBatch, ColumnVector
-from .errors import SqlTypeError
-from .executor import _SCALAR_FUNCTIONS, ExecutionError, like_to_glob, sql_like
+from .errors import ExecutionError, SqlTypeError
+from .executor import _SCALAR_FUNCTIONS, like_to_glob, sql_like
 
 
 class Const:

@@ -12,10 +12,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.obs import MetricsRegistry, RecordingTracer
 from repro.sql import (
     DEFAULT_CATALOG,
+    Catalog,
+    ColumnTable,
+    TableSchema,
     FIG1_QUERY,
     ColumnarExecutor,
     QueryExecutor,
@@ -28,6 +33,7 @@ from repro.sql import (
     plan_statement,
     run_query,
 )
+from repro.sql.catalog import _cols
 from repro.sql.ast import BinaryOp, ColumnRef, FunctionCall, Literal, Star
 from repro.sql.columnar import ColumnBatch, ColumnVector, compile_plan, walk_ops
 from repro.workloads.tpch_sql import TPCH_SQL, run_tpch_query, runnable_queries
@@ -190,13 +196,8 @@ def test_row_engine_imports_only_shrink():
             for alias in node.names
         }
     assert imported == {
-        "columnar.py": {
-            "Database", "ExecutionError", "Row",
-            "_extract_equi_keys", "_sort_key",
-        },
-        "kernels.py": {
-            "ExecutionError", "_SCALAR_FUNCTIONS", "like_to_glob", "sql_like",
-        },
+        "columnar.py": {"Database", "Row", "_extract_equi_keys", "_sort_key"},
+        "kernels.py": {"_SCALAR_FUNCTIONS", "like_to_glob", "sql_like"},
     }
 
 
@@ -238,6 +239,149 @@ def test_aggregate_vectors_encode_like_from_values(kind, name, gids):
     star = FunctionCall("count", (Star(),))
     counts = columnar._AggCall(star, ["v"]).compute(table, groups, n_groups)
     assert counts.kind == "int" and counts.mask is None
+
+
+# ----------------------------------------------------------------------
+# Grouping and ordering kernels
+# ----------------------------------------------------------------------
+
+#: Code-space sizes on both sides of the uint16 and two-pass bounds; small
+#: sizes fall on both sides of the renumbering bound 4n + 64.
+_SIZES = st.sampled_from([
+    1, 2, 3, 2**16 - 1, 2**16, 2**16 + 1, 2**32 - 1, 2**32, 2**32 + 1, 2**40,
+]) | st.integers(1, 300)
+
+
+@st.composite
+def _coded(draw, n=None):
+    """Codes in ``[0, size)`` and their size; a few large values reach
+    every branch cheaply, and repeats make groups."""
+    size = draw(_SIZES)
+    edges = {0, size // 2, size - 1, min(size - 1, 2**16 - 1), min(size - 1, 2**16)}
+    value = st.sampled_from(sorted(edges)) | st.integers(0, size - 1)
+    n = draw(st.integers(0, 40)) if n is None else n
+    return np.array(draw(st.lists(value, min_size=n, max_size=n)), np.int64), size
+
+
+@st.composite
+def _code_parts(draw):
+    n = draw(st.integers(0, 30))
+    return [draw(_coded(n)) for _ in range(draw(st.integers(1, 3)))]
+
+
+_NO_CODES = np.empty(0, np.int64)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_coded())
+@example((_NO_CODES, 1))
+@example((np.array([2**32 - 1]), 2**32))
+def test_stable_order_is_the_stable_argsort(coded):
+    codes, size = coded
+    want = np.argsort(codes, kind="stable")
+    assert columnar._stable_order(codes, size).tolist() == want.tolist()
+
+
+@settings(max_examples=300, deadline=None)
+@given(_code_parts())
+@example([(_NO_CODES, 2**40), (_NO_CODES, 3)])
+@example([(np.array([5]), 2**40), (np.array([2**16]), 2**16 + 1)])
+def test_combine_codes_keep_tuple_equality_and_order(parts):
+    keys = [codes for codes, _ in parts]
+    n = len(keys[0])
+    codes, size = columnar._combine_codes(keys, [size for _, size in parts])
+    assert codes.dtype == np.int64 and len(codes) == n
+    assert size <= 4 * n + 64
+    assert ((codes >= 0) & (codes < size)).all()
+    # Equal codes exactly for equal tuples, ranked as the tuples sort ...
+    _, want = np.unique(np.stack(keys, axis=1), axis=0, return_inverse=True)
+    _, got = np.unique(codes, return_inverse=True)
+    assert got.tolist() == want.ravel().tolist()
+    # ... so a stable order of the joint codes is the tuples' lexsort.
+    order = columnar._stable_order(codes, size)
+    assert order.tolist() == np.lexsort(keys[::-1]).tolist()
+
+
+@settings(max_examples=300, deadline=None)
+@given(_coded())
+@example((_NO_CODES, 2**40))
+@example((np.array([2**16 + 1]), 2**32))
+def test_first_seen_groups_match_unique(coded):
+    raw, raw_size = coded
+    uniques, first, inverse = np.unique(raw, return_index=True, return_inverse=True)
+    order = np.argsort(first, kind="stable")
+    rank = np.empty(len(uniques), np.int64)
+    rank[order] = np.arange(len(uniques))
+    gids, reps = columnar._first_seen_groups(*columnar._combine_codes([raw], [raw_size]))
+    assert gids.tolist() == rank[inverse].tolist()
+    assert reps.tolist() == first[order].tolist()
+
+
+def _wide_database():
+    """``wide``: 2**16 + 500 rows, so its string dictionary and its row ids
+    pass 2**16; ``probe`` and ``third`` pick a handful of its rows."""
+    n = 2**16 + 500
+    wide = [
+        {"k": f"k{i:06d}", "v": i, "a": (i * 7919) % 20011,
+         "b": f"s{(i * 31) % 9973}", "c": float((i * 17) % 5003) / 4}
+        for i in range(n)
+    ]
+    probe = [
+        {"pk": key, "tag": f"t{j}"}
+        for j, key in enumerate(["k000003", "k065999", None, "nope", "k000003", "k065537"])
+    ]
+    third = [{"tv": v, "note": f"n{v}"} for v in (65537, 3, 65999)]
+    catalog = Catalog()
+    catalog.register(TableSchema(
+        "wide", _cols("k:str", "v:int", "a:int", "b:str", "c:float"),
+        base_rows=n, bytes_per_row=40,
+    ))
+    catalog.register(TableSchema("probe", _cols("pk:str", "tag:str"), 6, 20))
+    catalog.register(TableSchema("third", _cols("tv:int", "note:str"), 3, 20))
+    names = {"wide": ["k", "v", "a", "b", "c"], "probe": ["pk", "tag"], "third": ["tv", "note"]}
+    database = {
+        name: ColumnTable.from_rows(rows, names[name])
+        for name, rows in (("wide", wide), ("probe", probe), ("third", third))
+    }
+    return database, catalog
+
+
+@pytest.fixture(scope="module")
+def wide_db():
+    return _wide_database()
+
+
+@pytest.mark.parametrize("sql", [
+    # A filtered scan keeps the whole >2**16 dictionary, so the build codes
+    # take the two-pass order, with either side building.
+    "select w.v, p.tag from wide w join probe p on w.k = p.pk where w.v < 4",
+    "select p.tag, w.v from probe p join wide w on p.pk = w.k where w.v > 65000",
+    # A LEFT JOIN fill over more than 2**16 left rows.
+    "select w.v, p.tag from wide w left join probe p on w.k = p.pk",
+    # w x t merges first, so FROM order is restored over w's ids.
+    "select w.v, p.tag, t.note from wide w join probe p on w.k = p.pk"
+    " join third t on t.tv = w.v",
+    # Three high-cardinality keys: the fold renumbers.
+    "select a, b, c, count(*) as n, sum(v) as s from wide group by a, b, c",
+    "select distinct b, a from wide",
+    "select b, count(distinct a) as n from wide group by b",
+])
+def test_wide_code_spaces_match_row_engine(sql, wide_db):
+    database, catalog = wide_db
+    plan = plan_statement(parse(sql), catalog)
+    want = QueryExecutor(database, catalog).execute(plan)
+    assert want
+    assert ColumnarExecutor(database, catalog).execute(plan) == want
+
+
+def test_wide_restore_runs_out_of_from_order(wide_db):
+    database, catalog = wide_db
+    sql = ("select w.v from wide w join probe p on w.k = p.pk"
+           " join third t on t.tv = w.v")
+    root = compile_plan(plan_statement(parse(sql), catalog), database, catalog)
+    ColumnarExecutor(database, catalog).run(root)
+    (join,) = [op for op in walk_ops(root) if op.kind == "join"]
+    assert join.merges[0][:2] == ((0,), (2,))
 
 
 # ----------------------------------------------------------------------
