@@ -28,13 +28,11 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Any, Mapping, Optional, Sequence, Union
+from typing import Any, Optional, Sequence, Union
 
+from ..codec import Codec
 from ..core.dag import Job
-from ..core.runtime import JobResult
-from ..obs.metrics import MetricsRegistry, collect_jobs
-from ..obs.records import TraceRecord
-from ..obs.tracer import RecordingTracer
+from ..obs.metrics import collect_jobs
 from ..service.gateway import JobEntry, JobGateway
 from ..service.policy import (
     AdmissionPolicy,
@@ -44,17 +42,23 @@ from ..service.policy import (
 )
 from ..service.stats import TenantReport, distribution
 from .config import RuntimeConfig
-from .simulation import Runtime, TraceOption, _resolve_tracer
+from .simulation import (
+    Runtime,
+    SimulationResult,
+    TraceOption,
+    _finish_outcome,
+    _resolve_tracer,
+)
 
 
 @dataclass
-class ServiceConfig:
+class ServiceConfig(Codec):
     """Everything needed to build a runnable multi-tenant service.
 
     Wraps a :class:`RuntimeConfig` (cluster + policy + calibration) with
     the gateway's tenant roster, admission policy, and queueing policy.
-    Round-trips through :meth:`to_dict`/:meth:`from_dict` like every
-    other facade config.
+    Takes ``to_dict``/``from_dict`` from :mod:`repro.codec` like every
+    other config class.
     """
 
     #: Cluster/runtime configuration the service runs on.
@@ -83,34 +87,6 @@ class ServiceConfig:
         self.queue.validate()
         self.default_tenant.validate()
         return self
-
-    def to_dict(self) -> dict[str, Any]:
-        """Flatten to a JSON-serializable document (see :meth:`from_dict`)."""
-        return {
-            "runtime": self.runtime.to_dict(),
-            "tenants": [spec.to_dict() for spec in self.tenants],
-            "admission": self.admission.to_dict(),
-            "queue": self.queue.to_dict(),
-            "default_tenant": self.default_tenant.to_dict(),
-            "auto_register": self.auto_register,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "ServiceConfig":
-        """Rebuild a validated config from :meth:`to_dict` output."""
-        config = cls(
-            runtime=RuntimeConfig.from_dict(payload.get("runtime", {})),
-            tenants=[
-                TenantSpec.from_dict(item) for item in payload.get("tenants", [])
-            ],
-            admission=AdmissionPolicy.from_dict(payload.get("admission", {})),
-            queue=QueuePolicy.from_dict(payload.get("queue", {})),
-            default_tenant=TenantSpec.from_dict(
-                payload.get("default_tenant", default_tenant_template().to_dict())
-            ),
-            auto_register=bool(payload.get("auto_register", True)),
-        )
-        return config.validate()
 
 
 class SubmitHandle:
@@ -169,23 +145,14 @@ class SubmitHandle:
 
 
 @dataclass
-class ServiceResult:
-    """Typed outcome of one :meth:`Service.run` call."""
+class ServiceResult(SimulationResult):
+    """Typed outcome of one :meth:`Service.run` call: the run's results
+    (rejected jobs absent), trace and metrics plus the gateway's reports."""
 
-    #: Per-job runtime results, in completion order (rejected jobs absent).
-    results: list[JobResult]
     #: Per-tenant percentile reports, keyed and sorted by tenant name.
     tenants: dict[str, TenantReport] = field(default_factory=dict)
     #: The gateway's full per-arrival ledger, in submission order.
     entries: list[JobEntry] = field(default_factory=list)
-    #: Trace records of the run (empty when tracing was disabled).
-    trace: list[TraceRecord] = field(default_factory=list)
-    #: Aggregated counters/gauges/histograms of the run.
-    metrics: MetricsRegistry = field(default_factory=MetricsRegistry)
-    #: Files written by the trace export step.
-    trace_files: list[str] = field(default_factory=list)
-    #: Resource-accounting summary (``None`` unless auditing was on).
-    audit: Optional[dict[str, object]] = None
     #: Deterministic per-job queue-time table (CSV text).
     csv: str = ""
 
@@ -208,13 +175,6 @@ class ServiceResult:
     def deadline_overruns(self) -> int:
         """Jobs that finished past their deadline."""
         return sum(report.deadline_overruns for report in self.tenants.values())
-
-    @property
-    def makespan(self) -> float:
-        """Finish time of the last job (0 for an empty run)."""
-        if not self.results:
-            return 0.0
-        return max(r.metrics.finish_time for r in self.results)
 
     def tenant(self, name: str) -> TenantReport:
         """One tenant's report by name."""
@@ -334,26 +294,13 @@ class Service:
                 "Service.run already executed; build a fresh Service per replay"
             )
         self._ran = True
-        results = self._runtime.run(until=until)
         outcome = ServiceResult(
-            results=list(results),
+            results=list(self._runtime.run(until=until)),
             tenants=self.gateway.reports(),
             entries=list(self.gateway.entries),
             csv=self.gateway.queue_csv(),
         )
-        if self._runtime.ledger is not None:
-            outcome.audit = self._runtime.ledger.summary()
-        tracer = self._runtime.tracer
-        if isinstance(tracer, RecordingTracer):
-            outcome.trace = list(tracer.records)
-            outcome.metrics = tracer.metrics
-        else:
-            collect_jobs(outcome.metrics, (r.metrics for r in results))
-        if self._trace_config is not None and isinstance(tracer, RecordingTracer):
-            for path in self._trace_config.output_paths():
-                if path.endswith(".jsonl"):
-                    tracer.export_jsonl(path)
-                else:
-                    tracer.export_chrome(path)
-                outcome.trace_files.append(path)
+        # collect_jobs is passed by this module's name so bench/spans.py's
+        # span on repro.api.service.collect_jobs still sees the call.
+        _finish_outcome(outcome, self._runtime, self._trace_config, collect_jobs)
         return outcome

@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 from ..audit.ledger import ResourceLedger
 from ..core.dag import Job
+from ..core.metrics import JobMetrics
 from ..core.runtime import JobResult, SwiftRuntime
 from ..obs.metrics import MetricsRegistry, collect_jobs
 from ..obs.records import TraceRecord
@@ -203,20 +204,32 @@ class Simulation:
         tracer, trace_config = _resolve_tracer(trace)
         runtime = Runtime(self.config, tracer=tracer)
         runtime.submit(workload)
-        results = runtime.run(until=until)
-        outcome = SimulationResult(results=list(results))
-        if runtime.ledger is not None:
-            outcome.audit = runtime.ledger.summary()
-        if isinstance(tracer, RecordingTracer):
-            outcome.trace = list(tracer.records)
-            outcome.metrics = tracer.metrics
-        else:
-            collect_jobs(outcome.metrics, (r.metrics for r in results))
-        if trace_config is not None and isinstance(tracer, RecordingTracer):
-            for path in trace_config.output_paths():
-                if path.endswith(".jsonl"):
-                    tracer.export_jsonl(path)
-                else:
-                    tracer.export_chrome(path)
-                outcome.trace_files.append(path)
+        outcome = SimulationResult(results=list(runtime.run(until=until)))
+        _finish_outcome(outcome, runtime, trace_config)
         return outcome
+
+
+def _finish_outcome(
+    outcome: SimulationResult,
+    runtime: Runtime,
+    trace_config: Optional[TraceConfig],
+    collect: Callable[[MetricsRegistry, Iterable[JobMetrics]], None] = collect_jobs,
+) -> None:
+    """Fill a finished run's audit summary, trace records and metrics (the
+    jobs' metrics through ``collect`` when untraced) and write the trace
+    export files; shared by :class:`Simulation` and ``Service``."""
+    if runtime.ledger is not None:
+        outcome.audit = runtime.ledger.summary()
+    tracer = runtime.tracer
+    if not isinstance(tracer, RecordingTracer):
+        collect(outcome.metrics, (r.metrics for r in outcome.results))
+        return
+    outcome.trace = list(tracer.records)
+    outcome.metrics = tracer.metrics
+    if trace_config is not None:
+        for path in trace_config.output_paths():
+            if path.endswith(".jsonl"):
+                tracer.export_jsonl(path)
+            else:
+                tracer.export_chrome(path)
+            outcome.trace_files.append(path)

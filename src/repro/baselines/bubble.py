@@ -11,6 +11,7 @@ Swift's in-memory Cache Workers (DISK on cross-unit edges here).
 
 from __future__ import annotations
 
+from ..codec import replace
 from ..core.partition import BubblePartitioner
 from ..core.policies import (
     ExecutionPolicy,
@@ -25,7 +26,7 @@ def bubble_policy(
     memory_budget_bytes: float = 64 * 1024 ** 3, **overrides: object
 ) -> ExecutionPolicy:
     """Build the Bubble Execution baseline policy."""
-    policy = ExecutionPolicy(
+    return replace(ExecutionPolicy(
         name="bubble",
         partitioner=BubblePartitioner(memory_budget_bytes=memory_budget_bytes),
         submission=SubmissionOrder.EAGER,
@@ -35,9 +36,4 @@ def bubble_policy(
         recovery=FailureRecovery.FINE_GRAINED,
         pipelined_execution=True,
         gang=True,
-    )
-    for key, value in overrides.items():
-        if not hasattr(policy, key):
-            raise AttributeError(f"ExecutionPolicy has no field {key!r}")
-        setattr(policy, key, value)
-    return policy
+    ), **overrides)

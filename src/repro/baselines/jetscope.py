@@ -11,6 +11,7 @@ recovery restarts the whole job.
 
 from __future__ import annotations
 
+from ..codec import replace
 from ..core.partition import WholeJobPartitioner
 from ..core.policies import (
     ExecutionPolicy,
@@ -23,7 +24,7 @@ from ..core.shuffle import ShuffleScheme
 
 def jetscope_policy(**overrides: object) -> ExecutionPolicy:
     """Build the JetScope baseline policy."""
-    policy = ExecutionPolicy(
+    return replace(ExecutionPolicy(
         name="jetscope",
         partitioner=WholeJobPartitioner(),
         submission=SubmissionOrder.CONSERVATIVE,
@@ -32,9 +33,4 @@ def jetscope_policy(**overrides: object) -> ExecutionPolicy:
         recovery=FailureRecovery.JOB_RESTART,
         pipelined_execution=True,
         gang=True,
-    )
-    for key, value in overrides.items():
-        if not hasattr(policy, key):
-            raise AttributeError(f"ExecutionPolicy has no field {key!r}")
-        setattr(policy, key, value)
-    return policy
+    ), **overrides)

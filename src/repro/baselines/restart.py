@@ -12,9 +12,6 @@ from ..core.policies import ExecutionPolicy, FailureRecovery, swift_policy
 
 def restart_policy(**overrides: object) -> ExecutionPolicy:
     """Swift's configuration with whole-job-restart failure recovery."""
-    policy = swift_policy(name="swift_restart", recovery=FailureRecovery.JOB_RESTART)
-    for key, value in overrides.items():
-        if not hasattr(policy, key):
-            raise AttributeError(f"ExecutionPolicy has no field {key!r}")
-        setattr(policy, key, value)
-    return policy
+    return swift_policy(
+        **{"name": "swift_restart", "recovery": FailureRecovery.JOB_RESTART, **overrides}
+    )

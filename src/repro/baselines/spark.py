@@ -17,6 +17,7 @@ no cross-stage pipelining.
 
 from __future__ import annotations
 
+from ..codec import replace
 from ..core.partition import StagePartitioner
 from ..core.policies import (
     ExecutionPolicy,
@@ -29,7 +30,7 @@ from ..core.shuffle import ShuffleScheme
 
 def spark_policy(**overrides: object) -> ExecutionPolicy:
     """Build the Spark baseline policy."""
-    policy = ExecutionPolicy(
+    return replace(ExecutionPolicy(
         name="spark",
         partitioner=StagePartitioner(),
         submission=SubmissionOrder.CONSERVATIVE,
@@ -38,9 +39,4 @@ def spark_policy(**overrides: object) -> ExecutionPolicy:
         recovery=FailureRecovery.FINE_GRAINED,
         pipelined_execution=False,
         gang=False,
-    )
-    for key, value in overrides.items():
-        if not hasattr(policy, key):
-            raise AttributeError(f"ExecutionPolicy has no field {key!r}")
-        setattr(policy, key, value)
-    return policy
+    ), **overrides)

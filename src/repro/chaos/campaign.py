@@ -12,12 +12,12 @@ meaningful across workloads of very different absolute durations.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import random
 from dataclasses import dataclass, field
-from typing import Any, Mapping, Optional
+from typing import Optional
 
+from ..codec import Codec
 from ..sim.config import SimConfig
 from ..sim.failures import FailureKind, FailurePlan, FailureSpec
 
@@ -29,7 +29,7 @@ CACHE_FACTORS = (1.0, 0.25, 0.05)
 
 
 @dataclass(frozen=True)
-class Perturbations:
+class Perturbations(Codec):
     """Config-level degradations applied for the whole run.
 
     ``network_factor`` scales NIC bandwidth (degraded links);
@@ -53,22 +53,9 @@ class Perturbations:
         """Hashable identity used for baseline caching."""
         return (self.network_factor, self.cache_factor)
 
-    def to_dict(self) -> dict[str, float]:
-        return {
-            "network_factor": self.network_factor,
-            "cache_factor": self.cache_factor,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "Perturbations":
-        return cls(
-            network_factor=float(payload.get("network_factor", 1.0)),
-            cache_factor=float(payload.get("cache_factor", 1.0)),
-        )
-
 
 @dataclass(frozen=True)
-class ChaosEvent:
+class ChaosEvent(Codec):
     """One discrete failure in a campaign, positioned by baseline fraction."""
 
     kind: str
@@ -88,20 +75,6 @@ class ChaosEvent:
             machine_id=self.machine_id,
             at_fraction=self.at_fraction,
             duration=self.duration,
-        )
-
-    def to_dict(self) -> dict[str, Any]:
-        return dataclasses.asdict(self)
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "ChaosEvent":
-        return cls(
-            kind=str(payload["kind"]),
-            at_fraction=float(payload["at_fraction"]),
-            machine_id=payload.get("machine_id"),
-            stage=payload.get("stage"),
-            task_index=payload.get("task_index"),
-            duration=payload.get("duration"),
         )
 
 
@@ -209,7 +182,7 @@ PROFILES: dict[str, ChaosProfile] = {
 
 
 @dataclass
-class Campaign:
+class Campaign(Codec):
     """One generated (or shrunk) schedule of failures plus perturbations."""
 
     seed: int
@@ -230,40 +203,6 @@ class Campaign:
     def has_kind(self, kind: FailureKind) -> bool:
         """True when any event is of ``kind``."""
         return any(e.kind == kind.value for e in self.events)
-
-    def replace_events(self, events: list[ChaosEvent]) -> "Campaign":
-        """A copy of this campaign with a different event list."""
-        return Campaign(
-            seed=self.seed,
-            workload=self.workload,
-            profile=self.profile,
-            events=list(events),
-            perturbations=self.perturbations,
-            shrunk=self.shrunk,
-        )
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "seed": self.seed,
-            "workload": self.workload,
-            "profile": self.profile,
-            "events": [e.to_dict() for e in self.events],
-            "perturbations": self.perturbations.to_dict(),
-            "shrunk": self.shrunk,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "Campaign":
-        return cls(
-            seed=int(payload["seed"]),
-            workload=str(payload["workload"]),
-            profile=str(payload["profile"]),
-            events=[ChaosEvent.from_dict(e) for e in payload.get("events", [])],
-            perturbations=Perturbations.from_dict(
-                payload.get("perturbations", {})
-            ),
-            shrunk=bool(payload.get("shrunk", False)),
-        )
 
     def save(self, path: str) -> None:
         """Write the replayable JSON repro file."""

@@ -9,9 +9,10 @@ makes it pass.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Callable
 
-from .campaign import Campaign, ChaosEvent
+from .campaign import Campaign
 
 #: A predicate that runs a campaign and reports whether it still fails.
 StillFails = Callable[[Campaign], bool]
@@ -36,7 +37,7 @@ def _subset_pass(
                 start += chunk
                 continue
             budget[0] -= 1
-            if still_fails(campaign.replace_events(candidate)):
+            if still_fails(replace(campaign, events=candidate)):
                 events = candidate
                 reduced = True
                 # Do not advance: the chunk at ``start`` changed.
@@ -46,7 +47,7 @@ def _subset_pass(
             if chunk == 1:
                 break
             chunk = max(1, chunk // 2)
-    return campaign.replace_events(events)
+    return replace(campaign, events=events)
 
 
 def _bisect_times(
@@ -69,31 +70,16 @@ def _bisect_times(
             if budget[0] <= 0 or hi - lo < 1e-3:
                 break
             mid = round((lo + hi) / 2, 4)
-            trial = ChaosEvent(
-                kind=event.kind,
-                at_fraction=mid,
-                machine_id=event.machine_id,
-                stage=event.stage,
-                task_index=event.task_index,
-                duration=event.duration,
-            )
-            candidate = events[:i] + [trial] + events[i + 1:]
+            candidate = events[:i] + [replace(event, at_fraction=mid)] + events[i + 1:]
             budget[0] -= 1
-            if still_fails(campaign.replace_events(candidate)):
+            if still_fails(replace(campaign, events=candidate)):
                 best = mid
                 hi = mid
             else:
                 lo = mid
         if best != event.at_fraction:
-            events[i] = ChaosEvent(
-                kind=event.kind,
-                at_fraction=best,
-                machine_id=event.machine_id,
-                stage=event.stage,
-                task_index=event.task_index,
-                duration=event.duration,
-            )
-    return campaign.replace_events(events)
+            events[i] = replace(event, at_fraction=best)
+    return replace(campaign, events=events)
 
 
 def shrink_campaign(

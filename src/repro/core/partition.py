@@ -17,7 +17,8 @@ The other partitioners model the baselines:
 
 from __future__ import annotations
 
-from typing import Protocol
+from dataclasses import dataclass
+from typing import Iterable, Protocol
 
 from .dag import EdgeMode, JobDAG
 from .graphlet import Graphlet, GraphletGraph
@@ -33,6 +34,7 @@ class Partitioner(Protocol):
         ...
 
 
+@dataclass(frozen=True)
 class SwiftPartitioner:
     """Algorithms 1 & 2: shuffle-mode-aware job partitioning.
 
@@ -49,20 +51,22 @@ class SwiftPartitioner:
 
     name = "swift"
 
-    def __init__(self, enforce_acyclic: bool = True) -> None:
-        self.enforce_acyclic = enforce_acyclic
+    enforce_acyclic: bool = True
 
-    def partition(self, dag: JobDAG) -> GraphletGraph:
-        """Partition ``dag`` into a graphlet graph."""
-        forced_cuts: set[tuple[str, str]] = set(getattr(self, "_forced_cuts", set()))
+    def partition(
+        self, dag: JobDAG, forced_cuts: Iterable[tuple[str, str]] = ()
+    ) -> GraphletGraph:
+        """Partition ``dag`` into a graphlet graph; the pipeline edges in
+        ``forced_cuts`` are treated as graphlet boundaries."""
+        cuts = set(forced_cuts)
         for _ in range(len(dag.stages) + 1):
-            graphlets = self._scan_all(dag, forced_cuts)
+            graphlets = self._scan_all(dag, cuts)
             if not self.enforce_acyclic:
                 return GraphletGraph(dag=dag, graphlets=graphlets)
-            cut = self._find_cycle_breaking_cut(dag, graphlets, forced_cuts)
+            cut = self._find_cycle_breaking_cut(dag, graphlets, cuts)
             if cut is None:
                 return GraphletGraph(dag=dag, graphlets=graphlets)
-            forced_cuts.add(cut)
+            cuts.add(cut)
         raise RuntimeError("could not break graphlet dependency cycles")
 
     def _scan_all(
@@ -169,6 +173,7 @@ class SwiftPartitioner:
         return stage_names
 
 
+@dataclass(frozen=True)
 class WholeJobPartitioner:
     """JetScope/Impala model: the whole job is a single gang-scheduled unit."""
 
@@ -184,6 +189,7 @@ class WholeJobPartitioner:
         return GraphletGraph(dag=dag, graphlets=[graphlet])
 
 
+@dataclass(frozen=True)
 class StagePartitioner:
     """Spark model: one schedulable unit per stage."""
 
@@ -198,6 +204,7 @@ class StagePartitioner:
         return GraphletGraph(dag=dag, graphlets=graphlets)
 
 
+@dataclass(frozen=True)
 class BubblePartitioner:
     """Bubble Execution model: pipeline-connected growth with a memory cap.
 
@@ -210,10 +217,11 @@ class BubblePartitioner:
 
     name = "bubble"
 
-    def __init__(self, memory_budget_bytes: float = 64 * 1024 ** 3) -> None:
-        if memory_budget_bytes <= 0:
+    memory_budget_bytes: float = 64 * 1024 ** 3
+
+    def __post_init__(self) -> None:
+        if self.memory_budget_bytes <= 0:
             raise ValueError("memory_budget_bytes must be positive")
-        self.memory_budget_bytes = memory_budget_bytes
 
     def partition(self, dag: JobDAG) -> GraphletGraph:
         """Partition ``dag`` into a graphlet graph."""
@@ -222,7 +230,6 @@ class BubblePartitioner:
         forced_cuts: set[tuple[str, str]] = set()
         volume: dict[str, float] = {}
         remaining: dict[str, None] = dict.fromkeys(dag.topo_order())
-        probe = SwiftPartitioner()
         while remaining:
             trigger = next(iter(remaining))
             del remaining[trigger]
@@ -246,9 +253,18 @@ class BubblePartitioner:
                     stage_names.append(neighbour)
                     stack.append(neighbour)
             volume[trigger] = bubble_volume
-        probe._forced_cuts = forced_cuts  # type: ignore[attr-defined]
-        graph = probe.partition(dag)
-        return GraphletGraph(dag=dag, graphlets=graph.graphlets)
+        return SwiftPartitioner().partition(dag, forced_cuts)
+
+
+#: Every partitioner by its ``name``: the policy round trip
+#: (:class:`~repro.core.policies.ExecutionPolicy`) and the experiment cells
+#: resolve names here.
+PARTITIONERS: dict[str, type[Partitioner]] = {
+    SwiftPartitioner.name: SwiftPartitioner,
+    WholeJobPartitioner.name: WholeJobPartitioner,
+    StagePartitioner.name: StagePartitioner,
+    BubblePartitioner.name: BubblePartitioner,
+}
 
 
 def partition_job(dag: JobDAG, partitioner: Partitioner | None = None) -> GraphletGraph:

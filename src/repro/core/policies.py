@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from typing import Annotated
 
-from .partition import Partitioner, SwiftPartitioner
+from ..codec import Codec, replace
+from .partition import PARTITIONERS, Partitioner, SwiftPartitioner
 from .shuffle import ShuffleScheme
 
 
@@ -44,11 +46,13 @@ class FailureRecovery(enum.Enum):
 
 
 @dataclass
-class ExecutionPolicy:
+class ExecutionPolicy(Codec):
     """One system configuration runnable by the simulator."""
 
     name: str = "swift"
-    partitioner: Partitioner = field(default_factory=SwiftPartitioner)
+    #: Serialized as ``{"name": ..., **parameters}``, resolved through
+    #: :data:`~repro.core.partition.PARTITIONERS`.
+    partitioner: Annotated[Partitioner, PARTITIONERS] = field(default_factory=SwiftPartitioner)
     submission: SubmissionOrder = SubmissionOrder.CONSERVATIVE
     shuffle: ShuffleScheme = ShuffleScheme.ADAPTIVE
     #: Shuffle scheme used on cross-unit (barrier) edges; defaults to the
@@ -70,9 +74,4 @@ class ExecutionPolicy:
 
 def swift_policy(**overrides: object) -> ExecutionPolicy:
     """Swift's production configuration."""
-    policy = ExecutionPolicy(name="swift")
-    for key, value in overrides.items():
-        if not hasattr(policy, key):
-            raise AttributeError(f"ExecutionPolicy has no field {key!r}")
-        setattr(policy, key, value)
-    return policy
+    return replace(ExecutionPolicy(name="swift"), **overrides)

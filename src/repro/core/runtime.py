@@ -845,7 +845,7 @@ class SwiftRuntime:
         """Machine spread Y of a shuffle: tasks pack onto executors, so with
         dozens of executors per machine "Y is much smaller than M and N"
         (Section III-B)."""
-        per_machine = max(1, self.cluster.total_executors() // self.cluster.n_machines)
+        per_machine = self.cluster.executors_per_machine
         return max(1, min(self.cluster.n_machines, math.ceil(max(m, n) / per_machine)))
 
     def _cache_worker_read_delay(self, job_run: JobRun, edge: Edge, n_consumers: int) -> float:

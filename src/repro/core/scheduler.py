@@ -387,5 +387,5 @@ def pick_locality_machines(cluster: Cluster, n_tasks: int) -> tuple[int, ...]:
     the scan tasks (data placement is uniform in the simulator, so locality
     reduces to load spreading)."""
     machines = cluster.schedulable_machines()
-    take = max(1, min(len(machines), -(-n_tasks // max(1, cluster.config.executors_per_machine))))
+    take = max(1, min(len(machines), -(-n_tasks // cluster.executors_per_machine)))
     return tuple(m.machine_id for m in islice(cluster.machines_by_load(), take))

@@ -43,7 +43,7 @@ def partitioning_ablation(n_jobs: int = 150) -> ExperimentResult:
     partitioners = (
         ("graphlet (swift)", "swift"),
         ("whole job", "whole_job"),
-        ("per stage", "stage"),
+        ("per stage", "per_stage"),
         ("bubble", "bubble"),
     )
     cells = [

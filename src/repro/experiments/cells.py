@@ -20,12 +20,7 @@ import statistics
 from ..baselines import bubble_policy, jetscope_policy, restart_policy, spark_policy
 from ..core.dag import Job
 from ..core.metrics import four_quartile_summary
-from ..core.partition import (
-    BubblePartitioner,
-    StagePartitioner,
-    SwiftPartitioner,
-    WholeJobPartitioner,
-)
+from ..core.partition import PARTITIONERS
 from ..core.policies import ExecutionPolicy, SubmissionOrder, swift_policy
 from ..core.shuffle import ShuffleScheme
 from ..obs.tracer import RecordingTracer
@@ -41,14 +36,6 @@ _POLICIES = {
     "bubble": bubble_policy,
     "jetscope": jetscope_policy,
     "restart": restart_policy,
-}
-
-#: Partitioner classes by name for the scheduling-granularity ablation.
-_PARTITIONERS = {
-    "swift": SwiftPartitioner,
-    "whole_job": WholeJobPartitioner,
-    "stage": StagePartitioner,
-    "bubble": BubblePartitioner,
 }
 
 
@@ -279,7 +266,7 @@ def partitioning_cell(partitioner: str, n_jobs: int) -> dict[str, float]:
     jobs = traces.generate_trace(
         traces.TraceConfig(n_jobs=n_jobs, mean_interarrival=0.08)
     )
-    instance = _PARTITIONERS[partitioner]()
+    instance = PARTITIONERS[partitioner]()
     policy = swift_policy(name=f"swift_{instance.name}", partitioner=instance)
     results, _ = run_jobs(policy, jobs)
     idle = statistics.mean(r.metrics.idle_ratio() for r in results)

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Optional, Sequence
 
 from ..core.dag import Job
@@ -284,7 +284,7 @@ class JobGateway:
             if not self.auto_register:
                 self._reject(entry, RejectReason.UNKNOWN_TENANT, now)
                 return
-            self.register(self.default_tenant.renamed(entry.tenant))
+            self.register(replace(self.default_tenant, name=entry.tenant))
             state = self._tenants[entry.tenant]
         spec = state.spec
         total = self.runtime.cluster.total_executors()

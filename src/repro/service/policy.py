@@ -1,8 +1,9 @@
 """Tenant, admission, and queueing policy dataclasses for the gateway.
 
-All three round-trip through ``to_dict``/``from_dict`` in the same style as
+All three take ``to_dict``/``from_dict`` from :mod:`repro.codec`, like
 :class:`repro.api.RuntimeConfig`, so a whole service configuration can be
-checked into JSON and replayed deterministically.
+checked into JSON and replayed deterministically; a malformed document
+raises :class:`PolicyValidationError`.
 
 The model follows the multi-tenant queueing shape of cloud data services
 (PAPER.md §I/§VI; "Scheduling Storms and Streams in the Cloud"): every
@@ -16,15 +17,22 @@ tenants, with strict priority tiers on top.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Mapping
+
+from ..codec import Codec
 
 
 class PolicyValidationError(ValueError):
     """A service policy dataclass failed validation."""
 
 
+class _PolicyCodec(Codec):
+    """The codec with :class:`PolicyValidationError` for bad payloads."""
+
+    payload_error = PolicyValidationError
+
+
 @dataclass(frozen=True)
-class TenantSpec:
+class TenantSpec(_PolicyCodec):
     """Per-tenant quotas and scheduling weight."""
 
     #: Tenant identifier; gateway queues and reports are keyed by it.
@@ -53,35 +61,6 @@ class TenantSpec:
             raise PolicyValidationError("weight must be > 0")
         return self
 
-    def to_dict(self) -> dict[str, Any]:
-        """JSON-friendly representation; inverse of :meth:`from_dict`."""
-        return {
-            "name": self.name,
-            "max_concurrent_jobs": self.max_concurrent_jobs,
-            "max_executor_slots": self.max_executor_slots,
-            "weight": self.weight,
-            "priority": self.priority,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "TenantSpec":
-        """Build from :meth:`to_dict` output; unknown keys are rejected."""
-        known = {f for f in cls.__dataclass_fields__}
-        extra = set(payload) - known
-        if extra:
-            raise PolicyValidationError(f"unknown TenantSpec keys: {sorted(extra)}")
-        return cls(**dict(payload)).validate()
-
-    def renamed(self, name: str) -> "TenantSpec":
-        """A copy with a different :attr:`name` (auto-registration template)."""
-        return TenantSpec(
-            name=name,
-            max_concurrent_jobs=self.max_concurrent_jobs,
-            max_executor_slots=self.max_executor_slots,
-            weight=self.weight,
-            priority=self.priority,
-        )
-
 
 #: Admission verdicts when pool pressure exceeds the policy threshold.
 ON_PRESSURE_REJECT = "reject"
@@ -89,7 +68,7 @@ ON_PRESSURE_QUEUE = "queue"
 
 
 @dataclass(frozen=True)
-class AdmissionPolicy:
+class AdmissionPolicy(_PolicyCodec):
     """When the gateway rejects an arrival instead of queueing it.
 
     Jobs whose largest gang request can never fit — it exceeds cluster
@@ -120,26 +99,9 @@ class AdmissionPolicy:
             )
         return self
 
-    def to_dict(self) -> dict[str, Any]:
-        """JSON-friendly representation; inverse of :meth:`from_dict`."""
-        return {
-            "max_pending_per_tenant": self.max_pending_per_tenant,
-            "max_pool_pressure": self.max_pool_pressure,
-            "on_pressure": self.on_pressure,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "AdmissionPolicy":
-        """Build from :meth:`to_dict` output; unknown keys are rejected."""
-        known = {f for f in cls.__dataclass_fields__}
-        extra = set(payload) - known
-        if extra:
-            raise PolicyValidationError(f"unknown AdmissionPolicy keys: {sorted(extra)}")
-        return cls(**dict(payload)).validate()
-
 
 @dataclass(frozen=True)
-class QueuePolicy:
+class QueuePolicy(_PolicyCodec):
     """How queued arrivals are ordered for dispatch."""
 
     #: Weighted fair share across tenants (False = FIFO by global arrival).
@@ -153,23 +115,6 @@ class QueuePolicy:
     def validate(self) -> "QueuePolicy":
         """No invalid combinations today; kept for config-surface symmetry."""
         return self
-
-    def to_dict(self) -> dict[str, Any]:
-        """JSON-friendly representation; inverse of :meth:`from_dict`."""
-        return {
-            "fair_share": self.fair_share,
-            "strict_priority": self.strict_priority,
-            "deadline_first": self.deadline_first,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "QueuePolicy":
-        """Build from :meth:`to_dict` output; unknown keys are rejected."""
-        known = {f for f in cls.__dataclass_fields__}
-        extra = set(payload) - known
-        if extra:
-            raise PolicyValidationError(f"unknown QueuePolicy keys: {sorted(extra)}")
-        return cls(**dict(payload)).validate()
 
 
 def default_tenant_template() -> TenantSpec:

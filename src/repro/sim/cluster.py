@@ -2,9 +2,9 @@
 
 Executors are pre-launched slots ("the worker machine provides computing
 resources for tasks in terms of Swift Executors, which are pre-launched when
-Swift starts", Section II-B).  Machines carry the health state machine used
-by failure detection (Section IV-A): HEALTHY -> UNHEALTHY -> READ_ONLY, or
-directly to DEAD on a machine crash.
+Swift starts", Section II-B).  Machines carry the health states of failure
+detection (Section IV-A): a quarantined (unhealthy) machine goes
+HEALTHY -> READ_ONLY and back, a crashed one goes to DEAD.
 """
 
 from __future__ import annotations
@@ -21,8 +21,6 @@ from .network import NetworkModel
 class MachineState(enum.Enum):
     """Machine health states of Section IV-A."""
     HEALTHY = "healthy"
-    #: Flagged by the health monitor; still running but suspect.
-    UNHEALTHY = "unhealthy"
     #: No new tasks scheduled; existing tasks drain (Section IV-A).
     READ_ONLY = "read_only"
     DEAD = "dead"
@@ -123,9 +121,6 @@ class Machine:
         self._free_stack: list[Executor] = list(self.executors)
         #: Attached by the runtime (a ``repro.core.cache_worker.CacheWorker``).
         self.cache_worker: Optional[object] = None
-        #: Running count of tasks currently in a network/disk-heavy phase;
-        #: used for contention estimates.
-        self.active_transfers = 0
         #: The load this machine is filed under in the cluster's load index;
         #: ``None`` while it is not filed (not schedulable, or not indexed
         #: yet).
@@ -174,16 +169,16 @@ class Machine:
 
     def mark_read_only(self) -> None:
         """Quarantine: drain existing tasks, accept no new ones."""
-        if self.state == MachineState.HEALTHY or self.state == MachineState.UNHEALTHY:
+        if self.state == MachineState.HEALTHY:
             self._withdraw_from_pool()
             self.state = MachineState.READ_ONLY
             if self._cluster is not None:
                 self._cluster._health_changed(self)
 
     def mark_healthy(self) -> None:
-        """Recover a quarantined/unhealthy machine: accept tasks again and
-        return its idle executors to the cluster pool."""
-        if self.state in (MachineState.READ_ONLY, MachineState.UNHEALTHY):
+        """Recover a quarantined machine: accept tasks again and return its
+        idle executors to the cluster pool."""
+        if self.state == MachineState.READ_ONLY:
             self.state = MachineState.HEALTHY
             if self._cluster is not None:
                 self._cluster._free_count += self.idle_count
@@ -236,6 +231,9 @@ class Cluster:
         #: Machine membership is fixed after construction, so the slot total
         #: is a constant (queried on every request validation).
         self._total_executors = sum(len(m.executors) for m in machines)
+        #: Executor slots per machine (the mean, at least 1): how many tasks
+        #: one machine hosts when shuffles and scans pack onto executors.
+        self.executors_per_machine = max(1, self._total_executors // len(machines))
         #: Slots on machines that have not died; ``Machine.mark_dead``
         #: lowers it.
         self._live_executors = sum(len(m.executors) for m in machines if m.alive)
@@ -258,20 +256,14 @@ class Cluster:
     def build(
         cls,
         n_machines: int,
-        executors_per_machine: Optional[int] = None,
+        executors_per_machine: int,
         config: Optional[SimConfig] = None,
     ) -> "Cluster":
         """Construct a homogeneous cluster."""
-        config = config or SimConfig()
-        per_machine = (
-            config.executors_per_machine
-            if executors_per_machine is None
-            else executors_per_machine
-        )
-        if n_machines < 1 or per_machine < 1:
+        if n_machines < 1 or executors_per_machine < 1:
             raise ValueError("cluster dimensions must be positive")
-        machines = [Machine(i, per_machine) for i in range(n_machines)]
-        return cls(machines, config)
+        machines = [Machine(i, executors_per_machine) for i in range(n_machines)]
+        return cls(machines, config or SimConfig())
 
     # ------------------------------------------------------------------
     # Capacity queries
@@ -425,10 +417,6 @@ class Cluster:
         """Iterate every executor in machine order."""
         for machine in self.machines:
             yield from machine.executors
-
-    def machines_used_by(self, executors: Iterable[Executor]) -> int:
-        """Distinct machine count among ``executors`` (the Y of Section III-B)."""
-        return len({e.machine.machine_id for e in executors})
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

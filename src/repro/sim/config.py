@@ -10,9 +10,10 @@ under congestion, retransmission rates of up to 3% for Direct Shuffle).
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
-from typing import Any, Mapping
+
+from .. import codec
+from ..codec import Codec
 
 
 GiB = 1024 ** 3
@@ -21,7 +22,7 @@ KiB = 1024
 
 
 @dataclass
-class NetworkConfig:
+class NetworkConfig(Codec):
     """Parameters of the network transfer and TCP connection model."""
 
     #: Usable per-NIC bandwidth in bytes/second (10 GbE with protocol overhead).
@@ -82,7 +83,7 @@ class NetworkConfig:
 
 
 @dataclass
-class DiskConfig:
+class DiskConfig(Codec):
     """Parameters of the spinning-disk model used for disk shuffle and spill."""
 
     #: Effective sequential throughput of one spindle in bytes/second.
@@ -105,7 +106,7 @@ class DiskConfig:
 
 
 @dataclass
-class CacheWorkerConfig:
+class CacheWorkerConfig(Codec):
     """Parameters of the per-machine Cache Worker (Section III-B)."""
 
     #: Bytes of RAM each Cache Worker may use for shuffle data.
@@ -130,7 +131,7 @@ class CacheWorkerConfig:
 
 
 @dataclass
-class ShuffleConfig:
+class ShuffleConfig(Codec):
     """Adaptive shuffle selection thresholds and v2 resilience knobs.
 
     The shuffle *size* is the number of edges between all source-stage tasks
@@ -185,25 +186,9 @@ class ShuffleConfig:
         if self.merge_max_bytes <= 0:
             raise ValueError("merge_max_bytes must be positive")
 
-    def to_dict(self) -> dict[str, Any]:
-        """JSON-serializable form of every knob (round-trips via
-        :meth:`from_dict`); how deployments pin non-default thresholds."""
-        return dataclasses.asdict(self)
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "ShuffleConfig":
-        """Rebuild a validated config from :meth:`to_dict` output."""
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = sorted(set(payload) - known)
-        if unknown:
-            raise ValueError(f"unknown shuffle config field(s): {unknown}")
-        out = cls(**dict(payload))
-        out.validate()
-        return out
-
 
 @dataclass
-class AdminConfig:
+class AdminConfig(Codec):
     """Parameters of the Swift Admin controller model."""
 
     #: Serialized controller work to process one scheduling event (plan
@@ -241,7 +226,7 @@ class AdminConfig:
 
 
 @dataclass
-class RetryConfig:
+class RetryConfig(Codec):
     """Budgeted task re-runs with exponential backoff.
 
     Failure recovery re-runs a failed task at most ``max_task_retries``
@@ -282,7 +267,7 @@ class RetryConfig:
 
 
 @dataclass
-class ExecutorConfig:
+class ExecutorConfig(Codec):
     """Executor launch model.
 
     Swift pre-launches long-running executors, so launch overhead is near
@@ -306,7 +291,7 @@ class ExecutorConfig:
 
 
 @dataclass
-class SimConfig:
+class SimConfig(Codec):
     """Top-level simulator configuration."""
 
     network: NetworkConfig = field(default_factory=NetworkConfig)
@@ -316,8 +301,6 @@ class SimConfig:
     admin: AdminConfig = field(default_factory=AdminConfig)
     executor: ExecutorConfig = field(default_factory=ExecutorConfig)
     retry: RetryConfig = field(default_factory=RetryConfig)
-    #: Default executors per machine ("dozens or hundreds ... on each machine").
-    executors_per_machine: int = 32
     #: Processing throughput of one task in bytes/second of input consumed.
     task_processing_rate: float = 55e6
     #: Extra latency a pipeline edge adds to the consumer's completion (the
@@ -335,28 +318,12 @@ class SimConfig:
         self.admin.validate()
         self.executor.validate()
         self.retry.validate()
-        if self.executors_per_machine < 1:
-            raise ValueError("executors_per_machine must be >= 1")
         if self.task_processing_rate <= 0:
             raise ValueError("task_processing_rate must be positive")
 
     def copy(self, **overrides: object) -> "SimConfig":
         """Return a deep copy, optionally replacing top-level fields."""
-        clone = dataclasses.replace(
-            self,
-            network=dataclasses.replace(self.network),
-            disk=dataclasses.replace(self.disk),
-            cache_worker=dataclasses.replace(self.cache_worker),
-            shuffle=dataclasses.replace(self.shuffle),
-            admin=dataclasses.replace(self.admin),
-            executor=dataclasses.replace(self.executor),
-            retry=dataclasses.replace(self.retry),
-        )
-        for key, value in overrides.items():
-            if not hasattr(clone, key):
-                raise AttributeError(f"SimConfig has no field {key!r}")
-            setattr(clone, key, value)
-        return clone
+        return codec.replace(codec.copy(self), **overrides)
 
 
 DEFAULT_CONFIG = SimConfig()

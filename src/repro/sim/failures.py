@@ -19,6 +19,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Optional
 
+from ..codec import Codec
 
 class FailureKind(enum.Enum):
     """The failure classes of Section IV (plus chaos-only hostile events)."""
@@ -40,7 +41,7 @@ class FailureKind(enum.Enum):
 
 
 @dataclass
-class FailureSpec:
+class FailureSpec(Codec):
     """One planned failure.
 
     ``at_time`` is absolute simulated seconds; alternatively ``at_fraction``
@@ -109,7 +110,7 @@ class FailureSpec:
 
 
 @dataclass
-class FailurePlan:
+class FailurePlan(Codec):
     """A set of failures to inject during one simulation run."""
 
     specs: list[FailureSpec] = field(default_factory=list)

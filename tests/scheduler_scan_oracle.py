@@ -239,7 +239,9 @@ def scan_pick_locality_machines(cluster: Cluster, n_tasks: int) -> tuple[int, ..
     the scan tasks (data placement is uniform in the simulator, so locality
     reduces to load spreading)."""
     machines = cluster.schedulable_machines()
-    take = max(1, min(len(machines), -(-n_tasks // max(1, cluster.config.executors_per_machine))))
+    slots = sum(len(machine.executors) for machine in cluster.machines)
+    per_machine = max(1, slots // len(cluster.machines))
+    take = max(1, min(len(machines), -(-n_tasks // per_machine)))
     best = nsmallest(take, machines, key=lambda m: (m.load(), m.machine_id))
     return tuple(m.machine_id for m in best)
 

@@ -25,12 +25,6 @@ def test_build_rejects_bad_dimensions():
         Cluster([], SimConfig())
 
 
-def test_build_uses_config_default_executor_count():
-    config = SimConfig()
-    cluster = Cluster.build(2, config=config)
-    assert cluster.total_executors() == 2 * config.executors_per_machine
-
-
 def test_executor_assign_start_release_cycle():
     machine = Machine(0, 2)
     executor = machine.executors[0]
@@ -120,13 +114,6 @@ def test_schedulable_excludes_read_only_and_dead():
     assert len(cluster.schedulable_machines()) == 1
     assert len(cluster.alive_machines()) == 2
     assert cluster.free_executor_count() == 2
-
-
-def test_machines_used_by():
-    cluster = Cluster.build(3, 2)
-    executors = [cluster.machines[0].executors[0], cluster.machines[0].executors[1],
-                 cluster.machines[2].executors[0]]
-    assert cluster.machines_used_by(executors) == 2
 
 
 def test_iter_executors_covers_all():

@@ -114,10 +114,6 @@ def test_executor_rejects_negative_overheads():
 
 def test_sim_config_rejects_bad_top_level():
     cfg = SimConfig()
-    cfg.executors_per_machine = 0
-    with pytest.raises(ValueError):
-        cfg.validate()
-    cfg = SimConfig()
     cfg.task_processing_rate = 0
     with pytest.raises(ValueError):
         cfg.validate()

@@ -3,7 +3,7 @@
 The lint and type gates are skipped when the tool is not installed (the
 test container ships without them); with the ``dev`` extra installed they
 enforce a clean ``ruff check`` on the whole tree and ``mypy --strict`` on
-the stable ``repro.api`` / ``repro.obs`` surfaces.  The export-surface
+the stable ``repro.api`` / ``repro.obs`` surfaces and ``repro.codec``.  The export-surface
 check always runs: every public package's ``__all__`` must resolve.
 """
 
@@ -36,7 +36,7 @@ def test_ruff_clean():
 def test_mypy_strict_on_stable_facade():
     proc = _run([
         sys.executable, "-m", "mypy", "--strict",
-        "src/repro/api", "src/repro/obs",
+        "src/repro/api", "src/repro/obs", "src/repro/codec.py",
     ])
     assert proc.returncode == 0, f"mypy findings:\n{proc.stdout}{proc.stderr}"
 
