@@ -14,6 +14,6 @@ setup(
     package_dir={"": "src"},
     packages=find_packages(where="src"),
     python_requires=">=3.10",
-    install_requires=["numpy>=1.24"],
+    install_requires=["numpy>=2.3"],
     entry_points={"console_scripts": ["repro = repro.cli:main"]},
 )

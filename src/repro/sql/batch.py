@@ -6,10 +6,12 @@ The physical layout of the columnar SQL engine:
   typed ``np.ndarray`` (``int64``/``float64``/``bool``), NULLs in a
   separate boolean bitmap (``True`` = NULL), and string columns are
   dictionary-encoded: ``int32`` codes into a *sorted* array of unique
-  values, so equality and ordering can be decided per unique value (or
-  directly on the codes) instead of per row.  Columns whose values don't
-  fit a single scalar type fall back to ``kind="object"`` — a Python-object
-  array that every kernel handles with exact row-engine semantics.
+  values, so equality and ordering can be decided directly on the codes
+  (or per unique value) instead of per row.  Dictionaries are NUL-free:
+  numpy's ``str_`` drops trailing ``\x00``, so a string column holding a
+  NUL anywhere stays ``kind="object"``, as do columns whose values don't
+  fit a single scalar type — a Python-object array that every kernel
+  handles with exact row-engine semantics.
 * :class:`ColumnBatch` — a batch of rows as a mapping from visible column
   name (bare and binding-qualified) to :class:`ColumnVector`; qualified
   aliases share the *same vector object* so qualification is free.
@@ -115,12 +117,16 @@ class ColumnVector:
                 data = np.fromiter(values, np.float64, count=n)
             return cls("float", data, mask)
         if types == {str}:
+            valid = [v for v in values if v is not None] if has_null else values
+            if "\x00" in "".join(valid):
+                # numpy's str_ drops trailing NULs ("a\x00" would encode as
+                # "a"), so such columns keep their exact Python strings.
+                return cls("object", _object_array(values), mask)
             if has_null:
                 # Build the dictionary from valid values only — NULL lanes
                 # must not inject entries the row engine never sees (kernels
                 # evaluate scalar functions once per dictionary entry).
                 assert mask is not None
-                valid = [v for v in values if v is not None]
                 dictionary, vcodes = np.unique(
                     np.array(valid, dtype=np.str_), return_inverse=True
                 )
@@ -165,7 +171,7 @@ class ColumnVector:
                 pass
         elif t is float:
             return cls("float", np.full(n, value, np.float64))
-        elif t is str:
+        elif t is str and "\x00" not in value:  # type: ignore[operator]
             return cls(
                 "str", np.zeros(n, np.int32), None, np.array([value], np.str_)
             )

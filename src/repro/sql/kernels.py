@@ -9,9 +9,14 @@ whole batch shares).  Evaluation is array-at-a-time:
   logic carried in the null bitmaps (a NULL operand nulls the lane);
 * ``and``/``or``/``not`` lower NULL to Python truthiness (``bool(None)`` is
   falsy) exactly like the row engine, and always produce plain booleans;
-* LIKE evaluates once per *dictionary entry*, and the string scalar
-  functions once per entry some valid lane holds, and each gathers the
-  per-unique result through the codes;
+* string dictionaries are sorted and NUL-free, so a comparison with a
+  constant is one ``searchsorted`` and one comparison on the codes;
+* LIKE evaluates once per *dictionary entry* — as ``np.strings``
+  prefix/find/suffix ops when ``%`` is the pattern's only wildcard, else
+  with one compiled regex — and the string scalar functions once per
+  entry some valid lane holds (``substr``/``substring`` as one
+  ``np.strings.slice``, the rest in Python); each gathers the per-entry
+  result through the codes;
 * anything outside the typed fast paths — mixed-type (``object``) columns,
   string arithmetic, non-constant patterns — falls back to an elementwise
   loop over decoded values running the row engine's own scalar semantics,
@@ -82,6 +87,11 @@ _PY_BIN: dict[str, Callable[[object, object], object]] = {
 _NP_CMP = {
     "=": np.equal, "<>": np.not_equal, "<": np.less,
     ">": np.greater, "<=": np.less_equal, ">=": np.greater_equal,
+}
+
+#: ``const op col`` is ``col flipped[op] const``.
+_FLIPPED = {
+    "=": "=", "<>": "<>", "<": ">", ">": "<", "<=": ">=", ">=": "<=",
 }
 
 _NP_ARITH = {
@@ -158,11 +168,7 @@ def truthy(v: Value, n: int) -> np.ndarray:
     elif kind in ("int", "float"):
         out = v.data != 0
     elif kind == "str":
-        nonempty = np.fromiter(
-            (len(u) > 0 for u in v.dictionary.tolist()),
-            np.bool_, count=len(v.dictionary),
-        )
-        out = nonempty[v.data]
+        out = (np.strings.str_len(v.dictionary) > 0)[v.data]
     else:
         # object lanes hold raw values (None included): exact bool().
         return np.fromiter((bool(x) for x in v.data), np.bool_, count=len(v.data))
@@ -201,13 +207,13 @@ def _compare(op: str, a: Value, b: Value, n: int) -> Value:
             out = _NP_CMP[op](_numeric_operand(a), _numeric_operand(b))
         return ColumnVector("bool", out, _mask_union(a, b))
     if ka == "str" and kb == "str":
-        return _compare_str(op, a, b)
+        return _compare_str(op, a, b, n)
     # Mixed types: the row engine's Python operators decide (== is False,
     # orderings raise SqlTypeError) — run them lane by lane.
     return _py_binary(op, a, b, n)
 
 
-def _compare_str(op: str, a: Value, b: Value) -> Value:
+def _compare_str(op: str, a: Value, b: Value, n: int) -> Value:
     if isinstance(a, ColumnVector) and isinstance(b, ColumnVector):
         if a.dictionary is b.dictionary:
             ca, cb = a.data, b.data
@@ -218,11 +224,30 @@ def _compare_str(op: str, a: Value, b: Value) -> Value:
         # The merged dictionary is sorted, so code order == value order and
         # every comparison can run on the codes.
         return ColumnVector("bool", _NP_CMP[op](ca, cb), _mask_union(a, b))
+    value = b.value if isinstance(b, Const) else a.value
+    if "\x00" in value:  # type: ignore[operator]
+        # numpy's str_ drops trailing NULs, so this constant has no code.
+        return _py_binary(op, a, b, n)
     if isinstance(b, Const):
-        col, per_unique = a, _NP_CMP[op](a.dictionary, b.value)
+        col = a
     else:
-        col, per_unique = b, _NP_CMP[op](a.value, b.dictionary)
-    return ColumnVector("bool", per_unique[col.data], col.mask)
+        col, op = b, _FLIPPED[op]
+    # The dictionary is sorted: the constant's insertion points bound the
+    # codes below, equal to and above it, so one code comparison decides.
+    lo = col.dictionary.searchsorted(value, "left")
+    hi = col.dictionary.searchsorted(value, "right")
+    codes = col.data
+    if op == "=" or op == "<>":
+        out = _NP_CMP[op](codes, lo if hi > lo else -1)
+    elif op == "<":
+        out = codes < lo
+    elif op == "<=":
+        out = codes < hi
+    elif op == ">":
+        out = codes >= hi
+    else:
+        out = codes >= lo
+    return ColumnVector("bool", out, col.mask)
 
 
 def _arith(op: str, a: Value, b: Value, n: int) -> Value:
@@ -344,16 +369,42 @@ def _not_null_lanes(v: Value, n: int) -> np.ndarray:
 # LIKE / IN / scalar functions
 # ----------------------------------------------------------------------
 
-def _like_const(v: Value, rx: "re.Pattern[str]", n: int) -> Value:
+def _like_runs(dictionary: np.ndarray, runs: List[str]) -> np.ndarray:
+    """LIKE per dictionary entry for a pattern split on ``%`` (no ``_``).
+
+    The first run must start the entry, the last end it, and each inner
+    run is found left to right after the one before; with ``%`` the only
+    wildcard, taking each inner run's leftmost match is exact.
+    """
+    if len(runs) == 1:
+        return dictionary == runs[0]
+    first, *inner, last = runs
+    ok = np.strings.startswith(dictionary, first)
+    start = np.full(len(dictionary), len(first), np.int64)
+    end = np.strings.str_len(dictionary) - len(last)
+    for run in inner:
+        if run:
+            found = np.strings.find(dictionary, run, start, end)
+            ok &= found >= 0
+            start = found + len(run)
+    return ok & np.strings.endswith(dictionary, last, start)
+
+
+def _like_const(
+    v: Value, rx: "re.Pattern[str]", runs: Optional[List[str]], n: int
+) -> Value:
     # No NULL handling on purpose: the row engine formats NULL as the
     # literal string "None" before matching (sql_like(str(None), pattern)).
     if isinstance(v, Const):
         return Const(rx.match(str(v.value)) is not None)
     if v.kind == "str":
-        per_unique = np.fromiter(
-            (rx.match(u) is not None for u in v.dictionary.tolist()),
-            np.bool_, count=len(v.dictionary),
-        )
+        if runs is None:
+            per_unique = np.fromiter(
+                (rx.match(u) is not None for u in v.dictionary.tolist()),
+                np.bool_, count=len(v.dictionary),
+            )
+        else:
+            per_unique = _like_runs(v.dictionary, runs)
         out = per_unique[v.data]
         if v.has_nulls():
             out = np.where(v.mask, rx.match("None") is not None, out)
@@ -387,7 +438,9 @@ def _in_list(needle: Value, values: List[Value], negated: bool, n: int) -> Value
     out = mask.copy() if any(c is None for c in consts) else np.zeros(n, np.bool_)
     kind = needle.kind
     if kind == "str":
-        str_consts = [c for c in consts if type(c) is str]
+        # Dictionaries are NUL-free, so a constant holding a NUL (which
+        # numpy's str_ would truncate) matches no entry.
+        str_consts = [c for c in consts if type(c) is str and "\x00" not in c]
         if str_consts:
             member = np.isin(needle.dictionary, np.array(str_consts, np.str_))
             out = out | (member[needle.data] & valid)
@@ -414,11 +467,18 @@ def _apply_scalar_fn(
             # Evaluate once per dictionary entry some valid lane holds (a
             # gathered vector keeps its source's whole dictionary, whose
             # other entries may make ``fn`` raise), gather through the codes.
-            uniques = first.dictionary.tolist()
             codes = first.data
             valid = codes[~first.mask] if first.has_nulls() else codes
-            held = np.bincount(valid, minlength=len(uniques)).tolist()
-            applied = [fn(u, *cargs) if n else None for u, n in zip(uniques, held)]
+            held = np.bincount(valid, minlength=len(first.dictionary)) > 0
+            vector = _string_fn(name, fn, first, cargs, held)
+            if vector is not None:
+                return vector
+            # ``upper``/``lower`` stay per entry: numpy keeps the input width
+            # and truncates, so np.strings.upper("straße") is "STRAS".
+            uniques = first.dictionary.tolist()
+            applied = [
+                fn(u, *cargs) if h else None for u, h in zip(uniques, held.tolist())
+            ]
             if first.has_nulls():
                 # The row engine passes raw None into the function (and may
                 # raise, e.g. year(NULL)); evaluate it once, only if needed.
@@ -439,6 +499,40 @@ def _apply_scalar_fn(
             )
     lists = [_pylist(v, n) for v in vals]
     return ColumnVector.from_values([fn(*vs) for vs in zip(*lists)])
+
+
+def _string_fn(
+    name: str,
+    fn: Callable[..., object],
+    col: ColumnVector,
+    cargs: List[object],
+    held: np.ndarray,
+) -> Optional[ColumnVector]:
+    """``substr``/``substring`` with constant arguments as one
+    ``np.strings.slice`` over the ``held`` dictionary entries, gathered to
+    the lanes; ``None`` for every other call, and when no entry is held
+    (the row engine then calls ``fn`` on no value, or only on NULL)."""
+    if name not in ("substr", "substring") or not 1 <= len(cargs) <= 2:
+        return None
+    if not held.any():  # bad arguments must not raise where no entry is held
+        return None
+    # The row engine's conversions, once, so bad arguments raise the same;
+    # Python slicing clamps any bound, int64 must not overflow.
+    begin = int(cargs[0]) - 1  # type: ignore[call-overload]
+    stop = None
+    if len(cargs) == 2 and cargs[1] is not None:
+        stop = begin + int(cargs[1])  # type: ignore[call-overload]
+        stop = min(max(stop, -_INT64_LIMIT), _INT64_LIMIT)
+    begin = min(max(begin, -_INT64_LIMIT), _INT64_LIMIT)
+    # ``stop`` always passes: a lone second argument would be the stop.
+    results = np.strings.slice(col.dictionary[held], begin, stop)
+    lanes = (np.cumsum(held) - 1)[col.data]  # each lane's place among held
+    if col.has_nulls():
+        # The row engine passes raw None into the function; evaluate once.
+        results = np.append(results, fn(None, *cargs))
+        lanes = np.where(col.mask, len(results) - 1, lanes)
+    dictionary, inverse = np.unique(results, return_inverse=True)
+    return ColumnVector("str", inverse.astype(np.int32)[lanes], None, dictionary)
 
 
 def _coalesce(vals: List[Value], n: int) -> Value:
@@ -585,9 +679,16 @@ class _Compiler:
         if op == "like":
             left = self.compile(expr.left)
             if isinstance(expr.right, Literal):
-                glob = like_to_glob(str(expr.right.value))
-                rx = re.compile(fnmatch.translate(glob))
-                return lambda batch: _like_const(left(batch), rx, batch.length)
+                pattern = str(expr.right.value)
+                rx = re.compile(fnmatch.translate(like_to_glob(pattern)))
+                # ``_`` needs the regex; a NUL would not survive numpy's str_.
+                runs = (
+                    None if "_" in pattern or "\x00" in pattern
+                    else pattern.split("%")
+                )
+                return lambda batch: _like_const(
+                    left(batch), rx, runs, batch.length
+                )
             right = self.compile(expr.right)
             return lambda batch: _elementwise2(
                 sql_like, left(batch), right(batch), batch.length

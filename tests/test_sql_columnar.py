@@ -8,6 +8,8 @@ the row executor returns — same values, same order, same key sets.
 from __future__ import annotations
 
 import ast
+import operator
+import re
 from pathlib import Path
 
 import numpy as np
@@ -382,6 +384,114 @@ def test_wide_restore_runs_out_of_from_order(wide_db):
     ColumnarExecutor(database, catalog).run(root)
     (join,) = [op for op in walk_ops(root) if op.kind == "join"]
     assert join.merges[0][:2] == ((0,), (2,))
+
+
+# ----------------------------------------------------------------------
+# String kernels against oracles that share no code with them: LIKE
+# against ``re``, ``substr`` against Python slicing, comparisons with a
+# constant against Python's operators.  Vectors carry NULL lanes, and a
+# gathered vector keeps dictionary entries no lane holds.
+# ----------------------------------------------------------------------
+
+_LIKE_CHARS = ["a", "b", "%", "*", "?", "[", "]", "\n", "ß"]
+_LIKE_TEXT = st.text(st.sampled_from(_LIKE_CHARS + ["_"]), max_size=5)
+_LIKE_PATTERN = (
+    st.text(st.sampled_from(_LIKE_CHARS), max_size=6)
+    | st.text(st.sampled_from(_LIKE_CHARS + ["_"]), max_size=6)
+)
+_ORDERED_TEXT = st.text(st.sampled_from("abc"), max_size=3)
+
+
+@st.composite
+def _string_lanes(draw, text):
+    """A vector over ``text`` values (some NULL) and its lane values; half
+    the time a gather that may leave dictionary entries unused."""
+    values = draw(st.lists(st.none() | text, min_size=1, max_size=12))
+    vec = ColumnVector.from_values(values)
+    if draw(st.booleans()):
+        picks = draw(st.lists(st.integers(0, len(values) - 1), min_size=1, max_size=12))
+        vec = vec.take(np.array(picks, np.intp))
+        values = [values[i] for i in picks]
+    return vec, values
+
+
+def _eval_on(expr, vec):
+    return compile_kernel(expr, ["s"])(ColumnBatch(["s"], {"s": vec}, len(vec)))
+
+
+def _like_oracle(value, pattern):
+    rx = "".join(
+        ".*" if c == "%" else "." if c == "_" else re.escape(c) for c in pattern
+    )
+    return re.fullmatch(rx, str(value), re.DOTALL) is not None
+
+
+@settings(max_examples=300, deadline=None)
+@given(_string_lanes(_LIKE_TEXT), _LIKE_PATTERN)
+@example((ColumnVector.from_values(["ab", "aba", "", None]), ["ab", "aba", "", None]), "ab%ba")
+@example((ColumnVector.from_values(["a\nb", "ß", None]), ["a\nb", "ß", None]), "%")
+def test_like_matches_a_regex_oracle(lanes, pattern):
+    vec, values = lanes
+    got = _eval_on(BinaryOp("like", ColumnRef("s"), Literal(pattern)), vec)
+    assert got == [_like_oracle(v, pattern) for v in values]
+
+
+_ABSENT = object()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    _string_lanes(_LIKE_TEXT),
+    st.sampled_from(["substr", "substring"]),
+    st.integers(-3, 8) | st.floats(-3, 8) | st.booleans(),
+    st.just(_ABSENT) | st.none() | st.integers(-2, 6) | st.floats(-2, 6) | st.booleans(),
+)
+def test_substr_matches_python_slicing(lanes, name, start, length):
+    vec, values = lanes
+    args = (ColumnRef("s"), Literal(start))
+    if length is not _ABSENT:
+        args += (Literal(length),)
+    got = _eval_on(FunctionCall(name, args), vec)
+    begin = int(start) - 1
+    if length is _ABSENT or length is None:
+        want = [str(v)[begin:] for v in values]
+    else:
+        want = [str(v)[begin:begin + int(length)] for v in values]
+    assert got == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(_string_lanes(_LIKE_TEXT))
+def test_length_matches_len(lanes):
+    vec, values = lanes
+    got = _eval_on(FunctionCall("length", (ColumnRef("s"),)), vec)
+    assert got == [len(str(v)) for v in values]
+
+
+_PY_COMPARE = {
+    "=": operator.eq, "<>": operator.ne, "<": operator.lt,
+    "<=": operator.le, ">": operator.gt, ">=": operator.ge,
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    _string_lanes(_ORDERED_TEXT),
+    # Before every entry (""), inside, absent between entries, after ("~").
+    st.sampled_from(["", "~"]) | st.text(st.sampled_from("abcd"), max_size=3),
+    st.sampled_from(sorted(_PY_COMPARE)),
+    st.booleans(),
+)
+def test_string_comparison_with_a_constant(lanes, const, op, const_on_left):
+    vec, values = lanes
+    col, lit = ColumnRef("s"), Literal(const)
+    expr = BinaryOp(op, lit, col) if const_on_left else BinaryOp(op, col, lit)
+    got = _eval_on(expr, vec)
+    py = _PY_COMPARE[op]
+    assert got == [
+        None if v is None else py(const, v) if const_on_left else py(v, const)
+        for v in values
+    ]
 
 
 # ----------------------------------------------------------------------

@@ -918,3 +918,92 @@ def test_scalar_function_over_a_conjunct_pushed_below_a_join():
     ]
     _, (where,), scans, (join,) = _lowered(sql, database, catalog)
     assert join.inputs[0] is where and where.child is scans["t"]
+
+
+# ----------------------------------------------------------------------
+# Strings holding NUL characters, and the numpy string traps.  numpy's
+# ``str_`` drops trailing ``\x00``, so "a\x00" and "a" must not share a
+# dictionary entry: a string column holding a NUL stays exact Python
+# strings, and a NUL constant or LIKE pattern is compared in Python.
+# ``np.strings.upper`` keeps the input width ("straße" -> "STRAS"), and
+# ``np.strings.slice(a, k)`` reads a lone ``k`` as the stop.
+# ----------------------------------------------------------------------
+
+def _string_setup():
+    catalog = Catalog()
+    catalog.register(TableSchema(
+        "words", _cols("w_id:int", "w:str", "v:str"), base_rows=6, bytes_per_row=16,
+    ))
+    database = {"words": [
+        {"w_id": 1, "w": "a\x00", "v": "straße"},
+        {"w_id": 2, "w": "a", "v": "a"},
+        {"w_id": 3, "w": "a\x00b", "v": ""},
+        {"w_id": 4, "w": None, "v": None},
+        {"w_id": 5, "w": "\x00", "v": "10%_x"},
+        {"w_id": 6, "w": "a", "v": "ab\nc"},
+    ]}
+    return database, catalog
+
+
+STRING_CORPUS = [
+    ("nul_group_by", "select w, count(*) as c from words group by w"),
+    ("nul_distinct", "select distinct w from words"),
+    ("nul_equality", "select w_id from words where w = 'a' order by w_id"),
+    ("nul_constant_equality",
+     "select w_id from words where w = 'a\x00' order by w_id"),
+    ("nul_ordering", "select w_id from words where w > 'a' order by w_id"),
+    ("nul_length", "select w_id, length(w) as n from words order by w_id"),
+    ("nul_substr", "select w_id, substr(w, 2) as t from words order by w_id"),
+    ("nul_like", "select w_id from words where w like 'a%' order by w_id"),
+    ("nul_like_underscore",
+     "select w_id from words where w like 'a_' order by w_id"),
+    ("nul_constant_vs_plain_column",
+     "select w_id from words where v < 'a\x00' order by w_id"),
+    ("nul_constant_on_the_left",
+     "select w_id from words where 'a\x00' >= v order by w_id"),
+    ("nul_constant_in_list",
+     "select w_id from words where v in ('a\x00', 'zz') order by w_id"),
+    ("nul_like_pattern",
+     "select w_id from words where v like 'a\x00%' order by w_id"),
+    ("upper_expands", "select w_id from words where upper(v) = 'STRASSE'"),
+    ("upper_column", "select w_id, upper(v) as u from words order by w_id"),
+    ("substr_two_args",
+     "select w_id, substr(v, 3) as t from words order by w_id"),
+    ("substring_from_zero",
+     "select w_id, substring(v, 0, 3) as t from words order by w_id"),
+    ("substr_bounds_past_int64",
+     "select w_id, substr(v, 100000000000000000000, 2) as t, "
+     "substr(v, -100000000000000000000) as u, "
+     "substr(v, 1, 100000000000000000000) as x from words order by w_id"),
+    ("substr_null_length",
+     "select w_id, substr(v, 2, null) as t from words order by w_id"),
+    ("like_newline", "select w_id from words where v like 'ab%' order by w_id"),
+    ("like_inner_runs",
+     "select w_id from words where v like '%t%a%e' order by w_id"),
+    ("substr_bad_start_no_rows",
+     "select substr(v, 'x') as t from words where w_id > 100"),
+    ("substr_null_start_no_rows",
+     "select substr(v, null) as t from words where w_id > 100"),
+    ("length_of_null_lane",
+     "select w_id, length(v) as n from words order by w_id"),
+]
+
+
+@pytest.mark.parametrize("case_id,sql", STRING_CORPUS,
+                         ids=[c[0] for c in STRING_CORPUS])
+@pytest.mark.parametrize("layout", ("rows", "columnar"))
+def test_string_corner_cases_both_layouts(case_id, sql, layout):
+    database, catalog = _string_setup()
+    database = _in_layout(database, layout)
+    row = execute_sql(sql, database, catalog, engine="row").rows
+    columnar = execute_sql(sql, database, catalog, engine="columnar").rows
+    assert _json_rows(columnar) == _json_rows(row)
+
+
+def test_nul_strings_are_distinct_values():
+    database, catalog = _string_setup()
+    sql = "select w, count(*) as c from words where w_id < 4 group by w"
+    for engine in ENGINES:
+        rows = execute_sql(sql, database, catalog, engine=engine).rows
+        assert rows == [{"w": "a\x00", "c": 1}, {"w": "a", "c": 1},
+                        {"w": "a\x00b", "c": 1}], engine

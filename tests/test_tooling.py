@@ -10,11 +10,13 @@ check always runs: every public package's ``__all__`` must resolve.
 from __future__ import annotations
 
 import importlib
+import re
 import shutil
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -53,3 +55,18 @@ def test_public_exports_resolve(module):
     )
     missing = [name for name in names if not hasattr(mod, name)]
     assert not missing, f"{module}.__all__ names missing: {missing}"
+
+
+def _numpy_floor(text: str) -> tuple[int, ...]:
+    (floor,) = re.findall(r"[\"']numpy>=([0-9.]+)[\"']", text)
+    return tuple(int(part) for part in floor.split("."))
+
+
+def test_numpy_floor_is_declared_once_and_met():
+    """``pyproject.toml`` and ``setup.py`` pin one numpy floor, and the
+    installed numpy meets it (the string kernels need ``np.strings.slice``)."""
+    pyproject = _numpy_floor((ROOT / "pyproject.toml").read_text())
+    setup = _numpy_floor((ROOT / "setup.py").read_text())
+    assert pyproject == setup
+    installed = tuple(int(p) for p in re.findall(r"\d+", np.__version__)[:len(setup)])
+    assert installed >= setup, (np.__version__, setup)
