@@ -18,7 +18,7 @@ from repro.sql import (
     generate_database,
     parse,
     plan_statement,
-    run_query,
+    run_sql,
 )
 
 
@@ -52,7 +52,7 @@ def main() -> None:
 
     print("\n=== Answers on a mini TPC-H database ===")
     database = generate_database()
-    rows = run_query(FIG1_QUERY, database)
+    rows = run_sql(FIG1_QUERY, database).rows
     print(f"  {len(rows)} (nation, year) groups; top 5 by profit:")
     for row in sorted(rows, key=lambda r: -r["sum_profit"])[:5]:
         print(f"    {row['nation']:<16} {row['o_year']}  "

@@ -45,10 +45,10 @@ from ..obs import (
 )
 from ..sim.config import SimConfig
 from ..sim.failures import FailureKind, FailurePlan, FailureSpec
+from ..sql.dispatch import QueryOutcome, run_sql
 from .config import RuntimeConfig
 from .service import Service, ServiceConfig, ServiceResult, SubmitHandle
 from .simulation import Simulation, SimulationResult, TraceConfig, Runtime
-from .sql import QueryOutcome, run_sql
 
 __all__ = [
     "AdmissionPolicy",

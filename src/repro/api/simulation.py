@@ -215,21 +215,21 @@ def _finish_outcome(
     trace_config: Optional[TraceConfig],
     collect: Callable[[MetricsRegistry, Iterable[JobMetrics]], None] = collect_jobs,
 ) -> None:
-    """Fill a finished run's audit summary, trace records and metrics (the
-    jobs' metrics through ``collect`` when untraced) and write the trace
-    export files; shared by :class:`Simulation` and ``Service``."""
+    """Fill a finished run's audit summary, trace records and metrics and
+    write the trace export files; shared by :class:`Simulation` and
+    ``Service``.  The completed jobs' metrics are folded through
+    ``collect``, into the tracer's registry when the run was recorded."""
     if runtime.ledger is not None:
         outcome.audit = runtime.ledger.summary()
     tracer = runtime.tracer
-    if not isinstance(tracer, RecordingTracer):
-        collect(outcome.metrics, (r.metrics for r in outcome.results))
-        return
-    outcome.trace = list(tracer.records)
-    outcome.metrics = tracer.metrics
-    if trace_config is not None:
-        for path in trace_config.output_paths():
-            if path.endswith(".jsonl"):
-                tracer.export_jsonl(path)
-            else:
-                tracer.export_chrome(path)
-            outcome.trace_files.append(path)
+    if isinstance(tracer, RecordingTracer):
+        outcome.trace = list(tracer.records)
+        outcome.metrics = tracer.metrics
+        if trace_config is not None:
+            for path in trace_config.output_paths():
+                if path.endswith(".jsonl"):
+                    tracer.export_jsonl(path)
+                else:
+                    tracer.export_chrome(path)
+                outcome.trace_files.append(path)
+    collect(outcome.metrics, (r.metrics for r in outcome.results if r.completed))

@@ -10,11 +10,10 @@ Commands
 ``report [--out PATH] [--jobs N]``
     Run and check every section and write the EXPERIMENTS.md document;
     exit 1 if any claim fails.
-``sql [--query TEXT | --file PATH] [--scale N] [--execute] [--engine E]``
+``sql [--query TEXT | --file PATH] [--scale N] [--execute]``
     Compile a Swift-language query to a job DAG, show the plan and the
-    graphlet partitioning, simulate it, and optionally execute it on a
-    generated mini TPC-H database (``--execute``; ``--engine`` picks
-    row/columnar).
+    graphlet partitioning, simulate it, and optionally execute it on the
+    columnar engine over a generated mini TPC-H database (``--execute``).
 ``replay [--n-jobs N]``
     Replay a trace against Swift, Bubble Execution, and JetScope.
 ``chaos [--seed N] [--runs N] [--workload W] [--profile P] [--jobs N]``
@@ -162,11 +161,11 @@ def _cmd_sql(args: argparse.Namespace) -> int:
     from .sql import (
         FIG1_QUERY,
         compile_sql,
-        execute_sql,
         explain,
         generate_database,
         parse,
         plan_statement,
+        run_sql,
     )
 
     if args.file:
@@ -192,7 +191,7 @@ def _cmd_sql(args: argparse.Namespace) -> int:
     print(f"\nsimulated run time: {result.metrics.run_time:.2f}s "
           f"({len(result.metrics.tasks)} tasks)")
     if args.execute:
-        outcome = execute_sql(query, generate_database(), engine=args.engine)
+        outcome = run_sql(query, generate_database())
         print(f"\n=== results ({len(outcome.rows)} rows, first 10) "
               f"[engine={outcome.engine}] ===")
         for row in outcome.rows[:10]:
@@ -370,24 +369,11 @@ def _trace_registry() -> dict[str, tuple[str, Callable[[], list]]]:
     }
 
 
-def _normalize_trace_key(key: str) -> str:
-    """Canonicalize experiment spellings: ``fig03`` -> ``fig3``."""
-    import re
-
-    key = key.lower()
-    match = re.fullmatch(r"fig0*(\d+[a-z]?)", key)
-    if match:
-        return f"fig{match.group(1)}"
-    if key == "terasort":
-        return "table1"
-    return key
-
-
 def _cmd_trace(args: argparse.Namespace) -> int:
     from .api import Simulation, TraceConfig
 
     registry = _trace_registry()
-    key = _normalize_trace_key(args.experiment)
+    key = args.experiment
     if key not in registry:
         print(f"unknown experiment {args.experiment!r}", file=sys.stderr)
         print(f"available: {', '.join(registry)}", file=sys.stderr)
@@ -455,10 +441,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sql.add_argument("--machines", type=int, default=100)
     p_sql.add_argument("--execute", action="store_true",
                        help="also execute the query on a mini database")
-    p_sql.add_argument("--engine", choices=("row", "columnar"),
-                       default="columnar",
-                       help="execution engine for --execute (row is the "
-                            "reference executor)")
     p_sql.set_defaults(func=_cmd_sql)
 
     p_chaos = sub.add_parser(

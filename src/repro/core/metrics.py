@@ -64,16 +64,6 @@ class PhaseBreakdown:
         """Sum of the four phases."""
         return self.launch + self.shuffle_read + self.processing + self.shuffle_write
 
-    def as_dict(self) -> dict[str, float]:
-        """The row format used by Fig. 9(b)-style tables."""
-        return {
-            "stage": self.stage,  # type: ignore[dict-item]
-            "L": self.launch,
-            "SR": self.shuffle_read,
-            "P": self.processing,
-            "SW": self.shuffle_write,
-        }
-
 
 @dataclass
 class JobMetrics:

@@ -1170,7 +1170,6 @@ class SwiftRuntime:
                 failures=metrics.failures,
                 restarts=metrics.restarts,
             )
-            self.tracer.collect_job_metrics(metrics)
         self._release_cache_workers(job_run)
         if self.ledger is not None:
             self.ledger.reconcile(

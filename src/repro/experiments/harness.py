@@ -39,16 +39,6 @@ class ExperimentResult:
             default=str,
         )
 
-    @classmethod
-    def from_json(cls, text: str) -> "ExperimentResult":
-        """Rebuild a result from :meth:`to_json` output."""
-        payload = json.loads(text)
-        return cls(
-            name=payload["name"],
-            rows=list(payload.get("rows", [])),
-            notes=payload.get("notes", ""),
-        )
-
     def save(self, path: str) -> None:
         """Write the :meth:`to_json` document to ``path``."""
         with open(path, "w", encoding="utf-8") as handle:

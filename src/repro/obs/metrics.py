@@ -149,7 +149,7 @@ class MetricsRegistry:
 
 
 def collect_job(registry: MetricsRegistry, metrics: "JobMetrics") -> None:
-    """Fold one job's :class:`~repro.core.metrics.JobMetrics` into ``registry``.
+    """Fold one completed job's :class:`~repro.core.metrics.JobMetrics` into ``registry``.
 
     This is the registry-level replacement for the ad-hoc per-figure
     aggregation over ``TaskTiming`` lists: counters for job/task/failure

@@ -13,13 +13,10 @@ directly in Perfetto / ``chrome://tracing``).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable
+from typing import Any, Callable
 
-from .metrics import MetricsRegistry, collect_job
+from .metrics import MetricsRegistry
 from .records import Category, RecordKind, TraceRecord
-
-if TYPE_CHECKING:  # pragma: no cover - typing-only import, avoids a cycle
-    from ..core.metrics import JobMetrics
 
 
 class Tracer:
@@ -91,9 +88,6 @@ class Tracer:
     def gauge_max(self, name: str, value: float) -> None:
         """Track a running-maximum gauge (no-op here)."""
 
-    def collect_job_metrics(self, metrics: "JobMetrics") -> None:
-        """Fold one completed job's metrics into the registry (no-op here)."""
-
 
 #: Shared null tracer; the runtime default.  Stateless, so one instance
 #: serves every simulator.
@@ -133,10 +127,6 @@ class RecordingTracer(Tracer):
             raise ValueError(f"capacity must be a power of two, got {capacity}")
         self.engine_events = engine_events
         self._registry = metrics if metrics is not None else MetricsRegistry()
-        #: Completed jobs whose metrics have not been folded yet; folding
-        #: happens lazily on the first :attr:`metrics` read (completed
-        #: JobMetrics are never mutated again, so deferral is safe).
-        self._pending_jobs: list["JobMetrics"] = []
         self._capacity = capacity
         self._mask = capacity - 1
         # Grown by appends until ``capacity`` entries exist, then treated as
@@ -240,18 +230,11 @@ class RecordingTracer(Tracer):
         """Track a running maximum in the metrics registry."""
         self._registry.gauge(name).max(value)
 
-    def collect_job_metrics(self, metrics: "JobMetrics") -> None:
-        """Queue one completed job's metrics for lazy folding."""
-        self._pending_jobs.append(metrics)
-
     @property
     def metrics(self) -> MetricsRegistry:
-        """The metrics registry, with all queued job metrics folded in."""
-        pending = self._pending_jobs
-        if pending:
-            for job_metrics in pending:
-                collect_job(self._registry, job_metrics)
-            pending.clear()
+        """The metrics registry :meth:`count` and :meth:`gauge_max` update;
+        a finished ``Simulation`` or ``Service`` run also folds its
+        completed jobs' metrics into it."""
         return self._registry
 
     # ------------------------------------------------------------------

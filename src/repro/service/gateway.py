@@ -205,10 +205,6 @@ class JobGateway:
                 priority=spec.priority,
             )
 
-    def tenant_names(self) -> list[str]:
-        """Registered tenants in registration order."""
-        return [state.spec.name for state in self._tenant_order]
-
     # ------------------------------------------------------------------
     # Submission (arrival scheduling)
     # ------------------------------------------------------------------

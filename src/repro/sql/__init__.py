@@ -1,10 +1,11 @@
 """The Swift SQL-like front end (Fig. 1).
 
 Pipeline: SQL text -> :func:`parse` -> :func:`plan_statement` (logical plan)
--> :class:`PhysicalPlanner` / :func:`compile_sql` (Swift job DAG).  The
-columnar engine (:func:`run_query`, :class:`ColumnarExecutor`) over
-:func:`generate_database` data lets examples check query *answers*, not
-just schedules; the row-level :class:`QueryExecutor` is its reference.
+-> :class:`PhysicalPlanner` / :func:`compile_sql` (Swift job DAG).
+:func:`run_sql`, the one way to run a query, executes it on the columnar
+engine (:class:`ColumnarExecutor`) over :func:`generate_database` data, so
+examples check query *answers*, not just schedules; the row-level
+:class:`QueryExecutor` (``engine="row"``) is its reference.
 """
 
 from .ast import (
@@ -26,21 +27,9 @@ from .catalog import Catalog, CatalogError, Column, DEFAULT_CATALOG, TableSchema
 from .batch import ColumnTable, ColumnVector
 from .columnar import ColumnarExecutor, ColumnBatch, compile_kernel
 from .datagen import generate_database
-from .dispatch import (
-    ENGINES,
-    QueryOutcome,
-    execute_plan,
-    execute_sql,
-    run_query,
-)
+from .dispatch import QueryOutcome, run_sql
 from .errors import ExecutionError, SqlTypeError
-from .executor import (
-    QueryExecutor,
-    eval_expr,
-    like_to_glob,
-    plan_schema,
-    sql_like,
-)
+from .executor import QueryExecutor, eval_expr, plan_schema
 from .lexer import LexError, Token, TokenKind, tokenize
 from .logical import (
     LogicalAggregate,
@@ -59,6 +48,7 @@ from .logical import (
 )
 from .parser import ParseError, parse
 from .physical import PhysicalPlanner, compile_sql
+from .semantics import like_to_glob, sql_like
 
 __all__ = [
     "BinaryOp",
@@ -71,7 +61,6 @@ __all__ = [
     "ColumnVector",
     "ColumnarExecutor",
     "DEFAULT_CATALOG",
-    "ENGINES",
     "ExecutionError",
     "Expr",
     "FunctionCall",
@@ -107,15 +96,13 @@ __all__ = [
     "compile_kernel",
     "compile_sql",
     "eval_expr",
-    "execute_plan",
-    "execute_sql",
     "explain",
     "generate_database",
     "like_to_glob",
     "parse",
     "plan_schema",
     "plan_statement",
-    "run_query",
+    "run_sql",
     "scans_in",
     "sql_like",
     "tokenize",

@@ -19,17 +19,18 @@ The physical layout of the columnar SQL engine:
   dicts so the row engine and ``plan_schema`` work unchanged, while the
   columnar scan reads its vectors as they are.
 
-Python rows cross the boundary only in ``from_rows``/``to_rows`` — the
-engine interior is arrays end to end.
+Python rows (:data:`~repro.sql.semantics.Row` dicts) cross the boundary
+only in ``from_rows``/``to_rows``; every batch and table column is a
+:class:`ColumnVector`, so the engine interior is arrays end to end.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-Row = dict[str, object]
+from .semantics import Row
 
 #: Column kinds. "str" is dictionary-encoded; "object" is the exact-semantics
 #: fallback for mixed-type or exotic values.
@@ -233,8 +234,7 @@ class ColumnBatch:
     binding-qualified (``l.l_suppkey``) — to a :class:`ColumnVector` of
     ``length`` lanes.  Qualified aliases share the *same vector object* as
     their bare column, so qualification is free per batch instead of per
-    row.  Plain Python lists are accepted for backwards compatibility and
-    encoded on construction (identical list objects stay aliased).
+    row.
     """
 
     __slots__ = ("names", "columns", "length")
@@ -242,27 +242,17 @@ class ColumnBatch:
     def __init__(
         self,
         names: Sequence[str],
-        columns: dict[str, Union[ColumnVector, list]],
+        columns: dict[str, ColumnVector],
         length: int,
     ) -> None:
         self.names = list(names)
-        encoded: dict[str, ColumnVector] = {}
-        made: dict[int, ColumnVector] = {}
-        for name, col in columns.items():
-            if isinstance(col, ColumnVector):
-                encoded[name] = col
-            else:
-                vec = made.get(id(col))
-                if vec is None:
-                    vec = made[id(col)] = ColumnVector.from_values(col)
-                encoded[name] = vec
-        self.columns = encoded
+        self.columns = columns
         self.length = length
 
     @classmethod
     def from_rows(cls, rows: Sequence[Row], names: Sequence[str]) -> "ColumnBatch":
         """Transpose homogeneous row dicts into a batch (engine boundary)."""
-        columns: dict[str, Union[ColumnVector, list]] = {
+        columns = {
             n: ColumnVector.from_values([row[n] for row in rows]) for n in names
         }
         return cls(list(names), columns, len(rows))
@@ -286,7 +276,7 @@ class ColumnBatch:
 def gather(batch: ColumnBatch, indexes: np.ndarray) -> ColumnBatch:
     """Select ``indexes`` from every column, preserving alias sharing."""
     taken: dict[int, ColumnVector] = {}
-    columns: dict[str, Union[ColumnVector, list]] = {}
+    columns: dict[str, ColumnVector] = {}
     for name in batch.names:
         source = batch.columns[name]
         picked = taken.get(id(source))
@@ -330,23 +320,6 @@ class ColumnTable:
             n: ColumnVector.from_values([row[n] for row in rows]) for n in names
         }
         return cls(list(names), columns, len(rows))
-
-    @classmethod
-    def from_columns(
-        cls, data: dict[str, Union[ColumnVector, Sequence]]
-    ) -> "ColumnTable":
-        """Build from column-major data (lists or ready-made vectors)."""
-        columns: dict[str, ColumnVector] = {}
-        for name, values in data.items():
-            if isinstance(values, ColumnVector):
-                columns[name] = values
-            else:
-                columns[name] = ColumnVector.from_values(list(values))
-        lengths = {len(c) for c in columns.values()}
-        if len(lengths) > 1:
-            raise ValueError(f"ragged columns: lengths {sorted(lengths)}")
-        length = lengths.pop() if lengths else 0
-        return cls(list(data), columns, length)
 
     def to_rows(self) -> list[Row]:
         """Decode the whole table to row dicts."""

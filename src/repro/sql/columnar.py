@@ -81,9 +81,11 @@ Only the columnar lowering sees these rewrites: the row executor and
 ``compile_sql``/``PhysicalPlanner`` (SQL -> simulated job DAG) run the
 plan :func:`~repro.sql.logical.plan_statement` built.
 
-The engine runs every plan the planner emits; the dispatcher
-(:mod:`repro.sql.dispatch`) runs it by default and keeps the row executor
-only as the explicit reference.
+The engine runs every plan the planner emits;
+:func:`~repro.sql.dispatch.run_sql` runs it by default and keeps the row
+executor only as the explicit reference.  The engine takes the row
+layout, LIKE, the scalar functions, equi-keys and the sort key from
+:mod:`repro.sql.semantics` and imports nothing from that executor.
 """
 
 from __future__ import annotations
@@ -112,7 +114,6 @@ from .batch import (
 )
 from .catalog import Catalog
 from .errors import ExecutionError
-from .executor import Database, Row, _extract_equi_keys, _sort_key
 from .kernels import Kernel, compile_kernel, resolve_column
 from .logical import (
     LogicalAggregate,
@@ -126,6 +127,7 @@ from .logical import (
     LogicalSubquery,
     PlanError,
 )
+from .semantics import Database, Row, _extract_equi_keys, _sort_key
 
 __all__ = [
     "ColumnBatch",
@@ -189,7 +191,7 @@ class _Op:
         raise NotImplementedError
 
     def stats(self) -> dict[str, object]:
-        """Per-operator throughput summary for metrics/tracing."""
+        """Per-operator throughput summary for the trace spans."""
         rate = self.rows_out / self.seconds if self.seconds > 0 else 0.0
         return {
             "rows": self.rows_out,
@@ -1441,13 +1443,10 @@ def walk_ops(root: _Op) -> list[_Op]:
 class ColumnarExecutor:
     """Executes logical plans, each operator once over its whole input."""
 
-    def __init__(
-        self, database: Database, catalog: Catalog, tracer=None, metrics=None
-    ) -> None:
+    def __init__(self, database: Database, catalog: Catalog, tracer=None) -> None:
         self.database = database
         self.catalog = catalog
         self.tracer = tracer
-        self.metrics = metrics
 
     def compile(self, plan: LogicalNode) -> _Op:
         """Lower ``plan`` to a tree of columnar operators."""
@@ -1466,15 +1465,8 @@ class ColumnarExecutor:
         return self.run(self.compile(plan))
 
     def _report(self, root: _Op, elapsed: float, result_rows: int) -> None:
-        ops = walk_ops(root)
-        if self.metrics is not None:
-            self.metrics.counter("sql_columnar_queries").inc()
-            self.metrics.histogram("sql_columnar_query_s").observe(elapsed)
-            for op in ops:
-                prefix = f"sql_columnar_{op.kind}"
-                self.metrics.counter(f"{prefix}_rows").inc(op.rows_out)
         if self.tracer is not None and self.tracer.enabled:
-            for index, op in enumerate(ops):
+            for index, op in enumerate(walk_ops(root)):
                 self.tracer.span(
                     "sql", f"columnar.{op.kind}", 0.0, op.seconds,
                     scope=str(index), **op.stats(),

@@ -1,4 +1,4 @@
-"""Deterministic mini TPC-H data generator for the row executor.
+"""Deterministic mini TPC-H data generator for the SQL engines.
 
 Generates laptop-sized tables that follow the TPC-H schema and key
 relationships (foreign keys join correctly), so the examples can run Fig. 1
@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 
 from .batch import ColumnTable
-from .executor import Database, Row
+from .semantics import Database, Row
 
 NATIONS = [
     ("ALGERIA", 0), ("ARGENTINA", 1), ("BRAZIL", 1), ("CANADA", 1),

@@ -1,26 +1,29 @@
-"""Engine dispatch: run a query on the columnar engine or the row reference.
+"""The one way to run a query: :func:`run_sql`.
 
 ``engine="columnar"`` (the default) compiles the logical plan into the
 vectorized operators of :mod:`repro.sql.columnar`, which run every plan
 the planner emits.  ``engine="row"`` runs the row-at-a-time reference
 executor (:mod:`repro.sql.executor`) that the differential tests and the
-benchmark's result check compare against.
+benchmark's result check compare against; only this module and the
+``repro.sql`` re-exports import it.  ``repro.sql``, ``repro.api`` and
+``repro`` re-export this same :func:`run_sql`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from .catalog import DEFAULT_CATALOG, Catalog
 from .columnar import ColumnarExecutor
-from .executor import Database, QueryExecutor, Row
-from .logical import LogicalNode, plan_statement
+from .executor import QueryExecutor
+from .logical import plan_statement
 from .parser import parse
+from .semantics import Database, Row
 
-#: Accepted values for the ``engine`` parameter.
-ENGINES = ("row", "columnar")
+if TYPE_CHECKING:  # pragma: no cover - typing-only import
+    from ..obs.tracer import Tracer
 
 
 @dataclass
@@ -30,71 +33,34 @@ class QueryOutcome:
     rows: list[Row] = field(default_factory=list)
     #: Engine that ran the query: ``"columnar"`` or ``"row"``.
     engine: str = "columnar"
+    #: Seconds spent running the compiled plan (not parsing or planning).
     elapsed_s: float = 0.0
 
 
-def execute_plan(
-    plan: LogicalNode,
+def run_sql(
+    sql: str,
     database: Database,
-    catalog: Optional[Catalog] = None,
+    *,
     engine: str = "columnar",
-    tracer=None,
-    metrics=None,
+    catalog: Optional[Catalog] = None,
+    tracer: Optional[Tracer] = None,
 ) -> QueryOutcome:
-    """Run a logical plan on ``engine``."""
-    if engine not in ENGINES:
-        raise ValueError(f"engine must be one of {ENGINES}, got {engine!r}")
-    active_catalog = catalog or DEFAULT_CATALOG
+    """Parse, plan and run ``sql`` over ``database`` on ``engine``.
+
+    ``engine`` is ``"columnar"`` (default) or ``"row"``, the reference
+    executor; anything else raises ``ValueError``.  A ``tracer`` receives
+    one ``columnar.<kind>`` span per operator of a columnar run.
+    """
+    if engine not in ("columnar", "row"):
+        raise ValueError(f"engine must be 'columnar' or 'row', got {engine!r}")
+    active = catalog or DEFAULT_CATALOG
+    plan = plan_statement(parse(sql), active)
     if engine == "columnar":
-        executor = ColumnarExecutor(
-            database, active_catalog, tracer=tracer, metrics=metrics
-        )
+        executor = ColumnarExecutor(database, active, tracer=tracer)
         compiled = executor.compile(plan)
         started = perf_counter()
         rows = executor.run(compiled)
     else:
         started = perf_counter()
-        rows = QueryExecutor(database, active_catalog).execute(plan)
-    elapsed = perf_counter() - started
-    if metrics is not None:
-        metrics.counter("sql_queries").inc()
-        metrics.counter(f"sql_engine_{engine}").inc()
-        metrics.histogram("sql_query_s").observe(elapsed)
-    if tracer is not None and tracer.enabled:
-        tracer.instant(
-            "sql", "dispatch", 0.0,
-            engine=engine, rows=len(rows), elapsed_s=round(elapsed, 6),
-        )
-        if engine == "row":
-            tracer.span("sql", "row.execute", 0.0, elapsed, rows=len(rows))
-    return QueryOutcome(rows=rows, engine=engine, elapsed_s=elapsed)
-
-
-def execute_sql(
-    sql: str,
-    database: Database,
-    catalog: Optional[Catalog] = None,
-    engine: str = "columnar",
-    tracer=None,
-    metrics=None,
-) -> QueryOutcome:
-    """Parse, plan, and run ``sql``; returns the full outcome."""
-    active = catalog or DEFAULT_CATALOG
-    plan = plan_statement(parse(sql), active)
-    return execute_plan(
-        plan, database, active, engine=engine, tracer=tracer, metrics=metrics,
-    )
-
-
-def run_query(
-    sql: str,
-    database: Database,
-    catalog: Optional[Catalog] = None,
-    engine: str = "columnar",
-    tracer=None,
-    metrics=None,
-) -> list[Row]:
-    """Parse, plan, and execute ``sql`` over ``database``; just the rows."""
-    return execute_sql(
-        sql, database, catalog, engine=engine, tracer=tracer, metrics=metrics,
-    ).rows
+        rows = QueryExecutor(database, active).execute(plan)
+    return QueryOutcome(rows=rows, engine=engine, elapsed_s=perf_counter() - started)

@@ -9,7 +9,6 @@ the condition, and aggregates accumulate per group key.
 
 from __future__ import annotations
 
-import fnmatch
 from typing import Callable, Iterable, Optional
 
 from .ast import (
@@ -39,62 +38,19 @@ from .logical import (
     LogicalSubquery,
     PlanError,
 )
-
-Row = dict[str, object]
-Database = dict[str, list[Row]]
+from .semantics import (
+    _SCALAR_FUNCTIONS,
+    Database,
+    Row,
+    _extract_equi_keys,
+    _sort_key,
+    sql_like,
+)
 
 
 # ----------------------------------------------------------------------
 # Expression evaluation
 # ----------------------------------------------------------------------
-
-#: fnmatch metacharacters that must be escaped when they appear literally
-#: in a SQL LIKE pattern (``]`` is only special after an unescaped ``[``).
-_GLOB_SPECIALS = frozenset("*?[")
-
-
-def like_to_glob(pattern: str) -> str:
-    """Translate a SQL LIKE pattern into an ``fnmatch`` glob.
-
-    ``%`` and ``_`` become ``*`` and ``?``; glob metacharacters already
-    present in the SQL pattern are wrapped in character classes so
-    ``LIKE '10[%'`` matches a literal ``[`` instead of opening a class.
-    """
-    out: list[str] = []
-    for ch in pattern:
-        if ch == "%":
-            out.append("*")
-        elif ch == "_":
-            out.append("?")
-        elif ch in _GLOB_SPECIALS:
-            out.append(f"[{ch}]")
-        else:
-            out.append(ch)
-    return "".join(out)
-
-
-def sql_like(value: object, pattern: object) -> bool:
-    """SQL LIKE semantics shared by the row and columnar engines."""
-    return fnmatch.fnmatchcase(str(value), like_to_glob(str(pattern)))
-
-
-_SCALAR_FUNCTIONS: dict[str, Callable[..., object]] = {
-    "substr": lambda s, start, length=None: (
-        str(s)[int(start) - 1 : int(start) - 1 + int(length)]
-        if length is not None
-        else str(s)[int(start) - 1 :]
-    ),
-    "substring": lambda s, start, length=None: _SCALAR_FUNCTIONS["substr"](s, start, length),
-    "upper": lambda s: str(s).upper(),
-    "lower": lambda s: str(s).lower(),
-    "length": lambda s: len(str(s)),
-    "abs": lambda x: abs(x),  # noqa: ARG005
-    "round": lambda x, digits=0: round(float(x), int(digits)),
-    "coalesce": lambda *args: next((a for a in args if a is not None), None),
-    "is_null": lambda x: x is None,
-    "year": lambda s: int(str(s)[:4]),
-}
-
 
 def eval_expr(expr: Expr, row: Row) -> object:
     """Evaluate a scalar expression against one row."""
@@ -291,21 +247,6 @@ def _qualify(row: Row, binding: Optional[str]) -> Row:
         if "." not in key:
             out[f"{binding}.{key}"] = value
     return out
-
-
-def _extract_equi_keys(condition: Expr) -> list[tuple[ColumnRef, ColumnRef]]:
-    """Pull ``a.x = b.y`` pairs out of a conjunctive join condition."""
-    pairs: list[tuple[ColumnRef, ColumnRef]] = []
-    if isinstance(condition, BinaryOp):
-        if condition.op == "and":
-            pairs.extend(_extract_equi_keys(condition.left))
-            pairs.extend(_extract_equi_keys(condition.right))
-        elif condition.op == "=":
-            if isinstance(condition.left, ColumnRef) and isinstance(
-                condition.right, ColumnRef
-            ):
-                pairs.append((condition.left, condition.right))
-    return pairs
 
 
 def _resolve_side(ref: ColumnRef, row: Row) -> Optional[object]:
@@ -535,10 +476,3 @@ def _hashable(value: object) -> object:
     if isinstance(value, float) and value != value:
         return _NAN_KEY
     return tuple(value) if isinstance(value, list) else value
-
-
-def _sort_key(value: object) -> tuple:
-    # None sorts first; mixed types sort by type name then value.
-    if value is None:
-        return (0, "", "")
-    return (1, type(value).__name__, value)

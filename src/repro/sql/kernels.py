@@ -51,7 +51,7 @@ from .ast import (
 )
 from .batch import ColumnBatch, ColumnVector
 from .errors import ExecutionError, SqlTypeError
-from .executor import _SCALAR_FUNCTIONS, like_to_glob, sql_like
+from .semantics import _SCALAR_FUNCTIONS, like_to_glob, sql_like
 
 
 class Const:

@@ -1,10 +1,11 @@
 """TPC-H query texts in the Swift SQL dialect.
 
 A representative subset of TPC-H, written in the language of the paper's
-Fig. 1, that both the physical planner (SQL -> job DAG) and the row-level
-executor can handle end to end.  Queries are lightly adapted to the
-dialect: no correlated subqueries (Q2/Q17-style inner queries are
-flattened or omitted), date arithmetic replaced with string prefixes.
+Fig. 1, that both the physical planner (SQL -> job DAG) and
+:func:`repro.sql.run_sql` can handle end to end.  Queries are lightly
+adapted to the dialect: no correlated subqueries (Q2/Q17-style inner
+queries are flattened or omitted), date arithmetic replaced with string
+prefixes.
 
 ``TPCH_SQL`` maps query number -> SQL text; ``runnable_queries()`` lists
 them in order.
@@ -152,15 +153,3 @@ def query_sql(query: int) -> str:
             f"no Swift-dialect text for Q{query}; available: {runnable_queries()}"
         )
     return TPCH_SQL[query]
-
-
-def run_tpch_query(query: int, database, engine: str = "columnar", **kwargs):
-    """Execute TPC-H ``query`` over ``database``.
-
-    ``engine`` is ``"columnar"`` (default) or ``"row"``, the reference
-    executor; extra keyword arguments (``tracer``, ``metrics``,
-    ``catalog``) pass through to :func:`repro.sql.dispatch.run_query`.
-    """
-    from ..sql.dispatch import run_query
-
-    return run_query(query_sql(query), database, engine=engine, **kwargs)

@@ -124,6 +124,29 @@ def test_simulation_accepts_prebuilt_tracer():
     assert outcome.trace and outcome.trace == tracer.records
 
 
+@pytest.mark.parametrize("failed", [False, True])
+def test_traced_and_untraced_runs_fold_the_same_job_metrics(failed):
+    # Only completed jobs are folded, whether or not the run is recorded.
+    def fold(trace):
+        config = _small_config()
+        if failed:
+            config.failure_plan.add(FailureSpec(
+                kind=FailureKind.APPLICATION_ERROR, stage="map", at_time=1.0,
+            ))
+        outcome = Simulation(config).run(terasort.terasort_job(8, 8), trace=trace)
+        assert outcome.completed is not failed
+        metrics = outcome.metrics.to_dict()
+        return (
+            metrics["counters"].get("jobs_completed", 0),
+            metrics["counters"].get("tasks_finished", 0),
+            metrics["histograms"].get("job_latency_s", {}).get("count", 0),
+        )
+
+    untraced = fold(trace=False)
+    assert untraced == fold(trace=True)
+    assert untraced == ((0, 0, 0) if failed else (1, 16, 1))
+
+
 def test_simulation_result_job_lookup():
     outcome = Simulation(_small_config()).run(terasort.terasort_job(6, 6))
     job_id = outcome.results[0].job_id
@@ -188,23 +211,24 @@ def test_run_sql_facade_reports_engine():
 
 
 def test_run_sql_threads_observability():
-    from repro.api import MetricsRegistry, run_sql
+    from repro.api import run_sql
 
     database, catalog = _sql_fixture()
-    metrics = MetricsRegistry()
     tracer = RecordingTracer()
     run_sql("select count(*) as n from t", database, catalog=catalog,
-            metrics=metrics, tracer=tracer)
-    assert metrics.to_dict()["counters"]["sql_queries"] == 1
+            tracer=tracer)
     assert any(r.cat == "sql" for r in tracer.records)
+    names = {r.name for r in tracer.records}
+    assert {"columnar.scan", "columnar.aggregate"} <= names
 
 
 def test_sql_facade_reexported_from_package_root():
     import repro
+    import repro.sql
     from repro.api import QueryOutcome, run_sql
 
-    assert repro.run_sql is run_sql
-    assert repro.QueryOutcome is QueryOutcome
+    assert repro.run_sql is run_sql is repro.sql.run_sql
+    assert repro.QueryOutcome is QueryOutcome is repro.sql.QueryOutcome
 
 
 # ----------------------------------------------------------------------

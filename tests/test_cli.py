@@ -55,15 +55,16 @@ def test_sql_command(capsys):
 
 
 def test_sql_command_engine_flag(capsys):
+    # --execute always runs the columnar engine; there is no --engine.
     for engine in ("row", "columnar"):
-        assert main([
-            "sql", "--query", "select count(*) c from nation",
-            "--scale", "1", "--machines", "4", "--execute",
-            "--engine", engine,
-        ]) == 0
-        out = capsys.readouterr().out
-        assert "'c': 25" in out
-        assert f"engine={engine}" in out
+        with pytest.raises(SystemExit) as excinfo:
+            main([
+                "sql", "--query", "select count(*) c from nation",
+                "--scale", "1", "--machines", "4", "--execute",
+                "--engine", engine,
+            ])
+        assert excinfo.value.code == 2
+        assert "--engine" in capsys.readouterr().err
 
 
 def test_sql_command_reports_chosen_engine(capsys):
@@ -79,15 +80,14 @@ def test_sql_command_rejects_right_join():
     # RIGHT JOIN is a planning error on either engine, never inner-join rows.
     query = ("select * from tpch_region r right join tpch_nation n "
              "on n.n_regionkey = r.r_regionkey and r.r_regionkey < 2")
-    for engine in ("row", "columnar"):
-        with pytest.raises(PlanError, match="RIGHT JOIN"):
-            main(["sql", "--query", query, "--scale", "1", "--machines", "4",
-                  "--execute", "--engine", engine])
+    with pytest.raises(PlanError, match="RIGHT JOIN"):
+        main(["sql", "--query", query, "--scale", "1", "--machines", "4",
+              "--execute"])
 
 
 def test_sql_command_engine_choices():
     parser = build_parser()
-    assert parser.parse_args(["sql"]).engine == "columnar"
+    assert not hasattr(parser.parse_args(["sql"]), "engine")
     with pytest.raises(SystemExit):
         parser.parse_args(["sql", "--engine", "auto"])
 
@@ -120,14 +120,16 @@ def test_trace_command_writes_perfetto_trace(tmp_path, capsys):
     assert json.loads(jsonl_lines[0])["args"]["schema"] == 1
 
 
-def test_trace_command_normalizes_key_spellings():
-    from repro.cli import _normalize_trace_key, _trace_registry
+def test_trace_command_accepts_exact_keys_only(capsys):
+    from repro.cli import _trace_registry
 
-    assert _normalize_trace_key("fig03") == "fig3"
-    assert _normalize_trace_key("FIG9A") == "fig9a"
-    assert _normalize_trace_key("terasort") == "table1"
-    assert {"fig3", "fig9a", "fig9b", "fig13", "table1",
-            "replay"} <= set(_trace_registry())
+    assert main(["trace", "fig03"]) == 2
+    err = capsys.readouterr().err
+    assert "unknown experiment 'fig03'" in err
+    assert "available: fig3, fig9a, fig9b, fig13, table1, replay" in err
+    assert list(_trace_registry()) == [
+        "fig3", "fig9a", "fig9b", "fig13", "table1", "replay",
+    ]
 
 
 def test_trace_command_unknown_experiment(capsys):

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.obs import MetricsRegistry, RecordingTracer
+from repro.obs import RecordingTracer
 from repro.sql import (
     DEFAULT_CATALOG,
     Catalog,
@@ -28,17 +28,16 @@ from repro.sql import (
     QueryExecutor,
     columnar,
     compile_kernel,
-    execute_sql,
     executor,
     generate_database,
     parse,
     plan_statement,
-    run_query,
+    run_sql,
 )
 from repro.sql.catalog import _cols
 from repro.sql.ast import BinaryOp, ColumnRef, FunctionCall, Literal, Star
 from repro.sql.columnar import ColumnBatch, ColumnVector, compile_plan, walk_ops
-from repro.workloads.tpch_sql import TPCH_SQL, run_tpch_query, runnable_queries
+from repro.workloads.tpch_sql import TPCH_SQL, runnable_queries
 
 
 @pytest.fixture(scope="module")
@@ -74,18 +73,18 @@ def test_fig1_query_matches_row_engine(db):
 
 
 def test_auto_mode_run_query_matches_row_engine(db):
-    # The package-level run_query routes through the dispatcher; on its
-    # default engine it must return exactly what the row engine returns.
+    # run_sql on its default engine must return exactly what the row
+    # engine returns.
     for query in runnable_queries():
         expected = _row_engine(TPCH_SQL[query], db)
-        assert run_query(TPCH_SQL[query], db) == expected
+        assert run_sql(TPCH_SQL[query], db).rows == expected
 
 
-def test_run_tpch_query_engine_selection(db):
+def test_tpch_query_engine_selection(db):
     expected = _row_engine(TPCH_SQL[6], db)
-    assert run_tpch_query(6, db) == expected
-    assert run_tpch_query(6, db, engine="row") == expected
-    assert run_tpch_query(6, db, engine="columnar") == expected
+    assert run_sql(TPCH_SQL[6], db).rows == expected
+    assert run_sql(TPCH_SQL[6], db, engine="row").rows == expected
+    assert run_sql(TPCH_SQL[6], db, engine="columnar").rows == expected
 
 
 def _compiled_ops(query, database):
@@ -183,24 +182,35 @@ def test_aggregate_never_leaves_columns(db, monkeypatch):
         assert _columnar_engine(TPCH_SQL[query], db) == rows, query
 
 
-def test_row_engine_imports_only_shrink():
-    # The columnar engine's imports from the row reference (ROADMAP item
-    # 6's cut list): a change may remove names from this set, never add.
-    sql_dir = Path(columnar.__file__).parent
-    imported = {}
-    for module in ("columnar.py", "kernels.py"):
-        tree = ast.parse((sql_dir / module).read_text())
-        imported[module] = {
-            alias.name
-            for node in ast.walk(tree)
-            if isinstance(node, ast.ImportFrom)
-            and node.level == 1 and node.module == "executor"
-            for alias in node.names
-        }
-    assert imported == {
-        "columnar.py": {"Database", "Row", "_extract_equi_keys", "_sort_key"},
-        "kernels.py": {"_SCALAR_FUNCTIONS", "like_to_glob", "sql_like"},
-    }
+def _imported_modules(path, package):
+    """Absolute names of the modules ``path`` imports (``from x import y``
+    counts both ``x`` and ``x.y``, since ``y`` may be a submodule)."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level:
+                parent = package.rsplit(".", node.level - 1)[0]
+                base = f"{parent}.{base}" if base else parent
+            names.add(base)
+            names.update(f"{base}.{alias.name}" for alias in node.names)
+    return names
+
+
+def test_only_dispatch_imports_the_row_engine():
+    # The row reference is reached only through run_sql(engine="row") and
+    # the repro.sql re-exports; the columnar engine shares semantics.py.
+    src = Path(columnar.__file__).parents[2]
+    importers = set()
+    for path in sorted((src / "repro").rglob("*.py")):
+        # A module's relative imports resolve against its package, and a
+        # package's __init__ against the package itself: both are parts[:-1].
+        package = ".".join(path.relative_to(src).parts[:-1])
+        if "repro.sql.executor" in _imported_modules(path, package):
+            importers.add(path.relative_to(src / "repro").as_posix())
+    assert importers == {"sql/dispatch.py", "sql/__init__.py"}
 
 
 _AGG_INPUTS = {
@@ -499,15 +509,15 @@ def test_string_comparison_with_a_constant(lanes, const, op, const_on_left):
 # ----------------------------------------------------------------------
 
 def test_dispatcher_picks_columnar_for_supported_plans(db):
-    outcome = execute_sql(TPCH_SQL[1], db)
+    outcome = run_sql(TPCH_SQL[1], db)
     assert outcome.engine == "columnar"
 
 
 def test_dispatcher_outcome_reports_engine(db):
-    outcome = execute_sql(TPCH_SQL[6], db)
+    outcome = run_sql(TPCH_SQL[6], db)
     assert outcome.engine == "columnar"
     assert outcome.elapsed_s >= 0.0
-    forced = execute_sql(TPCH_SQL[6], db, engine="row")
+    forced = run_sql(TPCH_SQL[6], db, engine="row")
     assert forced.engine == "row"
     assert forced.rows == outcome.rows
 
@@ -518,7 +528,7 @@ def test_dispatcher_runs_non_equi_join_columnar(db):
         select count(*) as n
         from tpch_nation a join tpch_nation b on a.n_nationkey < b.n_nationkey
     """
-    outcome = execute_sql(sql, db)
+    outcome = run_sql(sql, db)
     assert outcome.engine == "columnar"
     assert outcome.rows == [{"n": 300}]
     assert outcome.rows == _row_engine(sql, db)
@@ -527,7 +537,7 @@ def test_dispatcher_runs_non_equi_join_columnar(db):
 def test_unknown_engine_rejected(db):
     for engine in ("gpu", "auto"):
         with pytest.raises(ValueError):
-            execute_sql("select 1 as x from tpch_nation", db, engine=engine)
+            run_sql("select 1 as x from tpch_nation", db, engine=engine)
 
 
 # ----------------------------------------------------------------------
@@ -535,29 +545,16 @@ def test_unknown_engine_rejected(db):
 # ----------------------------------------------------------------------
 
 def test_columnar_run_emits_metrics_and_spans(db):
-    metrics = MetricsRegistry()
     tracer = RecordingTracer()
-    outcome = execute_sql(
-        TPCH_SQL[1], db, metrics=metrics, tracer=tracer
-    )
+    outcome = run_sql(TPCH_SQL[1], db, tracer=tracer)
     assert outcome.engine == "columnar"
-    counters = metrics.to_dict()["counters"]
-    assert counters["sql_queries"] == 1
-    assert counters["sql_engine_columnar"] == 1
-    assert counters["sql_columnar_scan_rows"] == len(db["lineitem"])
-    assert counters["sql_columnar_aggregate_rows"] == len(outcome.rows)
     categories = {record.cat for record in tracer.records}
     assert "sql" in categories
-    names = {record.name for record in tracer.records}
-    assert "columnar.scan" in names
-    assert "columnar.aggregate" in names
-
-
-def test_row_engine_dispatch_also_counts(db):
-    metrics = MetricsRegistry()
-    execute_sql(TPCH_SQL[1], db, engine="row", metrics=metrics)
-    counters = metrics.to_dict()["counters"]
-    assert counters["sql_engine_row"] == 1
+    rows = {}
+    for record in tracer.records:
+        rows[record.name] = rows.get(record.name, 0) + record.args.get("rows", 0)
+    assert rows["columnar.scan"] == len(db["lineitem"])
+    assert rows["columnar.aggregate"] == len(outcome.rows)
 
 
 # ----------------------------------------------------------------------
@@ -575,7 +572,7 @@ def test_compile_kernel_null_semantics():
     # NULL comparison yields NULL (excluded by filters), like the row engine.
     expr = BinaryOp("<", ColumnRef("a"), Literal(5))
     kernel = compile_kernel(expr, ["a"])
-    batch = ColumnBatch(["a"], {"a": [1, None, 9]}, 3)
+    batch = ColumnBatch(["a"], {"a": ColumnVector.from_values([1, None, 9])}, 3)
     assert kernel(batch) == [True, None, False]
 
 

@@ -1,6 +1,6 @@
 """SQL conformance corpus, parameterized over both execution engines.
 
-Every case runs through :func:`repro.sql.dispatch.execute_sql` with
+Every case runs through :func:`repro.sql.run_sql` with
 ``engine`` set to ``row`` and to ``columnar`` and asserts identical
 results, pinning down the semantic corners where vectorized rewrites
 classically diverge from row-at-a-time interpreters: NULL
@@ -15,7 +15,6 @@ import json
 
 import pytest
 
-from repro.api import run_sql
 from repro.sql import (
     Catalog,
     ColumnTable,
@@ -23,11 +22,11 @@ from repro.sql import (
     PlanError,
     SqlTypeError,
     TableSchema,
-    execute_sql,
     generate_database,
     like_to_glob,
     parse,
     plan_statement,
+    run_sql,
     sql_like,
 )
 from repro.sql.catalog import _cols
@@ -180,15 +179,15 @@ def setup():
 @pytest.mark.parametrize("case_id,sql,ordered", CORPUS, ids=[c[0] for c in CORPUS])
 def test_corpus_case_runs(engine, case_id, sql, ordered, setup):
     database, catalog = setup
-    outcome = execute_sql(sql, database, catalog, engine=engine)
+    outcome = run_sql(sql, database, catalog=catalog, engine=engine)
     assert isinstance(outcome.rows, list)
 
 
 @pytest.mark.parametrize("case_id,sql,ordered", CORPUS, ids=[c[0] for c in CORPUS])
 def test_engines_agree(case_id, sql, ordered, setup):
     database, catalog = setup
-    row = execute_sql(sql, database, catalog, engine="row").rows
-    columnar = execute_sql(sql, database, catalog, engine="columnar").rows
+    row = run_sql(sql, database, catalog=catalog, engine="row").rows
+    columnar = run_sql(sql, database, catalog=catalog, engine="columnar").rows
     if ordered:
         assert columnar == row
     else:
@@ -199,7 +198,7 @@ def test_left_join_fills_missing_right_columns(setup):
     database, catalog = setup
     sql = ("select i.id, o.owner from items i left join owners o "
            "on i.id = o.oid order by i.id")
-    rows = execute_sql(sql, database, catalog, engine="row").rows
+    rows = run_sql(sql, database, catalog=catalog, engine="row").rows
     assert {"id", "owner"} <= set(rows[0].keys())
     unmatched = [r for r in rows if r["owner"] is None]
     assert [r["id"] for r in unmatched] == [2, 4, 5, 6]
@@ -213,7 +212,7 @@ def test_left_join_empty_right_side(setup):
            "(select oid, owner from owners where 1 = 0) o on i.id = o.oid "
            "order by i.id")
     for engine in ENGINES:
-        rows = execute_sql(sql, database, catalog, engine=engine).rows
+        rows = run_sql(sql, database, catalog=catalog, engine=engine).rows
         assert len(rows) == len(database["items"])
         assert all(r["owner"] is None for r in rows)
 
@@ -223,7 +222,7 @@ def test_empty_aggregate_values(setup):
     sql = ("select count(*) as n, sum(price) as total, avg(price) as mean "
            "from items where id > 100")
     for engine in ENGINES:
-        (row,) = execute_sql(sql, database, catalog, engine=engine).rows
+        (row,) = run_sql(sql, database, catalog=catalog, engine=engine).rows
         assert row == {"n": 0, "total": None, "mean": None}
 
 
@@ -308,8 +307,8 @@ def _json_rows(rows):
                          ids=[c[0] for c in NAN_CORPUS + METACHAR_CORPUS])
 def test_numpy_semantics_match_row_engine(case_id, sql, numpy_setup):
     database, catalog = numpy_setup
-    row = execute_sql(sql, database, catalog, engine="row").rows
-    columnar = execute_sql(sql, database, catalog, engine="columnar").rows
+    row = run_sql(sql, database, catalog=catalog, engine="row").rows
+    columnar = run_sql(sql, database, catalog=catalog, engine="columnar").rows
     assert _json_rows(columnar) == _json_rows(row)
 
 
@@ -317,7 +316,7 @@ def test_nan_is_distinct_from_null(numpy_setup):
     database, catalog = numpy_setup
     sql = "select count(*) as all_rows, count(m_val) as with_val from metrics"
     for engine in ENGINES:
-        (row,) = execute_sql(sql, database, catalog, engine=engine).rows
+        (row,) = run_sql(sql, database, catalog=catalog, engine=engine).rows
         # 6 rows, 1 NULL: NaN rows still count as present values.
         assert row == {"all_rows": 6, "with_val": 5}
 
@@ -348,8 +347,8 @@ def test_empty_table_both_layouts(case_id, sql, layout, numpy_setup):
     items = ([] if layout == "rows"
              else catalog.resolve_table("items").empty_table())
     database = {"items": items, "owners": _database()["owners"]}
-    expected = execute_sql(sql, database, catalog, engine="row").rows
-    got = execute_sql(sql, database, catalog, engine="columnar").rows
+    expected = run_sql(sql, database, catalog=catalog, engine="row").rows
+    got = run_sql(sql, database, catalog=catalog, engine="columnar").rows
     assert got == expected
 
 
@@ -387,8 +386,8 @@ def test_filtered_to_empty_both_layouts(case_id, sql, layout, numpy_setup):
     database = _database()
     if layout == "columnar":
         database["items"] = ColumnTable.from_rows(database["items"])
-    expected = execute_sql(sql, database, catalog, engine="row").rows
-    got = execute_sql(sql, database, catalog, engine="columnar").rows
+    expected = run_sql(sql, database, catalog=catalog, engine="row").rows
+    got = run_sql(sql, database, catalog=catalog, engine="columnar").rows
     assert got == expected
 
 
@@ -413,18 +412,18 @@ ALL_NULL_CORPUS = [
                          ids=[c[0] for c in ALL_NULL_CORPUS])
 def test_all_null_column_matches_row_engine(case_id, sql, numpy_setup):
     database, catalog = numpy_setup
-    row = execute_sql(sql, database, catalog, engine="row").rows
-    columnar = execute_sql(sql, database, catalog, engine="columnar").rows
+    row = run_sql(sql, database, catalog=catalog, engine="row").rows
+    columnar = run_sql(sql, database, catalog=catalog, engine="columnar").rows
     assert _json_rows(columnar) == _json_rows(row)
 
 
 def test_non_equi_self_join_runs_columnar(setup):
     database, catalog = setup
     sql = "select a.id from items a join items b on a.id < b.id"
-    outcome = execute_sql(sql, database, catalog, engine="columnar")
+    outcome = run_sql(sql, database, catalog=catalog, engine="columnar")
     assert outcome.engine == "columnar"
     assert len(outcome.rows) == 15
-    assert outcome.rows == execute_sql(sql, database, catalog, engine="row").rows
+    assert outcome.rows == run_sql(sql, database, catalog=catalog, engine="row").rows
 
 
 def test_right_join_is_a_plan_error_on_both_engines():
@@ -465,7 +464,7 @@ def test_equi_join_with_null_first_left_key(on):
     database, catalog = _join_key_setup()
     sql = f"select aid, bv from a join b on {on}"
     for engine in ENGINES:
-        rows = execute_sql(sql, database, catalog, engine=engine).rows
+        rows = run_sql(sql, database, catalog=catalog, engine=engine).rows
         assert rows == [{"aid": 2, "bv": "x"}, {"aid": 3, "bv": "y"}], engine
 
 
@@ -482,8 +481,8 @@ def _lowered(sql, database, catalog):
 
 
 def _agree(sql, database, catalog):
-    row = execute_sql(sql, database, catalog, engine="row").rows
-    columnar = execute_sql(sql, database, catalog, engine="columnar").rows
+    row = run_sql(sql, database, catalog=catalog, engine="row").rows
+    columnar = run_sql(sql, database, catalog=catalog, engine="columnar").rows
     assert columnar == row
     return row
 
@@ -580,8 +579,8 @@ def _in_layout(database, layout):
 def test_key_shapes_both_layouts(case_id, sql, layout):
     database, catalog = _python_key_setup()
     database = _in_layout(database, layout)
-    row = execute_sql(sql, database, catalog, engine="row").rows
-    columnar = execute_sql(sql, database, catalog, engine="columnar").rows
+    row = run_sql(sql, database, catalog=catalog, engine="row").rows
+    columnar = run_sql(sql, database, catalog=catalog, engine="columnar").rows
     assert _json_rows(columnar) == _json_rows(row)
 
 
@@ -612,7 +611,7 @@ def test_nan_is_one_key_in_both_layouts(sql, expected, nan, layout):
         ]
     database = _in_layout(database, layout)
     for engine in ENGINES:
-        rows = execute_sql(sql, database, catalog, engine=engine).rows
+        rows = run_sql(sql, database, catalog=catalog, engine=engine).rows
         assert _json_rows(rows) == _json_rows(expected), engine
 
 
@@ -621,7 +620,7 @@ def test_count_over_mixed_types_compares_nothing(engine):
     # Only min and max compare values; 1 and "x" have no order.
     database, catalog = _python_key_setup()
     sql = "select count(b_obj) as n, count(distinct b_obj) as d from pb"
-    assert execute_sql(sql, database, catalog, engine=engine).rows == [{"n": 5, "d": 3}]
+    assert run_sql(sql, database, catalog=catalog, engine=engine).rows == [{"n": 5, "d": 3}]
 
 
 def test_join_chain_in_size_order_binds_shared_names_as_written():
@@ -722,7 +721,7 @@ def test_where_naming_missing_column_raises_on_both_engines(where, setup):
            f"where {where}")
     for engine in ENGINES:
         with pytest.raises(ExecutionError, match="column 'nosuch' not found"):
-            execute_sql(sql, database, catalog, engine=engine)
+            run_sql(sql, database, catalog=catalog, engine=engine)
 
 
 def test_count_star_reads_no_column(setup):
@@ -829,7 +828,7 @@ AGGREGATE_EXPR_CORPUS = [
                          ids=[c[0] for c in AGGREGATE_EXPR_CORPUS])
 def test_aggregates_bind_inside_expressions(engine, case_id, sql, expected):
     database, catalog = _agg_setup()
-    rows = execute_sql(sql, database, catalog, engine=engine).rows
+    rows = run_sql(sql, database, catalog=catalog, engine=engine).rows
     assert _json_rows(rows) == _json_rows(expected)
 
 
@@ -843,7 +842,7 @@ def test_aggregates_bind_inside_expressions(engine, case_id, sql, expected):
 def test_aggregate_reading_a_missing_column_raises(engine, sql, column):
     database, catalog = _agg_setup()
     with pytest.raises(ExecutionError, match=f"column '{column}' not found in row"):
-        execute_sql(sql, database, catalog, engine=engine)
+        run_sql(sql, database, catalog=catalog, engine=engine)
 
 
 @pytest.mark.parametrize("engine", ENGINES)
@@ -851,7 +850,7 @@ def test_round_over_null_aggregate_raises_without_having(engine):
     database, catalog = _agg_setup()
     sql = "select g, round(max(x)) as r from t group by g"
     with pytest.raises(TypeError):
-        execute_sql(sql, database, catalog, engine=engine)
+        run_sql(sql, database, catalog=catalog, engine=engine)
 
 
 # ----------------------------------------------------------------------
@@ -873,7 +872,7 @@ def test_round_over_null_aggregate_raises_without_having(engine):
 def test_operator_type_mismatch_is_a_typed_error(engine, sql, setup):
     database, catalog = setup
     with pytest.raises(SqlTypeError) as info:
-        execute_sql(sql, database, catalog, engine=engine)
+        run_sql(sql, database, catalog=catalog, engine=engine)
     assert isinstance(info.value, ExecutionError) and isinstance(info.value, TypeError)
 
 
@@ -890,7 +889,7 @@ def test_limit_still_evaluates_rows_past_it(engine, count):
     database = {"t": [{"a": 1}, {"a": "x"}]}
     sql = f"select a + 1 as b from t limit {count}"
     with pytest.raises(TypeError):
-        execute_sql(sql, database, catalog, engine=engine)
+        run_sql(sql, database, catalog=catalog, engine=engine)
 
 
 # ----------------------------------------------------------------------
@@ -995,8 +994,8 @@ STRING_CORPUS = [
 def test_string_corner_cases_both_layouts(case_id, sql, layout):
     database, catalog = _string_setup()
     database = _in_layout(database, layout)
-    row = execute_sql(sql, database, catalog, engine="row").rows
-    columnar = execute_sql(sql, database, catalog, engine="columnar").rows
+    row = run_sql(sql, database, catalog=catalog, engine="row").rows
+    columnar = run_sql(sql, database, catalog=catalog, engine="columnar").rows
     assert _json_rows(columnar) == _json_rows(row)
 
 
@@ -1004,6 +1003,6 @@ def test_nul_strings_are_distinct_values():
     database, catalog = _string_setup()
     sql = "select w, count(*) as c from words where w_id < 4 group by w"
     for engine in ENGINES:
-        rows = execute_sql(sql, database, catalog, engine=engine).rows
+        rows = run_sql(sql, database, catalog=catalog, engine=engine).rows
         assert rows == [{"w": "a\x00", "c": 1}, {"w": "a", "c": 1},
                         {"w": "a\x00b", "c": 1}], engine

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.sql import FIG1_QUERY, generate_database, run_query
+from repro.sql import FIG1_QUERY, generate_database, run_sql
 from repro.sql.executor import ExecutionError, eval_expr
 from repro.sql.parser import parse
 
@@ -63,49 +63,49 @@ def test_missing_column_raises():
 
 
 def test_scan_and_filter(db):
-    rows = run_query("select s_name from supplier where s_suppkey < 3", db)
+    rows = run_sql("select s_name from supplier where s_suppkey < 3", db).rows
     assert len(rows) == 3
     assert all("Supplier#" in r["s_name"] for r in rows)
 
 
 def test_projection_expression(db):
-    rows = run_query(
+    rows = run_sql(
         "select l_extendedprice * (1 - l_discount) as revenue from lineitem", db
-    )
+    ).rows
     assert all(r["revenue"] >= 0 for r in rows)
 
 
 def test_join_matches_foreign_keys(db):
-    rows = run_query(
+    rows = run_sql(
         "select o.o_orderkey, c.c_name from orders o "
         "join customer c on o.o_custkey = c.c_custkey",
         db,
-    )
+    ).rows
     assert len(rows) == len(db["orders"])
 
 
 def test_left_join_keeps_unmatched(db):
-    inner = run_query(
+    inner = run_sql(
         "select c.c_custkey from customer c "
         "join orders o on o.o_custkey = c.c_custkey",
         db,
-    )
-    left = run_query(
+    ).rows
+    left = run_sql(
         "select c.c_custkey from customer c "
         "left join orders o on o.o_custkey = c.c_custkey",
         db,
-    )
+    ).rows
     assert len(left) >= len(inner)
     assert len({r["c_custkey"] for r in left}) == len(db["customer"])
 
 
 def test_group_by_aggregates(db):
-    rows = run_query(
+    rows = run_sql(
         "select l_returnflag, count(*) as n, sum(l_quantity) as q, "
         "avg(l_quantity) as a, min(l_quantity) as lo, max(l_quantity) as hi "
         "from lineitem group by l_returnflag",
         db,
-    )
+    ).rows
     total = sum(r["n"] for r in rows)
     assert total == len(db["lineitem"])
     for r in rows:
@@ -114,43 +114,43 @@ def test_group_by_aggregates(db):
 
 
 def test_global_aggregate_without_groups(db):
-    rows = run_query("select count(*) as n from lineitem", db)
+    rows = run_sql("select count(*) as n from lineitem", db).rows
     assert rows == [{"n": len(db["lineitem"])}]
 
 
 def test_having_filters_groups(db):
-    rows = run_query(
+    rows = run_sql(
         "select l_returnflag, count(*) as n from lineitem "
         "group by l_returnflag having count(*) > 100000",
         db,
-    )
+    ).rows
     assert rows == []
 
 
 def test_order_by_and_limit(db):
-    rows = run_query(
+    rows = run_sql(
         "select o_orderkey, o_totalprice from orders "
         "order by o_totalprice desc limit 5",
         db,
-    )
+    ).rows
     assert len(rows) == 5
     prices = [r["o_totalprice"] for r in rows]
     assert prices == sorted(prices, reverse=True)
 
 
 def test_distinct(db):
-    rows = run_query("select distinct l_returnflag from lineitem", db)
+    rows = run_sql("select distinct l_returnflag from lineitem", db).rows
     flags = {r["l_returnflag"] for r in rows}
     assert len(rows) == len(flags) <= 3
 
 
 def test_count_distinct(db):
-    rows = run_query("select count(distinct l_returnflag) as n from lineitem", db)
+    rows = run_sql("select count(distinct l_returnflag) as n from lineitem", db).rows
     assert 1 <= rows[0]["n"] <= 3
 
 
 def test_fig1_query_returns_profit_by_nation_year(db):
-    rows = run_query(FIG1_QUERY, db)
+    rows = run_sql(FIG1_QUERY, db).rows
     assert rows, "Fig. 1 query returned no rows"
     for row in rows:
         assert set(row) == {"nation", "o_year", "sum_profit"}
@@ -179,7 +179,7 @@ def test_fig1_matches_manual_computation(db):
             - ps_cost[(l["l_partkey"], l["l_suppkey"])] * l["l_quantity"]
         )
         expected[key] = expected.get(key, 0.0) + amount
-    rows = run_query(FIG1_QUERY, db)
+    rows = run_sql(FIG1_QUERY, db).rows
     got = {(r["nation"], r["o_year"]): r["sum_profit"] for r in rows}
     assert set(got) == set(expected)
     for key, value in expected.items():
@@ -224,7 +224,7 @@ def test_eval_in_list():
 
 def test_q12_style_case_aggregation(db):
     """TPC-H Q12 shape: conditional counts via sum(case when ...)."""
-    rows = run_query(
+    rows = run_sql(
         "select l_shipmode, "
         "sum(case when o_orderpriority in ('1-URGENT', '2-HIGH') then 1 "
         "else 0 end) as high_line_count, "
@@ -233,7 +233,7 @@ def test_q12_style_case_aggregation(db):
         "where l_shipmode in ('AIR', 'MAIL') "
         "group by l_shipmode order by l_shipmode",
         db,
-    )
+    ).rows
     assert [r["l_shipmode"] for r in rows] == ["AIR", "MAIL"]
     for r in rows:
         assert 0 <= r["high_line_count"] <= r["total"]

@@ -25,7 +25,7 @@ import json
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sql import Catalog, ColumnTable, TableSchema, execute_sql
+from repro.sql import Catalog, ColumnTable, TableSchema, run_sql
 from repro.sql.catalog import _cols
 
 CATALOG = Catalog()
@@ -127,8 +127,8 @@ def _run_both(
     sql: str, rows: list[dict], other: tuple = ()
 ) -> tuple[list[dict], list[dict]]:
     database = {"t": rows, "u": list(other)}
-    row = execute_sql(sql, database, CATALOG, engine="row").rows
-    columnar = execute_sql(sql, database, CATALOG, engine="columnar").rows
+    row = run_sql(sql, database, catalog=CATALOG, engine="row").rows
+    columnar = run_sql(sql, database, catalog=CATALOG, engine="columnar").rows
     assert _canon(columnar) == _canon(row), sql
     return row, columnar
 
@@ -331,8 +331,8 @@ def test_join_chains_agree_in_order(chain, c, conjuncts):
     sql = (f"select {columns} from c{order[0]} "
            + " ".join(f"join c{order[p]} on {on}" for p, on in enumerate(joins, 1))
            + (f" where {where}" if where else ""))
-    row = execute_sql(sql, database, CATALOG, engine="row").rows
-    columnar = execute_sql(sql, database, CATALOG, engine="columnar").rows
+    row = run_sql(sql, database, catalog=CATALOG, engine="row").rows
+    columnar = run_sql(sql, database, catalog=CATALOG, engine="columnar").rows
     assert _json_rows(columnar) == _json_rows(row), sql
 
 
@@ -391,8 +391,8 @@ def test_grouping_keys_agree(data, numeric, layout):
     sql = data.draw(st.sampled_from(queries))
     table = ColumnTable.from_rows(rows, ["k", "g"]) if layout == "columnar" else rows
     database = {"keys": table}
-    row = execute_sql(sql, database, CATALOG, engine="row").rows
-    columnar = execute_sql(sql, database, CATALOG, engine="columnar").rows
+    row = run_sql(sql, database, catalog=CATALOG, engine="row").rows
+    columnar = run_sql(sql, database, catalog=CATALOG, engine="columnar").rows
     # In order: groups and DISTINCT rows come first-seen, and JSON tells
     # 1 from 1.0 from true and shows NaN, which == would not match.
     assert _json_rows(columnar) == _json_rows(row), sql

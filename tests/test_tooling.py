@@ -4,13 +4,15 @@ The lint and type gates are skipped when the tool is not installed (the
 test container ships without them); with the ``dev`` extra installed they
 enforce a clean ``ruff check`` on the whole tree and ``mypy --strict`` on
 the stable ``repro.api`` / ``repro.obs`` surfaces and ``repro.codec``.  The export-surface
-check always runs: every public package's ``__all__`` must resolve.
+check always runs: every public package's ``__all__`` must resolve, and
+every ``python -m repro`` line in README's shell blocks must parse.
 """
 
 from __future__ import annotations
 
 import importlib
 import re
+import shlex
 import shutil
 import subprocess
 import sys
@@ -18,6 +20,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+
+from repro.cli import build_parser
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -70,3 +74,33 @@ def test_numpy_floor_is_declared_once_and_met():
     assert pyproject == setup
     installed = tuple(int(p) for p in re.findall(r"\d+", np.__version__)[:len(setup)])
     assert installed >= setup, (np.__version__, setup)
+
+
+def _readme_cli_commands() -> list[tuple[str, list[str]]]:
+    """``(line, argv)`` for every ``python -m repro`` line in README's
+    shell blocks, ``argv`` being the words after ``repro``."""
+    text = (ROOT / "README.md").read_text()
+    commands = []
+    for block in re.findall(r"```(?:bash|sh|shell)\n(.*?)```", text, flags=re.DOTALL):
+        for line in block.replace("\\\n", " ").splitlines():
+            words = shlex.split(line, comments=True)
+            for i in range(len(words) - 2):
+                if words[i].startswith("python") and words[i + 1:i + 3] == ["-m", "repro"]:
+                    argv = words[i + 3:]
+                    ends = [k for k, w in enumerate(argv) if w in ("|", "&&", ";", ">")]
+                    commands.append((line, argv[:ends[0]] if ends else argv))
+    return commands
+
+
+def test_readme_cli_lines_parse():
+    """A stale flag in README (say, a removed ``--engine``) fails here."""
+    commands = _readme_cli_commands()
+    assert len(commands) >= 10
+    parser = build_parser()
+    stale = []
+    for line, argv in commands:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            stale.append(line)
+    assert not stale, stale

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.partition import partition_job
-from repro.sql import compile_sql, generate_database, parse, run_query
+from repro.sql import compile_sql, generate_database, parse, run_sql
 from repro.workloads.tpch_sql import TPCH_SQL, query_sql, runnable_queries
 
 
@@ -37,7 +37,7 @@ def test_all_texts_compile_to_dags(query):
 
 @pytest.mark.parametrize("query", runnable_queries())
 def test_all_texts_execute_on_mini_db(query, db):
-    rows = run_query(TPCH_SQL[query], db)
+    rows = run_sql(TPCH_SQL[query], db).rows
     assert isinstance(rows, list)
     # Aggregation queries always produce at least one row on this data.
     if query not in (3,):
@@ -45,7 +45,7 @@ def test_all_texts_execute_on_mini_db(query, db):
 
 
 def test_q1_aggregate_consistency(db):
-    rows = run_query(TPCH_SQL[1], db)
+    rows = run_sql(TPCH_SQL[1], db).rows
     total = sum(r["count_order"] for r in rows)
     eligible = [l for l in db["lineitem"] if l["l_shipdate"] <= "1998-09-02"]
     assert total == len(eligible)
@@ -54,7 +54,7 @@ def test_q1_aggregate_consistency(db):
 
 
 def test_q5_matches_manual(db):
-    rows = run_query(TPCH_SQL[5], db)
+    rows = run_sql(TPCH_SQL[5], db).rows
     revenues = [r["revenue"] for r in rows]
     assert revenues == sorted(revenues, reverse=True)
     for r in rows:
@@ -62,18 +62,18 @@ def test_q5_matches_manual(db):
 
 
 def test_q13_distribution_sums_to_customers(db):
-    rows = run_query(TPCH_SQL[13], db)
+    rows = run_sql(TPCH_SQL[13], db).rows
     assert sum(r["custdist"] for r in rows) == len(db["customer"])
 
 
 def test_q14_promo_fraction_bounded(db):
-    rows = run_query(TPCH_SQL[14], db)
+    rows = run_sql(TPCH_SQL[14], db).rows
     value = rows[0]["promo_revenue"]
     if value is not None:
         assert 0.0 <= value <= 100.0
 
 
 def test_q12_counts_partition(db):
-    rows = run_query(TPCH_SQL[12], db)
+    rows = run_sql(TPCH_SQL[12], db).rows
     for r in rows:
         assert r["high_line_count"] >= 0 and r["low_line_count"] >= 0
