@@ -7,9 +7,15 @@ cluster, and the script reports makespans, mean latencies, the normalized
 latency distribution, and an executor-utilization sparkline.
 """
 
+from repro.api import Runtime, RuntimeConfig
 from repro.baselines import bubble_policy, jetscope_policy
-from repro.core import normalized_cdf, swift_policy, utilization_series
-from repro.experiments import makespan, mean_latency, run_jobs
+from repro.core import (
+    makespan,
+    mean_latency,
+    normalized_cdf,
+    swift_policy,
+    utilization_series,
+)
 from repro.experiments.plots import sparkline
 from repro.obs import RecordingTracer
 from repro.workloads import TraceConfig, generate_trace
@@ -27,7 +33,9 @@ def main() -> None:
     series: dict[str, list[int]] = {}
     for policy in (swift_policy(), bubble_policy(), jetscope_policy()):
         tracer = RecordingTracer()
-        results, _ = run_jobs(policy, jobs, tracer=tracer)
+        runtime = Runtime(RuntimeConfig(policy=policy), tracer=tracer)
+        runtime.submit(jobs)
+        results = runtime.run()
         spans[policy.name] = makespan(results)
         latencies[policy.name] = {r.job_id: r.metrics.latency for r in results}
         horizon = spans[policy.name]

@@ -11,6 +11,7 @@ the bad field.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Union
 
@@ -53,14 +54,16 @@ class RuntimeConfig(Codec):
 
     def validate(self) -> "RuntimeConfig":
         """Validate every field; returns self so calls can chain."""
-        if self.n_machines < 1:
-            raise ValueError("n_machines must be >= 1")
-        if self.executors_per_machine < 1:
-            raise ValueError("executors_per_machine must be >= 1")
-        if isinstance(self.reference_duration, dict):
-            if any(v <= 0 for v in self.reference_duration.values()):
-                raise ValueError("reference durations must be positive")
-        elif self.reference_duration <= 0:
-            raise ValueError("reference_duration must be positive")
+        for name in ("n_machines", "executors_per_machine"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+                raise ValueError(f"{name} must be an int >= 1, got {value!r}")
+        durations = (
+            self.reference_duration.values()
+            if isinstance(self.reference_duration, dict)
+            else [self.reference_duration]
+        )
+        if not all(math.isfinite(v) and v > 0 for v in durations):
+            raise ValueError("reference durations must be finite and positive")
         self.sim.validate()
         return self

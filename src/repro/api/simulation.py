@@ -1,20 +1,22 @@
 """The stable high-level entry points: ``Simulation`` and ``Runtime``.
 
-These wrap cluster construction, runtime wiring, tracing, and export into
-two small classes so that user code (and the figure scripts) never reaches
-into private runtime fields.  Deep imports keep working, but this facade is
-the documented surface.
+:class:`Runtime` is the one place a simulated run is built: it validates
+one :class:`~repro.api.config.RuntimeConfig` and builds the cluster and
+the :class:`~repro.core.runtime.SwiftRuntime` from it.  ``Simulation``,
+the ``Service`` gateway, the experiment cells, the chaos engine and the
+CLI all go through it.  :class:`Simulation` adds tracing, export and the
+metric fold on top, so user code never reaches into private runtime
+fields.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 from ..audit.ledger import ResourceLedger
 from ..core.dag import Job
-from ..core.metrics import JobMetrics
+from ..core.metrics import JobMetrics, makespan, mean_latency
 from ..core.runtime import JobResult, SwiftRuntime
 from ..obs.metrics import MetricsRegistry, collect_jobs
 from ..obs.records import TraceRecord
@@ -103,16 +105,12 @@ class SimulationResult:
     @property
     def makespan(self) -> float:
         """Finish time of the last job (0 for an empty run)."""
-        if not self.results:
-            return 0.0
-        return max(r.metrics.finish_time for r in self.results)
+        return makespan(self.results) if self.results else 0.0
 
     @property
     def mean_latency(self) -> float:
         """Average end-to-end job latency (0 for an empty run)."""
-        if not self.results:
-            return 0.0
-        return sum(r.metrics.latency for r in self.results) / len(self.results)
+        return mean_latency(self.results) if self.results else 0.0
 
     def job(self, job_id: str) -> JobResult:
         """The result of one job by id."""
@@ -144,7 +142,6 @@ class Runtime:
         self.inner = SwiftRuntime(
             cluster,
             self.config.policy,
-            config=self.config.sim,
             failure_plan=self.config.failure_plan,
             reference_duration=self.config.reference_duration,
             tracer=tracer,
@@ -182,10 +179,6 @@ class Simulation:
 
     def __init__(self, config: Optional[RuntimeConfig] = None) -> None:
         self.config = (config or RuntimeConfig()).validate()
-
-    def with_config(self, **overrides: object) -> "Simulation":
-        """A new Simulation with top-level config fields replaced."""
-        return Simulation(dataclasses.replace(self.config, **overrides))  # type: ignore[arg-type]
 
     def run(
         self,

@@ -13,14 +13,13 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Any, Callable, Optional
+from typing import TYPE_CHECKING, Any, Callable, Optional
 
-from ..core.policies import swift_policy
-from ..core.runtime import JobResult, SwiftRuntime
+from ..core.metrics import makespan
+from ..core.runtime import JobResult
 from ..obs.exporters import write_jsonl
 from ..obs.records import Category
 from ..obs.tracer import RecordingTracer
-from ..sim.cluster import Cluster
 from ..sim.config import SimConfig
 from ..workloads import terasort, tpch
 from ..workloads.traces import TraceConfig, generate_trace
@@ -33,6 +32,9 @@ from .campaign import (
 )
 from .invariants import Violation, check_all
 from .shrink import shrink_campaign
+
+if TYPE_CHECKING:
+    from ..api import Runtime
 
 #: Watchdog: a run must terminate within this multiple of the failure-free
 #: makespan (plus slack for backoff chains and quarantine durations).
@@ -196,10 +198,27 @@ class ChaosEngine:
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def _config(self, perturbations: Perturbations, seed: int) -> SimConfig:
-        config = perturbations.apply(SimConfig())
-        config.seed = seed
-        return config
+    def _runtime(
+        self,
+        perturbations: Perturbations,
+        seed: int,
+        tracer: Optional[RecordingTracer] = None,
+        **fields: Any,
+    ) -> "Runtime":
+        """A fresh runtime on the workload's cluster, calibrated by the
+        perturbed config; ``fields`` fill the rest of its RuntimeConfig."""
+        # Imported here: ``repro.api`` imports this package.
+        from ..api import Runtime, RuntimeConfig
+
+        sim = perturbations.apply(SimConfig())
+        sim.seed = seed
+        config = RuntimeConfig(
+            n_machines=self.spec.n_machines,
+            executors_per_machine=self.spec.executors_per_machine,
+            sim=sim,
+            **fields,
+        )
+        return Runtime(config, tracer=tracer)
 
     def baseline(self, perturbations: Perturbations) -> _Baseline:
         """Failure-free reference run, cached per perturbation level."""
@@ -207,22 +226,19 @@ class ChaosEngine:
         cached = self._baselines.get(key)
         if cached is not None:
             return cached
-        config = self._config(perturbations, seed=0)
-        cluster = Cluster.build(
-            self.spec.n_machines, self.spec.executors_per_machine, config=config
-        )
-        runtime = SwiftRuntime(cluster, swift_policy(), config=config)
-        runtime.submit_all(self.spec.build())
+        runtime = self._runtime(perturbations, seed=0)
+        runtime.submit(self.spec.build())
         results = runtime.run()
         if not results or any(not r.completed for r in results):
             raise RuntimeError(
                 f"failure-free baseline of {self.spec.name} did not complete"
             )
-        makespan = max(r.metrics.finish_time for r in results)
         reference = {
             r.job_id: max(r.metrics.latency, 1.0) for r in results
         }
-        info = _Baseline(results=results, makespan=makespan, reference=reference)
+        info = _Baseline(
+            results=results, makespan=makespan(results), reference=reference
+        )
         self._baselines[key] = info
         return info
 
@@ -231,41 +247,33 @@ class ChaosEngine:
     ) -> CampaignResult:
         """Inject one campaign and check every invariant."""
         base = self.baseline(campaign.perturbations)
-        config = self._config(campaign.perturbations, seed=campaign.seed)
-        cluster = Cluster.build(
-            self.spec.n_machines, self.spec.executors_per_machine, config=config
-        )
         jobs = self.spec.build()
-        runtime = SwiftRuntime(
-            cluster,
-            swift_policy(),
-            config=config,
+        runtime = self._runtime(
+            campaign.perturbations,
+            seed=campaign.seed,
+            tracer=tracer,
             failure_plan=campaign.to_failure_plan(),
             reference_duration=dict(base.reference),
-            tracer=tracer,
             # Non-strict so the campaign runs to completion and *all*
             # accounting divergences reach the invariant check.
             audit=self.audit,
             audit_strict=False,
         )
-        runtime.submit_all(jobs)
+        runtime.submit(jobs)
         deadline = base.makespan * WATCHDOG_FACTOR + WATCHDOG_SLACK
         results = runtime.run(until=deadline)
         violations = check_all(
             campaign,
-            runtime,
+            runtime.inner,
             results,
             base.results,
             [job.job_id for job in jobs],
         )
-        runtime.sim.clear_pending()
-        makespan = max(
-            (r.metrics.finish_time for r in results), default=runtime.sim.now
-        )
+        runtime.inner.sim.clear_pending()
         return CampaignResult(
             campaign=campaign,
             violations=violations,
-            makespan=makespan,
+            makespan=makespan(results) if results else runtime.inner.sim.now,
             baseline_makespan=base.makespan,
         )
 

@@ -46,7 +46,7 @@ import sys
 from typing import Callable
 
 from .core import partition_job, swift_policy
-from .experiments import harness, reporting
+from .experiments import reporting
 
 
 def _cmd_list(_: argparse.Namespace) -> int:
@@ -155,9 +155,8 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_sql(args: argparse.Namespace) -> int:
+    from .api import Runtime, RuntimeConfig
     from .core.dag import Job
-    from .core.runtime import SwiftRuntime
-    from .sim.cluster import Cluster
     from .sql import (
         FIG1_QUERY,
         compile_sql,
@@ -186,8 +185,9 @@ def _cmd_sql(args: argparse.Namespace) -> int:
     print(f"\n=== graphlets ({len(graph)}) ===")
     for graphlet in graph.graphlets:
         print(f"  {graphlet.graphlet_id}: {graphlet.stage_names}")
-    runtime = SwiftRuntime(Cluster.build(args.machines, 32), swift_policy())
-    result = runtime.execute(Job(dag=dag))
+    runtime = Runtime(RuntimeConfig(n_machines=args.machines))
+    runtime.submit(Job(dag=dag))
+    [result] = runtime.run()
     print(f"\nsimulated run time: {result.metrics.run_time:.2f}s "
           f"({len(result.metrics.tasks)} tasks)")
     if args.execute:
@@ -200,7 +200,9 @@ def _cmd_sql(args: argparse.Namespace) -> int:
 
 
 def _cmd_replay(args: argparse.Namespace) -> int:
+    from .api import Runtime, RuntimeConfig
     from .baselines import bubble_policy, jetscope_policy
+    from .core.metrics import makespan, mean_latency
     from .workloads import TraceConfig, generate_trace
 
     jobs = generate_trace(
@@ -210,10 +212,12 @@ def _cmd_replay(args: argparse.Namespace) -> int:
           f"({sum(j.dag.total_tasks() for j in jobs)} tasks) on 100 nodes")
     spans = {}
     for policy in (swift_policy(), bubble_policy(), jetscope_policy()):
-        results, _ = harness.run_jobs(policy, jobs)
-        spans[policy.name] = harness.makespan(results)
+        runtime = Runtime(RuntimeConfig(policy=policy))
+        runtime.submit(jobs)
+        results = runtime.run()
+        spans[policy.name] = makespan(results)
         print(f"  {policy.name:<10} makespan={spans[policy.name]:7.1f}s "
-              f"mean latency={harness.mean_latency(results):6.1f}s")
+              f"mean latency={mean_latency(results):6.1f}s")
     for name in ("swift", "bubble"):
         print(f"  {name} speedup over jetscope: "
               f"{spans['jetscope'] / spans[name]:.2f}x")

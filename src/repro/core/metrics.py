@@ -13,7 +13,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence
+
+if TYPE_CHECKING:
+    from .runtime import JobResult
 
 
 @dataclass(slots=True)
@@ -131,6 +134,20 @@ class JobMetrics:
             processing=max(t.processing_time for t in rows),
             shuffle_write=max(t.shuffle_write_time for t in rows),
         )
+
+
+def makespan(results: "Sequence[JobResult]") -> float:
+    """Finish time of the last job of a run."""
+    if not results:
+        raise ValueError("no results")
+    return max(r.metrics.finish_time for r in results)
+
+
+def mean_latency(results: "Sequence[JobResult]") -> float:
+    """Average end-to-end job latency of a run."""
+    if not results:
+        raise ValueError("no results")
+    return sum(r.metrics.latency for r in results) / len(results)
 
 
 def quantile(values: Sequence[float], q: float) -> float:

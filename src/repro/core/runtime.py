@@ -33,7 +33,6 @@ from ..audit.ledger import ResourceLedger
 from ..obs.records import Category
 from ..obs.tracer import NULL_TRACER, Tracer
 from ..sim.cluster import Cluster, Executor, ExecutorState
-from ..sim.config import SimConfig
 from ..sim.engine import Event, Simulator
 from ..sim.failures import FailureKind, FailurePlan, FailureSpec
 from .admin import SwiftAdmin
@@ -264,7 +263,6 @@ class SwiftRuntime:
         self,
         cluster: Cluster,
         policy: ExecutionPolicy,
-        config: Optional[SimConfig] = None,
         failure_plan: Optional[FailurePlan] = None,
         reference_duration: "float | dict[str, float]" = 100.0,
         shadow: Optional[ShadowController] = None,
@@ -279,7 +277,9 @@ class SwiftRuntime:
         self.tracer = tracer if tracer is not None else NULL_TRACER
         #: Admin failover windows (Section II-B's shadow controller).
         self.shadow = shadow or ShadowController()
-        self.config = config or cluster.config
+        #: The calibration of the run is the cluster's: one config drives
+        #: the network and disk models and everything else.
+        self.config = cluster.config
         self.sim = Simulator(seed=self.config.seed, tracer=self.tracer)
         self.admin = SwiftAdmin(self.config.admin, cluster.n_machines)
         self.scheduler = ResourceScheduler(cluster)

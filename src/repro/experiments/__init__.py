@@ -27,14 +27,7 @@ from .figures import (
     scalability_workload,
     table1_terasort,
 )
-from .harness import (
-    ExperimentResult,
-    build_cluster,
-    makespan,
-    mean_latency,
-    run_jobs,
-    run_single,
-)
+from .harness import ExperimentResult
 from .parallel import Cell, default_jobs, run_cells, set_default_jobs
 
 __all__ = [
@@ -51,7 +44,6 @@ __all__ = [
     "FIG14_INJECTIONS",
     "PAPER",
     "adaptive_shuffle_envelope",
-    "build_cluster",
     "fig10_executor_timeseries",
     "fig10_makespans",
     "fig11_latency_cdf",
@@ -64,10 +56,6 @@ __all__ = [
     "fig8_trace_characteristics",
     "fig9a_tpch",
     "fig9b_q9_phases",
-    "makespan",
-    "mean_latency",
-    "run_jobs",
-    "run_single",
     "plots",
     "scalability_workload",
     "table1_terasort",

@@ -12,11 +12,10 @@ in-process instead.
 
 from __future__ import annotations
 
+import dataclasses
 import statistics
 
-from ..core.policies import swift_policy
-from ..core.runtime import SwiftRuntime
-from ..sim.cluster import Cluster
+from ..api import Runtime, RuntimeConfig
 from ..sim.config import SimConfig
 from ..sim.failures import FailureKind, FailurePlan, FailureSpec
 from ..workloads import terasort
@@ -167,11 +166,13 @@ def _run_shuffle_loss(
     """One variant: baseline makespan, then makespan under a single
     injected Cache Worker loss.  All times are *simulated* seconds, so the
     measurement is deterministic and host-independent."""
-    config = SimConfig()
-    config.shuffle.replication_factor = replication_factor
+    sim = SimConfig()
+    sim.shuffle.replication_factor = replication_factor
 
-    baseline_rt = SwiftRuntime(Cluster.build(20, 16), swift_policy(), config=config)
-    baseline = baseline_rt.execute(terasort.terasort_job(m, n))
+    config = RuntimeConfig(n_machines=20, executors_per_machine=16, sim=sim)
+    baseline_rt = Runtime(config)
+    baseline_rt.submit(terasort.terasort_job(m, n))
+    [baseline] = baseline_rt.run()
     assert baseline.completed
     baseline_makespan = baseline.metrics.finish_time
 
@@ -182,16 +183,13 @@ def _run_shuffle_loss(
             at_fraction=at_fraction,
         )
     )
-    loss_rt = SwiftRuntime(
-        Cluster.build(20, 16),
-        swift_policy(),
-        config=config,
-        failure_plan=plan,
-        reference_duration=baseline_makespan,
-    )
-    result = loss_rt.execute(terasort.terasort_job(m, n))
+    loss_rt = Runtime(dataclasses.replace(
+        config, failure_plan=plan, reference_duration=baseline_makespan
+    ))
+    loss_rt.submit(terasort.terasort_job(m, n))
+    [result] = loss_rt.run()
     assert result.completed
-    log = loss_rt.shuffle_recovery_log
+    log = loss_rt.inner.shuffle_recovery_log
     return {
         "baseline_makespan_s": baseline_makespan,
         "loss_makespan_s": result.metrics.finish_time,

@@ -17,17 +17,18 @@ from __future__ import annotations
 import random
 import statistics
 
+from ..api import Runtime, RuntimeConfig
 from ..baselines import bubble_policy, jetscope_policy, restart_policy, spark_policy
 from ..core.dag import Job
-from ..core.metrics import four_quartile_summary
+from ..core.metrics import four_quartile_summary, makespan, mean_latency
 from ..core.partition import PARTITIONERS
 from ..core.policies import ExecutionPolicy, SubmissionOrder, swift_policy
+from ..core.runtime import JobResult
 from ..core.shuffle import ShuffleScheme
 from ..obs.tracer import RecordingTracer
 from ..sim.config import SimConfig
 from ..sim.failures import FailureKind, FailurePlan, FailureSpec, sample_trace_failures
 from ..workloads import terasort, tpch, traces
-from .harness import makespan, mean_latency, run_jobs, run_single
 
 #: Policy factories by name; cells receive the name, not the object.
 _POLICIES = {
@@ -46,6 +47,15 @@ def _policy(name: str) -> ExecutionPolicy:
         raise ValueError(f"unknown policy {name!r}; known: {sorted(_POLICIES)}")
 
 
+def _run(
+    config: RuntimeConfig, workload: Job | list[Job], tracer: RecordingTracer | None = None
+) -> list[JobResult]:
+    """Run ``workload`` on a fresh :class:`Runtime` built from ``config``."""
+    runtime = Runtime(config, tracer=tracer)
+    runtime.submit(workload)
+    return runtime.run()
+
+
 # ----------------------------------------------------------------------
 # Fig. 3 / Fig. 8
 # ----------------------------------------------------------------------
@@ -53,7 +63,7 @@ def _policy(name: str) -> ExecutionPolicy:
 def fig3_profile_cell(profile: int, n_jobs: int, n_machines: int) -> float:
     """IdleRatio (interquartile mean, %) of one cluster profile."""
     jobs = traces.cluster_profile_jobs(profile, n_jobs=n_jobs)
-    results, _ = run_jobs(jetscope_policy(), jobs, n_machines=n_machines)
+    results = _run(RuntimeConfig(n_machines=n_machines, policy=jetscope_policy()), jobs)
     per_job = [r.metrics.idle_ratio() for r in results]
     return 100.0 * four_quartile_summary(per_job)["iq_mean"]
 
@@ -76,7 +86,7 @@ def fig8_runtime_cell(n_jobs: int, chunk: int, n_chunks: int) -> list[float]:
     runtimes: list[float] = []
     for job in sample[chunk::n_chunks]:
         solo = Job(dag=job.dag, submit_time=0.0)
-        runtimes.append(run_single(swift_policy(), solo).metrics.run_time)
+        runtimes.append(_run(RuntimeConfig(), solo)[0].metrics.run_time)
     return runtimes
 
 
@@ -86,14 +96,16 @@ def fig8_runtime_cell(n_jobs: int, chunk: int, n_chunks: int) -> list[float]:
 
 def tpch_query_cell(query: int, scale: float) -> dict[str, float]:
     """Swift-vs-Spark run time of one TPC-H query."""
-    swift_t = run_single(swift_policy(), tpch.query_job(query, scale)).metrics.run_time
-    spark_t = run_single(spark_policy(), tpch.query_job(query, scale)).metrics.run_time
+    swift_t = _run(RuntimeConfig(), tpch.query_job(query, scale))[0].metrics.run_time
+    spark_t = _run(
+        RuntimeConfig(policy=spark_policy()), tpch.query_job(query, scale)
+    )[0].metrics.run_time
     return {"swift_s": swift_t, "spark_s": spark_t}
 
 
 def q9_phase_cell(policy: str, scale: float) -> dict[str, dict[str, float]]:
     """4-phase breakdown of Q9's critical stages under one policy."""
-    res = run_single(_policy(policy), tpch.query_job(9, scale))
+    res = _run(RuntimeConfig(policy=_policy(policy)), tpch.query_job(9, scale))[0]
     out: dict[str, dict[str, float]] = {}
     for stage in tpch.Q9_CRITICAL_STAGES:
         b = res.metrics.phase_breakdown(stage)
@@ -106,8 +118,10 @@ def q9_phase_cell(policy: str, scale: float) -> dict[str, dict[str, float]]:
 
 def terasort_cell(m: int, n: int) -> dict[str, float]:
     """Swift-vs-Spark run time of one Terasort size point."""
-    swift_t = run_single(swift_policy(), terasort.terasort_job(m, n)).metrics.run_time
-    spark_t = run_single(spark_policy(), terasort.terasort_job(m, n)).metrics.run_time
+    swift_t = _run(RuntimeConfig(), terasort.terasort_job(m, n))[0].metrics.run_time
+    spark_t = _run(
+        RuntimeConfig(policy=spark_policy()), terasort.terasort_job(m, n)
+    )[0].metrics.run_time
     return {"swift_s": swift_t, "spark_s": spark_t}
 
 
@@ -129,7 +143,7 @@ def trace_replay_cell(
         traces.TraceConfig(n_jobs=n_jobs, mean_interarrival=mean_interarrival)
     )
     tracer = RecordingTracer()
-    results, _ = run_jobs(_policy(policy), jobs, tracer=tracer)
+    results = _run(RuntimeConfig(policy=_policy(policy)), jobs, tracer=tracer)
     return {
         "makespan": makespan(results),
         "latencies": {r.job_id: r.metrics.latency for r in results},
@@ -142,7 +156,7 @@ def trace_base_latency_cell(n_jobs: int, mean_interarrival: float) -> dict[str, 
     jobs = traces.generate_trace(
         traces.TraceConfig(n_jobs=n_jobs, mean_interarrival=mean_interarrival)
     )
-    results, _ = run_jobs(swift_policy(), jobs)
+    results = _run(RuntimeConfig(), jobs)
     return {r.job_id: r.metrics.latency for r in results}
 
 
@@ -162,9 +176,10 @@ def trace_failure_cell(
     plan = sample_trace_failures(
         [j.job_id for j in jobs], failure_rate, random.Random(seed)
     )
-    results, _ = run_jobs(
-        _policy(policy), jobs, failure_plan=plan, reference_duration=reference
+    config = RuntimeConfig(
+        policy=_policy(policy), failure_plan=plan, reference_duration=reference
     )
+    results = _run(config, jobs)
     return [
         100.0 * (r.metrics.latency / reference[r.job_id] - 1.0)
         for r in results
@@ -188,10 +203,12 @@ def shuffle_scheme_cell(
     config.network.reference_machines = n_machines
     policy = swift_policy(name=f"swift_{scheme}", shuffle=ShuffleScheme(scheme))
     jobs = traces.shuffle_class_jobs(category, n_jobs=n_jobs)
-    results, _ = run_jobs(
-        policy, jobs, n_machines=n_machines,
-        executors_per_machine=executors_per_machine,
-        config=config.copy(),
+    results = _run(
+        RuntimeConfig(
+            n_machines=n_machines, executors_per_machine=executors_per_machine,
+            policy=policy, sim=config,
+        ),
+        jobs,
     )
     return mean_latency(results)
 
@@ -203,7 +220,9 @@ def shuffle_scheme_cell(
 def q13_runtime_cell(policy: str, scale: float) -> float:
     """Failure-free Q13 run time (shared baseline of Fig. 14 and the
     heartbeat ablation)."""
-    return run_single(_policy(policy), tpch.query_job(13, scale)).metrics.run_time
+    return _run(
+        RuntimeConfig(policy=_policy(policy)), tpch.query_job(13, scale)
+    )[0].metrics.run_time
 
 
 def fig14_injection_cell(
@@ -212,24 +231,22 @@ def fig14_injection_cell(
     """Q13 run time with one task crash injected at ``fraction`` of the
     baseline runtime into ``stage``."""
     spec = FailureSpec(kind=FailureKind.TASK_CRASH, stage=stage, at_fraction=fraction)
-    return run_single(
-        _policy(policy), tpch.query_job(13, scale),
-        failure_plan=FailurePlan([spec]), reference_duration=reference,
-    ).metrics.run_time
+    config = RuntimeConfig(
+        policy=_policy(policy), failure_plan=FailurePlan([spec]),
+        reference_duration=reference,
+    )
+    return _run(config, tpch.query_job(13, scale))[0].metrics.run_time
 
 
 def heartbeat_cell(interval: float, reference: float) -> float:
     """Q13 run time with a machine crash at 30% under one heartbeat interval."""
-    config = SimConfig()
-    config.admin.heartbeat_intervals = ((1 << 62, interval),)
+    sim = SimConfig()
+    sim.admin.heartbeat_intervals = ((1 << 62, interval),)
     plan = FailurePlan(
         [FailureSpec(kind=FailureKind.MACHINE_CRASH, machine_id=1, at_fraction=0.3)]
     )
-    res = run_single(
-        swift_policy(), tpch.query_job(13), config=config,
-        failure_plan=plan, reference_duration=reference,
-    )
-    return res.metrics.run_time
+    config = RuntimeConfig(sim=sim, failure_plan=plan, reference_duration=reference)
+    return _run(config, tpch.query_job(13))[0].metrics.run_time
 
 
 # ----------------------------------------------------------------------
@@ -250,11 +267,8 @@ def fig16_count_cell(
     jobs = scalability_workload(
         n_jobs=n_jobs, tasks_per_stage=tasks_per_stage, work_seconds=work_seconds
     )
-    results, _ = run_jobs(
-        swift_policy(), jobs, n_machines=n_machines,
-        executors_per_machine=per_machine,
-    )
-    return makespan(results)
+    config = RuntimeConfig(n_machines=n_machines, executors_per_machine=per_machine)
+    return makespan(_run(config, jobs))
 
 
 # ----------------------------------------------------------------------
@@ -268,7 +282,7 @@ def partitioning_cell(partitioner: str, n_jobs: int) -> dict[str, float]:
     )
     instance = PARTITIONERS[partitioner]()
     policy = swift_policy(name=f"swift_{instance.name}", partitioner=instance)
-    results, _ = run_jobs(policy, jobs)
+    results = _run(RuntimeConfig(policy=policy), jobs)
     idle = statistics.mean(r.metrics.idle_ratio() for r in results)
     return {
         "makespan_s": makespan(results),
@@ -280,7 +294,7 @@ def partitioning_cell(partitioner: str, n_jobs: int) -> dict[str, float]:
 def submission_order_cell(order: str, query: int) -> dict[str, float]:
     """Q``query`` under one graphlet submission order."""
     policy = swift_policy(name=f"swift_{order}", submission=SubmissionOrder(order))
-    res = run_single(policy, tpch.query_job(query))
+    res = _run(RuntimeConfig(policy=policy), tpch.query_job(query))[0]
     return {
         "run_time_s": res.metrics.run_time,
         "mean_idle_ratio_pct": 100 * res.metrics.idle_ratio(),
@@ -293,13 +307,14 @@ def cache_capacity_cell(capacity_gb: float, n_jobs: int) -> dict[str, float]:
     config = SimConfig()
     config.cache_worker.memory_capacity = int(capacity_gb * 1024 ** 3)
     jobs = traces.shuffle_class_jobs("large", n_jobs=n_jobs)
-    results, runtime = run_jobs(
-        swift_policy(), jobs, n_machines=50, executors_per_machine=16,
-        config=config,
+    runtime = Runtime(
+        RuntimeConfig(n_machines=50, executors_per_machine=16, sim=config)
     )
+    runtime.submit(jobs)
+    results = runtime.run()
     spills = sum(
         machine.cache_worker.spill_events
-        for machine in runtime.cluster.machines
+        for machine in runtime.inner.cluster.machines
         if machine.cache_worker is not None
     )
     return {

@@ -7,6 +7,7 @@ import random
 
 import pytest
 
+from repro.api import RuntimeConfig
 from repro.core.dag import Edge, Job, JobDAG, Stage
 from repro.core.operators import OperatorKind as K, ops
 from repro.core.runtime import SwiftRuntime
@@ -17,27 +18,31 @@ from repro.workloads import traces
 
 MB = 1e6
 
-#: Position of ``audit`` among ``SwiftRuntime.__init__``'s arguments after
-#: ``self``.
-_AUDIT_POSITION = 7
+#: Position of ``audit`` among the arguments after ``self`` of
+#: ``SwiftRuntime.__init__`` and of ``RuntimeConfig.__init__``.
+_AUDIT_POSITION = {SwiftRuntime: 6, RuntimeConfig: 6}
 
 
 @pytest.fixture(autouse=True)
 def strict_audit_by_default(monkeypatch):
-    """Build every ``SwiftRuntime`` made without an explicit ``audit=``
-    with ``audit=True, audit_strict=True``, so each checkpoint of every
-    test run reconciles the resource accounting and raises on the first
-    divergence.  Callers that pass ``audit`` (the ``Simulation`` and
-    ``Service`` facades, chaos campaigns) keep their own setting."""
-    build = SwiftRuntime.__init__
+    """Build every ``SwiftRuntime`` and every ``RuntimeConfig`` made
+    without an explicit ``audit=`` with ``audit=True, audit_strict=True``,
+    so each checkpoint of every test run (the experiment cells, the CLI and
+    the facades included) reconciles the resource accounting and raises on
+    the first divergence.  Callers that pass ``audit`` (chaos campaigns,
+    tests of the unaudited path) keep their own setting."""
+    for cls, position in _AUDIT_POSITION.items():
+        monkeypatch.setattr(cls, "__init__", _audited(cls.__init__, position))
 
+
+def _audited(build, position):
     def init(self, *args, **kwargs):
-        if "audit" not in kwargs and len(args) <= _AUDIT_POSITION:
+        if "audit" not in kwargs and len(args) <= position:
             kwargs["audit"] = True
             kwargs.setdefault("audit_strict", True)
         build(self, *args, **kwargs)
 
-    monkeypatch.setattr(SwiftRuntime, "__init__", init)
+    return init
 
 
 @pytest.fixture

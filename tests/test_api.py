@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import json
+import re
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.api import (
     RecordingTracer,
     Runtime,
@@ -15,7 +18,11 @@ from repro.api import (
     TraceConfig,
 )
 from repro.baselines import jetscope_policy
+from repro.core.policies import swift_policy
+from repro.core.runtime import SwiftRuntime
 from repro.obs import Category
+from repro.sim.cluster import Cluster
+from repro.sim.config import SimConfig
 from repro.sim.failures import FailureKind, FailureSpec
 from repro.workloads import terasort
 
@@ -60,6 +67,16 @@ def test_config_round_trips_non_default_policy():
     {"executors_per_machine": 0},
     {"reference_duration": -1.0},
     {"reference_duration": {"j": 0.0}},
+    {"reference_duration": float("nan")},
+    {"reference_duration": float("inf")},
+    {"reference_duration": {"j": float("nan")}},
+    {"reference_duration": {"j": float("inf")}},
+    {"n_machines": 2.5},
+    {"n_machines": "4"},
+    {"n_machines": True},
+    {"executors_per_machine": 2.5},
+    {"executors_per_machine": "4"},
+    {"executors_per_machine": True},
 ])
 def test_config_validation_rejects_bad_values(overrides):
     with pytest.raises(ValueError):
@@ -155,12 +172,6 @@ def test_simulation_result_job_lookup():
         outcome.job("missing")
 
 
-def test_with_config_overrides_top_level_fields():
-    sim = Simulation(_small_config()).with_config(n_machines=6)
-    assert sim.config.n_machines == 6
-    assert sim.config.executors_per_machine == 8
-
-
 def test_runtime_facade_submit_run():
     runtime = Runtime(_small_config())
     runtime.submit(terasort.terasort_job(6, 6))
@@ -172,6 +183,34 @@ def test_runtime_facade_submit_run():
 def test_runtime_facade_validates_config():
     with pytest.raises(ValueError):
         Runtime(RuntimeConfig(n_machines=0))
+
+
+def test_swift_runtime_takes_its_calibration_from_the_cluster():
+    """One config per run: the runtime's calibration is the cluster's, so
+    the network model and ``runtime.config`` cannot disagree."""
+    sim = SimConfig()
+    sim.network.nic_bandwidth /= 100
+    cluster = Cluster.build(2, 4, config=sim)
+    with pytest.raises(TypeError):
+        SwiftRuntime(cluster, swift_policy(), config=SimConfig())
+    runtime = SwiftRuntime(cluster, swift_policy())
+    assert runtime.config is cluster.config
+    assert runtime.shuffle_model.config is cluster.config
+    assert cluster.network.config is sim.network
+    facade = Runtime(RuntimeConfig(n_machines=2, executors_per_machine=4, sim=sim))
+    assert facade.inner.config is sim
+
+
+def test_only_the_runtime_facade_builds_a_run():
+    # Every simulated run in src/ is built by api.Runtime from one
+    # RuntimeConfig; the engine classes are constructed nowhere else.
+    src = Path(repro.__file__).parent
+    builders = {
+        path.relative_to(src).as_posix()
+        for path in src.rglob("*.py")
+        if re.search(r"SwiftRuntime\(|Cluster\.build\(", path.read_text())
+    }
+    assert builders == {"api/simulation.py"}
 
 
 def test_facade_reexported_from_package_root():

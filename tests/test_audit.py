@@ -13,6 +13,8 @@ Three layers of coverage:
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.api import RuntimeConfig, Simulation
@@ -301,6 +303,11 @@ def test_chaos_audit_invariant_catches_seeded_leak(monkeypatch):
     """Regression: a deliberately unbalanced release inside the runtime is
     surfaced by the resource-conservation invariant, not swallowed."""
     engine = ChaosEngine(workload="terasort", profile="light", audit=True)
+    campaign = engine.generate(0)
+    # The leak is seeded on purpose, so the failure-free baseline runs
+    # before it is seeded: the invariant under test must see the leak, not
+    # a checkpoint of the baseline run.
+    engine.baseline(campaign.perturbations)
     original = SwiftRuntime._on_stage_completed
 
     def buggy(self, sr):
@@ -311,17 +318,7 @@ def test_chaos_audit_invariant_catches_seeded_leak(monkeypatch):
         return original(self, sr)
 
     monkeypatch.setattr(SwiftRuntime, "_on_stage_completed", buggy)
-    # The leak is seeded on purpose, so the failure-free baseline runs
-    # without audit: the invariant under test must see it, not a
-    # checkpoint of the baseline run.
-    build = SwiftRuntime.__init__
-
-    def unaudited(self, *args, audit=False, **kwargs):
-        build(self, *args, audit=audit, **kwargs)
-
-    monkeypatch.setattr(SwiftRuntime, "__init__", unaudited)
-    engine._baselines.clear()
-    result = engine.run_campaign(engine.generate(0))
+    result = engine.run_campaign(campaign)
     assert any(
         v.invariant == "resource-conservation" for v in result.violations
     ), [str(v) for v in result.violations]
@@ -332,7 +329,10 @@ def test_runtime_config_round_trips_audit_flags():
     rebuilt = RuntimeConfig.from_dict(config.to_dict())
     assert rebuilt.audit is True
     assert rebuilt.audit_strict is False
-    assert RuntimeConfig().to_dict()["audit"] is False
+    # The declared default is unaudited; the conftest fixture turns audit
+    # on for every config a test builds without ``audit=``.
+    defaults = {f.name: f.default for f in dataclasses.fields(RuntimeConfig)}
+    assert defaults["audit"] is False
 
 
 def test_simulation_facade_exposes_audit_summary():
@@ -345,7 +345,7 @@ def test_simulation_facade_exposes_audit_summary():
     assert outcome.audit["violations"] == []
     assert outcome.audit["checkpoints_run"] > 0
     baseline = Simulation(
-        RuntimeConfig(n_machines=8, executors_per_machine=8)
+        RuntimeConfig(n_machines=8, executors_per_machine=8, audit=False)
     ).run(terasort.terasort_job(16, 16))
     assert baseline.audit is None
     # Auditing is observational: results are byte-identical.

@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import importlib.util
 import pathlib
 import re
+
+import pytest
 
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 DESIGN = README.parent / "DESIGN.md"
+EXAMPLES = sorted((README.parent / "examples").glob("*.py"))
 
 
 def python_blocks() -> list[str]:
@@ -49,3 +53,13 @@ def test_examples_listed_in_readme_exist():
     examples_dir = README.parent / "examples"
     for match in re.findall(r"examples/(\w+)\.py", text):
         assert (examples_dir / f"{match}.py").exists(), match
+
+
+@pytest.mark.parametrize("path", EXAMPLES, ids=lambda path: path.stem)
+def test_example_imports(path):
+    """Every example resolves the public names it imports; ``main()``
+    stays unrun because the module is not ``__main__``."""
+    spec = importlib.util.spec_from_file_location(f"example_{path.stem}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    assert callable(module.main)

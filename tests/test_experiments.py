@@ -9,18 +9,20 @@ from __future__ import annotations
 
 import pytest
 
+from repro.api import Runtime, RuntimeConfig
 from repro.baselines import spark_policy
+from repro.core.metrics import makespan, mean_latency
 from repro.core.policies import swift_policy
-from repro.experiments import (
-    ExperimentResult,
-    build_cluster,
-    makespan,
-    mean_latency,
-    run_jobs,
-    run_single,
-    scalability_workload,
-)
+from repro.experiments import ExperimentResult, scalability_workload
 from repro.workloads import terasort, tpch
+
+
+def run_single(policy, job):
+    """One job on a fresh paper-testbed runtime."""
+    runtime = Runtime(RuntimeConfig(policy=policy))
+    runtime.submit(job)
+    [result] = runtime.run()
+    return result
 
 
 def test_experiment_result_table_formatting():
@@ -37,21 +39,25 @@ def test_empty_result_formats():
     assert "(no rows)" in ExperimentResult(name="empty").format_table()
 
 
-def test_build_cluster_defaults():
-    cluster = build_cluster()
+def test_runtime_config_defaults_to_paper_testbed():
+    config = RuntimeConfig()
+    assert (config.n_machines, config.executors_per_machine) == (100, 32)
+    cluster = Runtime(config).inner.cluster
     assert cluster.n_machines == 100
     assert cluster.total_executors() == 3200
 
 
-def test_run_single_and_makespan_helpers():
-    job = terasort.terasort_job(10, 10)
-    result = run_single(swift_policy(), job, n_machines=4, executors_per_machine=8)
-    assert result.completed
-    results, _ = run_jobs(swift_policy(), [job], n_machines=4, executors_per_machine=8)
-    assert makespan(results) == results[0].metrics.finish_time
-    assert mean_latency(results) == results[0].metrics.latency
+def test_makespan_and_mean_latency_helpers():
+    runtime = Runtime(RuntimeConfig(n_machines=4, executors_per_machine=8))
+    runtime.submit([terasort.terasort_job(10, 10), terasort.terasort_job(6, 6)])
+    results = runtime.run()
+    assert all(r.completed for r in results)
+    assert makespan(results) == max(r.metrics.finish_time for r in results)
+    assert mean_latency(results) == sum(r.metrics.latency for r in results) / 2
     with pytest.raises(ValueError):
         makespan([])
+    with pytest.raises(ValueError):
+        mean_latency([])
 
 
 def test_swift_beats_spark_on_small_tpch():

@@ -201,7 +201,7 @@ def test_retry_budget_escalates_to_job_failure():
         for fraction in (0.3, 0.9)
     ]
     runtime = SwiftRuntime(
-        Cluster.build(4, 8), swift_policy(), config=config,
+        Cluster.build(4, 8, config=config), swift_policy(),
         failure_plan=FailurePlan(list(specs)), reference_duration=reference,
     )
     result = runtime.execute(as_job(dag))

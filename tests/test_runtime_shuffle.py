@@ -27,7 +27,7 @@ def wide_barrier_dag(m: int, n: int, mb_per_task: float = 10.0) -> JobDAG:
 
 def run(dag, policy=None, machines=8, executors=32, config=None):
     cluster = Cluster.build(machines, executors, config=config)
-    runtime = SwiftRuntime(cluster, policy or swift_policy(), config=config)
+    runtime = SwiftRuntime(cluster, policy or swift_policy())
     return runtime.execute(as_job(dag)), runtime
 
 
@@ -83,9 +83,7 @@ def test_attempts_own_their_per_edge_state():
     config = SimConfig()
     config.cache_worker.memory_capacity = 4 * 1024 ** 2  # 4 MiB: stores spill
     cluster = Cluster.build(8, 32, config=config)
-    runtime = SwiftRuntime(
-        cluster, swift_policy(shuffle=ShuffleScheme.LOCAL), config=config
-    )
+    runtime = SwiftRuntime(cluster, swift_policy(shuffle=ShuffleScheme.LOCAL))
     attempts = []
     store = runtime._store_cross_unit_outputs
 
@@ -151,8 +149,7 @@ def run_with_cache_loss(replication_factor, machine_id=0, at_fraction=0.5):
     def build():
         return wide_barrier_dag(120, 120, mb_per_task=10.0)  # 14,400 edges
 
-    baseline_rt = SwiftRuntime(Cluster.build(8, 32), swift_policy(),
-                               config=config)
+    baseline_rt = SwiftRuntime(Cluster.build(8, 32, config=config), swift_policy())
     baseline = baseline_rt.execute(as_job(build()))
     assert baseline.completed
     plan = FailurePlan().add(FailureSpec(
@@ -160,7 +157,7 @@ def run_with_cache_loss(replication_factor, machine_id=0, at_fraction=0.5):
         machine_id=machine_id, at_fraction=at_fraction,
     ))
     runtime = SwiftRuntime(
-        Cluster.build(8, 32), swift_policy(), config=config,
+        Cluster.build(8, 32, config=config), swift_policy(),
         failure_plan=plan, reference_duration=baseline.metrics.finish_time,
     )
     result = runtime.execute(as_job(build()))
@@ -195,14 +192,13 @@ def test_failover_emits_recovery_observability():
 
     config = SimConfig()
     config.shuffle.replication_factor = 2
-    baseline_rt = SwiftRuntime(Cluster.build(8, 32), swift_policy(),
-                               config=config)
+    baseline_rt = SwiftRuntime(Cluster.build(8, 32, config=config), swift_policy())
     baseline = baseline_rt.execute(as_job(wide_barrier_dag(120, 120)))
     plan = FailurePlan().add(FailureSpec(
         kind=FailureKind.CACHE_WORKER_LOSS, machine_id=0, at_fraction=0.5,
     ))
     runtime = SwiftRuntime(
-        Cluster.build(8, 32), swift_policy(), config=config,
+        Cluster.build(8, 32, config=config), swift_policy(),
         failure_plan=plan, reference_duration=baseline.metrics.finish_time,
         tracer=RecordingTracer(),
     )
@@ -242,7 +238,7 @@ def differential_run(mode_switching: bool):
     config.shuffle.mode_switching = mode_switching
     # Hair-trigger pressure threshold so demotions actually fire mid-job.
     config.shuffle.pressure_demote_utilization = 1e-6
-    runtime = SwiftRuntime(Cluster.build(8, 32), swift_policy(), config=config)
+    runtime = SwiftRuntime(Cluster.build(8, 32, config=config), swift_policy())
     result = runtime.execute(as_job(borderline_diamond()))
     return result, runtime
 
