@@ -29,7 +29,7 @@ Sub-packages:
   campaigns, invariant checking, recovery watchdogs, and seed shrinking.
 * :mod:`repro.service` — the multi-tenant job-submission gateway behind
   :class:`repro.api.Service`: Poisson/trace arrivals, per-tenant quotas,
-  admission control, weighted fair-share + earliest-deadline-first
+  admission control, fair-share + earliest-deadline-first
   dispatch (PAPER.md §VI: Swift as a hosted service).
 * :mod:`repro.workloads` — TPC-H, Terasort, and trace-calibrated workloads.
 * :mod:`repro.baselines` — Spark, JetScope, and Bubble Execution models.
@@ -41,7 +41,6 @@ from .api import (
     ChaosEngine,
     ChaosReport,
     QueryOutcome,
-    QueuePolicy,
     Runtime,
     RuntimeConfig,
     Service,
@@ -112,7 +111,6 @@ __all__ = [
     "Operator",
     "OperatorKind",
     "QueryOutcome",
-    "QueuePolicy",
     "RecordingTracer",
     "Runtime",
     "RuntimeConfig",

@@ -35,7 +35,7 @@ from ..core.policies import (
 )
 from ..core.runtime import JobResult, RuntimeDrainedError
 from ..core.shuffle import ShuffleScheme
-from ..service.policy import AdmissionPolicy, QueuePolicy, TenantSpec
+from ..service.policy import AdmissionPolicy, TenantSpec
 from ..service.stats import TenantReport
 from ..obs import (
     MetricsRegistry,
@@ -73,7 +73,6 @@ __all__ = [
     "MetricsRegistry",
     "PhaseBreakdown",
     "QueryOutcome",
-    "QueuePolicy",
     "RecordingTracer",
     "ResourceLedger",
     "Runtime",

@@ -8,19 +8,21 @@ simulated counterpart of submitting jobs to Swift as a hosted service
     from repro.workloads.traces import tenant_arrival_trace
 
     config = ServiceConfig(
-        tenants=[TenantSpec(name="bi", weight=2.0, max_concurrent_jobs=8)],
         admission=AdmissionPolicy(max_pool_pressure=4.0),
+        default_tenant=TenantSpec(name="default", max_concurrent_jobs=8),
     )
     service = Service(config)
     service.submit_trace(tenant_arrival_trace(n_tenants=50, n_jobs=200))
     result = service.run()
-    print(result.tenants["bi"].queue_time["p95"], result.rejected)
+    print(result.tenants["t0000"].queue_time["p95"], result.rejected)
 
-Jobs flow: arrival event -> admission (quota / pool-pressure checks) ->
-per-tenant EDF queue -> weighted fair-share dispatch into the runtime's
-unified ``submit`` path -> completion hook -> per-tenant percentile
-reports.  Everything is driven by simulator events, so a given arrival
-trace + policy configuration replays byte-identically.
+Jobs flow: arrival event -> admission (capacity / queue / pool-pressure
+checks) -> per-tenant EDF queue -> equal fair-share dispatch into the
+runtime's unified ``submit`` path -> completion hook -> per-tenant
+percentile reports.  Every tenant is registered from
+:attr:`ServiceConfig.default_tenant` on its first arrival.  Everything is
+driven by simulator events, so a given arrival trace + policy
+configuration replays byte-identically.
 """
 
 from __future__ import annotations
@@ -28,18 +30,13 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Any, Optional, Sequence, Union
+from typing import Any, Optional, Sequence
 
 from ..codec import Codec
 from ..core.dag import Job
 from ..obs.metrics import collect_jobs
 from ..service.gateway import JobEntry, JobGateway
-from ..service.policy import (
-    AdmissionPolicy,
-    QueuePolicy,
-    TenantSpec,
-    default_tenant_template,
-)
+from ..service.policy import AdmissionPolicy, TenantSpec, default_tenant_template
 from ..service.stats import TenantReport, distribution
 from .config import RuntimeConfig
 from .simulation import (
@@ -56,35 +53,22 @@ class ServiceConfig(Codec):
     """Everything needed to build a runnable multi-tenant service.
 
     Wraps a :class:`RuntimeConfig` (cluster + policy + calibration) with
-    the gateway's tenant roster, admission policy, and queueing policy.
-    Takes ``to_dict``/``from_dict`` from :mod:`repro.codec` like every
-    other config class.
+    the gateway's admission policy and tenant quota template.  Takes
+    ``to_dict``/``from_dict`` from :mod:`repro.codec` like every other
+    config class.
     """
 
     #: Cluster/runtime configuration the service runs on.
     runtime: RuntimeConfig = field(default_factory=RuntimeConfig)
-    #: Pre-registered tenants (quotas, weights, priorities).
-    tenants: list[TenantSpec] = field(default_factory=list)
     #: When arrivals are rejected instead of queued.
     admission: AdmissionPolicy = field(default_factory=AdmissionPolicy)
-    #: How queued arrivals are ordered for dispatch.
-    queue: QueuePolicy = field(default_factory=QueuePolicy)
-    #: Quota template applied when an unknown tenant auto-registers.
+    #: Quota template every tenant is registered from on its first arrival.
     default_tenant: TenantSpec = field(default_factory=default_tenant_template)
-    #: Auto-register unknown tenants (False rejects them on arrival).
-    auto_register: bool = True
 
     def validate(self) -> "ServiceConfig":
         """Validate every field; returns self so calls can chain."""
         self.runtime.validate()
-        seen: set[str] = set()
-        for spec in self.tenants:
-            spec.validate()
-            if spec.name in seen:
-                raise ValueError(f"duplicate tenant {spec.name!r}")
-            seen.add(spec.name)
         self.admission.validate()
-        self.queue.validate()
         self.default_tenant.validate()
         return self
 
@@ -239,23 +223,16 @@ class Service:
 
     def __init__(
         self,
-        config: Union[ServiceConfig, RuntimeConfig, None] = None,
+        config: Optional[ServiceConfig] = None,
         trace: TraceOption = None,
     ) -> None:
-        if config is None:
-            config = ServiceConfig()
-        elif isinstance(config, RuntimeConfig):
-            config = ServiceConfig(runtime=config)
-        self.config = config.validate()
+        self.config = (config or ServiceConfig()).validate()
         tracer, self._trace_config = _resolve_tracer(trace)
         self._runtime = Runtime(self.config.runtime, tracer=tracer)
         self.gateway = JobGateway(
             self._runtime.inner,
-            tenants=self.config.tenants,
             admission=self.config.admission,
-            queue_policy=self.config.queue,
             default_tenant=self.config.default_tenant,
-            auto_register=self.config.auto_register,
         )
         self._ran = False
 
@@ -263,10 +240,6 @@ class Service:
     def runtime(self) -> Runtime:
         """The underlying :class:`Runtime` facade (advanced introspection)."""
         return self._runtime
-
-    def register(self, spec: TenantSpec) -> None:
-        """Register (or update) a tenant before or between arrivals."""
-        self.gateway.register(spec)
 
     def submit(
         self,

@@ -258,7 +258,6 @@ class Job:
     dag: JobDAG
     #: Arrival time offset used by trace replays (seconds).
     submit_time: float = 0.0
-    priority: int = 0
     #: Free-form tags (e.g. shuffle-size class for Fig. 12 grouping).
     tags: dict[str, object] = field(default_factory=dict)
     #: Owning tenant in multi-tenant service runs ("" = untenanted).

@@ -506,19 +506,18 @@ class SwiftRuntime:
     def _request(
         self, unit: UnitRun, n: int, locality: tuple[int, ...] = ()
     ) -> ReqItem:
-        """File a request for ``n`` of ``unit``'s executors with its job's
-        priority (one that can never be granted fails its job, see
-        :meth:`_check_schedulable`).  A unit's later requests (a re-run, a
-        task that lost its executor before it ran) take its first request's
-        place in the queue, ahead of the units requested after it, which
-        may be waiting for this unit's output."""
+        """File a request for ``n`` of ``unit``'s executors (one that can
+        never be granted fails its job, see :meth:`_check_schedulable`).  A
+        unit's later requests (a re-run, a task that lost its executor
+        before it ran) take its first request's place in the queue, ahead
+        of the units requested after it, which may be waiting for this
+        unit's output."""
         job = unit.job_run.job
         item = self.scheduler.request(
             job_id=job.job_id,
             unit_id=unit.graphlet_id,
             n_executors=n,
             locality=locality,
-            priority=job.priority,
             now=self.sim.now,
             gang=self.policy.gang,
             place_of=unit.request,

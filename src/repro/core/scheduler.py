@@ -6,11 +6,12 @@ flock ... For tasks without locality preference, the most free machine is
 chosen.  For each graphlet received, gang scheduling is used."
 
 Requests are recorded as request items (ReqItem) in a heap ordered by
-``(priority, enqueue_time, order, request_id)``; on every resource event the
-scheduler walks the heap from its head and grants each request that fits
-entirely (gang semantics: all-or-nothing per unit), stopping at the first
-gang that does not.  Executors are picked through the cluster's load index,
-so one grant reads the machines it takes, not the whole cluster.
+``(enqueue_time, order, request_id)``: first come, first served, with no job
+priority, since the paper's grant rule names none.  On every resource event
+the scheduler walks the heap from its head and grants each request that
+fits entirely (gang semantics: all-or-nothing per unit), stopping at the
+first gang that does not.  Executors are picked through the cluster's load
+index, so one grant reads the machines it takes, not the whole cluster.
 """
 
 from __future__ import annotations
@@ -43,10 +44,9 @@ class ReqItem:
     n_executors: int
     #: Preferred machine ids for locality (scan stages); may be empty.
     locality: tuple[int, ...] = ()
-    priority: int = 0
     enqueue_time: float = 0.0
-    #: Rank among requests of equal priority and enqueue time: the request
-    #: id, or that of the request whose place in the queue this one takes.
+    #: Rank among requests of equal enqueue time: the request id, or that
+    #: of the request whose place in the queue this one takes.
     order: int = 0
     gang: bool = True
     remaining: int = 0
@@ -72,10 +72,9 @@ class ResourceScheduler:
         self.cluster = cluster
         #: Pending requests by id, in arrival order.
         self._pending: dict[int, ReqItem] = {}
-        #: ``(priority, enqueue_time, order, request_id, item)`` for every
-        #: pending request, plus cancelled ones not yet popped (deleted
-        #: lazily).
-        self._heap: list[tuple[int, float, int, int, ReqItem]] = []
+        #: ``(enqueue_time, order, request_id, item)`` for every pending
+        #: request, plus cancelled ones not yet popped (deleted lazily).
+        self._heap: list[tuple[float, int, int, ReqItem]] = []
         self._next_id = 0
         self.grants_made = 0
         #: Head-of-line gang size we last failed to satisfy; while the free
@@ -92,13 +91,12 @@ class ResourceScheduler:
         unit_id: int,
         n_executors: int,
         locality: tuple[int, ...] = (),
-        priority: int = 0,
         now: float = 0.0,
         gang: bool = True,
         place_of: Optional[ReqItem] = None,
     ) -> ReqItem:
         """Enqueue a request item, at ``place_of``'s place in the queue
-        (its priority, enqueue time and order) when given.
+        (its enqueue time and order) when given.
 
         Raises :class:`SchedulingImpossibleError` for a gang larger than the
         cluster as built.  A gang that fits the cluster but not its live
@@ -114,20 +112,19 @@ class ResourceScheduler:
         self._next_id += 1
         order = self._next_id
         if place_of is not None:
-            priority, now, order = place_of.priority, place_of.enqueue_time, place_of.order
+            now, order = place_of.enqueue_time, place_of.order
         item = ReqItem(
             request_id=self._next_id,
             job_id=job_id,
             unit_id=unit_id,
             n_executors=n_executors,
             locality=locality,
-            priority=priority,
             enqueue_time=now,
             order=order,
             gang=gang,
         )
         self._pending[item.request_id] = item
-        heappush(self._heap, (priority, now, order, item.request_id, item))
+        heappush(self._heap, (now, order, item.request_id, item))
         self._stalled_need = None
         return item
 
@@ -141,7 +138,7 @@ class ResourceScheduler:
         if len(self._heap) > 2 * len(pending) + 64:
             # Mostly cancelled entries: rebuild rather than let them pile up.
             self._heap = [
-                (r.priority, r.enqueue_time, r.order, r.request_id, r)
+                (r.enqueue_time, r.order, r.request_id, r)
                 for r in pending.values()
             ]
             heapify(self._heap)
@@ -205,9 +202,9 @@ class ResourceScheduler:
         dirty = self.cluster._dirty
         # Entries popped but still pending (partial grants, failed picks);
         # pushed back with their keys unchanged, so they keep their place.
-        kept: list[tuple[int, float, int, int, ReqItem]] = []
+        kept: list[tuple[float, int, int, ReqItem]] = []
         while heap:
-            item = heap[0][4]
+            item = heap[0][3]
             if item.granted or item.cancelled:
                 heappop(heap)
                 pending.pop(item.request_id, None)

@@ -1,8 +1,8 @@
 """repro.service — the multi-tenant job-submission gateway.
 
 Sits between workload generators and :class:`repro.core.SwiftRuntime`:
-Poisson / trace-driven arrivals, per-tenant quotas and weighted fair
-share, admission control under pool pressure, and earliest-deadline-first
+Poisson / trace-driven arrivals, per-tenant quotas and equal fair share,
+admission control under pool pressure, and earliest-deadline-first
 dispatch.  The stable entry point is :class:`repro.api.Service`; this
 package holds the engine pieces.
 """
@@ -11,7 +11,6 @@ from .gateway import JobEntry, JobGateway, RejectReason
 from .policy import (
     AdmissionPolicy,
     PolicyValidationError,
-    QueuePolicy,
     TenantSpec,
     default_tenant_template,
 )
@@ -22,7 +21,6 @@ __all__ = [
     "JobEntry",
     "JobGateway",
     "PolicyValidationError",
-    "QueuePolicy",
     "RejectReason",
     "TenantReport",
     "TenantSpec",

@@ -8,9 +8,9 @@ not:
 
 * **arrival processes** — jobs enter at their trace arrival times via
   kernel events (``submit`` / ``submit_trace``), not pre-loaded batches;
-* **per-tenant state** — quotas (max concurrent jobs / executor slots),
-  weighted fair-share virtual time, strict-priority tiers, and pending
-  queues ordered earliest-deadline-first;
+* **per-tenant state** — a concurrent-job quota copied from one template
+  when the tenant first arrives, fair-share virtual time, and a pending
+  queue ordered earliest-deadline-first;
 * **admission control** — arrivals are rejected (the NOT_ENOUGH_SLOTS
   shape) or held when executor-pool pressure crosses the policy
   threshold, with obs counters for every verdict.
@@ -19,7 +19,7 @@ Dispatch feeds admitted jobs into the runtime through the ordinary
 ``submit_all`` path, so the gateway adds queueing semantics without
 forking the execution model.  Executor-slot demand is accounted as a
 job's *largest gang request* (the peak single-unit allocation the
-scheduler must satisfy at once), which makes quota checks deterministic
+scheduler must satisfy at once), which makes capacity checks deterministic
 and keeps dispatch deadlock-free: any job that passed the oversize check
 eventually fits once enough claims drain.
 """
@@ -29,7 +29,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, replace
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from ..core.dag import Job
 from ..core.runtime import JobResult, SwiftRuntime
@@ -37,7 +37,6 @@ from ..obs.records import Category
 from .policy import (
     ON_PRESSURE_REJECT,
     AdmissionPolicy,
-    QueuePolicy,
     TenantSpec,
     default_tenant_template,
 )
@@ -51,10 +50,8 @@ class RejectReason:
     NOT_ENOUGH_SLOTS = "not_enough_slots"
     #: Tenant queue above :attr:`AdmissionPolicy.max_pending_per_tenant`.
     QUEUE_FULL = "queue_full"
-    #: Largest gang can never fit (cluster capacity or tenant slot quota).
+    #: Largest gang can never fit the cluster.
     OVERSIZE = "oversize"
-    #: Tenant not registered and auto-registration disabled.
-    UNKNOWN_TENANT = "unknown_tenant"
 
 
 @dataclass
@@ -120,7 +117,7 @@ class _TenantState:
         self.heap: list[tuple[float, int, JobEntry]] = []
         self.running_jobs = 0
         self.running_slots = 0
-        #: Weighted fair-share virtual time; dispatch charges slots/weight.
+        #: Fair-share virtual time; dispatch charges the job's slots.
         self.vtime = 0.0
         self.peak_concurrent_jobs = 0
         self.peak_executor_slots = 0
@@ -150,19 +147,15 @@ class JobGateway:
         self,
         runtime: SwiftRuntime,
         *,
-        tenants: Iterable[TenantSpec] = (),
         admission: Optional[AdmissionPolicy] = None,
-        queue_policy: Optional[QueuePolicy] = None,
         default_tenant: Optional[TenantSpec] = None,
-        auto_register: bool = True,
     ) -> None:
         if runtime.on_job_done is not None:
             raise ValueError("runtime already has an on_job_done hook installed")
         self.runtime = runtime
         self.admission = (admission or AdmissionPolicy()).validate()
-        self.queue_policy = (queue_policy or QueuePolicy()).validate()
+        #: Quota template every tenant is registered from on first arrival.
         self.default_tenant = (default_tenant or default_tenant_template()).validate()
-        self.auto_register = auto_register
         self.entries: list[JobEntry] = []
         self._by_job_id: dict[str, JobEntry] = {}
         self._tenants: dict[str, _TenantState] = {}
@@ -177,33 +170,24 @@ class JobGateway:
         #: Timestamp of the pending deduped dispatch event, if any.
         self._dispatch_at: Optional[float] = None
         self._seq = 0
-        for spec in tenants:
-            self.register(spec)
         runtime.on_job_done = self._on_job_done
 
     # ------------------------------------------------------------------
     # Tenant registry
     # ------------------------------------------------------------------
-    def register(self, spec: TenantSpec) -> None:
-        """Register (or replace the spec of) a tenant."""
-        spec.validate()
-        state = self._tenants.get(spec.name)
-        if state is not None:
-            state.spec = spec
-            return
-        state = _TenantState(spec, len(self._tenant_order))
-        self._tenants[spec.name] = state
+    def _register(self, name: str) -> _TenantState:
+        """Register tenant ``name`` from the default template."""
+        state = _TenantState(
+            replace(self.default_tenant, name=name), len(self._tenant_order)
+        )
+        self._tenants[name] = state
         self._tenant_order.append(state)
         tracer = self.runtime.tracer
         if tracer.enabled:
             tracer.instant(
-                Category.TENANT,
-                "tenant.registered",
-                self.runtime.sim.now,
-                scope=spec.name,
-                weight=spec.weight,
-                priority=spec.priority,
+                Category.TENANT, "tenant.registered", self.runtime.sim.now, scope=name
             )
+        return state
 
     # ------------------------------------------------------------------
     # Submission (arrival scheduling)
@@ -275,18 +259,8 @@ class JobGateway:
                 scope=entry.tenant,
                 slots=entry.slots,
             )
-        state = self._tenants.get(entry.tenant)
-        if state is None:
-            if not self.auto_register:
-                self._reject(entry, RejectReason.UNKNOWN_TENANT, now)
-                return
-            self.register(replace(self.default_tenant, name=entry.tenant))
-            state = self._tenants[entry.tenant]
-        spec = state.spec
-        total = self.runtime.cluster.total_executors()
-        if entry.slots > total or (
-            0 < spec.max_executor_slots < entry.slots
-        ):
+        state = self._tenants.get(entry.tenant) or self._register(entry.tenant)
+        if entry.slots > self.runtime.cluster.total_executors():
             self._reject(entry, RejectReason.OVERSIZE, now)
             return
         policy = self.admission
@@ -320,10 +294,8 @@ class JobGateway:
             # Waking from idle: re-anchor fair-share credit to the virtual
             # clock so an idle tenant cannot hoard bandwidth.
             state.vtime = max(state.vtime, self._vclock)
-        if self.queue_policy.deadline_first and entry.deadline is not None:
-            order_key = entry.deadline
-        else:
-            order_key = math.inf
+        # Earliest deadline first; deadline-less jobs go last, in arrival order.
+        order_key = math.inf if entry.deadline is None else entry.deadline
         heapq.heappush(state.heap, (order_key, entry.seq, entry))
         self.backlog_slots += entry.slots
         tracer = self.runtime.tracer
@@ -355,29 +327,23 @@ class JobGateway:
             )
 
     # ------------------------------------------------------------------
-    # Dispatch (EDF within weighted fair share, strict priority on top)
+    # Dispatch (EDF within each tenant, fair share across tenants)
     # ------------------------------------------------------------------
     def _eligible(self, state: _TenantState, entry: JobEntry, budget: int) -> bool:
-        spec = state.spec
-        if 0 < spec.max_concurrent_jobs <= state.running_jobs:
-            return False
-        if 0 < spec.max_executor_slots < state.running_slots + entry.slots:
+        if 0 < state.spec.max_concurrent_jobs <= state.running_jobs:
             return False
         return entry.slots <= budget
 
     def _pick_tenant(self, budget: int) -> Optional[_TenantState]:
-        qp = self.queue_policy
+        """The eligible tenant with the least virtual time (ties: the one
+        registered first)."""
         best: Optional[_TenantState] = None
-        best_key: tuple[float, float, int] = (0.0, 0.0, 0)
+        best_key: tuple[float, int] = (0.0, 0)
         for state in self._tenant_order:
             entry = state.peek()
             if entry is None or not self._eligible(state, entry, budget):
                 continue
-            key = (
-                -float(state.spec.priority) if qp.strict_priority else 0.0,
-                state.vtime if qp.fair_share else float(entry.seq),
-                state.index,
-            )
+            key = (state.vtime, state.index)
             if best is None or key < best_key:
                 best, best_key = state, key
         return best
@@ -399,7 +365,7 @@ class JobGateway:
             state.running_slots += entry.slots
             state.peak_concurrent_jobs = max(state.peak_concurrent_jobs, state.running_jobs)
             state.peak_executor_slots = max(state.peak_executor_slots, state.running_slots)
-            state.vtime += entry.slots / state.spec.weight
+            state.vtime += entry.slots
             self._vclock = state.vtime
             self.backlog_slots -= entry.slots
             self.claimed_slots += entry.slots
@@ -494,11 +460,6 @@ class JobGateway:
                 problems.append(
                     f"{spec.name}: peak_concurrent_jobs {state.peak_concurrent_jobs}"
                     f" > quota {spec.max_concurrent_jobs}"
-                )
-            if 0 < spec.max_executor_slots < state.peak_executor_slots:
-                problems.append(
-                    f"{spec.name}: peak_executor_slots {state.peak_executor_slots}"
-                    f" > quota {spec.max_executor_slots}"
                 )
             if state.peak_executor_slots > total:
                 problems.append(

@@ -1,21 +1,22 @@
-"""Tenant, admission, and queueing policy dataclasses for the gateway.
+"""Tenant and admission policy dataclasses for the gateway.
 
-All three take ``to_dict``/``from_dict`` from :mod:`repro.codec`, like
+Both take ``to_dict``/``from_dict`` from :mod:`repro.codec`, like
 :class:`repro.api.RuntimeConfig`, so a whole service configuration can be
 checked into JSON and replayed deterministically; a malformed document
-raises :class:`PolicyValidationError`.
+or value raises :class:`PolicyValidationError`.
 
 The model follows the multi-tenant queueing shape of cloud data services
 (PAPER.md §I/§VI; "Scheduling Storms and Streams in the Cloud"): every
-arrival belongs to a *tenant* carrying quotas and a fair-share weight;
-admission control sheds load when executor-pool pressure crosses a
-threshold (the NOT_ENOUGH_SLOTS response); queued work is ordered
-earliest-deadline-first inside each tenant and weighted-fair across
-tenants, with strict priority tiers on top.
+arrival belongs to a *tenant*, registered from one quota template on its
+first arrival; admission control sheds load when executor-pool pressure
+crosses a threshold (the NOT_ENOUGH_SLOTS response); queued work is
+ordered earliest-deadline-first inside each tenant and by equal fair
+share across tenants.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from ..codec import Codec
@@ -31,34 +32,26 @@ class _PolicyCodec(Codec):
     payload_error = PolicyValidationError
 
 
+def _check_count(value: object, name: str) -> None:
+    """A limit is a non-negative ``int`` (not a ``bool``); 0 = unlimited."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise PolicyValidationError(f"{name} must be an int >= 0, got {value!r}")
+
+
 @dataclass(frozen=True)
 class TenantSpec(_PolicyCodec):
-    """Per-tenant quotas and scheduling weight."""
+    """Per-tenant quota; every tenant gets a copy of one template."""
 
     #: Tenant identifier; gateway queues and reports are keyed by it.
     name: str
     #: Max jobs a tenant may have dispatched-but-unfinished (0 = unlimited).
     max_concurrent_jobs: int = 0
-    #: Max executor slots its running jobs may claim, measured as each
-    #: job's largest gang request (0 = unlimited).
-    max_executor_slots: int = 0
-    #: Weighted fair-share weight; dispatch charges ``slots / weight``
-    #: virtual time, so a weight-2 tenant drains twice as fast as weight-1.
-    weight: float = 1.0
-    #: Strict-priority tier; higher tiers always dispatch first when
-    #: :attr:`QueuePolicy.strict_priority` is on.
-    priority: int = 0
 
     def validate(self) -> "TenantSpec":
         """Raise :class:`PolicyValidationError` on bad values; return self."""
-        if not self.name:
-            raise PolicyValidationError("TenantSpec.name must be non-empty")
-        if self.max_concurrent_jobs < 0:
-            raise PolicyValidationError("max_concurrent_jobs must be >= 0")
-        if self.max_executor_slots < 0:
-            raise PolicyValidationError("max_executor_slots must be >= 0")
-        if self.weight <= 0:
-            raise PolicyValidationError("weight must be > 0")
+        if not isinstance(self.name, str) or not self.name:
+            raise PolicyValidationError("TenantSpec.name must be a non-empty string")
+        _check_count(self.max_concurrent_jobs, "max_concurrent_jobs")
         return self
 
 
@@ -71,9 +64,9 @@ ON_PRESSURE_QUEUE = "queue"
 class AdmissionPolicy(_PolicyCodec):
     """When the gateway rejects an arrival instead of queueing it.
 
-    Jobs whose largest gang request can never fit — it exceeds cluster
-    capacity or the tenant's ``max_executor_slots`` — are always rejected
-    (reason ``oversize``): queueing them would deadlock the tenant queue.
+    Jobs whose largest gang request exceeds cluster capacity can never
+    fit and are always rejected (reason ``oversize``): queueing them
+    would deadlock the tenant queue.
     """
 
     #: Max jobs waiting in one tenant's queue before ``queue_full``
@@ -89,10 +82,19 @@ class AdmissionPolicy(_PolicyCodec):
 
     def validate(self) -> "AdmissionPolicy":
         """Raise :class:`PolicyValidationError` on bad values; return self."""
-        if self.max_pending_per_tenant < 0:
-            raise PolicyValidationError("max_pending_per_tenant must be >= 0")
-        if self.max_pool_pressure < 0:
-            raise PolicyValidationError("max_pool_pressure must be >= 0")
+        _check_count(self.max_pending_per_tenant, "max_pending_per_tenant")
+        pressure = self.max_pool_pressure
+        # NaN would silently disable admission control (every comparison
+        # with it is false), so only finite numbers pass.
+        if (
+            isinstance(pressure, bool)
+            or not isinstance(pressure, (int, float))
+            or not math.isfinite(pressure)
+            or pressure < 0
+        ):
+            raise PolicyValidationError(
+                f"max_pool_pressure must be a finite number >= 0, got {pressure!r}"
+            )
         if self.on_pressure not in (ON_PRESSURE_REJECT, ON_PRESSURE_QUEUE):
             raise PolicyValidationError(
                 f"on_pressure must be 'reject' or 'queue', got {self.on_pressure!r}"
@@ -100,25 +102,8 @@ class AdmissionPolicy(_PolicyCodec):
         return self
 
 
-@dataclass(frozen=True)
-class QueuePolicy(_PolicyCodec):
-    """How queued arrivals are ordered for dispatch."""
-
-    #: Weighted fair share across tenants (False = FIFO by global arrival).
-    fair_share: bool = True
-    #: Higher :attr:`TenantSpec.priority` tiers always dispatch first.
-    strict_priority: bool = True
-    #: Earliest-deadline-first inside each tenant queue (False = FIFO;
-    #: deadline-less jobs sort last either way).
-    deadline_first: bool = True
-
-    def validate(self) -> "QueuePolicy":
-        """No invalid combinations today; kept for config-surface symmetry."""
-        return self
-
-
 def default_tenant_template() -> TenantSpec:
-    """The template used when unknown tenants are auto-registered."""
+    """The quota template every tenant is registered from by default."""
     return TenantSpec(name="default")
 
 
@@ -127,7 +112,6 @@ __all__ = [
     "ON_PRESSURE_REJECT",
     "AdmissionPolicy",
     "PolicyValidationError",
-    "QueuePolicy",
     "TenantSpec",
     "default_tenant_template",
 ]

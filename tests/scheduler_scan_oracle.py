@@ -48,7 +48,6 @@ class ScanScheduler:
         unit_id: int,
         n_executors: int,
         locality: tuple[int, ...] = (),
-        priority: int = 0,
         now: float = 0.0,
         gang: bool = True,
     ) -> ReqItem:
@@ -67,7 +66,6 @@ class ScanScheduler:
             unit_id=unit_id,
             n_executors=n_executors,
             locality=locality,
-            priority=priority,
             enqueue_time=now,
             gang=gang,
         )
@@ -124,9 +122,7 @@ class ScanScheduler:
         if self._stalled_need is not None and free < self._stalled_need:
             return grants
         self._stalled_need = None
-        queue = sorted(
-            self.pending(), key=lambda r: (r.priority, r.enqueue_time, r.request_id)
-        )
+        queue = sorted(self.pending(), key=lambda r: (r.enqueue_time, r.request_id))
         for item in queue:
             if free == 0:
                 self._stalled_need = 1

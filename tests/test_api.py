@@ -296,7 +296,6 @@ def test_service_facade_reexported_from_package_root():
     import repro
     from repro.api import (
         AdmissionPolicy,
-        QueuePolicy,
         Service,
         ServiceConfig,
         ServiceResult,
@@ -312,4 +311,4 @@ def test_service_facade_reexported_from_package_root():
     assert repro.TenantSpec is TenantSpec
     assert repro.TenantReport is TenantReport
     assert repro.AdmissionPolicy is AdmissionPolicy
-    assert repro.QueuePolicy is QueuePolicy
+    assert not hasattr(repro, "QueuePolicy")

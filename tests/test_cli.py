@@ -217,6 +217,28 @@ def test_serve_check_passes_deterministically(tmp_path, capsys):
     assert "serve check passed" in capsys.readouterr().out
 
 
+#: sha256 of ``serve --trace smoke`` outputs (seed 7).  The gateway's
+#: dispatch order, admission verdicts and the runtime all feed these
+#: bytes, so a change that moves any simulated outcome of the service
+#: shows here, not only between two replays of one build.
+SERVE_SMOKE_SHA256 = {
+    "queue_times.csv": "d5411a3da48cbd8c94ce9ceb060316337595c80f7e430ba46343dea00d12cdae",
+    "summary.json": "e487efd902ac66de9adb48fcecfa5b8095772dad780a1fa84ad832858106468d",
+}
+
+
+def test_serve_smoke_outputs_are_pinned(tmp_path):
+    import hashlib
+
+    out = tmp_path / "svc"
+    assert main(["serve", "--trace", "smoke", "--out", str(out)]) == 0
+    digests = {
+        name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+        for name in SERVE_SMOKE_SHA256
+    }
+    assert digests == SERVE_SMOKE_SHA256
+
+
 def test_serve_summary_json_has_percentiles(tmp_path):
     import json
 

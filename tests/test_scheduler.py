@@ -55,15 +55,6 @@ def test_strict_fifo_head_of_line_blocking():
     assert grants == []  # small1 is stuck behind big
 
 
-def test_priority_orders_queue():
-    rs = make_scheduler(1, 2)
-    rs.request("low", 1, n_executors=2, priority=5, now=0.0)
-    rs.request("high", 2, n_executors=2, priority=0, now=1.0)
-    grants = rs.schedule()
-    assert len(grants) == 1
-    assert grants[0].request.job_id == "high"
-
-
 def test_non_gang_partial_grants():
     rs = make_scheduler(1, 4)
     item = rs.request("spark", 1, n_executors=10, gang=False, now=0.0)
@@ -81,11 +72,11 @@ def test_non_gang_partial_grants():
 
 
 def test_partial_grant_keeps_its_queue_position():
-    """A partly granted request stays ahead of a lower-priority request
-    that arrived before it."""
+    """A partly granted request stays ahead of a request that arrived
+    after it: the executor freed next goes to it, not to the newcomer."""
     rs = make_scheduler(1, 4)
-    rs.request("waiting", 1, n_executors=1, priority=1, now=0.0)
-    item = rs.request("spark", 2, n_executors=6, gang=False, now=1.0)
+    item = rs.request("spark", 1, n_executors=6, gang=False, now=0.0)
+    rs.request("waiting", 2, n_executors=1, now=1.0)
     (grant,) = rs.schedule()
     assert grant.request is item and item.remaining == 2
     grant.executors[0].release()

@@ -63,7 +63,6 @@ def scenarios(draw):
             st.sampled_from("abc"),
             st.integers(min_value=1, max_value=max(1, min(total, 24))),
             st.lists(ids, max_size=4).map(tuple),
-            st.integers(min_value=0, max_value=2),
             st.booleans(),
         ),
         st.tuples(st.just("schedule")),
@@ -94,12 +93,12 @@ def test_scheduler_matches_full_scan_oracle(case):
     for op in ops:
         kind = op[0]
         if kind == "request":
-            _, job, n, locality, priority, gang = op
+            _, job, n, locality, gang = op
             if n > new_cluster.total_executors():
                 continue
             now += 1.0
             for scheduler in (new, old):
-                scheduler.request(job, 0, n, locality, priority, now, gang)
+                scheduler.request(job, 0, n, locality, now, gang)
         elif kind == "schedule":
             assert grant_ids(new.schedule()) == grant_ids(old.schedule())
         elif kind == "release":

@@ -3,6 +3,8 @@ determinism, and the Service facade."""
 
 from __future__ import annotations
 
+import dataclasses
+import inspect
 import math
 
 import pytest
@@ -11,15 +13,15 @@ from hypothesis import strategies as st
 
 from repro.api import (
     AdmissionPolicy,
-    QueuePolicy,
     RuntimeConfig,
     Service,
     ServiceConfig,
     TenantSpec,
 )
-from repro.core.dag import JobDAG
+from repro.core.dag import Job, JobDAG
 from repro.core.policies import swift_policy
 from repro.core.runtime import SwiftRuntime
+from repro.core.scheduler import ResourceScheduler
 from repro.service import JobGateway, PolicyValidationError, RejectReason
 from repro.sim.cluster import Cluster
 from repro.workloads.traces import tenant_arrival_trace
@@ -70,17 +72,6 @@ def test_service_run_is_single_shot():
         service.run()
 
 
-def test_unknown_tenant_rejected_when_auto_register_off():
-    service = small_service(auto_register=False,
-                            tenants=[TenantSpec(name="known")])
-    stranger = service.submit(one_stage_job("a"), tenant="stranger")
-    local = service.submit(one_stage_job("b"), tenant="known")
-    service.run()
-    assert stranger.rejected
-    assert stranger.reject_reason == RejectReason.UNKNOWN_TENANT
-    assert local.status == "completed"
-
-
 # ----------------------------------------------------------------------
 # Admission control
 # ----------------------------------------------------------------------
@@ -94,18 +85,11 @@ def test_oversize_gang_rejected():
     assert fits.status == "completed"
 
 
-def test_tenant_slot_quota_rejects_oversize_for_that_tenant():
-    service = small_service(tenants=[TenantSpec(name="t", max_executor_slots=2)])
-    handle = service.submit(one_stage_job("big", tasks=4), tenant="t")
-    service.run()
-    assert handle.rejected and handle.reject_reason == RejectReason.OVERSIZE
-
-
 def test_queue_full_rejection():
     # One job runs, one may wait; the third arrival overflows the
     # per-tenant pending queue.
     service = small_service(
-        tenants=[TenantSpec(name="t", max_concurrent_jobs=1)],
+        default_tenant=TenantSpec(name="default", max_concurrent_jobs=1),
         admission=AdmissionPolicy(max_pending_per_tenant=1),
     )
     handles = [
@@ -157,7 +141,9 @@ def test_pool_pressure_queue_mode_sheds_nothing():
 # ----------------------------------------------------------------------
 
 def test_concurrency_quota_is_never_exceeded():
-    service = small_service(tenants=[TenantSpec(name="t", max_concurrent_jobs=2)])
+    service = small_service(
+        default_tenant=TenantSpec(name="default", max_concurrent_jobs=2)
+    )
     for i in range(6):
         service.submit(one_stage_job(f"j{i}", submit_time=0.01 * i), tenant="t")
     result = service.run()
@@ -166,7 +152,9 @@ def test_concurrency_quota_is_never_exceeded():
 
 
 def test_edf_dispatches_earliest_deadline_first():
-    service = small_service(tenants=[TenantSpec(name="t", max_concurrent_jobs=1)])
+    service = small_service(
+        default_tenant=TenantSpec(name="default", max_concurrent_jobs=1)
+    )
     first = service.submit(one_stage_job("first"), tenant="t", deadline=100.0)
     late = service.submit(one_stage_job("late", submit_time=0.01),
                           tenant="t", deadline=50.0)
@@ -178,45 +166,12 @@ def test_edf_dispatches_earliest_deadline_first():
     assert first._entry.dispatch < urgent._entry.dispatch < late._entry.dispatch
 
 
-def test_fifo_order_when_deadline_first_disabled():
-    service = small_service(
-        tenants=[TenantSpec(name="t", max_concurrent_jobs=1)],
-        queue=QueuePolicy(deadline_first=False),
-    )
-    first = service.submit(one_stage_job("first"), tenant="t", deadline=100.0)
-    late = service.submit(one_stage_job("late", submit_time=0.01),
-                          tenant="t", deadline=50.0)
-    urgent = service.submit(one_stage_job("urgent", submit_time=0.02),
-                            tenant="t", deadline=10.0)
-    service.run()
-    assert first._entry.dispatch < late._entry.dispatch < urgent._entry.dispatch
-
-
-def test_strict_priority_preempts_queue_order():
-    # Capacity fits one 4-task gang at a time; the low tenant's second
-    # job queued first, but the high-priority tenant goes next.
-    service = small_service(
-        capacity_machines=1, executors=4,
-        tenants=[TenantSpec(name="lo", priority=0),
-                 TenantSpec(name="hi", priority=5)],
-    )
-    filler = service.submit(one_stage_job("filler", tasks=4), tenant="lo")
-    lo = service.submit(one_stage_job("lo2", tasks=4, submit_time=0.01),
-                        tenant="lo")
-    hi = service.submit(one_stage_job("hi1", tasks=4, submit_time=0.02),
-                        tenant="hi")
-    service.run()
-    assert filler._entry.dispatch < hi._entry.dispatch < lo._entry.dispatch
-
-
-def test_weighted_fair_share_favours_heavy_tenant():
-    # Weight 4 vs 1 on a one-gang-at-a-time cluster: tenant ``a`` should
-    # win 4 of the first 5 dispatch slots.
-    service = small_service(
-        capacity_machines=1, executors=4,
-        tenants=[TenantSpec(name="a", weight=4.0),
-                 TenantSpec(name="b", weight=1.0)],
-    )
+def test_equal_fair_share_alternates_backlogged_tenants():
+    # One gang at a time.  ``a0`` runs at once; ``b`` registers with the
+    # fair-share clock (no credit for having been idle), so from then on
+    # the two backlogged tenants alternate, ties going to the tenant
+    # registered first, until ``a`` runs dry.
+    service = small_service(capacity_machines=1, executors=4)
     for i in range(4):
         service.submit(one_stage_job(f"a{i}", tasks=4, submit_time=0.01 * i),
                        tenant="a")
@@ -227,8 +182,7 @@ def test_weighted_fair_share_favours_heavy_tenant():
         (e for e in result.entries if not math.isnan(e.dispatch)),
         key=lambda e: (e.dispatch, e.seq),
     )
-    first_five = [e.tenant for e in order[:5]]
-    assert first_five.count("a") == 4
+    assert [e.tenant for e in order] == list("aabababb")
 
 
 def test_deadline_overruns_counted():
@@ -310,13 +264,10 @@ def test_summary_and_csv_files_round_trip(tmp_path):
 def test_service_config_dict_round_trip():
     config = ServiceConfig(
         runtime=RuntimeConfig(n_machines=12, executors_per_machine=4),
-        tenants=[TenantSpec(name="bi", weight=2.0, max_concurrent_jobs=8,
-                            priority=1)],
         admission=AdmissionPolicy(max_pending_per_tenant=16,
                                   max_pool_pressure=4.0,
                                   on_pressure="queue"),
-        queue=QueuePolicy(fair_share=False, deadline_first=False),
-        auto_register=False,
+        default_tenant=TenantSpec(name="bi", max_concurrent_jobs=8),
     )
     rebuilt = ServiceConfig.from_dict(config.to_dict())
     assert rebuilt.to_dict() == config.to_dict()
@@ -326,18 +277,30 @@ def test_policy_validation_rejects_bad_values():
     with pytest.raises(PolicyValidationError):
         TenantSpec(name="").validate()
     with pytest.raises(PolicyValidationError):
-        TenantSpec(name="t", weight=0.0).validate()
-    with pytest.raises(PolicyValidationError):
         AdmissionPolicy(on_pressure="explode").validate()
     with pytest.raises(PolicyValidationError):
-        ServiceConfig(tenants=[TenantSpec(name="t", max_concurrent_jobs=-1)])\
+        ServiceConfig(default_tenant=TenantSpec(name="t", max_concurrent_jobs=-1))\
             .validate()
+    # NaN would turn admission control off (``pressure > nan`` is always
+    # false); counts must be real ints, not floats, bools or strings.
+    for pressure in (math.nan, math.inf, -1.0, True, "3"):
+        with pytest.raises(PolicyValidationError):
+            AdmissionPolicy(max_pool_pressure=pressure).validate()
+    for count in (-1, 2.5, True, "3"):
+        with pytest.raises(PolicyValidationError):
+            AdmissionPolicy(max_pending_per_tenant=count).validate()
+        with pytest.raises(PolicyValidationError):
+            TenantSpec(name="t", max_concurrent_jobs=count).validate()
 
 
-def test_duplicate_tenants_rejected():
-    with pytest.raises(ValueError, match="duplicate"):
-        ServiceConfig(tenants=[TenantSpec(name="t"), TenantSpec(name="t")])\
-            .validate()
+def test_one_dispatch_order_has_no_priority_weight_or_queue_knobs():
+    def names(cls):
+        return [f.name for f in dataclasses.fields(cls)]
+
+    assert names(ServiceConfig) == ["runtime", "admission", "default_tenant"]
+    assert names(TenantSpec) == ["name", "max_concurrent_jobs"]
+    assert "priority" not in names(Job)
+    assert "priority" not in inspect.signature(ResourceScheduler.request).parameters
 
 
 def test_from_dict_rejects_unknown_keys():
@@ -352,31 +315,28 @@ def test_from_dict_rejects_unknown_keys():
 @st.composite
 def gateway_workloads(draw):
     max_concurrent = draw(st.integers(min_value=1, max_value=3))
-    max_slots = draw(st.sampled_from([0, 4, 6, 8]))
     n_jobs = draw(st.integers(min_value=1, max_value=8))
     jobs = []
     for i in range(n_jobs):
         tasks = draw(st.integers(min_value=1, max_value=6))
         gap = draw(st.sampled_from([0.0, 0.1, 0.7]))
         jobs.append((tasks, i * gap))
-    return max_concurrent, max_slots, jobs
+    return max_concurrent, jobs
 
 
 @given(gateway_workloads())
 @settings(max_examples=25, deadline=None)
 def test_admission_never_exceeds_quotas(workload):
-    max_concurrent, max_slots, jobs = workload
-    spec = TenantSpec(name="t", max_concurrent_jobs=max_concurrent,
-                      max_executor_slots=max_slots)
-    service = small_service(capacity_machines=2, executors=4, tenants=[spec])
+    max_concurrent, jobs = workload
+    spec = TenantSpec(name="default", max_concurrent_jobs=max_concurrent)
+    service = small_service(capacity_machines=2, executors=4, default_tenant=spec)
     for i, (tasks, at) in enumerate(jobs):
         service.submit(one_stage_job(f"j{i}", tasks=tasks, submit_time=at),
                        tenant="t")
     result = service.run()
     report = result.tenant("t")
     assert report.peak_concurrent_jobs <= max_concurrent
-    if max_slots:
-        assert report.peak_executor_slots <= max_slots
+    assert report.peak_executor_slots <= 8
     assert service.gateway.quota_violations() == []
     assert service.gateway.claimed_slots == 0
     # Every arrival reached a terminal state.
