@@ -345,9 +345,9 @@ class ChaosEngine:
         """Run many seeds; fan out over the parallel cell runner if asked.
 
         ``jobs > 1`` dispatches campaigns through
-        :func:`repro.experiments.parallel.run_cells` (process-pool fan-out
-        with the spec-hash cache); ``jobs == 1`` stays in-process, which is
-        what tests that monkeypatch runtime internals rely on.
+        :func:`repro.experiments.parallel.run_cells` (process-pool
+        fan-out); ``jobs == 1`` stays in-process, which is what tests that
+        monkeypatch runtime internals rely on.
         """
         seed_list = list(seeds)
         if jobs > 1:

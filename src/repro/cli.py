@@ -32,8 +32,8 @@ Commands
     quota/slot-conservation invariants (the CI service-smoke gate).
 
 Flag conventions: ``--out`` names the output file, ``--jobs`` fans cells
-across worker processes, ``--cache-dir`` caches cell results, ``--n-jobs``
-sizes the workload, ``--seed`` makes randomized workloads replayable.
+across worker processes, ``--n-jobs`` sizes the workload, ``--seed`` makes
+randomized workloads replayable.
 
 Host-time performance is measured by the benchmark in ``bench/``
 (``python3 bench/run.py``; see ``bench/README.md``), not by this CLI.
@@ -56,15 +56,11 @@ def _cmd_list(_: argparse.Namespace) -> int:
 
 
 def _apply_parallel_options(args: argparse.Namespace) -> None:
-    """Route ``--jobs``/``--cache-dir`` to the parallel cell harness."""
+    """Route ``--jobs`` to the parallel cell harness."""
     from .experiments import parallel
 
-    if getattr(args, "jobs_workers", None):
+    if args.jobs_workers:
         parallel.set_default_jobs(args.jobs_workers)
-    if getattr(args, "cache_dir", None):
-        import os
-
-        os.environ[parallel.CACHE_ENV] = args.cache_dir
 
 
 def _worker_count(text: str) -> int:
@@ -89,12 +85,7 @@ def _add_parallel_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--jobs", type=_worker_count, default=None, dest="jobs_workers", metavar="N",
         help="fan independent simulation cells across N worker processes "
-             "(results are identical to a serial run; default $REPRO_JOBS or 1)",
-    )
-    parser.add_argument(
-        "--cache-dir", default=None, metavar="DIR",
-        help="cache cell results on disk under DIR, keyed by spec hash "
-             "(default $REPRO_CACHE_DIR; unset = no disk cache)",
+             "(results are identical to a serial run; default 1)",
     )
 
 

@@ -10,13 +10,11 @@ from .ablations import (
 from . import plots
 from .figures import (
     FIG14_INJECTIONS,
-    PAPER,
     adaptive_shuffle_envelope,
     fig3_idle_ratio,
     fig8_trace_characteristics,
     fig9a_tpch,
     fig9b_q9_phases,
-    fig10_executor_timeseries,
     fig10_makespans,
     fig11_latency_cdf,
     fig12_shuffle_ablation,
@@ -42,9 +40,7 @@ __all__ = [
     "partitioning_ablation",
     "submission_order_ablation",
     "FIG14_INJECTIONS",
-    "PAPER",
     "adaptive_shuffle_envelope",
-    "fig10_executor_timeseries",
     "fig10_makespans",
     "fig11_latency_cdf",
     "fig12_shuffle_ablation",

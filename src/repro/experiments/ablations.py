@@ -83,7 +83,6 @@ def submission_order_ablation(query: int = 9) -> ExperimentResult:
 
 def heartbeat_interval_ablation(
     intervals: tuple[float, ...] = (1.0, 5.0, 15.0, 60.0),
-    n_failures: int = 4,
 ) -> ExperimentResult:
     """Failure-detection sensitivity: machine-crash recovery latency as a
     function of the heartbeat interval (Section IV-A's 5/10/15s trade-off)."""

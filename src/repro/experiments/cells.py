@@ -25,7 +25,6 @@ from ..core.partition import PARTITIONERS
 from ..core.policies import ExecutionPolicy, SubmissionOrder, swift_policy
 from ..core.runtime import JobResult
 from ..core.shuffle import ShuffleScheme
-from ..obs.tracer import RecordingTracer
 from ..sim.config import SimConfig
 from ..sim.failures import FailureKind, FailurePlan, FailureSpec, sample_trace_failures
 from ..workloads import terasort, tpch, traces
@@ -47,11 +46,9 @@ def _policy(name: str) -> ExecutionPolicy:
         raise ValueError(f"unknown policy {name!r}; known: {sorted(_POLICIES)}")
 
 
-def _run(
-    config: RuntimeConfig, workload: Job | list[Job], tracer: RecordingTracer | None = None
-) -> list[JobResult]:
+def _run(config: RuntimeConfig, workload: Job | list[Job]) -> list[JobResult]:
     """Run ``workload`` on a fresh :class:`Runtime` built from ``config``."""
-    runtime = Runtime(config, tracer=tracer)
+    runtime = Runtime(config)
     runtime.submit(workload)
     return runtime.run()
 
@@ -132,22 +129,14 @@ def terasort_cell(m: int, n: int) -> dict[str, float]:
 def trace_replay_cell(
     policy: str, n_jobs: int, mean_interarrival: float
 ) -> dict[str, object]:
-    """Full trace replay under one system: makespan, per-job latencies,
-    and the executor busy intervals that feed Fig. 10's time series.
-
-    The busy intervals are the run's task-attempt spans
-    (``RecordingTracer.task_intervals()``), the runtime's only record of
-    them; the determinism tests pin them in the runtime fingerprints.
-    """
+    """Full trace replay under one system: makespan and per-job latencies."""
     jobs = traces.generate_trace(
         traces.TraceConfig(n_jobs=n_jobs, mean_interarrival=mean_interarrival)
     )
-    tracer = RecordingTracer()
-    results = _run(RuntimeConfig(policy=_policy(policy)), jobs, tracer=tracer)
+    results = _run(RuntimeConfig(policy=_policy(policy)), jobs)
     return {
         "makespan": makespan(results),
         "latencies": {r.job_id: r.metrics.latency for r in results},
-        "busy_intervals": [list(interval) for interval in tracer.task_intervals()],
     }
 
 
@@ -334,8 +323,8 @@ def chaos_campaign_cell(
     """One chaos campaign: generate from ``seed``, inject, check, shrink.
 
     The cell regenerates everything from its kwargs (campaigns are a
-    deterministic function of seed/workload/profile), so the spec-hash
-    cache and process-pool fan-out both apply to chaos sweeps.
+    deterministic function of seed/workload/profile), so process-pool
+    fan-out applies to chaos sweeps.
     """
     from ..chaos import ChaosEngine
 

@@ -3,8 +3,10 @@
 Each ``figNN_*`` / ``table1_*`` function regenerates the corresponding
 result on the simulator and returns an
 :class:`~repro.experiments.harness.ExperimentResult` whose rows mirror the
-paper's rows/series.  ``PAPER`` holds the published values so benchmarks can
-print paper-vs-measured side by side.
+paper's rows/series.  A published number that a table prints as a column
+is defined once, next to the runner that prints it; every other claim is
+stated once, as its report section's ``paper_claim`` in
+:mod:`repro.experiments.reporting`.
 
 Every experiment is decomposed into independent cells (one simulation per
 policy/config/seed combination, defined in :mod:`repro.experiments.cells`)
@@ -21,7 +23,7 @@ import statistics
 from typing import Sequence
 
 from ..core.dag import Job
-from ..core.metrics import four_quartile_summary, normalized_cdf, utilization_series
+from ..core.metrics import four_quartile_summary, normalized_cdf
 from ..workloads import terasort, tpch, traces
 from .harness import ExperimentResult
 from .parallel import Cell, run_cells
@@ -34,48 +36,18 @@ _CELLS = "repro.experiments.cells"
 #: for any ``--jobs`` value.
 FIG8_RUNTIME_CHUNKS = 8
 
-#: Published values from the paper, used for paper-vs-measured reporting.
-PAPER: dict[str, object] = {
-    "fig3_idle_ratio_pct": (3.81, 13.15, 14.45, 14.92),
-    "fig8_avg_runtime_s": 30.0,
-    "fig8_frac_under_120s": 0.90,
-    "fig8_frac_tasks_le_80": 0.80,
-    "fig8_frac_stages_le_4": 0.80,
-    "fig9a_total_speedup": 2.11,
-    "fig9b_spark_launch_total_s": 71.0,
-    "fig9b_swift_shuffle_read_s": 8.92,
-    "fig9b_swift_shuffle_write_s": 9.61,
-    "fig9b_spark_shuffle_write_s": 137.8,
-    "fig9b_spark_shuffle_read_s": 133.9,
-    "table1": {(250, 250): (61, 19, 3.07), (500, 500): (103, 26, 3.96),
-               (1000, 1000): (233, 33, 7.06), (1500, 1500): (539, 38, 14.18)},
-    "fig10_jetscope_speedup": 2.44,
-    "fig10_bubble_speedup_over_jetscope": 1.98,
-    "fig10_bubble_over_swift": 1.23,
-    "fig11_jetscope_frac_ge_2x": 0.60,
-    "fig12": {
-        "small": {"direct": 1.00, "local": 1.04, "remote": 1.03},
-        "medium": {"direct": 1.25, "local": 1.038, "remote": 1.00},
-        "large": {"direct": 2.083, "local": 1.00, "remote": 1.479},
-    },
-    "fig14_swift_max_slowdown_pct": 10.0,
-    "fig15_restart_slowdown_pct": 45.0,
-    "fig15_swift_slowdown_pct": 5.0,
-    "fig16_executors": (10_000, 140_000),
-}
-
-
 # ----------------------------------------------------------------------
 # Fig. 3 — IdleRatio of four production clusters under gang scheduling
 # ----------------------------------------------------------------------
 
+#: Fig. 3's published IdleRatio (%) of clusters #1-#4.
+FIG3_PAPER_PCT = (3.81, 13.15, 14.45, 14.92)
+
+
 def fig3_idle_ratio(n_jobs: int = 150, n_machines: int = 100) -> ExperimentResult:
     """Mean task IdleRatio per cluster profile under whole-job gang
     scheduling (the four bars of Fig. 3)."""
-    result = ExperimentResult(
-        name="fig3_idle_ratio",
-        notes="paper: 3.81 / 13.15 / 14.45 / 14.92 % across clusters #1-#4",
-    )
+    result = ExperimentResult(name="fig3_idle_ratio")
     cells = [
         Cell(_CELLS, "fig3_profile_cell",
              {"profile": profile, "n_jobs": n_jobs, "n_machines": n_machines})
@@ -85,7 +57,7 @@ def fig3_idle_ratio(n_jobs: int = 150, n_machines: int = 100) -> ExperimentResul
         result.add(
             cluster=f"#{profile + 1}",
             idle_ratio_pct=pct,
-            paper_pct=PAPER["fig3_idle_ratio_pct"][profile],
+            paper_pct=FIG3_PAPER_PCT[profile],
         )
     return result
 
@@ -106,10 +78,7 @@ def fig8_trace_characteristics(n_jobs: int = 2000) -> ExperimentResult:
     runtimes = [t for chunk in payloads[1:] for t in chunk]
     runtimes.sort()
     frac_under_120 = sum(1 for r in runtimes if r <= 120.0) / len(runtimes)
-    result = ExperimentResult(
-        name="fig8_trace_characteristics",
-        notes="paper: avg 30s, >90% <=120s, >80% of jobs <=80 tasks and <=4 stages",
-    )
+    result = ExperimentResult(name="fig8_trace_characteristics")
     result.add(metric="avg_runtime_s", measured=statistics.mean(runtimes), paper=30.0)
     result.add(metric="frac_runtime_le_120s", measured=frac_under_120, paper=0.90)
     result.add(metric="frac_tasks_le_80", measured=stats["frac_tasks_le_80"], paper=0.80)
@@ -125,9 +94,7 @@ def fig9a_tpch(
     queries: Sequence[int] = tpch.ALL_QUERIES, scale: float = 1.0
 ) -> ExperimentResult:
     """Per-query execution time of Swift and Spark on TPC-H (Fig. 9(a))."""
-    result = ExperimentResult(
-        name="fig9a_tpch", notes="paper: total speedup 2.11x over Spark SQL 2.4.6"
-    )
+    result = ExperimentResult(name="fig9a_tpch")
     cells = [
         Cell(_CELLS, "tpch_query_cell", {"query": query, "scale": scale})
         for query in queries
@@ -146,13 +113,7 @@ def fig9a_tpch(
 
 def fig9b_q9_phases(scale: float = 1.0) -> ExperimentResult:
     """4-phase breakdown of Q9's critical stages (Fig. 9(b))."""
-    result = ExperimentResult(
-        name="fig9b_q9_phases",
-        notes=(
-            "paper: Spark launching >71s total; Swift SR 8.92s / SW 9.61s vs "
-            "Spark disk shuffle 137.8s / 133.9s"
-        ),
-    )
+    result = ExperimentResult(name="fig9b_q9_phases")
     swift_phases, spark_phases = run_cells([
         Cell(_CELLS, "q9_phase_cell", {"policy": "swift", "scale": scale}),
         Cell(_CELLS, "q9_phase_cell", {"policy": "spark", "scale": scale}),
@@ -173,22 +134,23 @@ def fig9b_q9_phases(scale: float = 1.0) -> ExperimentResult:
 # Table I — Terasort
 # ----------------------------------------------------------------------
 
+#: Table I's published Swift-over-Spark speedup per M x N size.
+TABLE1_PAPER_SPEEDUP = {(250, 250): 3.07, (500, 500): 3.96,
+                        (1000, 1000): 7.06, (1500, 1500): 14.18}
+
+
 def table1_terasort(
     sizes: Sequence[tuple[int, int]] = terasort.TABLE1_SIZES
 ) -> ExperimentResult:
     """Terasort M x N sweep, Spark vs Swift (Table I)."""
-    result = ExperimentResult(
-        name="table1_terasort",
-        notes="paper speedups: 3.07 / 3.96 / 7.06 / 14.18 as size grows",
-    )
+    result = ExperimentResult(name="table1_terasort")
     cells = [Cell(_CELLS, "terasort_cell", {"m": m, "n": n}) for m, n in sizes]
     for (m, n), payload in zip(sizes, run_cells(cells)):
         swift_t, spark_t = payload["swift_s"], payload["spark_s"]
-        paper = PAPER["table1"].get((m, n))  # type: ignore[union-attr]
         result.add(
             job_size=f"{m}x{n}", spark_s=spark_t, swift_s=swift_t,
             speedup=spark_t / swift_t,
-            paper_speedup=paper[2] if paper else float("nan"),
+            paper_speedup=TABLE1_PAPER_SPEEDUP.get((m, n), float("nan")),
         )
     return result
 
@@ -205,7 +167,7 @@ def _replay_three_systems(
 ) -> dict[str, dict[str, object]]:
     """Replay payloads per system; one cell each, so ``--jobs 3`` runs the
     three systems concurrently (the memory cache dedups repeat calls across
-    fig10/fig11 within one process, replacing the old module-level cache)."""
+    fig10/fig11 within one process)."""
     cells = [
         Cell(_CELLS, "trace_replay_cell",
              {"policy": name, "n_jobs": n_jobs,
@@ -213,36 +175,6 @@ def _replay_three_systems(
         for name in _REPLAY_SYSTEMS
     ]
     return dict(zip(_REPLAY_SYSTEMS, run_cells(cells)))
-
-
-def fig10_executor_timeseries(
-    n_jobs: int = 400, mean_interarrival: float = 0.08, step: float = 10.0
-) -> ExperimentResult:
-    """Running-executor counts over time for the three systems (Fig. 10)."""
-    replay = _replay_three_systems(n_jobs, mean_interarrival)
-    result = ExperimentResult(
-        name="fig10_executor_timeseries",
-        notes="paper: Swift 240s, Bubble 296s; 2.44x / 1.98x speedup over JetScope",
-    )
-    spans = {name: payload["makespan"] for name, payload in replay.items()}
-    horizon = max(spans.values())
-    series = {
-        name: utilization_series(payload["busy_intervals"], step, horizon)
-        for name, payload in replay.items()
-    }
-    n_points = len(next(iter(series.values())))
-    for i in range(n_points):
-        row: dict[str, object] = {"time_s": series["swift"][i].time}
-        for name in _REPLAY_SYSTEMS:
-            row[f"{name}_running"] = series[name][i].running_executors
-        result.add(**row)
-    result.add(
-        time_s="makespan",
-        swift_running=spans["swift"],
-        bubble_running=spans["bubble"],
-        jetscope_running=spans["jetscope"],
-    )
-    return result
 
 
 def fig10_makespans(
@@ -259,10 +191,7 @@ def fig11_latency_cdf(
     """CDF of job latency normalized to Swift (Fig. 11)."""
     replay = _replay_three_systems(n_jobs, mean_interarrival)
     swift_lat = replay["swift"]["latencies"]
-    result = ExperimentResult(
-        name="fig11_latency_cdf",
-        notes="paper: >60% of JetScope jobs at >=2x Swift latency; Bubble close to Swift",
-    )
+    result = ExperimentResult(name="fig11_latency_cdf")
     for name in ("bubble", "jetscope"):
         lat = replay[name]["latencies"]
         ordered = sorted(swift_lat)
@@ -284,6 +213,14 @@ def fig11_latency_cdf(
 # Fig. 12 — shuffle-scheme ablation by shuffle size class
 # ----------------------------------------------------------------------
 
+#: Fig. 12's published job times per class, normalized to Direct = 1.
+FIG12_PAPER = {
+    "small": {"direct": 1.00, "local": 1.04, "remote": 1.03},
+    "medium": {"direct": 1.25, "local": 1.038, "remote": 1.00},
+    "large": {"direct": 2.083, "local": 1.00, "remote": 1.479},
+}
+
+
 def fig12_shuffle_ablation(
     n_jobs: int = 10, n_machines: int = 200, executors_per_machine: int = 16
 ) -> ExperimentResult:
@@ -292,13 +229,7 @@ def fig12_shuffle_ablation(
     The paper replays each class with Direct, Local, and Remote Shuffle on
     the 2,000-node cluster; times are normalized to Direct = 1 per class.
     """
-    result = ExperimentResult(
-        name="fig12_shuffle_ablation",
-        notes=(
-            "paper best scheme: small->Direct, medium->Remote (Direct +25%), "
-            "large->Local (Direct +108.3%, Remote +47.9%)"
-        ),
-    )
+    result = ExperimentResult(name="fig12_shuffle_ablation")
     categories = ("small", "medium", "large")
     schemes = ("direct", "local", "remote")
     cells = [
@@ -313,7 +244,7 @@ def fig12_shuffle_ablation(
     for c, category in enumerate(categories):
         times = dict(zip(schemes, latencies[c * len(schemes):(c + 1) * len(schemes)]))
         base = times["direct"]
-        paper = PAPER["fig12"][category]  # type: ignore[index]
+        paper = FIG12_PAPER[category]
         result.add(
             shuffle_class=category,
             direct=times["direct"] / base,
@@ -399,10 +330,7 @@ def fig14_fault_injection(scale: float = 1.0) -> ExperimentResult:
     [baseline] = run_cells([
         Cell(_CELLS, "q13_runtime_cell", {"policy": "swift", "scale": scale})
     ])
-    result = ExperimentResult(
-        name="fig14_fault_injection",
-        notes="paper: Swift slowdown <10% for all injections; restart up to ~100%",
-    )
+    result = ExperimentResult(name="fig14_fault_injection")
     cells = [
         Cell(_CELLS, "fig14_injection_cell",
              {"policy": policy, "stage": stage, "fraction": fraction,
@@ -436,10 +364,7 @@ def fig15_trace_failures(
         Cell(_CELLS, "trace_base_latency_cell",
              {"n_jobs": n_jobs, "mean_interarrival": 0.3})
     ])
-    result = ExperimentResult(
-        name="fig15_trace_failures",
-        notes="paper: job restart +45% average slowdown; Swift fine-grained +5%",
-    )
+    result = ExperimentResult(name="fig15_trace_failures")
     cells = [
         Cell(_CELLS, "trace_failure_cell",
              {"policy": policy, "n_jobs": n_jobs, "mean_interarrival": 0.3,
@@ -503,10 +428,7 @@ def fig16_scalability(
     single job's critical path (the paper replays a large production
     workload), hence the default of thousands of short wide jobs.
     """
-    result = ExperimentResult(
-        name="fig16_scalability",
-        notes="paper: near-linear speedup from 10,000 to 140,000 executors",
-    )
+    result = ExperimentResult(name="fig16_scalability")
     cells = [
         Cell(_CELLS, "fig16_count_cell",
              {"count": count, "n_machines": n_machines, "n_jobs": n_jobs,

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 @dataclass
 class ExperimentResult:
-    """One experiment's output: rows of named values plus paper targets."""
+    """One experiment's output: rows of named values plus run notes."""
 
     name: str
     rows: list[dict[str, object]] = field(default_factory=list)
@@ -29,31 +29,3 @@ class ExperimentResult:
             indent=2,
             default=str,
         )
-
-    def save(self, path: str) -> None:
-        """Write the :meth:`to_json` document to ``path``."""
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(self.to_json())
-            handle.write("\n")
-
-    def format_table(self) -> str:
-        """Render the rows as an aligned text table."""
-        if not self.rows:
-            return f"[{self.name}] (no rows)"
-        keys = list(self.rows[0].keys())
-        widths = {
-            k: max(len(k), *(len(_fmt(row.get(k))) for row in self.rows)) for k in keys
-        }
-        header = "  ".join(k.ljust(widths[k]) for k in keys)
-        lines = [f"[{self.name}]", header, "  ".join("-" * widths[k] for k in keys)]
-        for row in self.rows:
-            lines.append("  ".join(_fmt(row.get(k)).ljust(widths[k]) for k in keys))
-        if self.notes:
-            lines.append(f"note: {self.notes}")
-        return "\n".join(lines)
-
-
-def _fmt(value: object) -> str:
-    if isinstance(value, float):
-        return f"{value:.2f}"
-    return str(value)

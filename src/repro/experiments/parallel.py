@@ -1,5 +1,5 @@
 """Parallel experiment harness: fan independent simulation cells across
-worker processes, with a spec-hashed result cache.
+worker processes, with a per-process result cache.
 
 Every paper experiment decomposes into independent *cells* — one
 (policy, configuration, seed) simulation whose result is a small JSON
@@ -15,16 +15,15 @@ Design rules that keep parallel runs byte-identical to serial ones:
 * The cell *decomposition* of an experiment is fixed — it never depends
   on how many workers execute it, so ``--jobs 1`` and ``--jobs 8``
   produce identical rows in identical order.
-* Every payload — fresh or cached — is normalised through a JSON
-  round-trip, so a result served from the cache is indistinguishable
-  from one computed in-process (tuples become lists either way).
+* Every payload is normalised through a JSON round-trip, so a result
+  computed in a worker process is indistinguishable from one computed
+  in-process (tuples become lists either way), and a payload that is not
+  plain JSON raises ``TypeError`` instead of reaching a table.
 
-The cache has two layers: a per-process memory cache (always on; repeat
-sections inside one report run are free) and an optional on-disk cache
-keyed by the spec hash, enabled by passing ``cache_dir`` or setting
-``REPRO_CACHE_DIR``.  Editing a cell function's inputs changes the hash,
-so stale entries are never served; editing its *code* requires clearing
-the directory (documented in EXPERIMENTS.md).
+The cache lives in process memory only and is keyed by the spec hash: a
+repeat cell inside one run (``fig11`` reusing ``fig10``'s replays, the
+heartbeat ablation reusing Fig. 14's baseline) is free, and a new process
+always recomputes, so an edit to the simulator can never be served stale.
 """
 
 from __future__ import annotations
@@ -37,10 +36,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Optional, Sequence
 
-#: Environment variable consulted for the default worker count.
-JOBS_ENV = "REPRO_JOBS"
-#: Environment variable enabling the on-disk result cache.
-CACHE_ENV = "REPRO_CACHE_DIR"
 #: Fewest uncached cells worth a process pool: below this, interpreter
 #: spin-up plus pickling costs about as much as just running the cell.
 MIN_CELLS_FOR_POOL = 2
@@ -85,16 +80,8 @@ def set_default_jobs(n: Optional[int]) -> None:
 
 
 def default_jobs() -> int:
-    """Resolve the effective worker count: explicit > $REPRO_JOBS > 1."""
-    if _default_jobs is not None:
-        return _default_jobs
-    env = os.environ.get(JOBS_ENV, "").strip()
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return 1
+    """The worker count set by :func:`set_default_jobs`, else 1."""
+    return _default_jobs if _default_jobs is not None else 1
 
 
 def _cpu_count() -> int:
@@ -125,13 +112,9 @@ def clear_memory_cache() -> None:
     _MEMORY_CACHE.clear()
 
 
-def _cache_dir(override: Optional[str]) -> Optional[str]:
-    return override if override is not None else os.environ.get(CACHE_ENV) or None
-
-
 def _normalize(payload: Any) -> Any:
-    """JSON round-trip so fresh and cached payloads are byte-identical."""
-    return json.loads(json.dumps(payload, default=str))
+    """JSON round-trip so pooled and in-process payloads are identical."""
+    return json.loads(json.dumps(payload))
 
 
 def _call_cell(module: str, func: str, kwargs: dict[str, Any]) -> Any:
@@ -143,32 +126,9 @@ def _call_cell(module: str, func: str, kwargs: dict[str, Any]) -> Any:
     return _normalize(target(**kwargs))
 
 
-def _disk_load(directory: str, key: str) -> Optional[Any]:
-    path = os.path.join(directory, f"{key}.json")
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            return json.load(handle)
-    except (OSError, ValueError):
-        return None
-
-
-def _disk_store(directory: str, key: str, payload: Any) -> None:
-    try:
-        os.makedirs(directory, exist_ok=True)
-        path = os.path.join(directory, f"{key}.json")
-        tmp = f"{path}.tmp.{os.getpid()}"
-        with open(tmp, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle)
-        os.replace(tmp, path)
-    except OSError:
-        # The cache is best-effort; a read-only directory must not fail a run.
-        pass
-
-
 def run_cells(
     cells: Sequence[Cell],
     jobs: Optional[int] = None,
-    cache_dir: Optional[str] = None,
 ) -> list[Any]:
     """Execute ``cells`` and return their payloads in submission order.
 
@@ -179,7 +139,6 @@ def run_cells(
     n_jobs = jobs if jobs is not None else default_jobs()
     if n_jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {n_jobs}")
-    directory = _cache_dir(cache_dir)
 
     results: list[Any] = [None] * len(cells)
     misses: list[int] = []
@@ -187,14 +146,8 @@ def run_cells(
         key = cell.key()
         if key in _MEMORY_CACHE:
             results[i] = _MEMORY_CACHE[key]
-            continue
-        if directory is not None:
-            payload = _disk_load(directory, key)
-            if payload is not None:
-                _MEMORY_CACHE[key] = payload
-                results[i] = payload
-                continue
-        misses.append(i)
+        else:
+            misses.append(i)
 
     if misses:
         mode, workers = execution_plan(len(misses), n_jobs)
@@ -211,15 +164,8 @@ def run_cells(
                 for i in misses
             ]
         for i, payload in zip(misses, fresh):
-            key = cells[i].key()
-            _MEMORY_CACHE[key] = payload
-            if directory is not None:
-                _disk_store(directory, key, payload)
+            _MEMORY_CACHE[cells[i].key()] = payload
             results[i] = payload
 
     return results
 
-
-def run_cell(cell: Cell, cache_dir: Optional[str] = None) -> Any:
-    """Execute one cell in-process (still consulting both caches)."""
-    return run_cells([cell], jobs=1, cache_dir=cache_dir)[0]

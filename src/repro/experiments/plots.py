@@ -25,24 +25,6 @@ def sparkline(values: Sequence[float], width: int = 60) -> str:
     )
 
 
-def bar_chart(
-    labels: Sequence[str], values: Sequence[float], width: int = 40,
-    unit: str = "",
-) -> str:
-    """Horizontal bar chart with aligned labels and values."""
-    if len(labels) != len(values):
-        raise ValueError("labels and values must be the same length")
-    if not labels:
-        return ""
-    peak = max(values) or 1.0
-    label_width = max(len(str(label)) for label in labels)
-    lines = []
-    for label, value in zip(labels, values):
-        bar = "#" * max(1, int(value / peak * width)) if value > 0 else ""
-        lines.append(f"{str(label):<{label_width}} |{bar:<{width}} {value:.2f}{unit}")
-    return "\n".join(lines)
-
-
 def xy_plot(
     xs: Sequence[float],
     series: dict[str, Sequence[float]],

@@ -177,10 +177,7 @@ def _sections() -> list[ReportSection]:
 
 def _fig10_summary(n_jobs: int) -> ExperimentResult:
     spans = figures.fig10_makespans(n_jobs=n_jobs)
-    result = ExperimentResult(
-        name="fig10_makespans",
-        notes="paper: Swift 240s, Bubble 296s; 2.44x / 1.98x over JetScope",
-    )
+    result = ExperimentResult(name="fig10_makespans")
     for name in ("swift", "bubble", "jetscope"):
         result.add(
             system=name,
@@ -509,19 +506,7 @@ def build_report(echo: Callable[[str], None] | None = None) -> tuple[str, list[s
         "Every experiment fans its independent simulation cells through "
         "`repro.experiments.parallel`: pass `--jobs N` to `python -m repro "
         "report` / `experiment` to use N worker processes (results are "
-        "byte-identical to a serial run).  Cell results are memoized by a "
-        "hash of their full spec; set `--cache-dir DIR` or "
-        "`$REPRO_CACHE_DIR` to persist the cache on disk.  Changing any "
-        "cell input changes the hash (stale entries are never served); "
-        "after editing simulator *code*, delete the cache directory to "
-        "invalidate it.",
-        "",
-        "Figures that consume per-task data (e.g. Fig. 10's executor "
-        "time series) read the run's structured trace records rather than "
-        "private runtime state: any figure can be regenerated from an "
-        "exported trace (`python -m repro trace <experiment> --format "
-        "jsonl`, then `repro.obs.read_jsonl`).  See README's "
-        "Observability section.",
+        "byte-identical to a serial run).",
         "",
         "Host-time performance lives outside this report, in one "
         "benchmark: `python3 bench/run.py` runs five seeded workloads "

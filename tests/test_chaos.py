@@ -57,6 +57,20 @@ def test_sweep_is_deterministic():
     assert first.to_dict() == second.to_dict()
 
 
+def test_process_pool_sweep_matches_serial(monkeypatch):
+    from repro.experiments import parallel
+
+    # Two CPUs even on a one-CPU host, so jobs=2 takes the pool path.
+    monkeypatch.setattr(parallel, "_cpu_count", lambda: 2)
+    parallel.clear_memory_cache()
+    engine = ChaosEngine("terasort", "standard")
+    serial = engine.sweep(range(3), jobs=1, shrink=False)
+    pooled = engine.sweep(range(3), jobs=2, shrink=False)
+    parallel.clear_memory_cache()
+    assert parallel.execution_plan(3, jobs=2) == ("process-pool", 2)
+    assert pooled.to_dict() == serial.to_dict()
+
+
 def test_campaigns_degrade_but_recover():
     """Campaigns with destructive events finish slower than the baseline."""
     engine = ChaosEngine("terasort", "standard")

@@ -164,6 +164,15 @@ def test_maybe_plot_noop_for_other_results(capsys):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("command", (["experiment", "fig13"], ["report"], ["chaos"]))
+def test_worker_count_is_the_only_harness_option(command):
+    parser = build_parser()
+    assert parser.parse_args([*command, "--jobs", "2"]).jobs_workers == 2
+    # Cell results are cached in process memory only.
+    with pytest.raises(SystemExit):
+        parser.parse_args([*command, "--cache-dir", "cache"])
+
+
 def test_experiment_json_output(capsys):
     import json
 

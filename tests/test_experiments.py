@@ -25,20 +25,6 @@ def run_single(policy, job):
     return result
 
 
-def test_experiment_result_table_formatting():
-    result = ExperimentResult(name="demo", notes="hello")
-    result.add(a=1, b=2.5)
-    result.add(a=10, b=0.25)
-    text = result.format_table()
-    assert "demo" in text and "hello" in text
-    assert "10" in text and "2.50" in text
-    assert result.column("a") == [1, 10]
-
-
-def test_empty_result_formats():
-    assert "(no rows)" in ExperimentResult(name="empty").format_table()
-
-
 def test_runtime_config_defaults_to_paper_testbed():
     config = RuntimeConfig()
     assert (config.n_machines, config.executors_per_machine) == (100, 32)

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import json
-
 import pytest
 
 from repro.experiments import parallel
@@ -12,7 +10,6 @@ from repro.experiments.parallel import (
     clear_memory_cache,
     default_jobs,
     execution_plan,
-    run_cell,
     run_cells,
     set_default_jobs,
 )
@@ -51,47 +48,44 @@ def test_run_cells_parallel_matches_serial():
     assert run_cells(cells, jobs=3) == serial
 
 
-def test_memory_cache_serves_repeat_calls():
+def test_memory_cache_serves_repeat_calls(monkeypatch):
     cell = _echo_cell("cached")
-    assert run_cell(cell) == '"cached"'
-    # A second call must not re-execute: poison the function name and rely
-    # on the cache (a miss would raise AttributeError).
-    poisoned = Cell("json", "dumps", {"obj": "cached"})
-    assert poisoned.key() == cell.key()
-    assert run_cell(poisoned) == '"cached"'
+    assert run_cells([cell]) == ['"cached"']
+    # A second call must not re-execute: a miss would call the poisoned
+    # entry point and raise.
+    def poisoned(*args):
+        raise AssertionError("cache miss")
+
+    monkeypatch.setattr(parallel, "_call_cell", poisoned)
+    assert run_cells([cell]) == ['"cached"']
 
 
-def test_disk_cache_round_trip(tmp_path):
-    cell = _echo_cell({"x": 1})
-    first = run_cells([cell], cache_dir=str(tmp_path))[0]
-    entries = list(tmp_path.iterdir())
-    assert len(entries) == 1
-    assert json.load(open(entries[0])) == first
-    # A fresh process would miss the memory cache; simulate by clearing it.
+def test_normalization_makes_fresh_equal_cached(monkeypatch):
+    # terasort_cell returns floats; a payload computed fresh in a worker
+    # process must equal the cached in-process one bit for bit.
+    monkeypatch.setattr(parallel, "_cpu_count", lambda: 2)
+    cells = [
+        Cell("repro.experiments.cells", "terasort_cell", {"m": m, "n": m})
+        for m in (10, 12)
+    ]
+    serial = run_cells(cells, jobs=1)
     clear_memory_cache()
-    assert run_cells([cell], cache_dir=str(tmp_path))[0] == first
+    assert run_cells(cells, jobs=2) == serial
+    assert isinstance(serial[0]["swift_s"], float)
 
 
-def test_normalization_makes_fresh_equal_cached(tmp_path):
-    # terasort_cell returns floats; the payload must survive the disk
-    # round-trip bit-for-bit so cached reruns reproduce fresh runs.
-    cell = Cell("repro.experiments.cells", "terasort_cell", {"m": 10, "n": 10})
-    fresh = run_cells([cell], cache_dir=str(tmp_path))[0]
-    clear_memory_cache()
-    cached = run_cells([cell], cache_dir=str(tmp_path))[0]
-    assert cached == fresh
-    assert isinstance(fresh["swift_s"], float)
+def test_non_json_payload_raises():
+    with pytest.raises(TypeError):
+        run_cells([Cell("builtins", "object", {})])
 
 
 def test_default_jobs_resolution(monkeypatch):
-    monkeypatch.delenv("REPRO_JOBS", raising=False)
-    assert default_jobs() == 1
     monkeypatch.setenv("REPRO_JOBS", "4")
-    assert default_jobs() == 4
-    monkeypatch.setenv("REPRO_JOBS", "not-a-number")
-    assert default_jobs() == 1
+    assert default_jobs() == 1  # the environment is not a second route
     set_default_jobs(2)
     assert default_jobs() == 2
+    set_default_jobs(None)
+    assert default_jobs() == 1
 
 
 def test_invalid_jobs_rejected():
@@ -99,12 +93,6 @@ def test_invalid_jobs_rejected():
         set_default_jobs(0)
     with pytest.raises(ValueError):
         run_cells([_echo_cell(1)], jobs=0)
-
-
-def test_cache_env_enables_disk_cache(monkeypatch, tmp_path):
-    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-    run_cell(_echo_cell("via-env"))
-    assert len(list(tmp_path.iterdir())) == 1
 
 
 def test_execution_plan_fans_out_with_cpus(monkeypatch):

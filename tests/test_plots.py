@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments.plots import bar_chart, sparkline, xy_plot
+from repro.experiments.plots import sparkline, xy_plot
 
 
 def test_sparkline_basic():
@@ -20,21 +20,6 @@ def test_sparkline_empty_and_flat():
 
 def test_sparkline_downsamples():
     assert len(sparkline(list(range(1000)), width=50)) <= 50
-
-
-def test_bar_chart_alignment():
-    chart = bar_chart(["a", "bb"], [1.0, 2.0], width=10, unit="s")
-    lines = chart.splitlines()
-    assert len(lines) == 2
-    assert lines[1].count("#") == 10
-    assert lines[0].count("#") == 5
-    assert "1.00s" in lines[0]
-
-
-def test_bar_chart_validation():
-    with pytest.raises(ValueError):
-        bar_chart(["a"], [1.0, 2.0])
-    assert bar_chart([], []) == ""
 
 
 def test_xy_plot_contains_markers_and_legend():
