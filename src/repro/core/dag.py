@@ -10,6 +10,7 @@ operators (see :mod:`repro.core.operators`) unless explicitly overridden.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional
 
@@ -24,6 +25,14 @@ class EdgeMode(enum.Enum):
 
 class DAGValidationError(ValueError):
     """Raised when a job DAG is structurally invalid."""
+
+
+def _is_amount(value: float) -> bool:
+    """True for a finite real number >= 0 (``bool`` excluded)."""
+    try:
+        return 0 <= value < math.inf and value.__class__ is not bool
+    except TypeError:  # not a number at all, e.g. "4" or None
+        return False
 
 
 @dataclass
@@ -55,18 +64,23 @@ class Stage:
     def __post_init__(self) -> None:
         if not self.name:
             raise DAGValidationError("stage name must be non-empty")
-        if self.task_count < 1:
-            raise DAGValidationError(f"stage {self.name}: task_count must be >= 1")
+        count = self.task_count
+        if count.__class__ is not int or count < 1:
+            raise DAGValidationError(
+                f"stage {self.name}: task_count must be an int >= 1, got {count!r}"
+            )
+        work = self.work_seconds_per_task
         for value, label in (
             (self.scan_bytes_per_task, "scan_bytes_per_task"),
             (self.output_bytes_per_task, "output_bytes_per_task"),
+            # None means "derive it from the input volume".
+            (0.0 if work is None else work, "work_seconds_per_task"),
         ):
-            if value < 0:
-                raise DAGValidationError(f"stage {self.name}: {label} must be >= 0")
-        if self.work_seconds_per_task is not None and self.work_seconds_per_task < 0:
-            raise DAGValidationError(
-                f"stage {self.name}: work_seconds_per_task must be >= 0"
-            )
+            if not _is_amount(value):
+                raise DAGValidationError(
+                    f"stage {self.name}: {label} must be a finite number >= 0,"
+                    f" got {value!r}"
+                )
 
     @property
     def is_blocking(self) -> bool:
@@ -100,8 +114,11 @@ class Edge:
     def __post_init__(self) -> None:
         if self.src == self.dst:
             raise DAGValidationError(f"self-edge on stage {self.src}")
-        if self.bytes_override is not None and self.bytes_override < 0:
-            raise DAGValidationError("bytes_override must be >= 0")
+        if self.bytes_override is not None and not _is_amount(self.bytes_override):
+            raise DAGValidationError(
+                f"edge {self.src}->{self.dst}: bytes_override must be a finite"
+                f" number >= 0, got {self.bytes_override!r}"
+            )
 
 
 class JobDAG:

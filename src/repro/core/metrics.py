@@ -205,7 +205,10 @@ def utilization_series(
     horizon: float,
 ) -> list[UtilizationSample]:
     """Build a running-executor count time series from (start, end) busy
-    intervals, sampled every ``step`` seconds up to ``horizon``."""
+    intervals, sampled every ``step`` seconds up to ``horizon``.
+
+    Sample ``i`` is at ``i * step``, not at a running sum of steps, so a
+    step such as 0.1 does not drift off the grid."""
     if step <= 0:
         raise ValueError("step must be positive")
     events: list[tuple[float, int]] = []
@@ -218,13 +221,15 @@ def utilization_series(
     samples: list[UtilizationSample] = []
     running = 0
     cursor = 0
+    i = 0
     t = 0.0
     while t <= horizon + 1e-9:
         while cursor < len(events) and events[cursor][0] <= t:
             running += events[cursor][1]
             cursor += 1
         samples.append(UtilizationSample(time=t, running_executors=running))
-        t += step
+        i += 1
+        t = i * step
     return samples
 
 

@@ -127,10 +127,10 @@ class StageRun:
     def __init__(self, job_run: "JobRun", stage_name: str, unit_id: int) -> None:
         self.job_run = job_run
         self.stage = job_run.dag.stage(stage_name)
+        #: The stage name.
+        self.name = stage_name
         self.unit_id = unit_id
-        self.instances = [
-            TaskInstance(stage_run=self, index=i) for i in range(self.stage.task_count)
-        ]
+        self.instances = [TaskInstance(self, i) for i in range(self.stage.task_count)]
         self.prepared = False
         self.computed = False
         self.completed = False
@@ -150,14 +150,9 @@ class StageRun:
         self.first_output = math.inf
         self.earliest_read_done = math.inf
 
-    @property
-    def name(self) -> str:
-        """The stage name."""
-        return self.stage.name
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
-            f"<StageRun {self.job_run.job.job_id}/{self.name} "
+            f"<StageRun {self.job_run.job_id}/{self.name} "
             f"{self.n_finalized}/{len(self.instances)}>"
         )
 
@@ -169,8 +164,7 @@ class UnitRun:
         self.job_run = job_run
         self.graphlet_id = graphlet_id
         # Keep unit stages in DAG topological order for deterministic compute.
-        topo_index = {name: i for i, name in enumerate(job_run.dag.topo_order())}
-        self.stage_names = sorted(stage_names, key=lambda n: topo_index[n])
+        self.stage_names = sorted(stage_names, key=job_run.topo_index.__getitem__)
         self.state = UnitState.PENDING
         self.request: Optional[ReqItem] = None
 
@@ -217,6 +211,10 @@ class JobRun:
     ) -> None:
         self.job = job
         self.dag: JobDAG = job.dag
+        #: ``job.job_id``, read once per job instead of once per task.
+        self.job_id = job.job_id
+        #: Position of each stage in the DAG's topological order.
+        self.topo_index = {name: i for i, name in enumerate(self.dag.topo_order())}
         self.graphlets = graphlets
         self.metrics = metrics
         self.attempt = attempt
@@ -351,8 +349,8 @@ class SwiftRuntime:
     def submit_all(self, jobs: list[Job]) -> None:
         """Queue a batch of jobs at their respective submit times.
 
-        Large workloads (paper-scale replays) enter the event kernel in one
-        ``schedule_batch`` call instead of per-job heap pushes.
+        One ``schedule_batch`` call: every submit time is checked before any
+        job is queued, so a batch with a job in the past queues none of it.
         """
         self._check_not_drained()
         now = self.sim.now
@@ -498,7 +496,7 @@ class SwiftRuntime:
             if self.tracer.enabled:
                 self.tracer.instant(
                     Category.UNIT, "unit.requested", self.sim.now,
-                    job_run.job.job_id, scope=f"unit{unit.graphlet_id}",
+                    job_run.job_id, scope=f"unit{unit.graphlet_id}",
                     executors=n,
                 )
         self._pump_scheduler()
@@ -570,7 +568,7 @@ class SwiftRuntime:
         if self.tracer.enabled:
             self.tracer.instant(
                 Category.UNIT, "unit.granted", self.sim.now,
-                job_run.job.job_id, scope=f"unit{unit.graphlet_id}",
+                job_run.job_id, scope=f"unit{unit.graphlet_id}",
                 executors=len(grant.executors),
             )
         if self.policy.submission == SubmissionOrder.EAGER:
@@ -616,7 +614,7 @@ class SwiftRuntime:
         dispatched = TaskState.DISPATCHED
         plan_cached = self.admin.plan_cached
         stats = self.admin.stats
-        job_id = job_run.job.job_id
+        job_id = job_run.job_id
         last_sr = None
         for inst, executor, arrive in zip(batch, executors, times):
             executor.current_task = inst
@@ -713,7 +711,7 @@ class SwiftRuntime:
                 if self.tracer.enabled:
                     self.tracer.instant(
                         Category.SHUFFLE, "shuffle.mode_switch", self.sim.now,
-                        job_run.job.job_id, scope=edge_key,
+                        job_run.job_id, scope=edge_key,
                         scheme=decision.scheme.value,
                         static_scheme=decision.static_scheme.value,
                         reason=decision.reason,
@@ -783,7 +781,7 @@ class SwiftRuntime:
                 if self.tracer.enabled:
                     self.tracer.instant(
                         Category.SHUFFLE, "shuffle.scheme", self.sim.now,
-                        job_run.job.job_id, scope=edge_key,
+                        job_run.job_id, scope=edge_key,
                         scheme=cost.scheme.value, size=m * n,
                         bytes=dag.edge_bytes(edge), cross_unit=cross,
                         connections=cost.connections,
@@ -809,7 +807,7 @@ class SwiftRuntime:
             if self.tracer.enabled:
                 self.tracer.instant(
                     Category.SHUFFLE, "shuffle.merge", self.sim.now,
-                    job_run.job.job_id, scope=sr.name,
+                    job_run.job_id, scope=sr.name,
                     edges=len(merged.edges), bytes=merged.total_bytes,
                     m=merged.m, n=merged.n, connections=cost.connections,
                 )
@@ -855,7 +853,7 @@ class SwiftRuntime:
         """
         delay = 0.0
         key = f"{edge.src}->{edge.dst}"
-        job_id = job_run.job.job_id
+        job_id = job_run.job_id
         groups = job_run.edge_cw_machines.get(key, ())
         for group in groups:
             for machine_id in group:
@@ -888,7 +886,7 @@ class SwiftRuntime:
         """
         work = self._work_seconds(sr)
         flush = self.config.pipeline_flush_latency
-        uniform = self.sim.rng.uniform
+        random = self.sim.rng.random
         read = sr.scan_read + sr.read_cost
         write = sr.write_cost
         barrier = sr.barrier_avail
@@ -906,7 +904,9 @@ class SwiftRuntime:
         for inst in sr.instances:
             if inst.state is not dispatched or inst.finish_time != inf or inst.executor is None:
                 continue
-            proc = work * (1.0 + uniform(0.0, 0.06))
+            # CPython's uniform(0.0, 0.06) is 0.0 + (0.06 - 0.0) * random():
+            # the same float from the same stream, without the extra frame.
+            proc = work * (1.0 + 0.06 * random())
             inst.proc = proc
             inst.read = read
             inst.write = write
@@ -982,31 +982,27 @@ class SwiftRuntime:
         ``core.runtime.flush_finishes``.
         """
         sr = inst.stage_run
-        job_id = sr.job_run.job.job_id
+        job_run = sr.job_run
         finish = inst.finish_time
-        sr.job_run.metrics.tasks.append(
+        data_arrive = inst.data_arrive
+        # Positional, in TaskTiming field order; data_arrive is
+        # min(data_arrive, finish).
+        job_run.metrics.tasks.append(
             TaskTiming(
-                job_id=job_id,
-                stage=sr.name,
-                index=inst.index,
-                attempt=inst.attempt,
-                plan_arrive=inst.plan_arrive,
-                data_arrive=min(inst.data_arrive, finish),
-                finish=finish,
-                launch_time=inst.launch,
-                shuffle_read_time=inst.read,
-                processing_time=inst.proc,
-                shuffle_write_time=inst.write,
+                job_run.job_id, sr.name, inst.index, inst.attempt, inst.plan_arrive,
+                finish if finish < data_arrive else data_arrive, finish,
+                inst.launch, inst.read, inst.proc, inst.write,
             )
         )
         if self.tracer.enabled:
             self.tracer.task_span(
-                sr.name, job_id, inst.index, inst.attempt,
-                inst.plan_arrive, inst.data_arrive, finish,
+                sr.name, job_run.job_id, inst.index, inst.attempt,
+                inst.plan_arrive, data_arrive, finish,
                 inst.launch, inst.read, inst.proc, inst.write,
             )
-        if inst.executor is not None:
-            inst.executor.release()
+        executor = inst.executor
+        if executor is not None:
+            executor.release()
             inst.executor = None
 
     # ------------------------------------------------------------------
@@ -1025,7 +1021,7 @@ class SwiftRuntime:
             )
             self.tracer.span(
                 Category.STAGE, sr.name, start, self.sim.now - start,
-                job_run.job.job_id,
+                job_run.job_id,
                 scope=f"unit{job_run.units[sr.unit_id].graphlet_id}",
                 tasks=len(sr.instances),
             )
@@ -1036,7 +1032,7 @@ class SwiftRuntime:
             # Cheap checkpoint: the connection shadow must agree right after
             # every stage's release (cache/executor checks run at teardown).
             self.ledger.reconcile_network(
-                self.cluster.network, f"stage:{job_run.job.job_id}/{sr.name}"
+                self.cluster.network, f"stage:{job_run.job_id}/{sr.name}"
             )
         self._store_cross_unit_outputs(sr)
         self._consume_cross_unit_inputs(sr)
@@ -1055,7 +1051,7 @@ class SwiftRuntime:
             if self.tracer.enabled:
                 self.tracer.instant(
                     Category.UNIT, "unit.completed", self.sim.now,
-                    job_run.job.job_id, scope=f"unit{unit.graphlet_id}",
+                    job_run.job_id, scope=f"unit{unit.graphlet_id}",
                 )
             if all(u.state == UnitState.DONE for u in job_run.units.values()):
                 self._on_job_completed(job_run)
@@ -1094,7 +1090,7 @@ class SwiftRuntime:
             )
             spill_delay = 0.0
             n_replicas = 0
-            job_id = job_run.job.job_id
+            job_id = job_run.job_id
             job_run.edge_cw_machines[key] = [
                 [mm.machine_id for mm in group] for group in groups
             ]
@@ -1152,10 +1148,10 @@ class SwiftRuntime:
                 for machine_id in group:
                     worker: CacheWorker = self.cluster.machines[machine_id].cache_worker  # type: ignore[assignment]
                     if worker is not None:
-                        entry = worker.entry(job_run.job.job_id, key)
+                        entry = worker.entry(job_run.job_id, key)
                         if entry is not None:
                             entry.pending_consumers = 1
-                            worker.consume(job_run.job.job_id, key)
+                            worker.consume(job_run.job_id, key)
 
     def _on_job_completed(self, job_run: JobRun) -> None:
         job_run.done = True
@@ -1163,8 +1159,8 @@ class SwiftRuntime:
         if self.tracer.enabled:
             metrics = job_run.metrics
             self.tracer.span(
-                Category.JOB, job_run.job.job_id, metrics.submit_time,
-                metrics.latency, job_run.job.job_id,
+                Category.JOB, job_run.job_id, metrics.submit_time,
+                metrics.latency, job_run.job_id,
                 attempts=job_run.attempt + 1,
                 failures=metrics.failures,
                 restarts=metrics.restarts,
@@ -1172,12 +1168,12 @@ class SwiftRuntime:
         self._release_cache_workers(job_run)
         if self.ledger is not None:
             self.ledger.reconcile(
-                self.cluster, f"job:{job_run.job.job_id}:completed",
+                self.cluster, f"job:{job_run.job_id}:completed",
                 touched_only=True,
             )
         self.results.append(
             JobResult(
-                job_id=job_run.job.job_id,
+                job_id=job_run.job_id,
                 policy_name=self.policy.name,
                 metrics=job_run.metrics,
                 completed=True,
@@ -1466,19 +1462,19 @@ class SwiftRuntime:
         job_run.failed = True
         if self.tracer.enabled:
             self.tracer.instant(
-                Category.JOB, "job.failed", self.sim.now, job_run.job.job_id,
+                Category.JOB, "job.failed", self.sim.now, job_run.job_id,
                 attempt=job_run.attempt, reason=reason,
             )
         self._release_job_resources(job_run)
         if self.ledger is not None:
             self.ledger.reconcile(
-                self.cluster, f"job:{job_run.job.job_id}:failed",
+                self.cluster, f"job:{job_run.job_id}:failed",
                 touched_only=True,
             )
         job_run.metrics.finish_time = self.sim.now
         self.results.append(
             JobResult(
-                job_id=job_run.job.job_id,
+                job_id=job_run.job_id,
                 policy_name=self.policy.name,
                 metrics=job_run.metrics,
                 completed=False,
@@ -1492,7 +1488,7 @@ class SwiftRuntime:
     def _release_cache_workers(self, job_run: JobRun) -> None:
         """Drop all Cache Worker entries and per-edge state an attempt left
         behind."""
-        job_id = job_run.job.job_id
+        job_id = job_run.job_id
         for machine_id in job_run.cw_machines:
             worker: CacheWorker = self.cluster.machines[machine_id].cache_worker  # type: ignore[assignment]
             if worker is not None:
@@ -1503,7 +1499,7 @@ class SwiftRuntime:
         job_run.edge_extra_delay.clear()
 
     def _release_job_resources(self, job_run: JobRun) -> None:
-        for item in self.scheduler.cancel_job(job_run.job.job_id):
+        for item in self.scheduler.cancel_job(job_run.job_id):
             self._waiting_reruns.pop(item.request_id, None)
         trace_on = self.tracer.enabled
         for sr in job_run.stage_runs.values():
@@ -1517,7 +1513,7 @@ class SwiftRuntime:
                         f"{sr.name}[{inst.index}].aborted",
                         inst.plan_arrive,
                         self.sim.now - inst.plan_arrive,
-                        job_run.job.job_id,
+                        job_run.job_id,
                         scope=sr.name,
                         finish=self.sim.now,
                         attempt=inst.attempt,
@@ -1539,10 +1535,10 @@ class SwiftRuntime:
         if self.tracer.enabled:
             self.tracer.instant(
                 Category.RECOVERY, "recovery.job_restart", self.sim.now,
-                job_run.job.job_id, attempt=job_run.attempt + 1,
+                job_run.job_id, attempt=job_run.attempt + 1,
             )
             self.tracer.count("job_restarts_executed")
-        self.admin.drop_job_plans(job_run.job.job_id)
+        self.admin.drop_job_plans(job_run.job_id)
         self._release_job_resources(job_run)
         self._on_job_submitted(job_run.job, job_run.attempt + 1)
 
@@ -1587,7 +1583,7 @@ class SwiftRuntime:
             if self.tracer.enabled:
                 self.tracer.instant(
                     Category.RECOVERY, "recovery.noop", self.sim.now,
-                    job_run.job.job_id, scope=sr.name,
+                    job_run.job_id, scope=sr.name,
                     task=inst.index, case=decision.case.value,
                 )
             return
@@ -1610,7 +1606,7 @@ class SwiftRuntime:
         if self.tracer.enabled:
             self.tracer.instant(
                 Category.RECOVERY, "recovery.rerun", self.sim.now,
-                job_run.job.job_id, scope=sr.name,
+                job_run.job_id, scope=sr.name,
                 task=inst.index, case=decision.case.value,
                 resend_delay=resend_delay,
                 rerun_stages=len(decision.rerun_stages),
@@ -1735,7 +1731,7 @@ class SwiftRuntime:
         relaunch = inst.launch + backoff
         # Recovery re-dispatches a cached plan (Plan Handler hit); only a
         # never-before-dispatched task pays plan generation again.
-        if not self.admin.plan_cached(sr.job_run.job.job_id, sr.name):
+        if not self.admin.plan_cached(sr.job_run.job_id, sr.name):
             relaunch += self.config.admin.event_processing_time
         if inst.executor is not None:
             self._start_rerun(inst, not_before, relaunch, then)

@@ -83,10 +83,25 @@ class Executor:
         self._transition(ExecutorState.RUNNING)
 
     def release(self) -> None:
-        """Return the executor to the idle pool."""
+        """Return the executor to the idle pool.
+
+        Every task finish comes here, so the move to IDLE keeps the
+        machine's idle count and free stack and the cluster's dirty set and
+        free count itself, as :meth:`_transition` would, in one frame.
+        """
         self.current_task = None
-        if self.state != ExecutorState.REVOKED:
-            self._transition(ExecutorState.IDLE)
+        state = self.state
+        if state is ExecutorState.IDLE or state is ExecutorState.REVOKED:
+            return
+        self.state = ExecutorState.IDLE
+        machine = self.machine
+        machine.idle_count += 1
+        machine._free_stack.append(self)
+        cluster = machine._cluster
+        if cluster is not None:
+            cluster._dirty.add(machine)
+            if machine.state is MachineState.HEALTHY:
+                cluster._free_count += 1
 
     def relaunch(self) -> None:
         """Simulate a process restart: new PID, back to idle."""
@@ -204,9 +219,9 @@ class Cluster:
 
     The cluster keeps its schedulable machines in a *load index* ordered by
     ``(load(), machine_id)``: one bucket per exact load value, each holding
-    its machines sorted by id.  Idle-count and health transitions only mark
-    the machine dirty (one set add); the next index query re-files the dirty
-    machines.  A grant or a locality pick therefore reads the machines it
+    the sorted ids of its machines.  Idle-count and health transitions only
+    mark the machine dirty (one set add); the next index query re-files the
+    dirty machines.  A grant or a locality pick therefore reads the machines it
     takes plus the ones that changed since the last query, never the whole
     cluster.
     """
@@ -240,9 +255,9 @@ class Cluster:
         #: Cache of :meth:`schedulable_machines`, invalidated by the
         #: ``mark_*`` health transitions.  Callers must not mutate it.
         self._schedulable_cache: Optional[list[Machine]] = None
-        #: Load index: load -> ``(machine_id, machine)`` pairs sorted by id,
-        #: and the sorted loads that have a bucket.  Built on first query.
-        self._buckets: Optional[dict[float, list[tuple[int, Machine]]]] = None
+        #: Load index: load -> sorted machine ids, and the sorted loads that
+        #: have a bucket.  Built on first query.
+        self._buckets: Optional[dict[float, list[int]]] = None
         self._loads: list[float] = []
         #: Machines whose idle count or health changed since the index last
         #: re-filed them.
@@ -311,9 +326,11 @@ class Cluster:
         iterator is in use.
         """
         buckets = self._refile()
+        machines = self.machines
+        index_of = self._index_of
         for load in self._loads:
-            for _, machine in buckets[load]:
-                yield machine
+            for machine_id in buckets[load]:
+                yield machines[index_of[machine_id]]
 
     def take_touched(self, owner: object) -> Optional[set[Machine]]:
         """Machines whose idle count or health changed since ``owner``'s
@@ -337,7 +354,7 @@ class Cluster:
         self._schedulable_cache = None
         self._dirty.add(machine)
 
-    def _refile(self) -> dict[float, list[tuple[int, Machine]]]:
+    def _refile(self) -> dict[float, list[int]]:
         """Bring the load index up to date with the dirty machines and
         return its buckets."""
         buckets = self._buckets
@@ -361,7 +378,7 @@ class Cluster:
             key = machine.machine_id
             if old is not None:
                 bucket = buckets[old]
-                del bucket[bisect_left(bucket, (key,))]
+                del bucket[bisect_left(bucket, key)]
                 if not bucket:
                     del buckets[old]
                     del loads[bisect_left(loads, old)]
@@ -370,20 +387,20 @@ class Cluster:
                 if bucket is None:
                     bucket = buckets[new] = []
                     insort(loads, new)
-                insort(bucket, (key, machine))
+                insort(bucket, key)
             machine._filed_load = new
         if self._touched is not None:
             self._touched |= dirty
         dirty.clear()
         return buckets
 
-    def _build_index(self) -> dict[float, list[tuple[int, Machine]]]:
+    def _build_index(self) -> dict[float, list[int]]:
         """File every schedulable machine in one pass (first query)."""
-        buckets: dict[float, list[tuple[int, Machine]]] = {}
+        buckets: dict[float, list[int]] = {}
         for machine in self.machines:
             if machine.accepts_tasks:
                 load = machine.load()
-                buckets.setdefault(load, []).append((machine.machine_id, machine))
+                buckets.setdefault(load, []).append(machine.machine_id)
                 machine._filed_load = load
             else:
                 machine._filed_load = None

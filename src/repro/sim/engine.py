@@ -134,7 +134,7 @@ class Simulator:
         """Schedule ``callback(*args)`` to run ``delay`` seconds from now."""
         if not delay >= 0:
             raise ValueError(f"cannot schedule into the past (delay={delay})")
-        return self._push(self._now + delay, priority, callback, args)
+        return self.schedule_at(self._now + delay, callback, *args, priority=priority)
 
     def schedule_at(
         self,
@@ -143,17 +143,15 @@ class Simulator:
         *args: Any,
         priority: int = PRIORITY_NORMAL,
     ) -> Event:
-        """Schedule ``callback(*args)`` at absolute simulated ``time``."""
+        """Schedule ``callback(*args)`` at absolute simulated ``time``.
+
+        The hot path (every task's finish event): the event is queued here,
+        with no helper frame.
+        """
         if not time >= self._now:
             raise ValueError(
                 f"cannot schedule into the past (time={time}, now={self._now})"
             )
-        return self._push(time, priority, callback, args)
-
-    def _push(
-        self, time: float, priority: int, callback: Callable[..., Any], args: tuple
-    ) -> Event:
-        """Queue one event and return its handle (hot path)."""
         event = Event(self, time, callback, args)
         self._seq = seq = self._seq + 1
         heappush(self._heap, (time, priority, seq, event))
@@ -173,8 +171,10 @@ class Simulator:
         No handles are returned — batched events cannot be cancelled
         individually, which is exactly the contract bulk producers (trace
         arrivals, job submissions) want.  The batch is all-or-nothing: every
-        delay is checked before any event is queued.  The entries are
-        appended and the heap rebuilt once.
+        delay is checked before any event is queued.  The entries are then
+        pushed one by one, so a dispatch of k jobs onto a queue of n live
+        events costs O(k log n), not the O(n) of a heap rebuild; keys are
+        unique, so the pop order is the same either way.
         """
         now = self._now
         seq = self._seq
@@ -187,11 +187,11 @@ class Simulator:
             entries.append((time, priority, seq, Event(self, time, callback, args)))
         self._seq = seq
         heap = self._heap
-        heap.extend(entries)
-        heapify(heap)
-        self._live += len(entries)
-        if self._live > self.peak_pending:
-            self.peak_pending = self._live
+        for entry in entries:
+            heappush(heap, entry)
+        self._live = live = self._live + len(entries)
+        if live > self.peak_pending:
+            self.peak_pending = live
         return len(entries)
 
     def _on_cancel(self) -> None:

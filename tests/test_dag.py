@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.dag import DAGValidationError, Edge, EdgeMode, Job, JobDAG, Stage
 
@@ -27,6 +31,29 @@ def test_edge_validation():
         Edge("a", "a")
     with pytest.raises(DAGValidationError):
         Edge("a", "b", bytes_override=-1)
+    with pytest.raises(DAGValidationError):
+        Edge("a", "b", bytes_override=math.nan)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("scan_bytes_per_task", math.nan),
+        ("scan_bytes_per_task", math.inf),
+        ("output_bytes_per_task", math.nan),
+        ("work_seconds_per_task", math.inf),
+        ("work_seconds_per_task", math.nan),
+        ("work_seconds_per_task", "1"),
+        ("task_count", 2.5),
+        ("task_count", 4.0),
+        ("task_count", True),
+        ("task_count", "4"),
+        ("task_count", None),
+    ],
+)
+def test_stage_rejects_non_finite_amounts_and_non_int_counts(field, value):
+    with pytest.raises(DAGValidationError):
+        Stage(**{"name": "s", "task_count": 1, field: value})
 
 
 def test_duplicate_stage_name_rejected():
@@ -146,3 +173,67 @@ def test_multi_root_dag():
     dag = JobDAG("j", stages, [Edge("a", "j"), Edge("b", "j")])
     assert set(dag.roots()) == {"a", "b"}
     assert dag.sinks() == ["j"]
+
+
+# ----------------------------------------------------------------------
+# Constructor fuzz: a bad value raises DAGValidationError, never anything else
+# ----------------------------------------------------------------------
+
+_ANY_VALUE = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-3, max_value=10**6),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.text(max_size=2),
+)
+
+
+def _amount_ok(value: object) -> bool:
+    return (
+        type(value) in (int, float) and not math.isnan(value) and 0 <= value < math.inf
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(count=_ANY_VALUE, scan=_ANY_VALUE, output=_ANY_VALUE, work=_ANY_VALUE)
+def test_stage_accepts_exactly_finite_amounts_and_positive_int_counts(count, scan, output, work):
+    valid = (
+        type(count) is int and count >= 1
+        and _amount_ok(scan) and _amount_ok(output)
+        and (work is None or _amount_ok(work))
+    )
+    try:
+        stage = Stage("s", count, scan_bytes_per_task=scan,
+                      output_bytes_per_task=output, work_seconds_per_task=work)
+    except DAGValidationError:
+        assert not valid
+    else:
+        assert valid
+        assert stage.total_output_bytes >= 0
+
+
+_NAMES = st.sampled_from(["a", "b", "c", "d"])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    stages=st.lists(st.tuples(_NAMES, st.integers(min_value=1, max_value=5)), max_size=4),
+    edges=st.lists(st.tuples(_NAMES, _NAMES, _ANY_VALUE), max_size=6),
+)
+def test_job_dag_is_valid_or_raises_dag_validation_error(stages, edges):
+    """Random stages and edges (duplicates, self-edges, unknown ends,
+    cycles, bad byte overrides) build a DAG or raise
+    ``DAGValidationError``; a built DAG orders every edge forwards."""
+    try:
+        dag = JobDAG(
+            "j",
+            [Stage(name, count) for name, count in stages],
+            [Edge(src, dst, bytes_override=size) for src, dst, size in edges],
+        )
+    except DAGValidationError:
+        return
+    position = {name: i for i, name in enumerate(dag.topo_order())}
+    assert len(position) == len(stages)
+    for edge in dag.edges:
+        assert position[edge.src] < position[edge.dst]
+        assert dag.edge_bytes(edge) >= 0

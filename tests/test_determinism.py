@@ -292,6 +292,64 @@ def test_kernels_agree_on_random_interleavings(ops):
     assert sims[0].peak_pending == sims[1].peak_pending
 
 
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_small_batches_onto_a_large_queue_pop_in_oracle_order(seed):
+    """Gateway-sized batches (1-3 events) pushed onto a queue of at least
+    1,000 live events, interleaved with steps and cancellations, run in the
+    same order on the production kernel and the legacy oracle.  Delays and
+    priorities repeat, so many entries tie on time and priority."""
+    rng = random.Random(seed)
+    sims = (Simulator(), LegacySimulator())
+    logs: tuple[list, list] = ([], [])
+    handles: tuple[list, list] = ([], [])
+
+    def delay() -> float:
+        return rng.choice([0.0, 0.5, 1.0, rng.uniform(0.0, 50.0)])
+
+    def single(tag: int) -> None:
+        when, priority = delay(), rng.choice([0, 10, 20])
+        for sim, log, hs in zip(sims, logs, handles):
+            hs.append(sim.schedule(when, _recorder(log, tag, sim), priority=priority))
+
+    tag = 0
+    for _ in range(2_000):
+        single(tag)
+        tag += 1
+    for _ in range(400):
+        assert sims[0].pending_events() >= 1_000
+        batch = [delay() for _ in range(rng.randint(1, 3))]
+        priority = rng.choice([0, 10, 20])
+        for sim, log in zip(sims, logs):
+            sim.schedule_batch(
+                [(d, _recorder(log, tag + i, sim), ()) for i, d in enumerate(batch)],
+                priority=priority,
+            )
+        tag += len(batch)
+        single(tag)
+        tag += 1
+        for _ in range(rng.randint(0, 2)):
+            index = rng.randrange(len(handles[0]))
+            for hs in handles:
+                hs[index].cancel()
+        for _ in range(rng.randint(1, 3)):
+            assert sims[0].step() == sims[1].step()
+        assert sims[0].pending_events() == sims[1].pending_events()
+        assert logs[0] == logs[1]
+    for sim in sims:
+        sim.run()
+    assert logs[0] == logs[1]
+    assert len(logs[0]) == sims[1].events_processed
+    assert sims[0].peak_pending == sims[1].peak_pending
+
+
+def test_processing_jitter_draw_equals_uniform():
+    """``_compute_ready_instances`` draws ``0.06 * random()`` where it once
+    called ``uniform(0.0, 0.06)``: the same float from the same stream."""
+    fast, reference = random.Random(2021), random.Random(2021)
+    for _ in range(100_000):
+        assert 0.06 * fast.random() == reference.uniform(0.0, 0.06)
+
 if __name__ == "__main__":  # pragma: no cover - fixture regeneration
     FINGERPRINTS.parent.mkdir(exist_ok=True)
     FINGERPRINTS.write_text(

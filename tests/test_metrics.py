@@ -111,6 +111,13 @@ def test_utilization_series_counts_overlaps():
     assert by_time[25.0] == 0
 
 
+def test_utilization_series_decimal_step_ends_at_zero():
+    series = utilization_series([(0.0, 100.0)], step=0.1, horizon=100.0)
+    assert series[-1].time == 100.0
+    assert series[-1].running_executors == 0
+    assert series[500].time == 50.0
+
+
 def test_utilization_series_validation():
     with pytest.raises(ValueError):
         utilization_series([], step=0.0, horizon=1.0)

@@ -5,6 +5,8 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.metrics import JobMetrics, TaskTiming
 from repro.obs import (
@@ -121,6 +123,70 @@ def test_collect_job_folds_metrics_into_registry():
     assert flat["counters"]["shuffle_scheme_direct"] == 1
     assert flat["counters"]["phase_processing_s"] == pytest.approx(2.0)
     assert flat["histograms"]["job_latency_s"]["count"] == 1
+
+
+from metrics_fold_oracle import observe_collect_job  # noqa: E402
+
+_TIMES = st.floats(min_value=0.0, max_value=1e4, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _task_timings(draw, job_id: str) -> TaskTiming:
+    # Independent draws cover every IdleRatio case: span <= 0 (finish at
+    # or before plan arrival), data before plan arrival, data after finish.
+    plan = draw(_TIMES)
+    finish = draw(st.one_of(_TIMES, st.just(plan)))
+    data = draw(st.one_of(_TIMES, st.just(plan), st.just(finish)))
+    return TaskTiming(
+        job_id, draw(st.sampled_from(["M1", "R2"])), draw(st.integers(0, 9)),
+        draw(st.integers(0, 3)), plan, data, finish,
+        draw(_TIMES), draw(_TIMES), draw(_TIMES), draw(_TIMES),
+    )
+
+
+@st.composite
+def _fold_inputs(draw, job_id: str) -> JobMetrics:
+    metrics = JobMetrics(
+        job_id=job_id, submit_time=draw(_TIMES), start_time=draw(_TIMES),
+        finish_time=draw(_TIMES), failures=draw(st.integers(0, 3)),
+        restarts=draw(st.integers(0, 2)),
+    )
+    metrics.tasks = draw(st.lists(_task_timings(job_id), max_size=30))
+    schemes = draw(st.lists(st.sampled_from(["direct", "local"]), max_size=3))
+    metrics.shuffle_schemes = {f"e{i}": scheme for i, scheme in enumerate(schemes)}
+    return metrics
+
+
+def _fold_both(jobs: list[JobMetrics]) -> tuple[str, str]:
+    fast, oracle = MetricsRegistry(), MetricsRegistry()
+    for metrics in jobs:
+        collect_job(fast, metrics)
+        observe_collect_job(oracle, metrics)
+    return fast.to_json(), oracle.to_json()
+
+
+def test_collect_job_matches_observe_oracle_on_edge_cases():
+    metrics = JobMetrics(job_id="j", submit_time=1.0, finish_time=9.0)
+    metrics.tasks = [
+        TaskTiming("j", "M1", 0, 0, 5.0, 6.0, 5.0),      # span == 0
+        TaskTiming("j", "M1", 1, 0, 5.0, 6.0, 4.0),      # span < 0
+        TaskTiming("j", "M1", 2, 0, 5.0, 1.0, 7.0),      # data before plan
+        TaskTiming("j", "M1", 3, 2, 5.0, 9.0, 7.0),      # data after finish, rerun
+        TaskTiming("j", "R2", 0, 1, 0.1, 0.2, 0.7, 0.1, 0.2, 0.3, 0.1),
+    ]
+    second = JobMetrics(job_id="k", submit_time=0.5, finish_time=3.0)
+    second.tasks = [TaskTiming("k", "M1", 0, 0, 0.3, 0.6, 2.9)]
+    fast, oracle = _fold_both([metrics, second])
+    assert fast == oracle
+
+
+@settings(max_examples=80, deadline=None)
+@given(jobs=st.lists(_fold_inputs("j"), min_size=1, max_size=3))
+def test_collect_job_matches_observe_oracle(jobs):
+    """The one-loop fold leaves a registry byte-identical to per-task
+    ``observe`` calls, also when several jobs fold into one registry."""
+    fast, oracle = _fold_both(jobs)
+    assert fast == oracle
 
 
 # ----------------------------------------------------------------------

@@ -195,6 +195,27 @@ def test_utilization_series_never_negative_and_ends_at_zero(intervals):
     assert series[-1].running_executors == 0
 
 
+@given(
+    st.lists(
+        st.tuples(st.integers(0, 100), st.integers(0, 100)).map(
+            lambda p: (float(min(p)), float(max(p)))
+        ),
+        min_size=1,
+        max_size=20,
+    )
+)
+@settings(max_examples=60)
+def test_utilization_series_with_a_decimal_step_stays_on_the_grid(intervals):
+    """With ``step=0.1`` (not a binary fraction) the sample at each whole
+    second lies on the second, so once the last interval has ended the
+    count is 0; a running sum of steps lands just short of it."""
+    horizon = max(e for _, e in intervals)
+    series = utilization_series(intervals, step=0.1, horizon=horizon)
+    assert len(series) == round(horizon * 10) + 1
+    assert series[-1].time >= horizon
+    assert series[-1].running_executors == 0
+
+
 # ----------------------------------------------------------------------
 # Cache worker accounting
 # ----------------------------------------------------------------------

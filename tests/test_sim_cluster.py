@@ -119,3 +119,61 @@ def test_schedulable_excludes_read_only_and_dead():
 def test_iter_executors_covers_all():
     cluster = Cluster.build(3, 4)
     assert len(list(cluster.iter_executors())) == 12
+
+
+_EXECUTOR_SETUP = {
+    ExecutorState.RUNNING: lambda e: (e.assign("t"), e.start()),
+    ExecutorState.ASSIGNED: lambda e: e.assign("t"),
+    ExecutorState.IDLE: lambda e: None,
+    ExecutorState.REVOKED: lambda e: e.revoke(),
+}
+_MACHINE_SETUP = {
+    MachineState.HEALTHY: lambda m: None,
+    MachineState.READ_ONLY: lambda m: m.mark_read_only(),
+    # Death revokes every executor, so on a DEAD machine release always
+    # starts from REVOKED.
+    MachineState.DEAD: lambda m: m.mark_dead(),
+}
+
+
+def _recount(cluster: Cluster) -> None:
+    """Every idle counter and index equals a recount from executor states."""
+    for machine in cluster.machines:
+        idle = [e for e in machine.executors if e.state is ExecutorState.IDLE]
+        assert machine.idle_count == len(idle)
+        assert sorted(e.executor_id for e in machine._free_stack) == sorted(
+            e.executor_id for e in idle
+        )
+    assert cluster.free_executor_count() == sum(
+        m.idle_count for m in cluster.machines if m.accepts_tasks
+    )
+    assert list(cluster.machines_by_load()) == sorted(
+        (m for m in cluster.machines if m.accepts_tasks),
+        key=lambda m: (m.load(), m.machine_id),
+    )
+
+
+@pytest.mark.parametrize("executor_state", list(_EXECUTOR_SETUP), ids=lambda s: s.value)
+@pytest.mark.parametrize("machine_state", list(_MACHINE_SETUP), ids=lambda s: s.value)
+def test_release_keeps_idle_bookkeeping_exact(executor_state, machine_state):
+    cluster = Cluster([Machine(7, 3), Machine(2, 4), Machine(5, 2)], SimConfig())
+    machine = cluster.machines[1]
+    machine.executors[0].assign("neighbour")
+    executor = machine.executors[2]
+    _EXECUTOR_SETUP[executor_state](executor)
+    _MACHINE_SETUP[machine_state](machine)
+    _recount(cluster)  # files every machine and empties the dirty set
+    assert not cluster._dirty
+    state = executor.state
+    idle_before = machine.idle_count
+
+    executor.release()
+
+    assert executor.current_task is None
+    freed = state in (ExecutorState.RUNNING, ExecutorState.ASSIGNED)
+    assert executor.state is (ExecutorState.IDLE if freed else state)
+    assert machine.idle_count == idle_before + freed
+    assert cluster._dirty == ({machine} if freed else set())
+    if freed:
+        assert machine._free_stack[-1] is executor
+    _recount(cluster)
