@@ -15,7 +15,6 @@ Quick start::
 
 from .campaign import (
     Campaign,
-    ChaosEvent,
     ChaosProfile,
     PROFILES,
     Perturbations,
@@ -35,7 +34,6 @@ __all__ = [
     "Campaign",
     "CampaignResult",
     "ChaosEngine",
-    "ChaosEvent",
     "ChaosProfile",
     "ChaosReport",
     "PROFILES",

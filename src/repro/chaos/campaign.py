@@ -13,6 +13,7 @@ meaningful across workloads of very different absolute durations.
 from __future__ import annotations
 
 import json
+import math
 import random
 from dataclasses import dataclass, field
 from typing import Optional
@@ -39,6 +40,17 @@ class Perturbations(Codec):
     network_factor: float = 1.0
     cache_factor: float = 1.0
 
+    def __post_init__(self) -> None:
+        self.validate()
+
+    def validate(self) -> "Perturbations":
+        """Raise ``ValueError`` unless both factors are finite and positive."""
+        for name in ("network_factor", "cache_factor"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"Perturbations: {name}={value!r} must be finite and positive")
+        return self
+
     def apply(self, config: SimConfig) -> SimConfig:
         """Return a perturbed copy of ``config`` (the input is untouched)."""
         out = config.copy()
@@ -55,38 +67,14 @@ class Perturbations(Codec):
 
 
 @dataclass(frozen=True)
-class ChaosEvent(Codec):
-    """One discrete failure in a campaign, positioned by baseline fraction."""
-
-    kind: str
-    at_fraction: float
-    machine_id: Optional[int] = None
-    stage: Optional[str] = None
-    task_index: Optional[int] = None
-    #: Quarantine storms recover after ``duration`` simulated seconds.
-    duration: Optional[float] = None
-
-    def to_spec(self) -> FailureSpec:
-        """Materialize as an injectable :class:`FailureSpec`."""
-        return FailureSpec(
-            kind=FailureKind(self.kind),
-            stage=self.stage,
-            task_index=self.task_index,
-            machine_id=self.machine_id,
-            at_fraction=self.at_fraction,
-            duration=self.duration,
-        )
-
-
-@dataclass(frozen=True)
 class ChaosProfile:
     """Hostility level of campaign generation."""
 
     name: str
     min_events: int
     max_events: int
-    #: (kind value, weight) pairs for event sampling.
-    kind_weights: tuple[tuple[str, float], ...]
+    #: (kind, weight) pairs for event sampling.
+    kind_weights: tuple[tuple[FailureKind, float], ...]
     #: Fraction of campaigns that also degrade the network / cache memory.
     perturbation_probability: float
     #: Per-campaign cap on machine crashes as a fraction of the cluster;
@@ -107,9 +95,9 @@ PROFILES: dict[str, ChaosProfile] = {
         min_events=1,
         max_events=3,
         kind_weights=(
-            (FailureKind.TASK_CRASH.value, 6.0),
-            (FailureKind.PROCESS_RESTART.value, 2.0),
-            (FailureKind.CACHE_WORKER_LOSS.value, 1.0),
+            (FailureKind.TASK_CRASH, 6.0),
+            (FailureKind.PROCESS_RESTART, 2.0),
+            (FailureKind.CACHE_WORKER_LOSS, 1.0),
         ),
         perturbation_probability=0.0,
     ),
@@ -118,11 +106,11 @@ PROFILES: dict[str, ChaosProfile] = {
         min_events=2,
         max_events=6,
         kind_weights=(
-            (FailureKind.TASK_CRASH.value, 5.0),
-            (FailureKind.PROCESS_RESTART.value, 2.0),
-            (FailureKind.MACHINE_CRASH.value, 1.5),
-            (FailureKind.MACHINE_QUARANTINE.value, 1.5),
-            (FailureKind.CACHE_WORKER_LOSS.value, 1.0),
+            (FailureKind.TASK_CRASH, 5.0),
+            (FailureKind.PROCESS_RESTART, 2.0),
+            (FailureKind.MACHINE_CRASH, 1.5),
+            (FailureKind.MACHINE_QUARANTINE, 1.5),
+            (FailureKind.CACHE_WORKER_LOSS, 1.0),
         ),
         perturbation_probability=0.3,
     ),
@@ -131,11 +119,11 @@ PROFILES: dict[str, ChaosProfile] = {
         min_events=4,
         max_events=10,
         kind_weights=(
-            (FailureKind.TASK_CRASH.value, 4.0),
-            (FailureKind.PROCESS_RESTART.value, 2.0),
-            (FailureKind.MACHINE_CRASH.value, 2.0),
-            (FailureKind.MACHINE_QUARANTINE.value, 3.0),
-            (FailureKind.CACHE_WORKER_LOSS.value, 2.0),
+            (FailureKind.TASK_CRASH, 4.0),
+            (FailureKind.PROCESS_RESTART, 2.0),
+            (FailureKind.MACHINE_CRASH, 2.0),
+            (FailureKind.MACHINE_QUARANTINE, 3.0),
+            (FailureKind.CACHE_WORKER_LOSS, 2.0),
         ),
         perturbation_probability=0.6,
         app_error_probability=0.1,
@@ -148,8 +136,8 @@ PROFILES: dict[str, ChaosProfile] = {
         min_events=2,
         max_events=6,
         kind_weights=(
-            (FailureKind.CACHE_WORKER_LOSS.value, 6.0),
-            (FailureKind.TASK_CRASH.value, 1.0),
+            (FailureKind.CACHE_WORKER_LOSS, 6.0),
+            (FailureKind.TASK_CRASH, 1.0),
         ),
         perturbation_probability=0.2,
     ),
@@ -158,10 +146,10 @@ PROFILES: dict[str, ChaosProfile] = {
         min_events=2,
         max_events=6,
         kind_weights=(
-            (FailureKind.MACHINE_CRASH.value, 2.0),
-            (FailureKind.PROCESS_RESTART.value, 2.0),
-            (FailureKind.CACHE_WORKER_LOSS.value, 2.0),
-            (FailureKind.TASK_CRASH.value, 1.0),
+            (FailureKind.MACHINE_CRASH, 2.0),
+            (FailureKind.PROCESS_RESTART, 2.0),
+            (FailureKind.CACHE_WORKER_LOSS, 2.0),
+            (FailureKind.TASK_CRASH, 1.0),
         ),
         # Always perturb: shrunken cache capacity is what drives the
         # pressure-demotion arm of the mode controller mid-campaign.
@@ -172,8 +160,8 @@ PROFILES: dict[str, ChaosProfile] = {
         min_events=1,
         max_events=4,
         kind_weights=(
-            (FailureKind.MACHINE_QUARANTINE.value, 3.0),
-            (FailureKind.CACHE_WORKER_LOSS.value, 3.0),
+            (FailureKind.MACHINE_QUARANTINE, 3.0),
+            (FailureKind.CACHE_WORKER_LOSS, 3.0),
         ),
         # Skewed capacity makes load-aware placement earn its keep.
         perturbation_probability=1.0,
@@ -188,21 +176,18 @@ class Campaign(Codec):
     seed: int
     workload: str
     profile: str
-    events: list[ChaosEvent] = field(default_factory=list)
+    events: list[FailureSpec] = field(default_factory=list)
     perturbations: Perturbations = field(default_factory=Perturbations)
     #: True once the shrinker has minimized this campaign.
     shrunk: bool = False
 
     def to_failure_plan(self) -> FailurePlan:
         """The injectable plan for this campaign."""
-        plan = FailurePlan()
-        for event in self.events:
-            plan.add(event.to_spec())
-        return plan
+        return FailurePlan(list(self.events))
 
     def has_kind(self, kind: FailureKind) -> bool:
         """True when any event is of ``kind``."""
-        return any(e.kind == kind.value for e in self.events)
+        return any(e.kind == kind for e in self.events)
 
     def save(self, path: str) -> None:
         """Write the replayable JSON repro file."""
@@ -217,14 +202,16 @@ class Campaign(Codec):
             return cls.from_dict(json.load(fh))
 
 
-def _weighted_choice(rng: random.Random, weights: tuple[tuple[str, float], ...]) -> str:
+def _weighted_choice(
+    rng: random.Random, weights: tuple[tuple[FailureKind, float], ...]
+) -> FailureKind:
     total = sum(w for _, w in weights)
     pick = rng.random() * total
     acc = 0.0
-    for value, weight in weights:
+    for kind, weight in weights:
         acc += weight
         if pick < acc:
-            return value
+            return kind
     return weights[-1][0]
 
 
@@ -242,37 +229,37 @@ def generate_campaign(
     rng = random.Random(f"chaos:{seed}:{workload}:{profile.name}")
     n_events = rng.randint(profile.min_events, profile.max_events)
     crash_budget = profile.crash_cap(n_machines)
-    events: list[ChaosEvent] = []
+    events: list[FailureSpec] = []
     for _ in range(n_events):
         kind = _weighted_choice(rng, profile.kind_weights)
         if (
-            kind == FailureKind.MACHINE_CRASH.value
+            kind == FailureKind.MACHINE_CRASH
             and sum(1 for e in events if e.kind == kind) >= crash_budget
         ):
-            kind = FailureKind.TASK_CRASH.value
+            kind = FailureKind.TASK_CRASH
         at = round(rng.uniform(0.02, 0.85), 4)
         machine_id: Optional[int] = None
         duration: Optional[float] = None
         if kind in (
-            FailureKind.MACHINE_CRASH.value,
-            FailureKind.MACHINE_QUARANTINE.value,
-            FailureKind.CACHE_WORKER_LOSS.value,
+            FailureKind.MACHINE_CRASH,
+            FailureKind.MACHINE_QUARANTINE,
+            FailureKind.CACHE_WORKER_LOSS,
         ):
             machine_id = rng.randrange(n_machines)
-        if kind == FailureKind.MACHINE_QUARANTINE.value:
+        if kind == FailureKind.MACHINE_QUARANTINE:
             # Storms always recover; a permanent quarantine would make
             # capacity-starved livelock a generation artifact, not a bug.
             duration = round(rng.uniform(5.0, 30.0), 3)
         events.append(
-            ChaosEvent(
+            FailureSpec(
                 kind=kind, at_fraction=at, machine_id=machine_id,
                 duration=duration,
             )
         )
     if rng.random() < profile.app_error_probability:
         events.append(
-            ChaosEvent(
-                kind=FailureKind.APPLICATION_ERROR.value,
+            FailureSpec(
+                kind=FailureKind.APPLICATION_ERROR,
                 at_fraction=round(rng.uniform(0.05, 0.6), 4),
             )
         )

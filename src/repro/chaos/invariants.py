@@ -44,10 +44,10 @@ _UNSCHEDULABLE_PREFIX = "unschedulable:"
 
 #: Event kinds that can legitimately burn retry budget.
 _DESTRUCTIVE = {
-    FailureKind.TASK_CRASH.value,
-    FailureKind.PROCESS_RESTART.value,
-    FailureKind.MACHINE_CRASH.value,
-    FailureKind.CACHE_WORKER_LOSS.value,
+    FailureKind.TASK_CRASH,
+    FailureKind.PROCESS_RESTART,
+    FailureKind.MACHINE_CRASH,
+    FailureKind.CACHE_WORKER_LOSS,
 }
 
 

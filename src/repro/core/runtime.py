@@ -50,7 +50,6 @@ from .scheduler import (
     pick_locality_machines,
     pick_replica_machines,
 )
-from .shadow import ShadowController
 from .shuffle import (
     ModeDecision,
     ShuffleCostModel,
@@ -263,7 +262,6 @@ class SwiftRuntime:
         policy: ExecutionPolicy,
         failure_plan: Optional[FailurePlan] = None,
         reference_duration: "float | dict[str, float]" = 100.0,
-        shadow: Optional[ShadowController] = None,
         tracer: Optional[Tracer] = None,
         audit: bool = False,
         audit_strict: bool = True,
@@ -273,8 +271,6 @@ class SwiftRuntime:
         #: Structured tracing hook (repro.obs); the null tracer keeps every
         #: emission site on a single pre-hoisted boolean check.
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        #: Admin failover windows (Section II-B's shadow controller).
-        self.shadow = shadow or ShadowController()
         #: The calibration of the run is the cluster's: one config drives
         #: the network and disk models and everything else.
         self.config = cluster.config
@@ -443,6 +439,11 @@ class SwiftRuntime:
     def _schedule_failures(self, job: Job) -> None:
         reference = self._job_reference(job.job_id)
         for spec in self.failure_plan.for_job(job.job_id):
+            if spec.stage in job.dag.stages and spec.task_index is not None:
+                count = job.dag.stages[spec.stage].task_count
+                if spec.task_index >= count:
+                    raise ValueError(f"{spec}: task_index={spec.task_index} is past stage "
+                                     f"{spec.stage!r}'s {count} tasks")
             at = job.submit_time + spec.resolve_time(reference)
             self.sim.schedule_at(max(at, self.sim.now), self._on_failure, spec, job.job_id)
 
@@ -581,11 +582,7 @@ class SwiftRuntime:
             if inst.state == TaskState.PENDING and inst.executor is None
         ]
         batch = pending[: len(grant.executors)]
-        # During an Admin failover the shadow controller must finish taking
-        # over before any new plan can be generated and dispatched.
-        dispatch_from = self.shadow.next_available(self.sim.now)
-        self.shadow.record_completion(self.sim.now)
-        times = self.admin.dispatch_times(dispatch_from, len(batch))
+        times = self.admin.dispatch_times(self.sim.now, len(batch))
         self._dispatch_batch(job_run, batch, grant.executors, times)
         if times:
             # dispatch_times is strictly increasing, so only the first

@@ -10,6 +10,7 @@ under congestion, retransmission rates of up to 3% for Direct Shuffle).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .. import codec
@@ -310,7 +311,13 @@ class SimConfig(Codec):
     seed: int = 2021
 
     def validate(self) -> None:
-        """Validate every nested section; raise ``ValueError`` on bad values."""
+        """Validate every nested section; raise ``ValueError`` on bad values.
+
+        One rule covers every number reachable from here, the heartbeat
+        table included: it is finite and not negative.  The sections then
+        check their own ranges.
+        """
+        _check_numbers(codec.encode(self), "SimConfig")
         self.network.validate()
         self.disk.validate()
         self.cache_worker.validate()
@@ -324,6 +331,20 @@ class SimConfig(Codec):
     def copy(self, **overrides: object) -> "SimConfig":
         """Return a deep copy, optionally replacing top-level fields."""
         return codec.replace(codec.copy(self), **overrides)
+
+
+def _check_numbers(doc: object, path: str) -> None:
+    """Raise ``ValueError`` naming the first NaN, infinite or negative
+    number in an encoded config document."""
+    if isinstance(doc, dict):
+        for key, value in doc.items():
+            _check_numbers(value, f"{path}.{key}")
+    elif isinstance(doc, list):
+        for i, value in enumerate(doc):
+            _check_numbers(value, f"{path}[{i}]")
+    elif isinstance(doc, (int, float)) and not isinstance(doc, bool):
+        if not (math.isfinite(doc) and doc >= 0):
+            raise ValueError(f"{path}={doc!r} must be finite and non-negative")
 
 
 DEFAULT_CONFIG = SimConfig()

@@ -21,6 +21,7 @@ from typing import Optional
 
 from ..codec import Codec
 
+
 class FailureKind(enum.Enum):
     """The failure classes of Section IV (plus chaos-only hostile events)."""
     #: A task process crashes; recoverable by re-running the task.
@@ -71,12 +72,15 @@ class FailureSpec(Codec):
     def validate(self) -> "FailureSpec":
         """Raise a loud ``ValueError`` for a mis-specified failure.
 
-        Exactly one of ``at_time`` / ``at_fraction`` must be set, and
-        ``machine_id`` is not negative (the runtime checks it against the
-        cluster).  This is checked at construction, but specs are mutable —
-        re-validate after editing fields in place (``FailurePlan.add`` does
-        so for you).
+        Exactly one of ``at_time`` / ``at_fraction`` must be set, both
+        finite and not negative; ``duration`` is finite and positive;
+        ``machine_id`` and ``task_index`` are plain ints >= 0 (the runtime
+        checks them against the cluster and the stage).  This is checked
+        at construction, but specs are mutable — re-validate after editing
+        fields in place (``FailurePlan.add`` does so for you).
         """
+        if not isinstance(self.kind, FailureKind):
+            raise ValueError(f"FailureSpec: kind={self.kind!r} is not a FailureKind")
         if self.at_time is None and self.at_fraction is None:
             raise ValueError(
                 f"FailureSpec({self.kind.value}): neither at_time nor "
@@ -88,14 +92,31 @@ class FailureSpec(Codec):
                 f"and at_fraction={self.at_fraction} are set; exactly one is "
                 "allowed"
             )
-        if self.at_fraction is not None and self.at_fraction < 0:
-            raise ValueError("at_fraction must be non-negative")
-        if self.at_time is not None and self.at_time < 0:
-            raise ValueError("at_time must be non-negative")
-        if self.duration is not None and self.duration <= 0:
-            raise ValueError("duration must be positive when set")
-        if self.machine_id is not None and self.machine_id < 0:
-            raise ValueError(f"machine_id={self.machine_id} is negative")
+        for name in ("at_time", "at_fraction", "duration"):
+            value = getattr(self, name)
+            if value is None:
+                continue
+            if (
+                isinstance(value, bool)
+                or not isinstance(value, (int, float))
+                or not math.isfinite(value)
+            ):
+                raise ValueError(
+                    f"FailureSpec({self.kind.value}): {name}={value!r} is not a finite number"
+                )
+            if value < 0 or (name == "duration" and value == 0):
+                bound = "positive" if name == "duration" else "non-negative"
+                raise ValueError(f"FailureSpec({self.kind.value}): {name}={value!r} must be {bound}")
+        for name in ("machine_id", "task_index"):
+            value = getattr(self, name)
+            if value is None:
+                continue
+            if value.__class__ is not int:
+                raise ValueError(
+                    f"FailureSpec({self.kind.value}): {name}={value!r} is not an int"
+                )
+            if value < 0:
+                raise ValueError(f"FailureSpec({self.kind.value}): {name}={value} is negative")
         return self
 
     def resolve_time(self, reference_duration: float) -> float:

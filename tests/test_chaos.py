@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -33,8 +35,43 @@ def test_campaign_round_trips_through_json(tmp_path):
 def test_campaign_events_make_a_valid_failure_plan():
     campaign = generate_campaign(11, "terasort", PROFILES["hostile"], 8)
     plan = campaign.to_failure_plan()
-    # Every event converted; FailureSpec construction validates each one.
-    assert len(plan) == len(campaign.events)
+    # The events are the plan's specs, each validated at construction.
+    assert plan.specs == campaign.events
+    assert plan.specs is not campaign.events
+
+
+#: sha256 of every generated campaign's failure plan and perturbations
+#: (workloads x sorted profiles x seeds 0-199, 8 machines), taken when
+#: campaigns still held their own event type: generation must keep
+#: injecting exactly the same failures.
+CAMPAIGN_PLANS_SHA256 = "2484693ddd3c39b1c800befa56e63ead3443e3f0b553db5c38bb73db3ecec46a"
+
+
+def test_generated_campaigns_inject_the_pinned_failures():
+    digest = hashlib.sha256()
+    for workload in ("terasort", "tpch-q13", "trace"):
+        for name in sorted(PROFILES):
+            for seed in range(200):
+                campaign = generate_campaign(seed, workload, PROFILES[name], 8)
+                for part in (campaign.to_failure_plan(), campaign.perturbations):
+                    digest.update(json.dumps(part.to_dict(), sort_keys=True).encode())
+    assert digest.hexdigest() == CAMPAIGN_PLANS_SHA256
+
+
+#: A repro file saved before campaign events were ``FailureSpec``s: each
+#: event lacks the ``at_time`` and ``job_id`` keys.
+LEGACY_REPRO = Path(__file__).parent / "data" / "chaos_repro_legacy.json"
+
+
+def test_legacy_repro_file_loads_and_replays(tmp_path, capsys):
+    from repro.cli import main
+
+    campaign = Campaign.load(str(LEGACY_REPRO))
+    assert campaign == generate_campaign(10, "terasort", PROFILES["standard"], 8)
+    assert main(["chaos", "--replay", str(LEGACY_REPRO), "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().out == (
+        f"replay {LEGACY_REPRO}: PASS (makespan 22.7s, baseline 16.1s)\n"
+    )
 
 
 def test_unknown_workload_and_profile_are_rejected():
@@ -146,7 +183,7 @@ def test_shuffle_v2_profiles_registered():
         assert generate_campaign(0, "terasort", profile, 8).events
     # The failover profile is dominated by Cache Worker losses.
     weights = dict(PROFILES["cache-worker-loss-during-shuffle"].kind_weights)
-    assert max(weights, key=weights.get) == FailureKind.CACHE_WORKER_LOSS.value
+    assert max(weights, key=weights.get) == FailureKind.CACHE_WORKER_LOSS
 
 
 @pytest.mark.parametrize("profile", SHUFFLE_PROFILES)
@@ -172,12 +209,11 @@ def _campaign(events):
 
 
 def test_bounded_shuffle_recovery_invariant():
-    from repro.chaos.campaign import ChaosEvent
     from repro.chaos.invariants import check_bounded_shuffle_recovery
-    from repro.sim.failures import FailureKind
+    from repro.sim.failures import FailureKind, FailureSpec
 
-    loss = ChaosEvent(kind=FailureKind.CACHE_WORKER_LOSS.value,
-                      at_fraction=0.5, machine_id=0)
+    loss = FailureSpec(kind=FailureKind.CACHE_WORKER_LOSS,
+                       at_fraction=0.5, machine_id=0)
     failover = {"job_id": "j", "edge_key": "a->b", "machine_id": 0,
                 "survivors": 1, "action": "failover"}
     rerun = {"job_id": "j", "edge_key": "a->b", "machine_id": 0,
@@ -211,12 +247,11 @@ def _failed(reason):
 
 
 def test_unschedulable_failure_is_explained_by_a_machine_crash():
-    from repro.chaos.campaign import ChaosEvent
     from repro.chaos.invariants import check_failure_reasons
-    from repro.sim.failures import FailureKind
+    from repro.sim.failures import FailureKind, FailureSpec
 
-    crash = ChaosEvent(kind=FailureKind.MACHINE_CRASH.value, at_fraction=0.5,
-                       machine_id=0)
+    crash = FailureSpec(kind=FailureKind.MACHINE_CRASH, at_fraction=0.5,
+                        machine_id=0)
     result = _failed("unschedulable: unit 1 needs 57 executors (gang); "
                      "live machines hold 48")
     assert check_failure_reasons(_campaign([crash]), [result]) == []
@@ -226,10 +261,12 @@ def test_unschedulable_failure_is_explained_by_a_machine_crash():
 def test_unschedulable_failure_without_a_machine_crash_is_a_violation(kind):
     """Only a dead machine shrinks the live pool; a quarantined one may
     come back, and a crashed task or process frees its executor."""
-    from repro.chaos.campaign import ChaosEvent
     from repro.chaos.invariants import check_failure_reasons
+    from repro.sim.failures import FailureKind, FailureSpec
 
-    events = [] if kind is None else [ChaosEvent(kind=kind, at_fraction=0.5, machine_id=0)]
+    events = [] if kind is None else [
+        FailureSpec(kind=FailureKind(kind), at_fraction=0.5, machine_id=0)
+    ]
     result = _failed("unschedulable: unit 1 needs 57 executors (gang); "
                      "live machines hold 64")
     out = check_failure_reasons(_campaign(events), [result])

@@ -23,7 +23,7 @@ import repro
 from repro.api import AdmissionPolicy, RuntimeConfig, ServiceConfig, TenantSpec
 from repro.baselines import bubble_policy, jetscope_policy, restart_policy, spark_policy
 from repro.chaos import PROFILES, Campaign, generate_campaign
-from repro.chaos.campaign import ChaosEvent, Perturbations
+from repro.chaos.campaign import Perturbations
 from repro.codec import Codec
 from repro.core.partition import (
     BubblePartitioner,
@@ -56,7 +56,7 @@ CONFIG_CLASSES = (
     RuntimeConfig, ExecutionPolicy, SimConfig, NetworkConfig, DiskConfig,
     CacheWorkerConfig, ShuffleConfig, AdminConfig, ExecutorConfig, RetryConfig,
     FailurePlan, FailureSpec, ServiceConfig, TenantSpec, AdmissionPolicy,
-    Perturbations, ChaosEvent, Campaign,
+    Perturbations, Campaign,
 )
 
 POLICY_BUILDERS = (swift_policy, spark_policy, jetscope_policy, bubble_policy, restart_policy)
@@ -201,15 +201,7 @@ campaigns = st.builds(
     seed=st.integers(0, 10**6),
     workload=names,
     profile=names,
-    events=st.lists(st.builds(
-        ChaosEvent,
-        kind=st.sampled_from([kind.value for kind in FailureKind]),
-        at_fraction=_finite(0.0, 1.0),
-        machine_id=st.none() | st.integers(0, 100),
-        stage=st.none() | names,
-        task_index=st.none() | st.integers(0, 100),
-        duration=st.none() | _finite(0.01, 100.0),
-    ), max_size=4),
+    events=st.lists(failure_specs(), max_size=4),
     perturbations=st.builds(
         Perturbations, _finite(0.01, 1.0), _finite(0.01, 1.0),
     ),
@@ -274,7 +266,9 @@ PINNED_CAMPAIGN = """\
   "events": [
     {
       "at_fraction": 0.2382,
+      "at_time": null,
       "duration": null,
+      "job_id": null,
       "kind": "task_crash",
       "machine_id": null,
       "stage": null,
@@ -282,7 +276,9 @@ PINNED_CAMPAIGN = """\
     },
     {
       "at_fraction": 0.6067,
+      "at_time": null,
       "duration": 12.049,
+      "job_id": null,
       "kind": "machine_quarantine",
       "machine_id": 2,
       "stage": null,
@@ -290,7 +286,9 @@ PINNED_CAMPAIGN = """\
     },
     {
       "at_fraction": 0.747,
+      "at_time": null,
       "duration": null,
+      "job_id": null,
       "kind": "process_restart",
       "machine_id": null,
       "stage": null,
@@ -307,6 +305,17 @@ PINNED_CAMPAIGN = """\
   "workload": "terasort"
 }
 """
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("kind", "admin_failover", r"Campaign\.events\[1\]\.kind: unknown FailureKind 'admin_failover'"),
+    ("failover_seconds", 3.0, r"Campaign\.events\[1\]: unknown field\(s\) \['failover_seconds'\]"),
+])
+def test_bad_campaign_event_names_its_field(key, value, message):
+    doc = json.loads(PINNED_CAMPAIGN)
+    doc["events"][1][key] = value
+    with pytest.raises(ValueError, match=message):
+        Campaign.from_dict(doc)
 
 
 def test_config_classes_are_every_codec_dataclass():

@@ -455,3 +455,18 @@ def test_process_restart_relaunches_executor_and_recovers():
     assert all(
         e.state == ExecutorState.IDLE for e in runtime.cluster.iter_executors()
     )
+
+
+def test_task_index_past_the_stage_is_rejected_at_submission():
+    """An index the stage does not have fails when the job is submitted,
+    not as an ``IndexError`` when the failure fires."""
+    dag = chain_dag("q", tasks=4, n_stages=2)
+    spec = FailureSpec(kind=FailureKind.TASK_CRASH, stage="S1", task_index=4,
+                       at_fraction=0.5)
+    with pytest.raises(ValueError, match="task_index=4 is past stage 'S1''s 4 tasks"):
+        run_with_failures(dag, [spec], reference=10.0)
+    # The last task, and any index into a stage this job lacks, still run.
+    for stage, index in (("S1", 3), ("S9", 99)):
+        spec = FailureSpec(kind=FailureKind.TASK_CRASH, stage=stage, task_index=index,
+                           at_fraction=0.5)
+        assert run_with_failures(dag, [spec], reference=10.0)[0].completed

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
+import math
+
 import pytest
 
 from repro.sim.config import (
@@ -117,6 +120,61 @@ def test_sim_config_rejects_bad_top_level():
     cfg.task_processing_rate = 0
     with pytest.raises(ValueError):
         cfg.validate()
+
+
+def _numeric_fields(config: object, path: tuple = ()) -> list[tuple[str, ...]]:
+    """The path of every ``int``/``float`` field reachable from ``config``."""
+    out = []
+    for field in dataclasses.fields(config):
+        value = getattr(config, field.name)
+        if dataclasses.is_dataclass(value):
+            out.extend(_numeric_fields(value, path + (field.name,)))
+        elif isinstance(value, (int, float)) and not isinstance(value, bool):
+            out.append(path + (field.name,))
+    return out
+
+
+def _set_field(config: SimConfig, path: tuple[str, ...], value: object) -> None:
+    for name in path[:-1]:
+        config = getattr(config, name)
+    setattr(config, path[-1], value)
+
+
+NUMERIC_PATHS = _numeric_fields(SimConfig())
+
+
+def test_every_numeric_field_is_walked():
+    assert len(NUMERIC_PATHS) > 30
+    assert ("network", "rtt") in NUMERIC_PATHS and ("seed",) in NUMERIC_PATHS
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -1], ids=repr)
+@pytest.mark.parametrize("path", NUMERIC_PATHS, ids=".".join)
+def test_sim_config_rejects_nan_inf_and_negative_numbers(path, bad):
+    config = SimConfig()
+    _set_field(config, path, bad)
+    with pytest.raises(ValueError):
+        config.validate()
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -1], ids=repr)
+@pytest.mark.parametrize("slot", [0, 1])
+def test_sim_config_rejects_bad_heartbeat_entries(slot, bad):
+    config = SimConfig()
+    entry = [500, 5.0]
+    entry[slot] = bad
+    config.admin.heartbeat_intervals = (tuple(entry),)
+    with pytest.raises(ValueError, match=r"heartbeat_intervals\[0\]"):
+        config.validate()
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0, 0.0], ids=repr)
+@pytest.mark.parametrize("name", ["network_factor", "cache_factor"])
+def test_perturbations_reject_non_finite_or_non_positive_factors(name, bad):
+    from repro.chaos.campaign import Perturbations
+
+    with pytest.raises(ValueError, match=name):
+        Perturbations(**{name: bad})
 
 
 def test_copy_is_deep_for_sections():

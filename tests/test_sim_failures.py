@@ -42,6 +42,26 @@ def test_spec_rejects_non_positive_duration():
     FailureSpec(kind=FailureKind.MACHINE_QUARANTINE, at_time=1.0, duration=5.0)
 
 
+@pytest.mark.parametrize("fields", [
+    {"at_fraction": float("nan")},
+    {"at_fraction": float("inf")},
+    {"at_time": float("inf")},
+    {"at_time": float("nan")},
+    {"at_time": 1.0, "duration": float("nan")},
+    {"at_time": 1.0, "duration": float("inf")},
+    {"at_time": True},
+    {"at_time": 1.0, "machine_id": True},
+    {"at_time": 1.0, "machine_id": 1.5},
+    {"at_time": 1.0, "task_index": -1},
+    {"at_time": 1.0, "task_index": True},
+    {"at_time": 1.0, "task_index": 2.0},
+    {"at_time": 1.0, "kind": "task_crash"},
+], ids=repr)
+def test_spec_rejects_malformed_values(fields):
+    with pytest.raises(ValueError):
+        FailureSpec(**fields)
+
+
 def test_plan_add_revalidates_mutated_spec():
     spec = FailureSpec(at_time=1.0)
     spec.at_fraction = 0.5  # specs are mutable; add() must re-check
